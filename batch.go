@@ -16,22 +16,26 @@ type Seed struct {
 	Initial []string
 }
 
-// BatchStats reports how much selection and partitioning work a Batch
-// shared across its members instead of recomputing per member.
+// BatchStats reports how a Batch's member selections were served: computed
+// by a member (Selections) or served from the selection memo
+// (SelectionsShared).
 type BatchStats = discovery.BatchStats
 
-// Batch runs N resumable discovery sessions over one collection through a
-// shared-selection scheduler: members whose answers have narrowed them to
-// the same candidate-set state share one strategy selection and one
-// partition computation per round, instead of each paying the full
-// selection cost as N independent Sessions would. Every member still asks
-// exactly the questions its own solo Session would ask — sharing is an
-// optimisation, never a behaviour change (test-pinned).
+// Batch runs N resumable discovery sessions over one collection that share
+// one strategy instance and one selection memo: members whose answers have
+// narrowed them to the same candidate-set state share one strategy
+// selection, instead of each paying the full selection cost as N
+// independent Sessions would. With shared selection on (the default) the
+// memo is the collection's, so members also share with every Session on
+// the collection; with WithSharedSelection(false) the batch owns a memo of
+// its own. Every member still asks exactly the questions its own solo
+// Session would ask — sharing is an optimisation, never a behaviour change
+// (test-pinned).
 //
 // The protocol is round-based: fetch each live member's Question, apply the
-// answers with Answer (or AnswerMember calls followed by EndRound), repeat
-// until Done. Members may progress at different speeds; a member whose
-// answers diverge from its siblings simply stops sharing their work.
+// answers with Answer (or AnswerMember), repeat until Done. Members may
+// progress at different speeds; a member whose answers diverge from its
+// siblings simply stops sharing their work.
 //
 // A Batch serves one caller: its methods (and any interleaved use of the
 // underlying sessions) must be externally serialised. Any number of Batches
@@ -46,11 +50,11 @@ type Batch struct {
 }
 
 // NewBatch starts one suspended discovery session per seed, all with the
-// same options, scheduled together so members at equal states share
-// selection and partition work (the batch analogue of NewSession). A seed
-// naming an unknown entity fails construction with ErrNoCandidates; a seed
-// whose examples no set contains yields a member that is immediately done
-// and reports ErrNoCandidates from Result, mirroring Discover.
+// same options, so members at equal states share selection work (the batch
+// analogue of NewSession). A seed naming an unknown entity fails
+// construction with ErrNoCandidates; a seed whose examples no set contains
+// yields a member that is immediately done and reports ErrNoCandidates from
+// Result, mirroring Discover.
 func (c *Collection) NewBatch(seeds []Seed, opts ...Option) (*Batch, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("setdiscovery: NewBatch requires at least one seed")
@@ -75,6 +79,7 @@ func (c *Collection) NewBatch(seeds []Seed, opts ...Option) (*Batch, error) {
 		if f, err = c.factory(cfg); err != nil {
 			return nil, err
 		}
+		c.attachMemo(cfg, &o)
 	}
 	inits := make([][]dataset.Entity, len(seeds))
 	for i, seed := range seeds {
@@ -139,13 +144,11 @@ type MemberAnswer struct {
 	Answer Answer
 }
 
-// Answer applies one round of replies — at most one per live member — and
-// releases the round's shared state. It stops at the first invalid entry
-// (member out of range, or answering a finished member); replies already
-// applied stay applied. Serving layers that need per-member error reporting
-// use AnswerMember and EndRound directly.
+// Answer applies one round of replies — at most one per live member. It
+// stops at the first invalid entry (member out of range, or answering a
+// finished member); replies already applied stay applied. Serving layers
+// that need per-member error reporting use AnswerMember directly.
 func (b *Batch) Answer(answers ...MemberAnswer) error {
-	defer b.b.EndRound()
 	for _, ma := range answers {
 		if err := b.AnswerMember(ma.Member, ma.Answer); err != nil {
 			return err
@@ -154,9 +157,7 @@ func (b *Batch) Answer(answers ...MemberAnswer) error {
 	return nil
 }
 
-// AnswerMember applies one member's reply without ending the round, so a
-// caller applying many replies shares one selection/partition computation
-// per distinct state. Call EndRound after the last reply of a round.
+// AnswerMember applies one member's reply.
 func (b *Batch) AnswerMember(i int, a Answer) error {
 	if i < 0 || i >= b.b.Len() {
 		return fmt.Errorf("setdiscovery: batch has no member %d", i)
@@ -166,12 +167,6 @@ func (b *Batch) AnswerMember(i int, a Answer) error {
 	}
 	return nil
 }
-
-// EndRound releases the selection and partition results shared since the
-// last EndRound. Batch.Answer calls it automatically; callers stepping
-// members via AnswerMember call it once per round. Skipping it costs
-// memory, never correctness.
-func (b *Batch) EndRound() { b.b.EndRound() }
 
 // Result returns member i's outcome: final once the member is done,
 // otherwise a progress snapshot, with the same semantics as Session.Result
@@ -184,6 +179,6 @@ func (b *Batch) Result(i int) (*Result, error) {
 	return convertResult(res), nil
 }
 
-// Stats returns the scheduler's amortisation counters: selections and
-// partitions computed versus served from the shared round memos.
+// Stats returns the batch's selection counters: selections its members
+// computed versus selections the memo served them.
 func (b *Batch) Stats() BatchStats { return b.b.Stats() }

@@ -2,12 +2,14 @@ package setdiscovery
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 )
 
 // driveBatchRounds answers every live member once per round from its
 // oracle until the whole batch is done, using the round-based protocol a
-// serving layer would use (AnswerMember + EndRound).
+// serving layer would use (AnswerMember per member).
 func driveBatchRounds(t *testing.T, b *Batch, oracles []Oracle) {
 	t.Helper()
 	for !b.Done() {
@@ -30,7 +32,6 @@ func driveBatchRounds(t *testing.T, b *Batch, oracles []Oracle) {
 			}
 			stepped = true
 		}
-		b.EndRound()
 		if !stepped {
 			t.Fatal("batch not done but no member had a pending question")
 		}
@@ -205,5 +206,88 @@ func TestBatchAccessorBounds(t *testing.T) {
 	}
 	if err := b.AnswerMember(1, Yes); err == nil {
 		t.Error("AnswerMember with out-of-range member did not error")
+	}
+}
+
+// TestBatchSharesSelectionMemo pins the one selection-sharing mechanism at
+// the public layer. A solo Session runs to its target first; then a batch
+// whose members give the same answers runs on the same collection. With
+// shared selection on, the members select through the collection's memo
+// and compute nothing; with WithSharedSelection(false) they share a memo
+// the batch owns and compute exactly one solo session's selections. Either
+// way every member asks the solo session's questions.
+func TestBatchSharesSelectionMemo(t *testing.T) {
+	// 64 sets, one per 6-bit pattern over e0..e5: every target takes six
+	// questions.
+	sets := make(map[string][]string)
+	for i := 0; i < 64; i++ {
+		members := []string{"x"}
+		for bit := 0; bit < 6; bit++ {
+			if i>>bit&1 == 1 {
+				members = append(members, fmt.Sprintf("e%d", bit))
+			}
+		}
+		sets[fmt.Sprintf("S%02d", i)] = members
+	}
+	const n = 4
+	for _, tc := range []struct {
+		label        string
+		opts         []Option
+		soloComputes bool // whether the batch recomputes the solo's selections
+	}{
+		{"shared", nil, false},
+		{"unshared", []Option{WithSharedSelection(false)}, true},
+	} {
+		c, err := NewCollection(sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target, err := c.TargetOracle("S45")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := c.NewSession(nil, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo := &recordingOracle{inner: target}
+		for {
+			q, done := s.Next()
+			if done {
+				break
+			}
+			if err := s.Answer(solo.Answer(q.Entity)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := s.Result()
+		if err != nil || res.Target != "S45" {
+			t.Fatalf("%s: solo session found %q (%v), want S45", tc.label, res.Target, err)
+		}
+		soloSelections := int64(res.Interactions)
+
+		b, err := c.NewBatch(make([]Seed, n), tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracles := make([]Oracle, n)
+		recs := make([]*recordingOracle, n)
+		for i := range oracles {
+			recs[i] = &recordingOracle{inner: target}
+			oracles[i] = recs[i]
+		}
+		driveBatchRounds(t, b, oracles)
+		for i, rec := range recs {
+			if !reflect.DeepEqual(rec.asked, solo.asked) {
+				t.Fatalf("%s: member %d asked %v, solo session asked %v", tc.label, i, rec.asked, solo.asked)
+			}
+		}
+		want := BatchStats{Selections: 0, SelectionsShared: n * soloSelections}
+		if tc.soloComputes {
+			want = BatchStats{Selections: soloSelections, SelectionsShared: (n - 1) * soloSelections}
+		}
+		if st := b.Stats(); st != want {
+			t.Errorf("%s: Stats() = %+v, want %+v", tc.label, st, want)
+		}
 	}
 }

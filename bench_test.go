@@ -260,7 +260,7 @@ func BenchmarkSessionSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchDiscovery measures the batch scheduler's amortisation: 64
+// BenchmarkBatchDiscovery measures a batch's amortisation: 64
 // concurrent sessions with identical seeds and identical answers cost one
 // selection computation per round in a Batch ("selcomp/sess" ≈ a single
 // session's count) versus 64× as independent sessions. The mixed variant
@@ -298,7 +298,6 @@ func BenchmarkBatchDiscovery(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			bt.EndRound()
 		}
 	}
 
@@ -364,7 +363,7 @@ func BenchmarkBatchDiscovery(b *testing.B) {
 }
 
 // BenchmarkSharedSelection measures the collection-wide selection memo: 64
-// *solo* sessions (no batch scheduler) driven one after another, shared
+// *solo* sessions (no Batch) driven one after another, shared
 // versus unshared. With identical targets every session after the first
 // walks a fully memoised question path, so selections computed per session
 // collapse toward zero ("selcomp/sess"); divergent targets share only the

@@ -67,8 +67,8 @@
 //	curl -s localhost:8080/v1/sessions/$ID/result
 //
 // Batch discovery steps many sessions with one POST per round; members at
-// the same candidate-set state share one selection/partition computation
-// (see the README "Batch discovery" section):
+// the same candidate-set state share one selection through the
+// collection's selection memo (see the README "Batch discovery" section):
 //
 //	curl -s -X POST localhost:8080/v1/collections/paper/batches \
 //	     -d '{"seeds":[{"initial":["b"]},{"initial":["b"]}]}'

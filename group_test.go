@@ -343,7 +343,6 @@ func TestGroupBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b.EndRound()
 	snap, err := b.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +370,6 @@ func TestGroupBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		b.EndRound()
 	}
 	for i, name := range targets {
 		res, err := b.Result(i)

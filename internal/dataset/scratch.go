@@ -72,7 +72,7 @@ func (sc *Scratch) newSubset(c *Collection, members *bitset.Bits, size int) *Sub
 		s := sc.subFree[n-1]
 		sc.subFree[n-1] = nil
 		sc.subFree = sc.subFree[:n-1]
-		s.c, s.members, s.size, s.sc, s.refs = c, members, size, sc, 0
+		s.c, s.members, s.size, s.sc = c, members, size, sc
 		return s
 	}
 	return &Subset{c: c, members: members, size: size, sc: sc}
@@ -186,29 +186,13 @@ func (s *Subset) PartitionScratch(e Entity, sc *Scratch) (with, without *Subset)
 	return sc.newSubset(s.c, in, withN), sc.newSubset(s.c, out, s.size-withN)
 }
 
-// Retain adds an owner to a pooled subset: the batch scheduler shares one
-// partition half among every session that took the same branch, and each of
-// those sessions releases independently. Only the last owner's Release
-// recycles the subset. Retain is a no-op on unpooled subsets, whose Release
-// is already a no-op, so callers may retain unconditionally.
-func (s *Subset) Retain() {
-	if s != nil && s.sc != nil {
-		s.refs++
-	}
-}
-
 // Release hands a PartitionScratch result back for reuse. It is a no-op on
 // subsets that did not come from a scratch (so callers may release
-// unconditionally) and on subsets already detached by Unpool. When the
-// subset was shared with Retain, each owner calls Release once and only the
-// last of them recycles it. After its last Release the subset must not be
-// used again: its membership bitset will back a future partition.
+// unconditionally) and on subsets already detached by Unpool. After Release
+// the subset must not be used again: its membership bitset will back a
+// future partition.
 func (s *Subset) Release() {
 	if s == nil || s.sc == nil {
-		return
-	}
-	if s.refs > 0 {
-		s.refs--
 		return
 	}
 	sc := s.sc
@@ -219,9 +203,7 @@ func (s *Subset) Release() {
 // Unpool detaches a pooled subset from its scratch so it can safely escape
 // to callers outside the release discipline (result snapshots, the public
 // API): after Unpool the subset behaves exactly like one from Partition,
-// and Release becomes a no-op. Its bitset simply never returns to the pool —
-// including for any co-owners that retained it before the escape, so their
-// pending Releases cannot recycle memory the escaped reference still sees.
+// and Release becomes a no-op. Its bitset simply never returns to the pool.
 func (s *Subset) Unpool() {
 	if s != nil {
 		s.sc = nil

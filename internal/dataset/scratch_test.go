@@ -236,62 +236,3 @@ func TestScratchSharedPool(t *testing.T) {
 		t.Fatalf("shared pool outstanding = %d", out)
 	}
 }
-
-// TestSubsetRetainRelease pins the refcount discipline behind shared batch
-// partitions: a retained subset survives all but its last Release, Retain on
-// unpooled subsets is a harmless no-op, and an Unpool by one owner protects
-// the escaped reference from every co-owner's pending Release.
-func TestSubsetRetainRelease(t *testing.T) {
-	c := scratchTestCollection(t)
-	sc := NewScratch()
-
-	// Three owners (creator + two retains): only the third Release recycles.
-	with, without := c.All().PartitionScratch(0, sc)
-	with.Retain()
-	with.Retain()
-	with.Release()
-	with.Release()
-	if out := sc.Pool().Stats().Outstanding(); out != 2 {
-		t.Fatalf("outstanding after 2 of 3 releases = %d, want 2 (with still held, without held)", out)
-	}
-	wantMembers := append([]uint32(nil), with.Members()...)
-	got := with.Members()
-	for i := range got {
-		if got[i] != wantMembers[i] {
-			t.Fatalf("retained subset mutated before last release")
-		}
-	}
-	with.Release()
-	without.Release()
-	if out := sc.Pool().Stats().Outstanding(); out != 0 {
-		t.Fatalf("outstanding after all releases = %d, want 0", out)
-	}
-
-	// A freshly minted (recycled) subset must not inherit the old refcount.
-	w2, wo2 := c.All().PartitionScratch(1, sc)
-	w2.Release()
-	wo2.Release()
-	if out := sc.Pool().Stats().Outstanding(); out != 0 {
-		t.Fatalf("recycled subset kept a stale refcount: outstanding = %d", out)
-	}
-
-	// Unpool with a co-owner outstanding: the co-owner's Release must not
-	// return the escaped bitset to the pool.
-	w3, wo3 := c.All().PartitionScratch(0, sc)
-	w3.Retain()
-	w3.Unpool()
-	w3.Release() // co-owner lets go: must be a no-op now
-	wo3.Release()
-	if out := sc.Pool().Stats().Outstanding(); out != 1 {
-		t.Fatalf("unpooled shared subset: outstanding = %d, want 1 (the escaped bitset)", out)
-	}
-
-	// Retain/Release on unpooled subsets are no-ops.
-	plain := c.All()
-	plain.Retain()
-	plain.Release()
-	plain.Release()
-	if plain.Size() != c.Len() {
-		t.Fatal("unpooled subset damaged by Retain/Release")
-	}
-}

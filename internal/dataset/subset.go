@@ -19,14 +19,6 @@ type Subset struct {
 	// pool via PartitionScratch and goes back there on Release. Unpool
 	// clears it. Subsets from the allocating constructors have sc == nil.
 	sc *Scratch
-
-	// refs counts owners beyond the first: a freshly minted subset has one
-	// implicit owner and refs == 0; every Retain adds an owner. Release
-	// recycles the subset only when the last owner lets go, so one partition
-	// result can back the candidate sets of many batched sessions without
-	// being copied. Like the rest of the release discipline it is not
-	// synchronised — all owners must share the scratch's single worker.
-	refs int32
 }
 
 // All returns the sub-collection containing every set.

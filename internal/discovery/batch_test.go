@@ -14,7 +14,7 @@ import (
 
 // countingFactory wraps a strategy factory so every Select/SelectExcluding
 // of every minted instance bumps one shared counter — the machine-independent
-// measure of "selection computations" the batch scheduler amortises.
+// measure of "selection computations" a batch's shared memo amortises.
 type countingFactory struct {
 	inner strategy.Factory
 	n     *int64
@@ -24,13 +24,6 @@ func (f countingFactory) Name() string { return f.inner.Name() }
 
 func (f countingFactory) New() strategy.Strategy {
 	return &countingStrategy{inner: f.inner.New(), n: f.n}
-}
-
-func (f countingFactory) NewWithScratch(sc *dataset.Scratch) strategy.Strategy {
-	if sf, ok := f.inner.(strategy.ScratchFactory); ok {
-		return &countingStrategy{inner: sf.NewWithScratch(sc), n: f.n}
-	}
-	return f.New()
 }
 
 type countingStrategy struct {
@@ -92,11 +85,22 @@ func driveBatch(t *testing.T, b *Batch, oracles []Oracle) {
 				stepped = true
 			}
 		}
-		b.EndRound()
 		if !stepped {
 			t.Fatal("batch not done but no member had a pending question")
 		}
 	}
+}
+
+// outstanding sums the pooled bitsets the batch's members hold: leak
+// accounting over every member's scratch.
+func outstanding(b *Batch) int64 {
+	var n int64
+	for _, m := range b.members {
+		if m.scratch != nil {
+			n += m.scratch.Pool().Stats().Outstanding()
+		}
+	}
+	return n
 }
 
 // driveSolo runs a solo session to completion against the oracle.
@@ -169,9 +173,9 @@ func batchVsSolo(t *testing.T, c *dataset.Collection, f strategy.Factory,
 }
 
 // TestBatchOfOneMatchesSession is the PR 2 equivalence guarantee carried
-// over to the scheduler code path: a Batch of size 1 asks byte-identical
-// question sequences and produces identical results to a plain Session,
-// across strategies and every target.
+// over to batch members: a Batch of size 1 asks byte-identical question
+// sequences and produces identical results to a plain Session, across
+// strategies and every target.
 func TestBatchOfOneMatchesSession(t *testing.T) {
 	sc, err := synth.Generate(synth.Params{N: 50, SizeMin: 8, SizeMax: 12, Alpha: 0.8, Seed: 31})
 	if err != nil {
@@ -205,13 +209,13 @@ func TestBatchMembersMatchSoloSessions(t *testing.T) {
 	b := batchVsSolo(t, c, f, seeds,
 		func(i int) Oracle { return TargetOracle{targets[i]} }, nil)
 	st := b.Stats()
-	if st.Selections == 0 || st.Partitions == 0 {
-		t.Fatalf("scheduler did no work: %+v", st)
+	if st.Selections == 0 {
+		t.Fatalf("batch computed no selections: %+v", st)
 	}
 }
 
 // TestBatchWithUnknownsAndMultiQuestionInteractions covers the features
-// that bend the scheduler's sharing: "don't know" members bypass the
+// that bend the batch's sharing: "don't know" members bypass the
 // selection memo (their exclusion sets are per-member), and §6
 // multiple-choice interactions put several questions into one selection.
 func TestBatchWithUnknownsAndMultiQuestionInteractions(t *testing.T) {
@@ -241,8 +245,8 @@ func TestBatchWithUnknownsAndMultiQuestionInteractions(t *testing.T) {
 }
 
 // TestBatchWithBacktracking drives noisy oracles through §6
-// confirm-and-recover inside a batch: trails retain shared partition
-// halves, the hardest case for the refcounted release discipline.
+// confirm-and-recover inside a batch: trails retain pre-partition
+// candidate sets, the hardest case for the release discipline.
 func TestBatchWithBacktracking(t *testing.T) {
 	c := testutil.PaperCollection()
 	f := strategy.NewKLP(cost.AD, 2)
@@ -262,8 +266,8 @@ func TestBatchWithBacktracking(t *testing.T) {
 				o.MaxBacktracks = 200
 			})
 		// Everything except the members' escaped final candidate sets must
-		// be back in the batch arena.
-		if out := b.Scratch().Pool().Stats().Outstanding(); out > int64(b.Len()) {
+		// be back in the members' scratches.
+		if out := outstanding(b); out > int64(b.Len()) {
 			t.Fatalf("trial %d: %d pooled bitsets outstanding, want <= %d members",
 				trial, out, b.Len())
 		}
@@ -317,9 +321,6 @@ func TestBatchAmortisesSelections(t *testing.T) {
 	if want := int64(n-1) * soloCount; st.SelectionsShared != want {
 		t.Errorf("Stats().SelectionsShared = %d, want %d", st.SelectionsShared, want)
 	}
-	if st.PartitionsShared == 0 {
-		t.Error("no partitions were shared across identical members")
-	}
 	for i := 0; i < n; i++ {
 		res, err := b.Member(i).Result()
 		if err != nil {
@@ -329,9 +330,9 @@ func TestBatchAmortisesSelections(t *testing.T) {
 			t.Fatalf("member %d discovered %v, want %s", i, res.Target, target.Name)
 		}
 	}
-	// The arena holds exactly the escaped results (one per member whose
+	// The scratches hold exactly the escaped results (one per member whose
 	// final candidate set came from the pool), nothing else.
-	if out := b.Scratch().Pool().Stats().Outstanding(); out > int64(n) {
+	if out := outstanding(b); out > int64(n) {
 		t.Fatalf("%d pooled bitsets outstanding, want <= %d", out, n)
 	}
 }
@@ -417,9 +418,8 @@ type ConfirmerFunc func(*dataset.Set) bool
 func (f ConfirmerFunc) Confirm(s *dataset.Set) bool { return f(s) }
 
 // TestBatchContradictionLeakFree runs the same contradiction workload as a
-// batch: members share partition halves, abandon their batches, and every
-// pooled bitset — including the shared, refcounted halves — must come back
-// to the batch arena once all members fail and the round is flushed.
+// batch: members abandon their batches, and every pooled bitset must come
+// back to the members' scratches once all members fail.
 func TestBatchContradictionLeakFree(t *testing.T) {
 	c := contradictionCollection(t)
 	const n = 8
@@ -437,7 +437,7 @@ func TestBatchContradictionLeakFree(t *testing.T) {
 			t.Fatalf("member %d: want ErrContradiction, got %v", i, err)
 		}
 	}
-	if out := b.Scratch().Pool().Stats().Outstanding(); out != 0 {
+	if out := outstanding(b); out != 0 {
 		t.Fatalf("contradiction batch leaked %d pooled bitsets", out)
 	}
 }

@@ -250,15 +250,15 @@ type Options struct {
 	// the subset. Like Strategy, the instance is owned by this run.
 	Group grouptest.Strategy
 
-	// Memo, when non-nil, routes the solo session's selections through a
+	// Memo, when non-nil, routes the session's selections through a
 	// collection-wide SelectionMemo so concurrent and successive sessions at
 	// the same candidate-set state share one strategy computation. MemoAux
 	// must hash every option that changes what selectBatch returns (strategy
 	// identity and parameters, batch size) — two sessions share an entry only
 	// when their keys agree on it. Runtime wiring, not behaviour: selections
 	// are byte-identical with or without a memo, and the memo is not part of
-	// the encoded session state. Batch members ignore it (a Batch has its own
-	// round memo, whose stats are pinned per batch).
+	// the encoded session state. A Batch's members share this memo, or one
+	// the batch owns when it is nil.
 	Memo    *SelectionMemo
 	MemoAux uint64
 
@@ -266,6 +266,10 @@ type Options struct {
 	// pooled-vs-unpooled equivalence suite uses it to drive the original
 	// allocating path as the reference).
 	noScratch bool
+
+	// stats is the counter set of the Batch the session is a member of
+	// (set by NewBatch and DecodeBatch); nil for solo sessions.
+	stats *BatchStats
 }
 
 // Result reports the outcome of a discovery run.

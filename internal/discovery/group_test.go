@@ -333,7 +333,6 @@ func TestGroupBatchRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b.EndRound()
 	state := b.EncodeState()
 	if state[0] != stateVersionGroup {
 		t.Fatalf("group batch state version %d, want %d", state[0], stateVersionGroup)

@@ -8,16 +8,15 @@ import (
 	"setdiscovery/internal/dataset"
 )
 
-// Collection-wide selection memo: the cross-session half of the selection-
-// cache fabric. A Batch amortises strategy selections across its own members
-// for one round (batch.go); a SelectionMemo amortises them across *all* solo
-// sessions over one collection, for the lifetime of the process. Selections
-// are pure functions of (candidate-set fingerprint, behaviour-relevant
-// options), so N sessions parked at the same candidate-set state — the
-// popular prefix states of common seed sets — pay one strategy computation
-// total, and the result every later session receives is byte-identical to
-// what it would have computed alone (test-pinned across strategies, unknowns
-// and backtracking).
+// Collection-wide selection memo: the in-process layer of the selection-
+// cache fabric. A SelectionMemo amortises strategy selections across *all*
+// sessions over one collection — solo sessions and batch members alike — for
+// the lifetime of the process. Selections are pure functions of
+// (candidate-set fingerprint, behaviour-relevant options), so N sessions
+// parked at the same candidate-set state — the popular prefix states of
+// common seed sets — pay one strategy computation total, and the result
+// every later session receives is byte-identical to what it would have
+// computed alone (test-pinned across strategies, unknowns and backtracking).
 //
 // Three properties make the sharing sound:
 //
@@ -26,7 +25,7 @@ import (
 //     handed to any number of sessions on any goroutines;
 //   - sessions with "don't know" exclusions bypass the memo entirely — their
 //     selection depends on the per-session excluded set, not just the
-//     fingerprint (the same rule the batch scheduler applies);
+//     fingerprint;
 //   - the memo stores only entity slices, never pooled subsets or partitions,
 //     so it cannot interact with any session's subset recycling.
 //
@@ -117,27 +116,28 @@ func (m *SelectionMemo) Len() int { return m.cache.Len() }
 // recorded.
 const memoTrailCap = 512
 
-// selectShared is the memo-backed selection path of a solo session: serve a
-// hit, coalesce onto an in-progress computation, or compute and publish. The
-// computing session runs the strategy on its own instance and scratch and is
-// the one whose SelectionTime grows; hits and coalesced waits cost their
-// session no selection time, which only affects the wall-clock accounting —
-// never the question sequence.
-func (m *SelectionMemo) selectShared(s *Session) ([]dataset.Entity, bool) {
+// selectShared is the memo-backed selection path of a session: serve a hit,
+// coalesce onto an in-progress computation, or compute and publish; computed
+// reports the last. The computing session runs the strategy on its own
+// instance and scratch and is the one whose SelectionTime grows; hits and
+// coalesced waits cost their session no selection time, which only affects
+// the wall-clock accounting — never the question sequence.
+func (m *SelectionMemo) selectShared(s *Session) (entities []dataset.Entity, ok, computed bool) {
 	fp := s.cs.Fingerprint()
 	key := cache.Key{Hi: fp.Hi, Lo: fp.Lo, Aux: s.opts.MemoAux}
-	if len(s.memoKeys) < memoTrailCap {
+	// Batch members keep no trail: a batch snapshot carries no memo delta.
+	if s.opts.stats == nil && len(s.memoKeys) < memoTrailCap {
 		s.memoKeys = append(s.memoKeys, key)
 	}
 	if e, ok := m.cache.Get(key); ok {
-		return e.entities, e.ok
+		return e.entities, e.ok, false
 	}
 	m.mu.Lock()
 	if fl, ok := m.inflight[key]; ok {
 		m.mu.Unlock()
 		m.coalesced.Add(1)
 		<-fl.done
-		return fl.entities, fl.ok
+		return fl.entities, fl.ok, false
 	}
 	fl := &memoFlight{done: make(chan struct{})}
 	m.inflight[key] = fl
@@ -150,7 +150,7 @@ func (m *SelectionMemo) selectShared(s *Session) ([]dataset.Entity, bool) {
 	delete(m.inflight, key)
 	m.mu.Unlock()
 	close(fl.done)
-	return fl.entities, fl.ok
+	return fl.entities, fl.ok, true
 }
 
 // Persisted/exported memo shards: a versioned, fingerprint-guarded binary

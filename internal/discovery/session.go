@@ -70,13 +70,6 @@ type Session struct {
 	// observe recycled memory.
 	scratch *dataset.Scratch
 
-	// sched is the code path of the deterministic step: how the next
-	// interaction is selected and how an answer's partition is computed. A
-	// solo session runs the stateless direct scheduler; a batch member runs
-	// its Batch's shared scheduler, which memoises both per candidate-set
-	// fingerprint so sibling sessions at the same state share the work.
-	sched *scheduler
-
 	// batch holds the not-yet-asked entities of the in-flight interaction;
 	// inBatch distinguishes "between interactions" from "mid-interaction"
 	// so that the per-interaction bookkeeping of Run (MaxQuestions is
@@ -99,8 +92,8 @@ type Session struct {
 	// pendingSub/pendingSem hold the suspended set-valued question of a
 	// group session (Options.Group); pending is unused in that mode. Group
 	// sessions run one subset question per interaction — the batch slice
-	// above stays empty — and bypass every entity-keyed memo (collection
-	// memo and batch scheduler alike): selection and partition run direct.
+	// above stays empty — and bypass the entity-keyed selection memo:
+	// selection and partition run direct.
 	pendingSub []dataset.Entity
 	pendingSem grouptest.Semantics
 }
@@ -111,14 +104,6 @@ type Session struct {
 // in no candidate yields a session that is immediately Done with
 // ErrNoCandidates from Result, mirroring Run's result-plus-error return.
 func NewSession(c *dataset.Collection, initial []dataset.Entity, opts Options) (*Session, error) {
-	return newScheduledSession(c, initial, opts, soloScheduler)
-}
-
-// newScheduledSession is NewSession with an explicit scheduler: the direct
-// solo scheduler, or a Batch's shared one (a solo session is exactly a
-// batch of one on this code path). Batch members draw their scratch from
-// the scheduler so the whole batch runs against one arena.
-func newScheduledSession(c *dataset.Collection, initial []dataset.Entity, opts Options, sched *scheduler) (*Session, error) {
 	if opts.Strategy == nil && opts.Group == nil {
 		return nil, errors.New("discovery: Options.Strategy is required")
 	}
@@ -133,14 +118,9 @@ func newScheduledSession(c *dataset.Collection, initial []dataset.Entity, opts O
 		res:      &Result{Candidates: cs},
 		cs:       cs,
 		excluded: make(map[dataset.Entity]bool),
-		sched:    sched,
 	}
 	if !opts.noScratch {
-		if sched.shared {
-			s.scratch = sched.scratch
-		} else {
-			s.scratch = dataset.NewScratch()
-		}
+		s.scratch = dataset.NewScratch()
 	}
 	if cs.Size() == 0 {
 		s.finish(ErrNoCandidates)
@@ -241,7 +221,7 @@ func (s *Session) Answer(a Answer) error {
 		case Yes, No:
 			old := s.cs
 			// lint:owns — the session owns cs; finish/releaseTrail recycle it.
-			s.cs = s.sched.apply(s, old, e, a)
+			s.cs = applyScratch(old, e, a, s.scratch)
 			if s.opts.Backtrack {
 				// The trail must be able to restore any earlier candidate
 				// set, so superseded subsets stay live until the session
@@ -382,7 +362,7 @@ func (s *Session) advance() {
 			}
 		}
 		if s.cs.Size() > 1 && !(s.opts.MaxQuestions > 0 && s.res.Questions >= s.opts.MaxQuestions) {
-			entities, ok := s.sched.selectInteraction(s)
+			entities, ok := s.selectInteraction()
 			if ok {
 				s.res.Interactions++
 				s.batch = entities
@@ -402,6 +382,21 @@ func (s *Session) advance() {
 		s.finish(nil)
 		return
 	}
+}
+
+// selectInteraction picks the entities of the next interaction: through the
+// selection memo when the session has one and no "don't know" exclusions
+// (exclusions make the result depend on more than the candidate
+// fingerprint), directly otherwise. A batch member counts every selection
+// in its batch's stats.
+func (s *Session) selectInteraction() ([]dataset.Entity, bool) {
+	if m := s.opts.Memo; m != nil && len(s.excluded) == 0 {
+		entities, ok, computed := m.selectShared(s)
+		s.opts.stats.count(computed)
+		return entities, ok
+	}
+	s.opts.stats.count(true)
+	return selectBatch(s.cs, s.opts, s.excluded, s.res, s.scratch)
 }
 
 // finish moves the session to its terminal state. The final candidate set

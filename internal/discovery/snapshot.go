@@ -427,7 +427,7 @@ func DecodeSession(c *dataset.Collection, opts Options, data []byte) (*Session, 
 	if v != stateVersion && v != stateVersionGroup {
 		return nil, corrupt("unknown state version %d", v)
 	}
-	s, err := decodeSessionInto(c, opts, soloScheduler, r, v)
+	s, err := decodeSessionInto(c, opts, r, v)
 	if err != nil {
 		return nil, err
 	}
@@ -438,10 +438,9 @@ func DecodeSession(c *dataset.Collection, opts Options, data []byte) (*Session, 
 }
 
 // decodeSessionInto decodes one session's state from r. It mirrors
-// newScheduledSession's construction (options normalisation, scratch
-// wiring) but restores the suspended fields instead of running the opening
-// selection.
-func decodeSessionInto(c *dataset.Collection, opts Options, sched *scheduler, r *stateReader, version byte) (*Session, error) {
+// NewSession's construction (options normalisation, scratch wiring) but
+// restores the suspended fields instead of running the opening selection.
+func decodeSessionInto(c *dataset.Collection, opts Options, r *stateReader, version byte) (*Session, error) {
 	group := version == stateVersionGroup
 	if group && opts.Group == nil {
 		return nil, corrupt("group state requires group options")
@@ -597,7 +596,6 @@ func decodeSessionInto(c *dataset.Collection, opts Options, sched *scheduler, r 
 		cs:            cs,
 		excluded:      excluded,
 		trail:         trail,
-		sched:         sched,
 		batch:         batch,
 		inBatch:       flags&1 != 0,
 		contradiction: flags&2 != 0,
@@ -607,11 +605,7 @@ func decodeSessionInto(c *dataset.Collection, opts Options, sched *scheduler, r 
 		pendingSem:    pendingSem,
 	}
 	if !opts.noScratch {
-		if sched.shared {
-			s.scratch = sched.scratch
-		} else {
-			s.scratch = dataset.NewScratch()
-		}
+		s.scratch = dataset.NewScratch()
 	}
 	if confirmIdx > 0 {
 		s.confirm = c.Set(int(confirmIdx - 1))
@@ -735,9 +729,10 @@ func DecodeTreeSession(c *dataset.Collection, t *tree.Tree, data []byte) (*TreeS
 	return s, nil
 }
 
-// EncodeState serializes a batch's resumable state: the scheduler's
-// amortisation counters plus every member session's state. The per-round
-// memos are not state — they are rebuilt as the next round's answers arrive.
+// EncodeState serializes a batch's resumable state: its selection counters
+// plus every member session's state. The counter block keeps the five slots
+// of earlier releases so their snapshots still restore; the three retired
+// ones are written as 0. The selection memo is not state.
 func (b *Batch) EncodeState() []byte {
 	w := &stateWriter{buf: make([]byte, 0, 256*len(b.members))}
 	if len(b.members) > 0 && b.members[0].opts.Group != nil {
@@ -745,8 +740,7 @@ func (b *Batch) EncodeState() []byte {
 	} else {
 		w.u8(stateVersion)
 	}
-	st := b.sched.stats
-	for _, v := range []int64{st.Selections, st.SelectionsShared, st.Partitions, st.PartitionsShared, st.Rounds} {
+	for _, v := range []int64{b.stats.Selections, b.stats.SelectionsShared, 0, 0, 0} {
 		w.uvarint(uint64(v))
 	}
 	w.uvarint(uint64(len(b.members)))
@@ -758,14 +752,11 @@ func (b *Batch) EncodeState() []byte {
 
 // DecodeBatch reconstructs a Batch from EncodeState output. Like NewBatch it
 // mints the single shared strategy instance from f itself, so opts.Strategy
-// must be nil; members resume against a fresh batch-wide arena and shared
-// scheduler, and keep amortising exactly as the original batch did.
+// must be nil, and shares opts.Memo (or a memo of its own) among the
+// members.
 func DecodeBatch(c *dataset.Collection, f strategy.Factory, opts Options, data []byte) (*Batch, error) {
-	if f == nil && opts.Group == nil {
-		return nil, errors.New("discovery: DecodeBatch requires a strategy factory")
-	}
-	if opts.Strategy != nil {
-		return nil, errors.New("discovery: Options.Strategy must be nil for DecodeBatch; the batch mints one shared instance from the factory")
+	if err := checkBatchArgs("DecodeBatch", f, opts); err != nil {
+		return nil, err
 	}
 	r := &stateReader{data: data}
 	v, err := r.u8()
@@ -775,8 +766,10 @@ func DecodeBatch(c *dataset.Collection, f strategy.Factory, opts Options, data [
 	if v != stateVersion && v != stateVersionGroup {
 		return nil, corrupt("unknown state version %d", v)
 	}
-	var st BatchStats
-	for _, dst := range []*int64{&st.Selections, &st.SelectionsShared, &st.Partitions, &st.PartitionsShared, &st.Rounds} {
+	b := &Batch{}
+	// Slots 3–5 held the retired partition and round counters.
+	var retired int64
+	for _, dst := range []*int64{&b.stats.Selections, &b.stats.SelectionsShared, &retired, &retired, &retired} {
 		u, err := r.uvarint()
 		if err != nil {
 			return nil, err
@@ -793,25 +786,10 @@ func DecodeBatch(c *dataset.Collection, f strategy.Factory, opts Options, data [
 	if n == 0 {
 		return nil, corrupt("batch without members")
 	}
-	sched := &scheduler{
-		shared: true,
-		sel:    make(map[dataset.Fingerprint]selEntry),
-		parts:  make(map[partKey]partEntry),
-		stats:  st,
-	}
-	if !opts.noScratch {
-		sched.scratch = dataset.NewScratch()
-	}
-	if opts.Group == nil {
-		if sf, ok := f.(strategy.ScratchFactory); ok && sched.scratch != nil {
-			opts.Strategy = sf.NewWithScratch(sched.scratch)
-		} else {
-			opts.Strategy = f.New()
-		}
-	}
-	b := &Batch{sched: sched, members: make([]*Session, 0, n)}
+	b.share(f, &opts)
+	b.members = make([]*Session, 0, n)
 	for i := 0; i < n; i++ {
-		m, err := decodeSessionInto(c, opts, sched, r, v)
+		m, err := decodeSessionInto(c, opts, r, v)
 		if err != nil {
 			return nil, fmt.Errorf("batch member %d: %w", i, err)
 		}

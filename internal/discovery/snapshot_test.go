@@ -282,7 +282,7 @@ func TestTreeSessionSnapshotWrongTree(t *testing.T) {
 
 // TestBatchSnapshotRestore suspends a whole batch mid-round-robin, restores
 // it, and checks every member finishes identically to the uninterrupted
-// batch — including the scheduler's amortisation counters carrying over.
+// batch — including the batch's selection counters carrying over.
 func TestBatchSnapshotRestore(t *testing.T) {
 	c := testutil.PaperCollection()
 	f := strategy.NewKLP(cost.AD, 2)
@@ -311,7 +311,6 @@ func TestBatchSnapshotRestore(t *testing.T) {
 			}
 			progressed = true
 		}
-		b.EndRound()
 		return progressed
 	}
 
@@ -339,12 +338,10 @@ func TestBatchSnapshotRestore(t *testing.T) {
 		for i := 0; i < restored.Len(); i++ {
 			compareOutcome(t, targets[i].Name, restored.Member(i), orig.Member(i))
 		}
-		if sc := restored.Scratch(); sc != nil {
-			// Every member's final candidate set is unpooled by Result; the
-			// shared arena must hold nothing else.
-			if out := sc.Pool().Stats().Outstanding(); out > int64(restored.Len()) {
-				t.Errorf("cut %d: %d pooled subsets outstanding after batch finish", cut, out)
-			}
+		// Every member's final candidate set is unpooled by Result; the
+		// members' scratches must hold nothing else.
+		if out := outstanding(restored); out > int64(restored.Len()) {
+			t.Errorf("cut %d: %d pooled subsets outstanding after batch finish", cut, out)
 		}
 	}
 }

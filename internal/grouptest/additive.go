@@ -38,14 +38,6 @@ func (s Additive) New() Strategy {
 	return Additive{baseScratch{dataset.NewScratch()}, s.constraints}
 }
 
-// NewWithScratch implements ScratchFactory.
-func (s Additive) NewWithScratch(sc *dataset.Scratch) Strategy {
-	if sc == nil {
-		return s.New()
-	}
-	return Additive{baseScratch{sc}, s.constraints}
-}
-
 // SelectSubset implements Strategy.
 func (s Additive) SelectSubset(sub *dataset.Subset, excluded map[dataset.Entity]bool) (QuestionSubset, bool) {
 	pool := s.poolOf(sub, excluded)

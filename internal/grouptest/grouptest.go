@@ -11,8 +11,7 @@
 //   - SubsetOfTarget — "is S contained in your set?"
 //
 // Strategies mirror the entity-selection discipline of internal/strategy:
-// every concrete strategy is a Factory (and ScratchFactory) minting
-// single-worker instances, and selection is a pure function of the
+// every concrete strategy is a Factory minting single-worker instances, and selection is a pure function of the
 // candidate sub-collection and the excluded entities — group sessions
 // snapshot no strategy state, so restored sessions re-derive the same
 // question from the same candidates.
@@ -90,15 +89,6 @@ type Strategy interface {
 type Factory interface {
 	Name() string
 	New() Strategy
-}
-
-// ScratchFactory is a Factory whose instances can draw working memory from
-// a caller-owned dataset.Scratch, exactly like strategy.ScratchFactory.
-type ScratchFactory interface {
-	Factory
-	// NewWithScratch is New with the instance's working memory taken from
-	// sc. A nil sc behaves exactly like New.
-	NewWithScratch(sc *dataset.Scratch) Strategy
 }
 
 // Constraint is a dependency "If implies Then": any set containing If also

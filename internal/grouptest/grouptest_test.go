@@ -119,7 +119,7 @@ func TestHalvingLogRoundsOnSingletons(t *testing.T) {
 
 func TestHalvingPaperCollectionAllTargets(t *testing.T) {
 	c := paperCollection(t)
-	strat := Halving{}.NewWithScratch(dataset.NewScratch())
+	strat := Halving{}.New()
 	for i := 0; i < c.Len(); i++ {
 		if n, _ := discover(t, c, strat, c.Set(i)); n > 4 {
 			t.Errorf("target %s took %d questions, want ≤ 4", c.Set(i).Name, n)

@@ -25,14 +25,6 @@ func (Halving) Name() string { return "halving" }
 // New implements Factory.
 func (s Halving) New() Strategy { return Halving{baseScratch{dataset.NewScratch()}} }
 
-// NewWithScratch implements ScratchFactory.
-func (s Halving) NewWithScratch(sc *dataset.Scratch) Strategy {
-	if sc == nil {
-		return s.New()
-	}
-	return Halving{baseScratch{sc}}
-}
-
 // SelectSubset implements Strategy. The emitted subset always splits the
 // sub-collection properly: the greedy coverage is capped at ⌊n/2⌋ < n and
 // only returned when non-empty, and the single-entity fallback is

@@ -6,7 +6,7 @@
 //
 //   - poolcheck: every pooled dataset.Subset obtained from a Scratch
 //     partition source reaches Release on all paths out of the acquiring
-//     function, or is explicitly Unpooled/Retained/returned; stores that
+//     function, or is explicitly Unpooled/returned; stores that
 //     transfer ownership must carry a "// lint:owns" marker.
 //   - decoderbounds: in untrusted codecs, allocation sizes and loop bounds
 //     derived from decoded input must be dominated by a bound check.
@@ -83,7 +83,7 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 // Marker annotations. A marker comment anywhere on a line — trailing or on
 // the line immediately above a statement — opts that line out of one rule:
 //
-//	s.cs = s.sched.apply(s, old, e, a) // lint:owns — session owns cs
+//	s.cs = applyScratch(old, e, a, s.scratch) // lint:owns — session owns cs
 //
 // Recognised markers: "lint:owns" (poolcheck: this store is a deliberate
 // ownership transfer) and "lint:bounded" (decoderbounds: this size is

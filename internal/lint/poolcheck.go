@@ -10,7 +10,7 @@ import (
 // PoolCheck enforces the pooled-Subset ownership discipline from
 // internal/dataset: a *dataset.Subset acquired from a Scratch partition
 // source must reach Release on every path out of the acquiring function,
-// unless it is Unpooled, Retained, returned, or handed off through a store
+// unless it is Unpooled, returned, or handed off through a store
 // annotated "// lint:owns". The analyzer also flags Release after Release
 // (double free back into the pool) and any use after Release (the bitset
 // may already be recycled into another subset).
@@ -20,10 +20,9 @@ import (
 //   - Acquire: calling PartitionScratch or PartitionGroupScratch on a
 //     subset, or calling a same-package function that (transitively)
 //     returns such a result.
-//   - Discharge: Release (exactly once), Unpool, Retain (a second owner now
-//     exists, so per-value tracking ends), returning the value, deferring
-//     its Release, or passing it to a same-package function that consumes
-//     it (releases/unpools/stores its parameter).
+//   - Discharge: Release (exactly once), Unpool, returning the value,
+//     deferring its Release, or passing it to a same-package function that
+//     consumes it (releases/unpools/stores its parameter).
 //   - Borrow: passing the value as an argument otherwise. Callees like
 //     childBounds read the halves; the caller still releases them.
 //   - Escape: storing into a struct field, map, slice, channel, composite
@@ -507,7 +506,7 @@ func (w *poolWalker) leakCheck(st *pstate, base *pstate) {
 		if c.st == psCond {
 			what = "is not released on every path"
 		}
-		w.pass.Reportf(c.pos, "pooled subset %s acquired here %s out of %s; call Release (or Unpool/Retain, or return it)", c.name, what, w.name)
+		w.pass.Reportf(c.pos, "pooled subset %s acquired here %s out of %s; call Release (or Unpool, or return it)", c.name, what, w.name)
 	}
 }
 
@@ -1028,7 +1027,7 @@ func (w *poolWalker) walkCall(call *ast.CallExpr, st *pstate) {
 		return
 	}
 
-	// v.Release() / v.Unpool() / v.Retain() on a tracked variable.
+	// v.Release() / v.Unpool() on a tracked variable.
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if id, ok := unparen(sel.X).(*ast.Ident); ok {
 			if c := w.cellOf(id, st); c != nil {
@@ -1046,7 +1045,7 @@ func (w *poolWalker) walkCall(call *ast.CallExpr, st *pstate) {
 						c.st = psReleased
 					}
 					return
-				case "Unpool", "Retain":
+				case "Unpool":
 					if c.st == psReleased {
 						w.reportUse(id, "used after Release")
 					}

@@ -30,8 +30,6 @@ func (s *Subset) Release() { s.sc = nil }
 
 func (s *Subset) Unpool() { s.sc = nil }
 
-func (s *Subset) Retain() {}
-
 func (s *Subset) Size() int { return s.size }
 
 func (s *Subset) Fingerprint() Fingerprint { return Fingerprint{} }

@@ -333,7 +333,9 @@ func (sc *routerStreamConn) handleCreate(req *wireproto.Create) {
 	fwd := *req
 	clientWantState := req.WantState
 	fwd.WantState = true // snapshot capture piggyback, stripped below
+	start := time.Now()
 	q, err := bs.Create(&fwd, rt.proxyTimeout)
+	sc.observe(b.name, start, err)
 	if err != nil {
 		bs.Close()
 		sc.forwardError(req.Channel, "", err)
@@ -445,6 +447,7 @@ func (sc *routerStreamConn) handleRound(ch uint64, req wireproto.Message, client
 
 	var q *wireproto.Question
 	var err error
+	start := time.Now()
 	switch r := req.(type) {
 	case *wireproto.Answer:
 		fwd := *r
@@ -455,6 +458,7 @@ func (sc *routerStreamConn) handleRound(ch uint64, req wireproto.Message, client
 		fwd.WantState = clientWantState || wantSnap
 		q, err = pc.bs.AnswerBatch(&fwd, rt.proxyTimeout)
 	}
+	sc.observe(pc.backendName, start, err)
 	if err != nil {
 		// The backend stream is only trustworthy after a clean exchange;
 		// drop it so the next frame re-attaches.
@@ -491,7 +495,9 @@ func (sc *routerStreamConn) handleResultReq(req *wireproto.ResultRequest) {
 		if _, err = sc.resolveOwner(pc); err != nil {
 			break
 		}
+		start := time.Now()
 		res, err = pc.bs.Result(rt.proxyTimeout)
+		sc.observe(pc.backendName, start, err)
 		if err == nil || isRemote(err) {
 			break
 		}
@@ -504,6 +510,16 @@ func (sc *routerStreamConn) handleResultReq(req *wireproto.ResultRequest) {
 	}
 	res.Channel = req.Channel
 	sc.write(res)
+}
+
+// observe feeds one backend exchange that started at start into the
+// router's latency window, as doProxy does on the JSON plane: a reply or a
+// backend error frame completes a round; a transport failure is an
+// availability event (the health loop's business), not a latency sample.
+func (sc *routerStreamConn) observe(backend string, start time.Time, err error) {
+	if err == nil || isRemote(err) {
+		sc.rt.metrics.observeRound(backend, time.Since(start))
+	}
 }
 
 // captureState stores a forwarded response's inline snapshot in the

@@ -2,8 +2,11 @@ package router
 
 import (
 	"errors"
+	"io"
 	"net"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -283,5 +286,54 @@ func TestStreamPoolClosedOnDeath(t *testing.T) {
 	f.rt.spMu.Unlock()
 	if stillThere {
 		t.Fatal("stream pool survived the backend's death")
+	}
+}
+
+// roundCount scrapes the router's /v1/metrics for the number of rounds its
+// latency window has recorded against backend (0 before the first).
+func roundCount(t *testing.T, front, backend string) int {
+	t.Helper()
+	resp, err := http.Get(front + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := `setdiscovery_router_round_seconds_count{backend="` + backend + `"} `
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("bad count line %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
+// TestStreamRoundsFeedLatencyWindow drives a session through the router's
+// stream plane and checks that every forwarded answer lands in the owner's
+// round-latency window, as a JSON-plane round does.
+func TestStreamRoundsFeedLatencyWindow(t *testing.T) {
+	f := newStreamFleet(t, []string{"a"})
+	before := roundCount(t, f.front, "a")
+	c := f.dial(t)
+	s := c.OpenStream()
+	defer s.Close()
+	q, err := s.Create(&wireproto.Create{Collection: "paper"}, streamTestTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := map[string]bool{"a": true, "d": true, "e": true} // S2
+	asked, _ := driveStream(t, s, q, target)
+	if len(asked) == 0 {
+		t.Fatal("session asked no questions")
+	}
+	if got := roundCount(t, f.front, "a") - before; got < len(asked) {
+		t.Fatalf("latency window grew by %d over %d stream answers", got, len(asked))
 	}
 }

@@ -188,7 +188,7 @@ func TestBatchAnswerMemberErrors(t *testing.T) {
 
 // TestBatchWithBacktrackingOverHTTP drives a lying oracle through the
 // batch endpoints with backtracking enabled: members hit the confirmation
-// question, reject it, and recover — all through shared-scheduler rounds.
+// question, reject it, and recover — all through shared-selection rounds.
 func TestBatchWithBacktrackingOverHTTP(t *testing.T) {
 	_, ts, c := newTestServer(t)
 	targets := []string{"S1", "S4", "S7"}

@@ -14,24 +14,28 @@ import (
 	"time"
 )
 
-// metricsWriter accumulates one exposition body. Families must be emitted
+// MetricsWriter accumulates one exposition body. Engines and the router
+// both render their /v1/metrics through it. Families must be emitted
 // contiguously (HELP/TYPE once, then every sample), which the handlers do
 // by construction.
-type metricsWriter struct {
+type MetricsWriter struct {
 	b strings.Builder
 }
 
-func (m *metricsWriter) family(name, help, typ string) {
+// Family starts a metric family: its HELP and TYPE lines.
+func (m *MetricsWriter) Family(name, help, typ string) {
 	fmt.Fprintf(&m.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
+// EscapeLabel escapes a label value per the exposition format.
+func EscapeLabel(v string) string {
 	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 	return r.Replace(v)
 }
 
-func (m *metricsWriter) sample(name, labels string, v float64) {
+// Sample writes one sample of the current family; labels is the rendered
+// label list without braces, or "" for none.
+func (m *MetricsWriter) Sample(name, labels string, v float64) {
 	if labels != "" {
 		fmt.Fprintf(&m.b, "%s{%s} %g\n", name, labels, v)
 	} else {
@@ -39,13 +43,15 @@ func (m *metricsWriter) sample(name, labels string, v float64) {
 	}
 }
 
-func (m *metricsWriter) serve(w http.ResponseWriter) {
+// Serve writes the accumulated body as a 200 text-format response.
+func (m *MetricsWriter) Serve(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	w.Write([]byte(m.b.String()))
 }
 
-func boolGauge(b bool) float64 {
+// BoolGauge renders a flag as a 0/1 gauge value.
+func BoolGauge(b bool) float64 {
 	if b {
 		return 1
 	}
@@ -56,27 +62,27 @@ func boolGauge(b bool) float64 {
 // resource kind, capacity and TTL configuration, and each collection's
 // selection-cache fabric counters.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var m metricsWriter
+	var m MetricsWriter
 	sessions, batches := s.store.Counts()
 
-	m.family("setdiscovery_uptime_seconds", "Seconds since the server started.", "gauge")
-	m.sample("setdiscovery_uptime_seconds", "", float64(int64(time.Since(s.started)/time.Second)))
+	m.Family("setdiscovery_uptime_seconds", "Seconds since the server started.", "gauge")
+	m.Sample("setdiscovery_uptime_seconds", "", float64(int64(time.Since(s.started)/time.Second)))
 
-	m.family("setdiscovery_resources", "Live store entries by resource kind.", "gauge")
-	m.sample("setdiscovery_resources", `kind="session"`, float64(sessions))
-	m.sample("setdiscovery_resources", `kind="batch"`, float64(batches))
+	m.Family("setdiscovery_resources", "Live store entries by resource kind.", "gauge")
+	m.Sample("setdiscovery_resources", `kind="session"`, float64(sessions))
+	m.Sample("setdiscovery_resources", `kind="batch"`, float64(batches))
 
-	m.family("setdiscovery_live_discoveries", "Capacity weight of live resources (a batch counts every member).", "gauge")
-	m.sample("setdiscovery_live_discoveries", "", float64(s.store.Used()))
+	m.Family("setdiscovery_live_discoveries", "Capacity weight of live resources (a batch counts every member).", "gauge")
+	m.Sample("setdiscovery_live_discoveries", "", float64(s.store.Used()))
 
-	m.family("setdiscovery_max_sessions", "Configured live-discovery capacity.", "gauge")
-	m.sample("setdiscovery_max_sessions", "", float64(s.store.max))
+	m.Family("setdiscovery_max_sessions", "Configured live-discovery capacity.", "gauge")
+	m.Sample("setdiscovery_max_sessions", "", float64(s.store.max))
 
-	m.family("setdiscovery_session_ttl_seconds", "Configured resource TTL.", "gauge")
-	m.sample("setdiscovery_session_ttl_seconds", "", float64(int64(s.store.ttl/time.Second)))
+	m.Family("setdiscovery_session_ttl_seconds", "Configured resource TTL.", "gauge")
+	m.Sample("setdiscovery_session_ttl_seconds", "", float64(int64(s.store.ttl/time.Second)))
 
-	m.family("setdiscovery_sliding_ttl", "Whether the TTL slides on access (1) or is fixed from creation (0).", "gauge")
-	m.sample("setdiscovery_sliding_ttl", "", boolGauge(s.sliding))
+	m.Family("setdiscovery_sliding_ttl", "Whether the TTL slides on access (1) or is fixed from creation (0).", "gauge")
+	m.Sample("setdiscovery_sliding_ttl", "", BoolGauge(s.sliding))
 
 	type collRow struct {
 		name           string
@@ -105,23 +111,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.RUnlock()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
 
-	m.family("setdiscovery_collection_sets", "Registered sets per collection.", "gauge")
+	m.Family("setdiscovery_collection_sets", "Registered sets per collection.", "gauge")
 	for _, c := range rows {
-		m.sample("setdiscovery_collection_sets", fmt.Sprintf(`collection=%q`, escapeLabel(c.name)), float64(c.sets))
+		m.Sample("setdiscovery_collection_sets", fmt.Sprintf(`collection=%q`, EscapeLabel(c.name)), float64(c.sets))
 	}
-	m.family("setdiscovery_collection_entities", "Distinct entities per collection.", "gauge")
+	m.Family("setdiscovery_collection_entities", "Distinct entities per collection.", "gauge")
 	for _, c := range rows {
-		m.sample("setdiscovery_collection_entities", fmt.Sprintf(`collection=%q`, escapeLabel(c.name)), float64(c.entities))
+		m.Sample("setdiscovery_collection_entities", fmt.Sprintf(`collection=%q`, EscapeLabel(c.name)), float64(c.entities))
 	}
-	m.family("setdiscovery_collection_tree", "Whether a prebuilt decision tree is registered (1) for the collection.", "gauge")
+	m.Family("setdiscovery_collection_tree", "Whether a prebuilt decision tree is registered (1) for the collection.", "gauge")
 	for _, c := range rows {
-		m.sample("setdiscovery_collection_tree", fmt.Sprintf(`collection=%q`, escapeLabel(c.name)), boolGauge(c.tree))
+		m.Sample("setdiscovery_collection_tree", fmt.Sprintf(`collection=%q`, EscapeLabel(c.name)), BoolGauge(c.tree))
 	}
 
 	counter := func(name, help string, get func(CacheStats) float64) {
-		m.family(name, help, "counter")
+		m.Family(name, help, "counter")
 		for _, c := range rows {
-			m.sample(name, fmt.Sprintf(`collection=%q`, escapeLabel(c.name)), get(c.cache))
+			m.Sample(name, fmt.Sprintf(`collection=%q`, EscapeLabel(c.name)), get(c.cache))
 		}
 	}
 	counter("setdiscovery_selection_cache_hits_total",
@@ -137,10 +143,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Selections that waited on a concurrent computation instead of recomputing.",
 		func(cs CacheStats) float64 { return float64(cs.Coalesced) })
 
-	m.family("setdiscovery_selection_cache_entries", "Live memo entries per collection.", "gauge")
+	m.Family("setdiscovery_selection_cache_entries", "Live memo entries per collection.", "gauge")
 	for _, c := range rows {
-		m.sample("setdiscovery_selection_cache_entries", fmt.Sprintf(`collection=%q`, escapeLabel(c.name)), float64(c.cache.Entries))
+		m.Sample("setdiscovery_selection_cache_entries", fmt.Sprintf(`collection=%q`, EscapeLabel(c.name)), float64(c.cache.Entries))
 	}
 
-	m.serve(w)
+	m.Serve(w)
 }

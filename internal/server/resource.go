@@ -80,14 +80,6 @@ func (s *Stored) Result(i int) (*setdiscovery.Result, error) {
 	return s.Session.Result()
 }
 
-// EndRound releases shared per-round scheduler state; a no-op for single
-// sessions, which have none.
-func (s *Stored) EndRound() {
-	if s.Batch != nil {
-		s.Batch.EndRound()
-	}
-}
-
 // Snapshot serializes the resource's suspended state for export (GET
 // …/state) and migration.
 func (s *Stored) Snapshot() ([]byte, error) {

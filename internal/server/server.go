@@ -716,11 +716,11 @@ func (s *Server) handleBatchQuestions(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBatchAnswers applies one round of replies. Replies are applied
-// member by member through the shared answer core, the round's shared state
-// is released once, and per-member failures (bad answer, stale question
-// assertion, finished member) are reported in that member's snapshot entry
-// while the rest of the round proceeds — so a retried POST whose first
-// attempt was partially applied converges instead of failing wholesale.
+// member by member through the shared answer core, and per-member failures
+// (bad answer, stale question assertion, finished member) are reported in
+// that member's snapshot entry while the rest of the round proceeds — so a
+// retried POST whose first attempt was partially applied converges instead
+// of failing wholesale.
 func (s *Server) handleBatchAnswers(w http.ResponseWriter, r *http.Request) {
 	id, st, ok := s.lookup(w, r, KindBatch)
 	if !ok {
@@ -747,7 +747,6 @@ func (s *Server) handleBatchAnswers(w http.ResponseWriter, r *http.Request) {
 			memberErrs[ma.Member] = err.Error()
 		}
 	}
-	st.EndRound()
 	resp := batchSnapshot(id, st, memberErrs)
 	resp.State = s.inlineState(r, st)
 	st.Mu.Unlock()

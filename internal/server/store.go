@@ -37,9 +37,9 @@ var ErrKindMismatch = errors.New("server: id names a live resource of a differen
 
 // Stored is one live session — or one live batch of sessions — and its
 // lock. The lock serialises interactive steps: a Session is a single-user
-// state machine (and a Batch a single-user scheduler over many of them), so
-// handlers lock a Stored around Next/Answer/Result while the store itself
-// stays free for other entries' traffic.
+// state machine (and a Batch a single-user group of them), so handlers
+// lock a Stored around Next/Answer/Result while the store itself stays free
+// for other entries' traffic.
 type Stored struct {
 	// Mu serialises all Session/Batch calls. It is exported so handlers
 	// (and tests) lock at the granularity of one question/answer exchange.
@@ -47,7 +47,7 @@ type Stored struct {
 	// Session is the suspended discovery state machine. Exactly one of
 	// Session and Batch is non-nil.
 	Session *setdiscovery.Session
-	// Batch is a suspended batch of sessions sharing one scheduler.
+	// Batch is a suspended batch of sessions sharing one selection memo.
 	Batch *setdiscovery.Batch
 	// Collection is the registered name the entry was created over.
 	Collection string

@@ -288,7 +288,6 @@ func (sc *streamConn) handleBatchAnswer(req *wireproto.BatchAnswer) {
 			memberErrs[ma.Member] = err.Error()
 		}
 	}
-	st.EndRound()
 	st.Mu.Unlock()
 	sc.respondQuestion(req.Channel, id, st, memberErrs, req.WantState)
 }

@@ -131,10 +131,10 @@ type CollectionInfo struct {
 
 // CreateBatchRequest configures a batch of discovery sessions over a
 // registered collection (POST /v1/collections/{collection}/batches): one
-// member per seed, all under the same engine options, scheduled together so
-// members at the same candidate-set state share one selection and one
-// partition computation per answer round. Prebuilt-tree walks are not
-// batchable — their per-question cost is already constant.
+// member per seed, all under the same engine options and one strategy
+// instance, so members at the same candidate-set state share one selection
+// through the selection memo. Prebuilt-tree walks are not batchable — their
+// per-question cost is already constant.
 type CreateBatchRequest struct {
 	// Seeds holds one entry per member: its initial example entities. An
 	// empty object ({}) starts that member from the whole collection.
@@ -175,10 +175,9 @@ type MemberQuestion struct {
 }
 
 // BatchAnswerRequest applies one round of replies (POST
-// /v1/batches/{id}/answers): at most one answer per live member, all
-// stepped through the shared scheduler before the round's shared state is
-// released. Answers for distinct members may arrive in any order and across
-// any number of POSTs; replies in one POST amortise best.
+// /v1/batches/{id}/answers): at most one answer per live member. Answers
+// for distinct members may arrive in any order and across any number of
+// POSTs; members share selections through the memo either way.
 type BatchAnswerRequest struct {
 	Answers []MemberAnswerRequest `json:"answers"`
 }
@@ -202,9 +201,9 @@ type BatchResultsResponse struct {
 	BatchID string         `json:"batch_id"`
 	Done    bool           `json:"done"`
 	Members []MemberResult `json:"members"`
-	// SelectionsComputed / SelectionsShared count strategy selections run
-	// versus served from the shared round memo — the measure of how much
-	// work batching saved over independent sessions.
+	// SelectionsComputed / SelectionsShared count the members' strategy
+	// selections computed versus served by the selection memo — the measure
+	// of how much work sharing saved over independent computation.
 	SelectionsComputed int64 `json:"selections_computed"`
 	SelectionsShared   int64 `json:"selections_shared"`
 }

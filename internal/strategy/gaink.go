@@ -58,20 +58,13 @@ func NewGainKMemo(k int) *GainK {
 // New implements Factory: the sibling shares the entropy memo cache (when
 // memoised) but counts its own evaluations and owns a private scratch
 // arena. Cached entropies are exact, so sharing cannot change selections.
-func (g *GainK) New() Strategy { return g.NewWithScratch(nil) }
-
-// NewWithScratch implements ScratchFactory: like New, with the sibling's
-// working memory drawn from the caller's arena (nil sc = a private one).
-func (g *GainK) NewWithScratch(sc *dataset.Scratch) Strategy {
+func (g *GainK) New() Strategy {
 	sibling := *g
 	sibling.Evaluations = 0
 	sibling.excluded = nil
 	sibling.scratch = workerScratch{}
 	if !g.noScratch {
-		if sc == nil {
-			sc = dataset.NewScratch()
-		}
-		sibling.scratch = workerScratch{sc: sc}
+		sibling.scratch = workerScratch{sc: dataset.NewScratch()}
 	}
 	return &sibling
 }

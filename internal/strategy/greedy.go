@@ -37,15 +37,6 @@ func (MostEven) Name() string { return "most-even" }
 // carries its own counting scratch.
 func (s MostEven) New() Strategy { return MostEven{baseScratch{dataset.NewScratch()}} }
 
-// NewWithScratch implements ScratchFactory: the instance counts into the
-// caller's arena (nil sc = a private one, i.e. exactly New).
-func (s MostEven) NewWithScratch(sc *dataset.Scratch) Strategy {
-	if sc == nil {
-		return s.New()
-	}
-	return MostEven{baseScratch{sc}}
-}
-
 // Select implements Strategy.
 func (s MostEven) Select(sub *dataset.Subset) (dataset.Entity, bool) {
 	infos := s.infos(sub)
@@ -74,14 +65,6 @@ func (InfoGain) Name() string { return "infogain" }
 // New implements Factory: selection is stateless, but each worker instance
 // carries its own counting scratch.
 func (s InfoGain) New() Strategy { return InfoGain{baseScratch{dataset.NewScratch()}} }
-
-// NewWithScratch implements ScratchFactory (see MostEven.NewWithScratch).
-func (s InfoGain) NewWithScratch(sc *dataset.Scratch) Strategy {
-	if sc == nil {
-		return s.New()
-	}
-	return InfoGain{baseScratch{sc}}
-}
 
 // Select implements Strategy.
 func (s InfoGain) Select(sub *dataset.Subset) (dataset.Entity, bool) {
@@ -127,14 +110,6 @@ func (Indg) Name() string { return "indg" }
 // New implements Factory: selection is stateless, but each worker instance
 // carries its own counting scratch.
 func (s Indg) New() Strategy { return Indg{baseScratch{dataset.NewScratch()}} }
-
-// NewWithScratch implements ScratchFactory (see MostEven.NewWithScratch).
-func (s Indg) NewWithScratch(sc *dataset.Scratch) Strategy {
-	if sc == nil {
-		return s.New()
-	}
-	return Indg{baseScratch{sc}}
-}
 
 // Select implements Strategy.
 func (s Indg) Select(sub *dataset.Subset) (dataset.Entity, bool) {

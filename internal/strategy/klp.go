@@ -69,22 +69,12 @@ func NewKLP(m cost.Metric, k int) *KLP {
 // skips work (see the determinism argument on tree.Build). Each sibling
 // carries its own scratch arena, so steady-state selection is
 // allocation-free without any synchronisation between siblings.
-func (s *KLP) New() Strategy { return s.NewWithScratch(nil) }
-
-// NewWithScratch implements ScratchFactory: like New, but the sibling's
-// working memory comes from the caller's arena (nil sc = a private one, i.e.
-// exactly New). The batch scheduler passes its batch-wide scratch so one
-// arena backs strategy lookahead, session narrowing and the shared partition
-// cache alike.
-func (s *KLP) NewWithScratch(sc *dataset.Scratch) Strategy {
+func (s *KLP) New() Strategy {
 	sibling := *s
 	sibling.excluded = nil
 	sibling.scratch = workerScratch{}
 	if !s.noScratch {
-		if sc == nil {
-			sc = dataset.NewScratch()
-		}
-		sibling.scratch = workerScratch{sc: sc}
+		sibling.scratch = workerScratch{sc: dataset.NewScratch()}
 	}
 	return &sibling
 }

@@ -229,48 +229,3 @@ func scratchOf(s Strategy) *dataset.Scratch {
 		panic(fmt.Sprintf("unknown strategy %T", s))
 	}
 }
-
-// TestScratchFactoryCompliance pins that every concrete strategy implements
-// ScratchFactory, that instances minted over a shared arena select exactly
-// what privately-provisioned instances select, and that their pool use is
-// fully accounted on the caller's scratch.
-func TestScratchFactoryCompliance(t *testing.T) {
-	c, err := synth.Generate(synth.Params{N: 40, SizeMin: 6, SizeMax: 12, Alpha: 0.8, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := c.All()
-	factories := []Factory{
-		NewKLP(cost.AD, 2),
-		NewKLPLE(cost.AD, 2, 4),
-		NewGainK(2),
-		MostEven{},
-		InfoGain{},
-		Indg{},
-	}
-	for _, f := range factories {
-		sf, ok := f.(ScratchFactory)
-		if !ok {
-			t.Fatalf("%s: factory does not implement ScratchFactory", f.Name())
-		}
-		sc := dataset.NewScratch()
-		shared := sf.NewWithScratch(sc)
-		private := f.New()
-		se, sok := shared.Select(sub)
-		pe, pok := private.Select(sub)
-		if se != pe || sok != pok {
-			t.Fatalf("%s: shared-scratch selection (%v,%v) != private (%v,%v)",
-				f.Name(), se, sok, pe, pok)
-		}
-		if out := sc.Pool().Stats().Outstanding(); out != 0 {
-			t.Fatalf("%s: %d pooled bitsets outstanding on the caller scratch after Select",
-				f.Name(), out)
-		}
-		// nil scratch must behave exactly like New.
-		ne, nok := sf.NewWithScratch(nil).Select(sub)
-		if ne != pe || nok != pok {
-			t.Fatalf("%s: NewWithScratch(nil) selection (%v,%v) != New (%v,%v)",
-				f.Name(), ne, nok, pe, pok)
-		}
-	}
-}

@@ -51,24 +51,6 @@ type Factory interface {
 	New() Strategy
 }
 
-// ScratchFactory is a Factory whose instances can draw their working memory
-// (count arrays, candidate buffers, partition bitsets) from a caller-owned
-// dataset.Scratch instead of a private arena. The batch discovery scheduler
-// uses it to run one strategy instance, N sessions and the shared partition
-// cache against a single arena, so a whole batch step touches one pool and
-// one set of buffers. Selections are identical either way — the scratch only
-// changes where memory comes from. The caller's scratch inherits the
-// instance's single-worker discipline: everything sharing it must be
-// externally serialised.
-//
-// Every concrete strategy in this package implements ScratchFactory.
-type ScratchFactory interface {
-	Factory
-	// NewWithScratch is New with the instance's working memory taken from
-	// sc. A nil sc behaves exactly like New.
-	NewWithScratch(sc *dataset.Scratch) Strategy
-}
-
 // candidate is an informative entity with its split statistics.
 type candidate struct {
 	entity dataset.Entity

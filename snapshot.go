@@ -148,8 +148,7 @@ func (s *Session) Snapshot() ([]byte, error) {
 }
 
 // Snapshot serializes the whole batch — every member's suspended state plus
-// the scheduler's amortisation counters. Restore with
-// Collection.RestoreBatch.
+// its selection counters. Restore with Collection.RestoreBatch.
 func (b *Batch) Snapshot() ([]byte, error) {
 	version := byte(snapshotVersion)
 	if b.cfg.groupStrategy != "" {
@@ -211,8 +210,9 @@ func (t *Tree) RestoreSession(data []byte) (*Session, error) {
 }
 
 // RestoreBatch reconstructs a batch from Batch.Snapshot output, bound to
-// this collection. Members resume against a fresh shared scheduler and keep
-// amortising exactly as before the suspension.
+// this collection. Members resume sharing one strategy instance and the
+// selection memo NewBatch would give them, and keep amortising exactly as
+// before the suspension.
 func (c *Collection) RestoreBatch(data []byte, opts ...Option) (*Batch, error) {
 	cfg, payload, delta, err := c.openEnvelope(data, SnapshotBatch, opts)
 	if err != nil {
@@ -230,6 +230,7 @@ func (c *Collection) RestoreBatch(data []byte, opts ...Option) (*Batch, error) {
 		if f, err = c.factory(cfg); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 		}
+		c.attachMemo(cfg, &o)
 	}
 	b, err := discovery.DecodeBatch(c.c, f, o, payload)
 	if err != nil {

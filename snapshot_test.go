@@ -250,7 +250,6 @@ func TestSnapshotRestoreBatch(t *testing.T) {
 			}
 			progressed = true
 		}
-		b.EndRound()
 		return progressed
 	}
 	ref, err := c1.NewBatch(seeds)
