@@ -123,13 +123,17 @@ func (s *Subset) informativeDenseInto(sc *Scratch) []EntityCount {
 	})
 	out := sc.ecBuf[:0]
 	size := int32(s.size)
-	for e := lo; e <= hi; e++ {
-		if n := counts[e]; n > 0 && n < size {
-			out = append(out, EntityCount{Entity(e), int(n)})
-		}
-	}
 	if hi >= lo {
-		clear(counts[lo : hi+1])
+		// Ranging over the touched window, rather than indexing counts
+		// from lo to hi, drops the per-entity bounds check from the
+		// selection path's hottest loop.
+		window := counts[lo : hi+1]
+		for i, n := range window {
+			if n > 0 && n < size {
+				out = append(out, EntityCount{Entity(lo + i), int(n)})
+			}
+		}
+		clear(window)
 	}
 	sc.ecBuf = out
 	return out

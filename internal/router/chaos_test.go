@@ -118,12 +118,34 @@ func TestChaosKillResurrect(t *testing.T) {
 	if ownerName == "" || survivor == "" {
 		t.Fatalf("no single owner: %v", counts)
 	}
+	// GET /v1/router/backends reports liveness from the health state
+	// machine: both engines are alive before the kill.
+	listed := func() map[string]BackendStats {
+		t.Helper()
+		var rows []BackendStats
+		if code := do(t, "GET", f.front.URL+"/v1/router/backends", nil, &rows); code != http.StatusOK {
+			t.Fatalf("list backends: status %d", code)
+		}
+		out := make(map[string]BackendStats)
+		for _, row := range rows {
+			out[row.Name] = row
+		}
+		return out
+	}
+	for name, row := range listed() {
+		if !row.Alive {
+			t.Errorf("backend %s listed not alive before the kill: %+v", name, row)
+		}
+	}
 	f.proxies[ownerName].SetMode(testutil.ChaosReset)
 
 	// Detection: dead after exactly FailThreshold consecutive probe rounds.
 	f.detectDeath(t)
 	if st, ok := f.rt.healthStateOf(ownerName); !ok || st != stateDead {
 		t.Fatalf("owner %s state after threshold: %v", ownerName, st)
+	}
+	if row := listed()[ownerName]; row.Alive || row.Health != "dead" {
+		t.Errorf("dead owner listed as %+v, want alive=false health=dead", row)
 	}
 
 	// The first post-crash response announces the resurrection.

@@ -8,7 +8,8 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
-	"time"
+
+	"setdiscovery/internal/server"
 )
 
 // Crash-tolerant session resurrection. Graceful drain migrates sessions by
@@ -23,17 +24,20 @@ import (
 //
 // The staleness bound is explicit: a resurrected session resumes at most
 // SnapshotEvery-1 answered rounds behind the crash point (0 with
-// SnapshotEvery=1), and the first response after resurrection carries an
+// SnapshotEvery=1), and the first JSON response after resurrection carries
+// an
 //
 //	X-Setdisc-Resumed: from=<dead-backend>; questions=<n>
 //
 // header (n = the checkpoint's question count, -1 when unknown) so clients
 // that tracked more rounds than n know to re-fetch the question and
-// re-answer. Sessions with no cached snapshot (crash before the first
+// re-answer. The stream plane has no counterpart yet: its frames have no
+// field for the notice, so it stays pending until the resource's next JSON
+// response. Sessions with no cached snapshot (crash before the first
 // capture) stay parked on the dead backend and answer 503 + Retry-After
 // until it recovers.
 
-// ResumedHeader marks the first response of a resource after a crash
+// ResumedHeader marks the first JSON response of a resource after a crash
 // resurrection.
 const ResumedHeader = "X-Setdisc-Resumed"
 
@@ -57,18 +61,6 @@ func WithSnapshotEvery(k int) Option {
 	}
 }
 
-// WithSnapshotCacheSize bounds how many resources' last-known snapshots the
-// router keeps (default DefaultSnapshotCache, LRU evicted). A session whose
-// snapshot was evicted is not resurrectable after a crash — size the cache
-// to the live-session population.
-func WithSnapshotCacheSize(n int) Option {
-	return func(rt *Router) {
-		if n >= 1 {
-			rt.snaps.max = n
-		}
-	}
-}
-
 // snapEntry is one resource's last-known checkpoint.
 type snapEntry struct {
 	id         string
@@ -76,7 +68,6 @@ type snapEntry struct {
 	kindPath   string
 	state      []byte // the engine's opaque snapshot bytes
 	questions  int    // member-0 question count at capture; -1 unknown
-	captured   time.Time
 }
 
 // snapCache is a bounded LRU of last-known snapshots, keyed by resource ID.
@@ -152,7 +143,7 @@ func (rt *Router) wantSnapshotLocked(own *owner, id string) bool {
 
 // captureInline extracts an inline snapshot (the "state" field the engine
 // added because the forwarded request carried ?include_state=1) from a
-// response body and stores it in the snapshot cache. With strip, the field
+// JSON response body and captures it. With strip, the field
 // is removed from the returned body — clients never see a piggyback the
 // router added; when the client asked for the state itself, strip is false
 // and the body passes through intact. A body without the field (older
@@ -177,15 +168,7 @@ func (rt *Router) captureInline(id, collection, kindPath string, body []byte, st
 			questions = q
 		}
 	}
-	rt.snaps.put(snapEntry{
-		id: id, collection: collection, kindPath: kindPath,
-		state: state, questions: questions, captured: rt.now(),
-	})
-	rt.mu.Lock()
-	if own, ok := rt.owners[id]; ok {
-		own.sinceSnap = 0
-	}
-	rt.mu.Unlock()
+	rt.capture(snapEntry{id: id, collection: collection, kindPath: kindPath, state: state, questions: questions})
 	if !strip {
 		return body
 	}
@@ -255,33 +238,17 @@ func (rt *Router) resurrectFrom(ctx context.Context, dead *backend) {
 }
 
 // resurrectOne imports one checkpoint onto the collection's ring owner,
-// retrying idempotently (the PUT re-sends the same snapshot bytes), then
-// repoints affinity and marks the owner resumed so the next response
-// carries the ResumedHeader.
+// then repoints affinity and marks the owner resumed so the next JSON
+// response carries the ResumedHeader.
 func (rt *Router) resurrectOne(ctx context.Context, id string, own *owner, dead *backend, snap snapEntry) error {
-	body, err := json.Marshal(importStateBody{Collection: snap.collection, State: snap.state})
-	if err != nil {
-		return err
-	}
-	resolve := func() *backend {
-		rt.mu.RLock()
-		defer rt.mu.RUnlock()
-		b := rt.ringOwnerLocked(snap.collection)
-		if b == dead {
-			return nil
+	dst, err := rt.importState(ctx, snap, func() *backend {
+		if b := rt.ringOwner(snap.collection); b != dead {
+			return b
 		}
-		return b
-	}
-	var dst *backend
-	status, respBody, err := rt.proxyRetry(ctx, http.MethodPut, func() *backend {
-		dst = resolve()
-		return dst
-	}, "/v1/"+snap.kindPath+"/"+id+"/state", "", "application/json", body, opTimeout)
+		return nil
+	})
 	if err != nil {
 		return err
-	}
-	if status != http.StatusOK {
-		return fmt.Errorf("import on %s answered %d: %s", dst.name, status, trim(respBody))
 	}
 	rt.mu.Lock()
 	if cur, ok := rt.owners[id]; ok && cur == own && cur.b == dead {
@@ -295,29 +262,28 @@ func (rt *Router) resurrectOne(ctx context.Context, id string, own *owner, dead 
 	return nil
 }
 
-// markResumed stamps the ResumedHeader on the first response a client sees
-// after a resurrection, then clears the flag.
-func (rt *Router) markResumed(w http.ResponseWriter, id string) {
-	rt.mu.Lock()
-	own, ok := rt.owners[id]
-	var from string
-	questions := -1
-	if ok && own.resumedFrom != "" {
-		from = own.resumedFrom
-		questions = own.resumedQuestions
-		own.resumedFrom = ""
+// importState PUTs a checkpoint under its resource's ID onto the backend
+// resolve picks before each attempt — the step migration and resurrection
+// share. The PUT
+// re-sends the same snapshot bytes, so it rides the retry policy. It
+// returns the backend that took the import.
+func (rt *Router) importState(ctx context.Context, snap snapEntry, resolve func() *backend) (*backend, error) {
+	body, err := json.Marshal(server.ImportStateRequest{Collection: snap.collection, State: snap.state})
+	if err != nil {
+		return nil, err
 	}
-	rt.mu.Unlock()
-	if from != "" {
-		w.Header().Set(ResumedHeader, fmt.Sprintf("from=%s; questions=%d", from, questions))
+	var dst *backend
+	status, respBody, err := rt.proxyRetry(ctx, http.MethodPut, func() *backend {
+		dst = resolve()
+		return dst
+	}, "/v1/"+snap.kindPath+"/"+snap.id+"/state", "", "application/json", body, opTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("import: %w", err)
 	}
-}
-
-// importStateBody mirrors server.ImportStateRequest without importing its
-// JSON layout concerns here.
-type importStateBody struct {
-	Collection string `json:"collection"`
-	State      []byte `json:"state"`
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("import on %s answered %d: %s", dst.name, status, trim(respBody))
+	}
+	return dst, nil
 }
 
 // kindNoun renders "sessions" → "session" for log lines.

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"setdiscovery/internal/server"
+	"setdiscovery/internal/wireproto"
 )
 
 // vnodes is the number of virtual ring points per backend; enough that the
@@ -72,30 +73,12 @@ func WithLogf(f func(format string, args ...any)) Option {
 	return func(rt *Router) { rt.logf = f }
 }
 
-// WithHTTPClient replaces the backend HTTP client. The default client has
-// no global timeout: every call site threads a per-attempt context
-// (proxyTimeout for client traffic, opTimeout for migration/warming, the
-// probe timeout for health checks), which is tighter and per-request.
-func WithHTTPClient(c *http.Client) Option {
-	return func(rt *Router) { rt.client = c; rt.clientCustom = true }
-}
-
-// DefaultMaxIdleConnsPerHost sizes the JSON plane's keep-alive pool per
-// backend. net/http's default of 2 makes a burst of concurrent proxied
-// requests churn dials (each request over the idle limit pays a fresh TCP
-// handshake and its connection is thrown away afterwards); a router fans
-// many clients into few engines, so the pool is sized for that fan-in.
-const DefaultMaxIdleConnsPerHost = 64
-
-// WithMaxIdleConnsPerHost resizes the keep-alive connection pool the
-// router's HTTP client keeps per backend. Ignored after WithHTTPClient.
-func WithMaxIdleConnsPerHost(n int) Option {
-	return func(rt *Router) {
-		if n > 0 {
-			rt.maxIdlePerHost = n
-		}
-	}
-}
+// maxIdleConnsPerHost sizes the JSON plane's keep-alive pool per backend.
+// net/http's default of 2 makes a burst of concurrent proxied requests
+// churn dials (each request over the idle limit pays a fresh TCP handshake
+// and its connection is thrown away afterwards); a router fans many clients
+// into few engines, so the pool is sized for that fan-in.
+const maxIdleConnsPerHost = 64
 
 // WithOwnerTTL sets how long an affinity entry survives without traffic
 // (default DefaultOwnerTTL). Engines reap idle sessions on their own TTL;
@@ -179,9 +162,6 @@ type Router struct {
 	log         *persistLog // nil when persistence is off or failed
 	persistErr  error
 
-	clientCustom   bool // WithHTTPClient supplied; skip transport tuning
-	maxIdlePerHost int  // keep-alive pool size per backend for the default client
-
 	spMu           sync.Mutex             // guards streamPools (lock order: mu before spMu)
 	streamPools    map[string]*streamPool // per-backend stream connections (stream.go)
 	streamPoolSize int
@@ -195,9 +175,19 @@ type Router struct {
 // router resumes routing every live session without a rediscovery stampede.
 func New(opts ...Option) *Router {
 	rt := &Router{
-		backends:      make(map[string]*backend),
-		owners:        make(map[string]*owner),
-		client:        &http.Client{},
+		backends: make(map[string]*backend),
+		owners:   make(map[string]*owner),
+		// The JSON proxy plane's shared transport: keep-alive connections
+		// sized to the fan-in instead of net/http's per-host default of 2,
+		// so bursts re-use warm connections rather than re-dialing. The
+		// client has no global timeout: every call site threads a
+		// per-attempt context (proxyTimeout for client traffic, opTimeout
+		// for migration and warming, the probe timeout for health checks).
+		client: &http.Client{Transport: &http.Transport{
+			MaxIdleConns:        0, // no global cap; the per-host bound governs
+			MaxIdleConnsPerHost: maxIdleConnsPerHost,
+			IdleConnTimeout:     90 * time.Second,
+		}},
 		logf:          func(string, ...any) {},
 		started:       time.Now(),
 		ownerTTL:      DefaultOwnerTTL,
@@ -209,22 +199,11 @@ func New(opts ...Option) *Router {
 		retryAttempts: defaultRetryAttempts,
 		retryBase:     defaultRetryBase,
 
-		maxIdlePerHost: DefaultMaxIdleConnsPerHost,
 		streamPools:    make(map[string]*streamPool),
 		streamPoolSize: DefaultStreamPoolSize,
 	}
 	for _, o := range opts {
 		o(rt)
-	}
-	if !rt.clientCustom {
-		// The JSON proxy plane's shared transport: keep-alive connections
-		// sized to the fan-in instead of net/http's per-host default of 2,
-		// so bursts re-use warm connections rather than re-dialing.
-		rt.client.Transport = &http.Transport{
-			MaxIdleConns:        0, // no global cap; the per-host bound governs
-			MaxIdleConnsPerHost: rt.maxIdlePerHost,
-			IdleConnTimeout:     90 * time.Second,
-		}
 	}
 	if rt.persistPath != "" {
 		rt.loadPersisted()
@@ -503,8 +482,15 @@ func hash64(s string) uint64 {
 	return x
 }
 
-// ringOwnerLocked returns the backend the key's collection hashes to, or
-// nil when no live backend exists.
+// ringOwner returns the backend the key's collection hashes to, or nil
+// when no live backend exists.
+func (rt *Router) ringOwner(key string) *backend {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	return rt.ringOwnerLocked(key)
+}
+
+// ringOwnerLocked is ringOwner for callers holding rt.mu.
 func (rt *Router) ringOwnerLocked(key string) *backend {
 	if len(rt.ring) == 0 {
 		return nil
@@ -574,7 +560,7 @@ func (rt *Router) migrate(m move) (bool, error) {
 	}
 	if status == http.StatusNotFound {
 		// Expired or deleted behind our back: nothing to move.
-		rt.dropOwner(m.id)
+		rt.settle(m.id, status, false, false)
 		return false, nil
 	}
 	if status != http.StatusOK {
@@ -584,23 +570,10 @@ func (rt *Router) migrate(m move) (bool, error) {
 	if err := json.Unmarshal(body, &state); err != nil {
 		return false, fmt.Errorf("export: %w", err)
 	}
-	rt.snaps.put(snapEntry{
-		id: m.id, collection: state.Collection, kindPath: m.kindPath,
-		state: state.State, questions: -1, captured: rt.now(),
-	})
-	importBody, err := json.Marshal(server.ImportStateRequest{Collection: state.Collection, State: state.State})
-	if err != nil {
+	snap := snapEntry{id: m.id, collection: state.Collection, kindPath: m.kindPath, state: state.State, questions: -1}
+	rt.capture(snap)
+	if _, err := rt.importState(ctx, snap, func() *backend { return m.dest }); err != nil {
 		return false, err
-	}
-	// The import PUT re-sends the same snapshot under the same ID —
-	// idempotent, so it rides the retry policy.
-	istatus, ibody, err := rt.proxyRetry(ctx, http.MethodPut, func() *backend { return m.dest },
-		"/v1/"+m.kindPath+"/"+m.id+"/state", "", "application/json", importBody, opTimeout)
-	if err != nil {
-		return false, fmt.Errorf("import: %w", err)
-	}
-	if istatus != http.StatusOK {
-		return false, fmt.Errorf("import: backend answered %d: %s", istatus, trim(ibody))
 	}
 	rt.mu.Lock()
 	if own, ok := rt.owners[m.id]; ok && own.b == m.src {
@@ -628,16 +601,6 @@ func trim(b []byte) string {
 // readAllBounded buffers a request or response body under the proxy cap.
 func readAllBounded(r io.Reader) ([]byte, error) {
 	return io.ReadAll(io.LimitReader(r, maxProxyBody))
-}
-
-// dropOwner forgets a resource completely: affinity entry, cached snapshot,
-// and the journal record that would resurrect either on restart.
-func (rt *Router) dropOwner(id string) {
-	rt.mu.Lock()
-	delete(rt.owners, id)
-	rt.log.append(record{op: opDropOwner, id: id})
-	rt.mu.Unlock()
-	rt.snaps.drop(id)
 }
 
 // Handler returns the router's HTTP handler: the full engine protocol
@@ -676,9 +639,7 @@ func (rt *Router) handleCreate(kindPath string) http.HandlerFunc {
 			rt.writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		rt.mu.RLock()
-		b := rt.ringOwnerLocked(collection)
-		rt.mu.RUnlock()
+		b := rt.ringOwner(collection)
 		if b == nil {
 			rt.writeUnavailable(w, errNoLiveBackend)
 			return
@@ -702,13 +663,7 @@ func (rt *Router) handleCreate(kindPath string) http.HandlerFunc {
 					id = created.BatchID
 				}
 				if id != "" {
-					rt.mu.Lock()
-					now := rt.now()
-					own := &owner{b: b, kindPath: kindPath, collection: collection, lastSeen: now}
-					rt.owners[id] = own
-					rt.persistOwnerLocked(id, own)
-					rt.sweepOwnersLocked(now)
-					rt.mu.Unlock()
+					rt.adopt(id, b, kindPath, collection)
 					body = rt.captureInline(id, collection, kindPath, body, strip)
 				}
 			}
@@ -737,22 +692,9 @@ func (rt *Router) handleResource(kindPath string) http.HandlerFunc {
 			rt.writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		rt.mu.Lock()
-		own, ok := rt.owners[id]
-		var b *backend
-		var collection string
-		dead, wantSnap := false, false
-		if ok && own.kindPath == kindPath {
-			b = own.b
-			collection = own.collection
-			dead = b.state == stateDead
-			own.lastSeen = rt.now() // active sessions never age out
-			if r.Method == http.MethodPost {
-				wantSnap = rt.wantSnapshotLocked(own, id)
-			}
-		}
-		rt.mu.Unlock()
-		if b == nil {
+		answer := r.Method == http.MethodPost
+		rte, err := rt.resolve(id, kindPath, answer)
+		if rte.b == nil {
 			// One special case: a state import (PUT …/state) may target an ID
 			// the router has never seen — an external restore. Place it by
 			// the collection named in the body.
@@ -760,26 +702,25 @@ func (rt *Router) handleResource(kindPath string) http.HandlerFunc {
 				rt.handleExternalImport(w, r, kindPath, id, reqBody)
 				return
 			}
-			rt.writeError(w, http.StatusNotFound, fmt.Errorf("unknown or expired %s", strings.TrimSuffix(kindPath, "s")))
+			rt.writeFailure(w, err)
 			return
 		}
 		rawQuery, strip := r.URL.RawQuery, false
-		if wantSnap {
+		if rte.wantSnap {
 			rawQuery, strip = addIncludeState(rawQuery)
 		}
 		contentType := r.Header.Get("Content-Type")
 		var status int
 		var body []byte
-		if r.Method == http.MethodPost {
-			if dead {
-				// The owner is down and this session has not (yet) been
+		if answer {
+			if err != nil {
+				// The owner is down and this resource has not (yet) been
 				// resurrected elsewhere: degrade gracefully instead of
 				// blind-firing a non-idempotent answer at a corpse.
-				rt.writeUnavailable(w, fmt.Errorf("backend %s holding %s %s is down",
-					b.name, kindNoun(kindPath), id))
+				rt.writeFailure(w, err)
 				return
 			}
-			status, body, err = rt.doProxy(r.Context(), r.Method, b, r.URL.Path, rawQuery,
+			status, body, err = rt.doProxy(r.Context(), r.Method, rte.b, r.URL.Path, rawQuery,
 				contentType, reqBody, rt.proxyTimeout)
 			if err != nil {
 				w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterSeconds()))
@@ -788,10 +729,8 @@ func (rt *Router) handleResource(kindPath string) http.HandlerFunc {
 			}
 		} else {
 			resolve := func() *backend {
-				rt.mu.RLock()
-				defer rt.mu.RUnlock()
-				cur, ok := rt.owners[id]
-				if !ok || cur.kindPath != kindPath || cur.b.state == stateDead {
+				cur, err := rt.resolve(id, kindPath, false)
+				if err != nil {
 					return nil
 				}
 				return cur.b
@@ -809,26 +748,41 @@ func (rt *Router) handleResource(kindPath string) http.HandlerFunc {
 			}
 		}
 		if status == http.StatusOK {
-			if wantSnap {
-				body = rt.captureInline(id, collection, kindPath, body, strip)
+			if rte.wantSnap {
+				body = rt.captureInline(id, rte.collection, kindPath, body, strip)
 			} else if r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/state") {
 				// Opportunistic: a state export passing through is the
 				// freshest checkpoint we can have — cache it as-is.
 				var state server.StateResponse
 				if json.Unmarshal(body, &state) == nil && len(state.State) > 0 {
-					rt.snaps.put(snapEntry{
-						id: id, collection: state.Collection, kindPath: kindPath,
-						state: state.State, questions: -1, captured: rt.now(),
-					})
+					rt.capture(snapEntry{id: id, collection: state.Collection, kindPath: kindPath,
+						state: state.State, questions: -1})
 				}
 			}
 		}
-		if status == http.StatusNotFound || (r.Method == http.MethodDelete && status < 300) {
-			rt.dropOwner(id)
+		if notice := rt.settle(id, status, r.Method == http.MethodDelete, true); notice != "" {
+			w.Header().Set(ResumedHeader, notice)
 		}
-		rt.markResumed(w, id)
 		writeRaw(w, status, body)
 	}
+}
+
+// writeFailure answers a failed client exchange on the JSON plane: a core
+// failure with its status (404 unknown ID, 503 dead owner), no live
+// backend as 503, anything else as 502. A 503 carries Retry-After.
+func (rt *Router) writeFailure(w http.ResponseWriter, err error) {
+	status := http.StatusBadGateway
+	var re *wireproto.RemoteError
+	if errors.As(err, &re) {
+		status, err = re.Status, errors.New(re.Msg)
+	} else if errors.Is(err, errNoLiveBackend) {
+		status = http.StatusServiceUnavailable
+	}
+	if status == http.StatusServiceUnavailable {
+		rt.writeUnavailable(w, err)
+		return
+	}
+	rt.writeError(w, status, err)
 }
 
 // handleExternalImport routes a PUT …/state for an ID the router does not
@@ -837,43 +791,25 @@ func (rt *Router) handleResource(kindPath string) http.HandlerFunc {
 // same snapshot bytes on every attempt, so it rides the retry policy; the
 // imported state doubles as the resource's first cached checkpoint.
 func (rt *Router) handleExternalImport(w http.ResponseWriter, r *http.Request, kindPath, id string, body []byte) {
-	var req struct {
-		Collection string `json:"collection"`
-		State      []byte `json:"state"`
-	}
+	var req server.ImportStateRequest
 	if err := json.Unmarshal(body, &req); err != nil || req.Collection == "" {
 		rt.writeError(w, http.StatusBadRequest, errors.New("state import needs a JSON body naming its collection"))
 		return
 	}
-	resolve := func() *backend {
-		rt.mu.RLock()
-		defer rt.mu.RUnlock()
-		return rt.ringOwnerLocked(req.Collection)
-	}
 	var b *backend
 	status, respBody, err := rt.proxyRetry(r.Context(), r.Method, func() *backend {
-		b = resolve()
+		b = rt.ringOwner(req.Collection)
 		return b
 	}, r.URL.Path, r.URL.RawQuery, r.Header.Get("Content-Type"), body, opTimeout)
 	if err != nil {
-		if errors.Is(err, errNoLiveBackend) {
-			rt.writeUnavailable(w, err)
-		} else {
-			rt.writeError(w, http.StatusBadGateway, err)
-		}
+		rt.writeFailure(w, err)
 		return
 	}
 	if status == http.StatusOK {
-		rt.mu.Lock()
-		own := &owner{b: b, kindPath: kindPath, collection: req.Collection, lastSeen: rt.now()}
-		rt.owners[id] = own
-		rt.persistOwnerLocked(id, own)
-		rt.mu.Unlock()
+		rt.adopt(id, b, kindPath, req.Collection)
 		if len(req.State) > 0 {
-			rt.snaps.put(snapEntry{
-				id: id, collection: req.Collection, kindPath: kindPath,
-				state: req.State, questions: -1, captured: rt.now(),
-			})
+			rt.capture(snapEntry{id: id, collection: req.Collection, kindPath: kindPath,
+				state: req.State, questions: -1})
 		}
 	}
 	writeRaw(w, status, respBody)
@@ -913,11 +849,7 @@ func (rt *Router) handleAnyBackend(w http.ResponseWriter, r *http.Request) {
 			contentType, reqBody, rt.proxyTimeout)
 	}
 	if err != nil {
-		if errors.Is(err, errNoLiveBackend) {
-			rt.writeUnavailable(w, err)
-		} else {
-			rt.writeError(w, http.StatusBadGateway, err)
-		}
+		rt.writeFailure(w, err)
 		return
 	}
 	writeRaw(w, status, body)
@@ -1020,6 +952,7 @@ func (rt *Router) handleListBackends(w http.ResponseWriter, r *http.Request) {
 	for _, b := range rt.backends {
 		out = append(out, BackendStats{
 			Name: b.name, URL: b.base.String(), Draining: b.draining,
+			Alive:  b.state == stateHealthy || b.state == stateSuspect,
 			Health: b.state.String(), Sessions: counts[b.name],
 		})
 	}
@@ -1082,9 +1015,11 @@ type RouterStatsResponse struct {
 
 // BackendStats is one engine's row in the fleet view; its cache counters
 // are summed over the engine's collections. Health is the probe state
-// machine's verdict (healthy/suspect/dead/recovering); Alive is this
-// request's own stats-probe outcome — the two can disagree for at most one
-// probe round.
+// machine's verdict (healthy/suspect/dead/recovering). In GET
+// /v1/router/backends, Alive is read from the same state machine: true
+// while the backend is healthy or suspect, the two states the router still
+// forwards to. In GET /v1/stats it is that request's own stats-probe
+// outcome, which can disagree with Health for at most one probe round.
 type BackendStats struct {
 	Name            string `json:"name"`
 	URL             string `json:"url"`

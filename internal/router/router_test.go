@@ -388,13 +388,6 @@ func TestRingPlacement(t *testing.T) {
 	}
 }
 
-// ringOwner is a test hook around ringOwnerLocked.
-func (rt *Router) ringOwner(key string) *backend {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.ringOwnerLocked(key)
-}
-
 // TestRouterErrors covers the fleet-level failure answers: no backends,
 // unknown sessions, dead backends, drain of the last engine.
 func TestRouterErrors(t *testing.T) {

@@ -14,14 +14,17 @@ import (
 
 // The router's stream-plane front (internal/wireproto). Clients speak the
 // same frame protocol to the router as to an engine; the router terminates
-// every client frame, re-resolves the resource's owner, and forwards over a
-// bounded per-backend connection pool — persistent, multiplexed TCP links
-// replacing the JSON plane's per-request proxy transactions. Because each
-// hop is terminated (not spliced), the router keeps its full affinity,
-// snapshot-capture and resurrection machinery in the path: every forwarded
-// create and answer asks the engine for an inline snapshot on the router's
-// cadence, and when an owner dies and its sessions are resurrected
-// elsewhere, the next frame transparently re-attaches to the new owner.
+// every client frame and forwards it over a bounded per-backend connection
+// pool — persistent, multiplexed TCP links replacing the JSON plane's
+// per-request proxy transactions. Because each hop is terminated (not
+// spliced), the frame handlers run the same owner-bookkeeping core as the
+// JSON handlers (core.go): every frame re-resolves its resource's owner,
+// every forwarded create and answer asks the engine for an inline snapshot
+// on the router's cadence and captures it, and when an owner dies and its
+// sessions are resurrected elsewhere, the next frame transparently
+// re-attaches to the new owner. The one JSON-plane behaviour without a
+// stream counterpart is the ResumedHeader notice: no frame field carries
+// it, so it stays pending for the resource's next JSON response.
 
 // DefaultStreamPoolSize is the per-backend stream-connection bound. Each
 // connection multiplexes arbitrarily many channels, so a handful is enough
@@ -164,10 +167,9 @@ func (rt *Router) ServeStream(l net.Listener) error {
 // the backend-side stream currently carrying it. The backend stream is
 // remade whenever the owner moves or its connection dies.
 type proxyChan struct {
-	mu         sync.Mutex
-	id         string
-	kindPath   string
-	collection string
+	mu       sync.Mutex
+	id       string
+	kindPath string
 
 	backendName string
 	bc          *wireproto.Client
@@ -286,75 +288,47 @@ func (sc *routerStreamConn) channel(ch uint64) (*proxyChan, bool) {
 // plane's create path.
 func (sc *routerStreamConn) handleCreate(req *wireproto.Create) {
 	rt := sc.rt
-	var b *backend
-	kindPath := "sessions"
-	collection := req.Collection
+	rte := route{kindPath: "sessions", collection: req.Collection}
 	if req.Batch {
-		kindPath = "batches"
+		rte.kindPath = "batches"
 	}
-
 	if req.AttachID != "" {
-		rt.mu.Lock()
-		own, ok := rt.owners[req.AttachID]
-		dead := false
-		if ok {
-			own.lastSeen = rt.now()
-			b = own.b
-			kindPath = own.kindPath
-			collection = own.collection
-			dead = b.state == stateDead
-		}
-		rt.mu.Unlock()
-		if !ok {
-			sc.fail(req.Channel, http.StatusNotFound, errors.New("unknown or expired resource"))
-			return
-		}
-		if dead {
-			sc.fail(req.Channel, http.StatusServiceUnavailable,
-				fmt.Errorf("backend %s holding %s is down", b.name, req.AttachID))
+		var err error
+		if rte, err = rt.resolve(req.AttachID, "", false); err != nil {
+			sc.forwardError(req.Channel, "", err)
 			return
 		}
 	} else {
-		rt.mu.RLock()
-		b = rt.ringOwnerLocked(collection)
-		rt.mu.RUnlock()
-		if b == nil {
-			sc.fail(req.Channel, http.StatusServiceUnavailable, errNoLiveBackend)
-			return
-		}
+		rte.b = rt.ringOwner(rte.collection)
+	}
+	if rte.b == nil {
+		sc.fail(req.Channel, http.StatusServiceUnavailable, errNoLiveBackend)
+		return
 	}
 
-	bc, err := rt.streamConn(b)
+	bc, err := rt.streamConn(rte.b)
 	if err != nil {
 		sc.fail(req.Channel, http.StatusBadGateway, err)
 		return
 	}
 	bs := bc.OpenStream()
 	fwd := *req
-	clientWantState := req.WantState
 	fwd.WantState = true // snapshot capture piggyback, stripped below
 	start := time.Now()
 	q, err := bs.Create(&fwd, rt.proxyTimeout)
-	sc.observe(b.name, start, err)
+	sc.observe(rte.b.name, start, err)
 	if err != nil {
 		bs.Close()
 		sc.forwardError(req.Channel, "", err)
 		return
 	}
 
-	id := q.ID
-	if req.AttachID == "" && id != "" {
-		rt.mu.Lock()
-		now := rt.now()
-		own := &owner{b: b, kindPath: kindPath, collection: collection, lastSeen: now}
-		rt.owners[id] = own
-		rt.persistOwnerLocked(id, own)
-		rt.sweepOwnersLocked(now)
-		rt.mu.Unlock()
+	if req.AttachID == "" && q.ID != "" {
+		rt.adopt(q.ID, rte.b, rte.kindPath, rte.collection)
 	}
-	sc.captureState(id, collection, kindPath, q)
+	sc.capture(q.ID, rte, q)
 
-	pc := &proxyChan{id: id, kindPath: kindPath, collection: collection, backendName: b.name, bc: bc, bs: bs}
+	pc := &proxyChan{id: q.ID, kindPath: rte.kindPath, backendName: rte.b.name, bc: bc, bs: bs}
 	sc.mu.Lock()
 	if sc.chans == nil { // client already hung up
 		sc.mu.Unlock()
@@ -367,54 +341,36 @@ func (sc *routerStreamConn) handleCreate(req *wireproto.Create) {
 	sc.chans[req.Channel] = pc
 	sc.mu.Unlock()
 
-	if !clientWantState {
-		q.State = nil
-	}
-	q.Channel = req.Channel
-	sc.write(q)
+	sc.reply(req.Channel, q, req.WantState)
 }
 
-// resolveOwner re-resolves the channel's resource owner before a forward,
-// remaking the backend-side stream when the owner moved (resurrection,
-// migration, recovery) or its pooled connection died — the stream plane's
-// failover re-dial. Callers hold pc.mu.
-func (sc *routerStreamConn) resolveOwner(pc *proxyChan) (*backend, error) {
+// rebind resolves the channel's resource owner through the core before a
+// forward, remaking the backend-side stream when the owner moved
+// (resurrection, migration, recovery) or its pooled connection died — the
+// stream plane's failover re-dial. Callers hold pc.mu.
+func (sc *routerStreamConn) rebind(pc *proxyChan, answer bool) (route, error) {
 	rt := sc.rt
-	rt.mu.Lock()
-	own, ok := rt.owners[pc.id]
-	var b *backend
-	if ok && own.kindPath == pc.kindPath {
-		own.lastSeen = rt.now()
-		b = own.b
+	rte, err := rt.resolve(pc.id, pc.kindPath, answer)
+	if err != nil {
+		return rte, err
 	}
-	dead := b != nil && b.state == stateDead
-	rt.mu.Unlock()
-	if b == nil {
-		return nil, &wireproto.RemoteError{Status: http.StatusNotFound,
-			Msg: fmt.Sprintf("unknown or expired %s", kindNoun(pc.kindPath))}
-	}
-	if dead {
-		return nil, &wireproto.RemoteError{Status: http.StatusServiceUnavailable,
-			Msg: fmt.Sprintf("backend %s holding %s %s is down", b.name, kindNoun(pc.kindPath), pc.id)}
-	}
-
-	if pc.bs == nil || pc.backendName != b.name || pc.bc.Err() != nil {
+	if pc.bs == nil || pc.backendName != rte.b.name || pc.bc.Err() != nil {
 		if pc.bs != nil {
 			pc.bs.Close()
 			pc.bs = nil
 		}
-		bc, err := rt.streamConn(b)
+		bc, err := rt.streamConn(rte.b)
 		if err != nil {
-			return nil, fmt.Errorf("backend %s unreachable: %w", b.name, err)
+			return rte, fmt.Errorf("backend %s unreachable: %w", rte.b.name, err)
 		}
 		bs := bc.OpenStream()
 		if _, err := bs.Attach(pc.id, false, rt.proxyTimeout); err != nil {
 			bs.Close()
-			return nil, err
+			return rte, err
 		}
-		pc.bc, pc.bs, pc.backendName = bc, bs, b.name
+		pc.bc, pc.bs, pc.backendName = bc, bs, rte.b.name
 	}
-	return b, nil
+	return rte, nil
 }
 
 // handleRound forwards one answer or batch-answer exchange. Like the JSON
@@ -433,29 +389,22 @@ func (sc *routerStreamConn) handleRound(ch uint64, req wireproto.Message, client
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 
-	if _, err := sc.resolveOwner(pc); err != nil {
+	rte, err := sc.rebind(pc, true)
+	if err != nil {
 		sc.forwardError(ch, pc.id, err)
 		return
 	}
 
-	rt.mu.Lock()
-	wantSnap := false
-	if own, ok := rt.owners[pc.id]; ok {
-		wantSnap = rt.wantSnapshotLocked(own, pc.id)
-	}
-	rt.mu.Unlock()
-
 	var q *wireproto.Question
-	var err error
 	start := time.Now()
 	switch r := req.(type) {
 	case *wireproto.Answer:
 		fwd := *r
-		fwd.WantState = clientWantState || wantSnap
+		fwd.WantState = clientWantState || rte.wantSnap
 		q, err = pc.bs.Answer(&fwd, rt.proxyTimeout)
 	case *wireproto.BatchAnswer:
 		fwd := *r
-		fwd.WantState = clientWantState || wantSnap
+		fwd.WantState = clientWantState || rte.wantSnap
 		q, err = pc.bs.AnswerBatch(&fwd, rt.proxyTimeout)
 	}
 	sc.observe(pc.backendName, start, err)
@@ -469,12 +418,8 @@ func (sc *routerStreamConn) handleRound(ch uint64, req wireproto.Message, client
 		sc.forwardError(ch, pc.id, err)
 		return
 	}
-	sc.captureState(pc.id, pc.collection, pc.kindPath, q)
-	if !clientWantState {
-		q.State = nil
-	}
-	q.Channel = ch
-	sc.write(q)
+	sc.capture(pc.id, rte, q)
+	sc.reply(ch, q, clientWantState)
 }
 
 // handleResultReq forwards a result fetch — idempotent, so a transport
@@ -492,7 +437,7 @@ func (sc *routerStreamConn) handleResultReq(req *wireproto.ResultRequest) {
 	var res *wireproto.Result
 	var err error
 	for attempt := 0; attempt < 2; attempt++ {
-		if _, err = sc.resolveOwner(pc); err != nil {
+		if _, err = sc.rebind(pc, false); err != nil {
 			break
 		}
 		start := time.Now()
@@ -522,36 +467,40 @@ func (sc *routerStreamConn) observe(backend string, start time.Time, err error) 
 	}
 }
 
-// captureState stores a forwarded response's inline snapshot in the
-// resurrection cache — the stream plane's equivalent of captureInline.
-func (sc *routerStreamConn) captureState(id, collection, kindPath string, q *wireproto.Question) {
+// capture hands a forwarded Question's inline snapshot to the core — the
+// frame codec's counterpart of captureInline. A single session's
+// checkpoint records its question count.
+func (sc *routerStreamConn) capture(id string, rte route, q *wireproto.Question) {
 	if id == "" || len(q.State) == 0 {
 		return
 	}
-	rt := sc.rt
 	questions := -1
-	if kindPath == "sessions" && len(q.Members) == 1 {
+	if rte.kindPath == "sessions" && len(q.Members) == 1 {
 		questions = q.Members[0].Questions
 	}
-	rt.snaps.put(snapEntry{
-		id: id, collection: collection, kindPath: kindPath,
-		state: q.State, questions: questions, captured: rt.now(),
-	})
-	rt.mu.Lock()
-	if own, ok := rt.owners[id]; ok {
-		own.sinceSnap = 0
-	}
-	rt.mu.Unlock()
+	sc.rt.capture(snapEntry{id: id, collection: rte.collection, kindPath: rte.kindPath,
+		state: q.State, questions: questions})
 }
 
-// forwardError relays a backend failure to the client: RemoteErrors pass
-// through with their status (a backend 404 also drops the affinity entry,
-// mirroring the JSON plane), anything else becomes a 502.
+// reply relays a forwarded Question to the client on its channel, without
+// the snapshot piggyback unless the client asked for the state itself.
+func (sc *routerStreamConn) reply(ch uint64, q *wireproto.Question, clientWantState bool) {
+	if !clientWantState {
+		q.State = nil
+	}
+	q.Channel = ch
+	sc.write(q)
+}
+
+// forwardError relays a failure to the client: RemoteErrors — the core's
+// 404/503 answers and backend error frames — pass through with their
+// status (settling the exchange, so a 404 drops the affinity entry as on
+// the JSON plane); anything else becomes a 502.
 func (sc *routerStreamConn) forwardError(ch uint64, id string, err error) {
 	var re *wireproto.RemoteError
 	if errors.As(err, &re) {
-		if re.Status == http.StatusNotFound && id != "" {
-			sc.rt.dropOwner(id)
+		if id != "" {
+			sc.rt.settle(id, re.Status, false, false)
 		}
 		sc.write(&wireproto.Error{Channel: ch, Status: re.Status, Msg: re.Msg})
 		return

@@ -185,3 +185,44 @@ func TestStreamKillResurrect(t *testing.T) {
 		t.Fatalf("expected S3, got %q", m.Target)
 	}
 }
+
+// TestStreamLeavesResumedNotice pins the one behaviour the planes do not
+// share: a frame has no field for the resumed notice, so stream rounds
+// after a resurrection leave it pending, and the resource's next JSON
+// response still announces it — once.
+func TestStreamLeavesResumedNotice(t *testing.T) {
+	f := newStreamFleet(t, []string{"a", "b"})
+	s := f.dial(t).OpenStream()
+	defer s.Close()
+	q, err := s.Create(&wireproto.Create{Collection: "paper"}, streamTestTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := q.ID
+	f.rt.mu.RLock()
+	ownerName := f.rt.owners[id].b.name
+	f.rt.mu.RUnlock()
+
+	f.engines[ownerName].kill()
+	for i := 0; i < f.rt.health.FailThreshold; i++ {
+		f.rt.CheckHealthNow(t.Context())
+	}
+	// A stream round re-attaches to the survivor and answers.
+	mq := q.Members[0]
+	if _, err := s.Answer(&wireproto.Answer{Answer: "no", Entity: mq.Entity, Confirm: mq.Confirm}, streamTestTimeout); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"from=" + ownerName + "; questions=0", ""} {
+		resp, err := http.Get(f.front + "/v1/sessions/" + id + "/question")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("JSON question %d after the stream round: status %d", i, resp.StatusCode)
+		}
+		if got := resp.Header.Get(ResumedHeader); got != want {
+			t.Errorf("JSON response %d: %s = %q, want %q", i, ResumedHeader, got, want)
+		}
+	}
+}

@@ -260,6 +260,49 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("metrics body missing %q:\n%s", want, text)
 		}
 	}
+	// One source behind both endpoints: every store gauge and per-collection
+	// sample equals its /v1/stats field, and nothing but uptime is left over.
+	var stats StatsResponse
+	if code := do(t, http.MethodGet, ts.URL+"/v1/stats", nil, &stats); code != http.StatusOK {
+		t.Fatalf("stats: status %d", code)
+	}
+	want := map[string]float64{
+		`setdiscovery_resources{kind="session"}`: float64(stats.Sessions),
+		`setdiscovery_resources{kind="batch"}`:   float64(stats.Batches),
+		"setdiscovery_live_discoveries":          float64(stats.LiveDiscoveries),
+		"setdiscovery_max_sessions":              float64(stats.MaxSessions),
+		"setdiscovery_session_ttl_seconds":       float64(stats.TTLSeconds),
+		"setdiscovery_sliding_ttl":               BoolGauge(stats.SlidingTTL),
+	}
+	for _, c := range stats.Collections {
+		label := fmt.Sprintf("{collection=%q}", c.Name)
+		want["setdiscovery_collection_sets"+label] = float64(c.Sets)
+		want["setdiscovery_collection_entities"+label] = float64(c.Entities)
+		want["setdiscovery_collection_tree"+label] = BoolGauge(c.Tree)
+		want["setdiscovery_selection_cache_hits_total"+label] = float64(c.Cache.Hits)
+		want["setdiscovery_selection_cache_misses_total"+label] = float64(c.Cache.Misses)
+		want["setdiscovery_selection_cache_evictions_total"+label] = float64(c.Cache.Evictions)
+		want["setdiscovery_selection_cache_coalesced_total"+label] = float64(c.Cache.Coalesced)
+		want["setdiscovery_selection_cache_entries"+label] = float64(c.Cache.Entries)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		name, value, _ := strings.Cut(line, " ")
+		if strings.HasPrefix(line, "#") || name == "setdiscovery_uptime_seconds" {
+			continue
+		}
+		v, ok := want[name]
+		if !ok {
+			t.Errorf("metrics sample %q has no /v1/stats field", line)
+			continue
+		}
+		if got := fmt.Sprintf("%g", v); got != value {
+			t.Errorf("%s = %s, /v1/stats says %s", name, value, got)
+		}
+		delete(want, name)
+	}
+	for name := range want {
+		t.Errorf("metrics body has no sample %s", name)
+	}
 	// The legacy unversioned alias serves the same exposition.
 	lresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

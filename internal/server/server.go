@@ -31,9 +31,10 @@
 //	DELETE /v1/batches/{id}                           end a batch early
 //
 // Sessions and batches are two views of one resource model — an ordered
-// list of member sessions (see resource.go) — served by a shared handler
-// core: one answer-validation path, one result renderer, one state
-// export/import path for both.
+// list of member sessions (see resource.go) — served by one request core:
+// one create path, one answer-round path, one pair of member-row renderers
+// and one state export/import path for both kinds, which the JSON handlers
+// here and the stream frame handlers (stream.go) call alike.
 //
 // The state endpoints make sessions portable: GET …/state returns an opaque
 // versioned snapshot (the engine's binary encoding, base64 in JSON), and
@@ -110,15 +111,6 @@ func WithSessionOptions(opts ...setdiscovery.Option) Option {
 	return func(s *Server) { s.sessionOpts = append(s.sessionOpts, opts...) }
 }
 
-// WithFaultHook installs a request interceptor ahead of every handler: a
-// non-nil return fails the request with a 500 before any state is touched.
-// It exists for fault-injection testing — chaos suites use it to make a
-// live engine misbehave deterministically (fail every Nth answer, fail one
-// path) without killing the process. Production servers leave it unset.
-func WithFaultHook(hook func(*http.Request) error) Option {
-	return func(s *Server) { s.faultHook = hook }
-}
-
 // WithCachePersist stores selection-cache shards under dir: Register loads
 // each collection's persisted shard (when one exists and matches the
 // collection's content fingerprint), and PersistCaches writes the current
@@ -151,7 +143,6 @@ type Server struct {
 	sliding         bool
 	sessionOpts     []setdiscovery.Option
 	persistDir      string
-	faultHook       func(*http.Request) error
 	logf            func(format string, args ...any)
 	started         time.Time
 }
@@ -318,16 +309,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	s.routes(mux, "/v1")
 	s.routes(mux, "")
-	if s.faultHook == nil {
-		return mux
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if err := s.faultHook(r); err != nil {
-			s.writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		mux.ServeHTTP(w, r)
-	})
+	return mux
 }
 
 // routes mounts the full protocol under one path prefix.
@@ -369,6 +351,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	s.writeJSON(w, http.StatusOK, s.stats())
+}
+
+// stats gathers load, capacity and per-collection selection-cache
+// statistics: the one source /v1/stats encodes and /v1/metrics renders.
+func (s *Server) stats() StatsResponse {
 	sessions, batches := s.store.Counts()
 	resp := StatsResponse{
 		Status:          "ok",
@@ -401,7 +389,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	sort.Slice(resp.Collections, func(i, j int) bool {
 		return resp.Collections[i].Name < resp.Collections[j].Name
 	})
-	s.writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // handleExportCacheShard serves GET /v1/cache/shard?collection=NAME[&max=N]:
@@ -480,81 +468,43 @@ func (s *Server) handleListCollections(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, out)
 }
 
-// entry resolves the request's {collection} path value, writing a 404 on
-// failure — the shared front half of every create/import handler.
-func (s *Server) entry(w http.ResponseWriter, name string) (*collectionEntry, bool) {
+// collection looks up a registered collection.
+func (s *Server) collection(name string) (*collectionEntry, error) {
 	s.mu.RLock()
 	e, ok := s.collections[name]
 	s.mu.RUnlock()
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no collection %q", name))
-		return nil, false
+		return nil, fmt.Errorf("no collection %q", name)
 	}
-	return e, true
+	return e, nil
 }
 
-// put stores a new resource, mapping a full store to 503 — the shared back
-// half of every create handler.
-func (s *Server) put(w http.ResponseWriter, st *Stored) (string, bool) {
-	id, err := s.store.Put(st)
+// entry resolves a collection for a JSON handler, writing a 404 on failure.
+func (s *Server) entry(w http.ResponseWriter, name string) (*collectionEntry, bool) {
+	e, err := s.collection(name)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrStoreFull) {
-			status = http.StatusServiceUnavailable
-		}
-		s.writeError(w, status, err)
-		return "", false
+		s.writeError(w, http.StatusNotFound, err)
 	}
-	return id, true
+	return e, err == nil
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entry(w, r.PathValue("collection"))
-	if !ok {
-		return
-	}
-	var req CreateSessionRequest
-	if err := decodeJSON(r, &req, maxBodyBytes); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	sess, err := newSessionFrom(e, &req, s.sessionOpts)
+	id, st, status, err := s.create(r.PathValue("collection"), func() (createSpec, error) {
+		var req CreateSessionRequest
+		err := decodeJSON(r, &req, maxBodyBytes)
+		return createSpec{tree: req.Tree, seeds: [][]string{req.Initial}, cfg: req.SessionConfig}, err
+	})
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, status, err)
 		return
 	}
-	st := &Stored{Session: sess, Collection: r.PathValue("collection")}
-	id, ok := s.put(w, st)
-	if !ok {
-		return
-	}
-	// The ID is published the instant put returns, so even this first read
-	// takes the resource lock.
+	// The ID is published the instant create returns, so even this first
+	// read takes the resource lock.
 	st.Mu.Lock()
 	resp := questionSnapshot(id, st)
-	resp.State = s.inlineState(r, st)
+	resp.State = s.inlineState(wantsState(r), id, st)
 	st.Mu.Unlock()
-	s.writeJSON(w, http.StatusCreated, resp)
-}
-
-// newSessionFrom builds the requested kind of session over e. base options
-// (the server's WithSessionOptions) come first so request options override
-// them.
-func newSessionFrom(e *collectionEntry, req *CreateSessionRequest, base []setdiscovery.Option) (*setdiscovery.Session, error) {
-	if req.Tree {
-		if e.tree == nil {
-			return nil, errors.New("collection has no prebuilt tree")
-		}
-		if len(req.Initial) > 0 {
-			return nil, errors.New("tree sessions start at the root and take no initial examples")
-		}
-		return e.tree.NewSession(), nil
-	}
-	opts, err := sessionOptions(req.SessionConfig, base)
-	if err != nil {
-		return nil, err
-	}
-	return e.c.NewSession(req.Initial, opts...)
+	s.writeJSON(w, status, resp)
 }
 
 // sessionOptions maps the wire-level engine configuration to engine
@@ -603,7 +553,7 @@ func (s *Server) handleGetQuestion(w http.ResponseWriter, r *http.Request) {
 	}
 	st.Mu.Lock()
 	resp := questionSnapshot(id, st)
-	resp.State = s.inlineState(r, st)
+	resp.State = s.inlineState(wantsState(r), id, st)
 	st.Mu.Unlock()
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -618,25 +568,18 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	st.Mu.Lock()
-	err := st.applyMemberAnswer(0, req.Answer, req.Entity, req.Confirm, req.Subset, req.Semantics)
-	resp := questionSnapshot(id, st)
-	if err == nil {
-		resp.State = s.inlineState(r, st)
-	}
-	st.Mu.Unlock()
+	answer := MemberAnswerRequest{Answer: req.Answer, Entity: req.Entity, Confirm: req.Confirm,
+		Subset: req.Subset, Semantics: req.Semantics}
+	var resp QuestionResponse
+	status, err := answerRound(st, []MemberAnswerRequest{answer}, func(map[int]string) {
+		resp = questionSnapshot(id, st)
+		resp.State = s.inlineState(wantsState(r), id, st)
+	})
 	if err != nil {
-		// Stale protocol state (mismatched question assertion, answering a
-		// finished session) is 409; a malformed answer value is 400.
-		status := http.StatusBadRequest
-		var conflict *answerConflictError
-		if errors.As(err, &conflict) {
-			status = http.StatusConflict
-		}
 		s.writeError(w, status, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, status, resp)
 }
 
 func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
@@ -645,9 +588,9 @@ func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st.Mu.Lock()
-	resp := ResultResponse{SessionID: id, Done: st.Done(), ResultBody: resultBody(st, 0)}
+	row := memberResult(st, 0)
 	st.Mu.Unlock()
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, ResultResponse{SessionID: id, Done: row.Done, ResultBody: row.ResultBody})
 }
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
@@ -658,49 +601,24 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("collection")
-	e, ok := s.entry(w, name)
-	if !ok {
-		return
-	}
-	var req CreateBatchRequest
-	if err := decodeJSON(r, &req, maxBodyBytes); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Seeds) == 0 {
-		s.writeError(w, http.StatusBadRequest, errors.New("a batch needs at least one seed"))
-		return
-	}
-	if len(req.Seeds) > s.maxBatchMembers {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf(
-			"batch of %d members exceeds the limit of %d", len(req.Seeds), s.maxBatchMembers))
-		return
-	}
-	opts, err := sessionOptions(req.SessionConfig, s.sessionOpts)
+	id, st, status, err := s.create(r.PathValue("collection"), func() (createSpec, error) {
+		var req CreateBatchRequest
+		err := decodeJSON(r, &req, maxBodyBytes)
+		seeds := make([][]string, len(req.Seeds))
+		for i, seed := range req.Seeds {
+			seeds[i] = seed.Initial
+		}
+		return createSpec{batch: true, seeds: seeds, cfg: req.SessionConfig}, err
+	})
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	seeds := make([]setdiscovery.Seed, len(req.Seeds))
-	for i, seed := range req.Seeds {
-		seeds[i] = setdiscovery.Seed{Initial: seed.Initial}
-	}
-	b, err := e.c.NewBatch(seeds, opts...)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	st := &Stored{Batch: b, Collection: name}
-	id, ok := s.put(w, st)
-	if !ok {
+		s.writeError(w, status, err)
 		return
 	}
 	st.Mu.Lock()
 	resp := batchSnapshot(id, st, nil)
-	resp.State = s.inlineState(r, st)
+	resp.State = s.inlineState(wantsState(r), id, st)
 	st.Mu.Unlock()
-	s.writeJSON(w, http.StatusCreated, resp)
+	s.writeJSON(w, status, resp)
 }
 
 func (s *Server) handleBatchQuestions(w http.ResponseWriter, r *http.Request) {
@@ -710,17 +628,11 @@ func (s *Server) handleBatchQuestions(w http.ResponseWriter, r *http.Request) {
 	}
 	st.Mu.Lock()
 	resp := batchSnapshot(id, st, nil)
-	resp.State = s.inlineState(r, st)
+	resp.State = s.inlineState(wantsState(r), id, st)
 	st.Mu.Unlock()
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleBatchAnswers applies one round of replies. Replies are applied
-// member by member through the shared answer core, and per-member failures
-// (bad answer, stale question assertion, finished member) are reported in
-// that member's snapshot entry while the rest of the round proceeds — so a
-// retried POST whose first attempt was partially applied converges instead
-// of failing wholesale.
 func (s *Server) handleBatchAnswers(w http.ResponseWriter, r *http.Request) {
 	id, st, ok := s.lookup(w, r, KindBatch)
 	if !ok {
@@ -731,26 +643,16 @@ func (s *Server) handleBatchAnswers(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	memberErrs := make(map[int]string)
-	st.Mu.Lock()
-	for _, ma := range req.Answers {
-		if ma.Member < 0 || ma.Member >= st.Members() {
-			// Out-of-range members have no snapshot row to carry the error;
-			// reject the whole request before touching any session.
-			st.Mu.Unlock()
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("batch has no member %d", ma.Member))
-			return
-		}
+	var resp BatchQuestionResponse
+	status, err := answerRound(st, req.Answers, func(memberErrs map[int]string) {
+		resp = batchSnapshot(id, st, memberErrs)
+		resp.State = s.inlineState(wantsState(r), id, st)
+	})
+	if err != nil {
+		s.writeError(w, status, err)
+		return
 	}
-	for _, ma := range req.Answers {
-		if err := st.applyMemberAnswer(ma.Member, ma.Answer, ma.Entity, ma.Confirm, ma.Subset, ma.Semantics); err != nil {
-			memberErrs[ma.Member] = err.Error()
-		}
-	}
-	resp := batchSnapshot(id, st, memberErrs)
-	resp.State = s.inlineState(r, st)
-	st.Mu.Unlock()
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, status, resp)
 }
 
 func (s *Server) handleBatchResults(w http.ResponseWriter, r *http.Request) {
@@ -761,11 +663,7 @@ func (s *Server) handleBatchResults(w http.ResponseWriter, r *http.Request) {
 	st.Mu.Lock()
 	resp := BatchResultsResponse{BatchID: id, Done: st.Done()}
 	for i := 0; i < st.Members(); i++ {
-		resp.Members = append(resp.Members, MemberResult{
-			Member:     i,
-			Done:       st.MemberDone(i),
-			ResultBody: resultBody(st, i),
-		})
+		resp.Members = append(resp.Members, memberResult(st, i))
 	}
 	stats := st.Batch.Stats()
 	resp.SelectionsComputed = stats.Selections
@@ -886,76 +784,36 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request, kind string) (st
 	return id, st, true
 }
 
-// resultBody renders member i's outcome — the shared result shape of
-// session results and batch member results. A terminal discovery failure
-// (contradiction with backtracking off or exhausted) is a session outcome,
-// not a transport error. Callers hold the resource lock.
-func resultBody(st *Stored, i int) ResultBody {
-	res, err := st.Result(i)
-	if err != nil {
-		return ResultBody{Error: err.Error()}
-	}
-	return ResultBody{
-		Target:          res.Target,
-		Candidates:      res.Candidates,
-		Questions:       res.Questions,
-		Interactions:    res.Interactions,
-		Backtracks:      res.Backtracks,
-		SelectionTimeUS: res.SelectionTime.Microseconds(),
-	}
-}
-
 // batchSnapshot renders every member's pending interaction, merging
 // per-member errors from the answer round that produced it. Callers hold
 // the resource lock.
 func batchSnapshot(id string, st *Stored, memberErrs map[int]string) BatchQuestionResponse {
 	resp := BatchQuestionResponse{BatchID: id, Done: st.Done()}
 	for i := 0; i < st.Members(); i++ {
-		q, done := st.Question(i)
-		resp.Members = append(resp.Members, MemberQuestion{
-			Member:    i,
-			Done:      done,
-			Entity:    q.Entity,
-			Confirm:   q.Confirm,
-			Subset:    q.Subset,
-			Semantics: q.Semantics,
-			Questions: st.QuestionsAsked(i),
-			Error:     memberErrs[i],
-		})
+		resp.Members = append(resp.Members, memberQuestion(st, i, memberErrs[i]))
 	}
 	return resp
 }
 
-// inlineState renders the resource's portable snapshot when the request
-// asked for one with ?include_state=1 — the piggyback a proxy tier uses to
-// checkpoint sessions on answer traffic without extra round trips. Callers
-// hold the resource lock. Snapshot failures are logged and leave the field
-// empty: the piggyback is advisory, never worth failing the interaction it
-// rode in on.
-func (s *Server) inlineState(r *http.Request, st *Stored) []byte {
-	if r.URL.Query().Get("include_state") == "" {
-		return nil
-	}
-	state, err := st.Snapshot()
-	if err != nil {
-		s.logf("server: inline state snapshot for %s: %v", r.URL.Path, err)
-		return nil
-	}
-	return state
-}
-
-// questionSnapshot renders a single session's pending interaction. Callers
-// hold the resource lock.
+// questionSnapshot renders a single session's pending interaction: member
+// row 0, flattened. Callers hold the resource lock.
 func questionSnapshot(id string, st *Stored) QuestionResponse {
-	resp := QuestionResponse{SessionID: id}
-	q, done := st.Question(0)
-	resp.Done = done
-	resp.Entity = q.Entity
-	resp.Confirm = q.Confirm
-	resp.Subset = q.Subset
-	resp.Semantics = q.Semantics
-	resp.Questions = st.QuestionsAsked(0)
-	return resp
+	row := memberQuestion(st, 0, "")
+	return QuestionResponse{
+		SessionID: id,
+		Done:      row.Done,
+		Entity:    row.Entity,
+		Confirm:   row.Confirm,
+		Subset:    row.Subset,
+		Semantics: row.Semantics,
+		Questions: row.Questions,
+	}
+}
+
+// wantsState reports whether a JSON request asked for the resource's inline
+// snapshot with ?include_state=1.
+func wantsState(r *http.Request) bool {
+	return r.URL.Query().Get("include_state") != ""
 }
 
 // parseAnswer maps the wire answer to the engine's.

@@ -228,6 +228,18 @@ func TestBadRequests(t *testing.T) {
 	if code := do(t, "POST", ts.URL+"/v1/collections/nope/sessions", CreateSessionRequest{}, &e); code != http.StatusNotFound {
 		t.Errorf("unknown collection: status %d", code)
 	}
+	// The collection lookup precedes the body decode: an unknown collection
+	// is 404 even when the body is malformed too.
+	for _, kind := range []string{"sessions", "batches"} {
+		resp, err := http.Post(ts.URL+"/v1/collections/nope/"+kind, "application/json", strings.NewReader("{bad"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("unknown collection with a malformed %s body: status %d, want 404", kind, resp.StatusCode)
+		}
+	}
 	if code := do(t, "POST", ts.URL+"/v1/collections/paper/sessions",
 		CreateSessionRequest{SessionConfig: SessionConfig{Strategy: "bogus"}}, &e); code != http.StatusBadRequest {
 		t.Errorf("unknown strategy: status %d", code)

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"sync"
 
-	"setdiscovery"
 	"setdiscovery/internal/wireproto"
 )
 
@@ -16,10 +15,11 @@ import (
 // net.Listener beside the /v1 HTTP handler: same store, same resource
 // model, same error vocabulary (Error frames carry the HTTP status the
 // JSON plane would answer), so a session is freely shared between planes —
-// created over the stream, answered over HTTP, or vice versa. The handlers
-// below reuse the exact HTTP-plane internals (newSessionFrom,
-// applyMemberAnswer, resultBody, the snapshot renderers), which is what
-// makes the two planes byte-identical by construction rather than by
+// created over the stream, answered over HTTP, or vice versa. The frame
+// handlers below are a codec over the request cores in resource.go: they
+// decode a frame, call create or answerRound — the same calls the JSON
+// handlers make — and encode the answer from the same member rows. That is
+// what makes the two planes byte-identical by construction rather than by
 // parallel maintenance.
 
 // streamFrameWorkers bounds concurrently-processed frames per connection,
@@ -113,9 +113,15 @@ func (sc *streamConn) handle(m wireproto.Message) {
 	case *wireproto.Create:
 		sc.handleCreate(req)
 	case *wireproto.Answer:
-		sc.handleAnswer(req)
+		answer := MemberAnswerRequest{Answer: req.Answer, Entity: req.Entity, Confirm: req.Confirm,
+			Subset: req.Subset, Semantics: req.Semantics}
+		sc.handleAnswer(req.Channel, KindSession, []MemberAnswerRequest{answer}, req.WantState)
 	case *wireproto.BatchAnswer:
-		sc.handleBatchAnswer(req)
+		answers := make([]MemberAnswerRequest, len(req.Answers))
+		for i, ma := range req.Answers {
+			answers[i] = MemberAnswerRequest(ma)
+		}
+		sc.handleAnswer(req.Channel, KindBatch, answers, req.WantState)
 	case *wireproto.ResultRequest:
 		sc.handleResult(req)
 	default:
@@ -165,131 +171,53 @@ func wireConfig(cfg wireproto.SessionConfig) SessionConfig {
 }
 
 func (sc *streamConn) handleCreate(req *wireproto.Create) {
-	if req.AttachID != "" {
-		st, ok := sc.s.store.Get(req.AttachID)
-		if !ok {
+	id := req.AttachID
+	var st *Stored
+	if id != "" {
+		var ok bool
+		if st, ok = sc.s.store.Get(id); !ok {
 			sc.fail(req.Channel, http.StatusNotFound, errors.New("unknown or expired resource"))
 			return
 		}
-		sc.bind(req.Channel, req.AttachID)
-		sc.respondQuestion(req.Channel, req.AttachID, st, nil, req.WantState)
-		return
-	}
-
-	sc.s.mu.RLock()
-	e, ok := sc.s.collections[req.Collection]
-	sc.s.mu.RUnlock()
-	if !ok {
-		sc.fail(req.Channel, http.StatusNotFound, fmt.Errorf("no collection %q", req.Collection))
-		return
-	}
-
-	var st *Stored
-	if req.Batch {
-		if len(req.Seeds) == 0 {
-			sc.fail(req.Channel, http.StatusBadRequest, errors.New("a batch needs at least one seed"))
-			return
-		}
-		if len(req.Seeds) > sc.s.maxBatchMembers {
-			sc.fail(req.Channel, http.StatusBadRequest, fmt.Errorf(
-				"batch of %d members exceeds the limit of %d", len(req.Seeds), sc.s.maxBatchMembers))
-			return
-		}
-		opts, err := sessionOptions(wireConfig(req.Config), sc.s.sessionOpts)
-		if err != nil {
-			sc.fail(req.Channel, http.StatusBadRequest, err)
-			return
-		}
-		seeds := make([]setdiscovery.Seed, len(req.Seeds))
-		for i, seed := range req.Seeds {
-			seeds[i] = setdiscovery.Seed{Initial: seed}
-		}
-		b, err := e.c.NewBatch(seeds, opts...)
-		if err != nil {
-			sc.fail(req.Channel, http.StatusBadRequest, err)
-			return
-		}
-		st = &Stored{Batch: b, Collection: req.Collection}
 	} else {
-		var initial []string
-		if len(req.Seeds) > 0 {
-			initial = req.Seeds[0]
-		}
-		httpReq := &CreateSessionRequest{
-			Initial:       initial,
-			SessionConfig: wireConfig(req.Config),
-			Tree:          req.Tree,
-		}
-		sess, err := newSessionFrom(e, httpReq, sc.s.sessionOpts)
+		var status int
+		var err error
+		id, st, status, err = sc.s.create(req.Collection, func() (createSpec, error) {
+			return createSpec{batch: req.Batch, tree: req.Tree, seeds: req.Seeds, cfg: wireConfig(req.Config)}, nil
+		})
 		if err != nil {
-			sc.fail(req.Channel, http.StatusBadRequest, err)
+			sc.fail(req.Channel, status, err)
 			return
 		}
-		st = &Stored{Session: sess, Collection: req.Collection}
-	}
-
-	id, err := sc.s.store.Put(st)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrStoreFull) {
-			status = http.StatusServiceUnavailable
-		}
-		sc.fail(req.Channel, status, err)
-		return
 	}
 	sc.bind(req.Channel, id)
-	sc.respondQuestion(req.Channel, id, st, nil, req.WantState)
+	st.Mu.Lock()
+	q := sc.question(req.Channel, id, st, nil, req.WantState)
+	st.Mu.Unlock()
+	sc.write(q)
 }
 
-func (sc *streamConn) handleAnswer(req *wireproto.Answer) {
-	id, st, ok := sc.resource(req.Channel)
+// handleAnswer runs an Answer frame (kind session) or a BatchAnswer frame
+// (kind batch) through the answer core and replies with the Question frame
+// rendered in the round's critical section.
+func (sc *streamConn) handleAnswer(ch uint64, kind string, answers []MemberAnswerRequest, wantState bool) {
+	id, st, ok := sc.resource(ch)
 	if !ok {
 		return
 	}
-	if st.Kind() != KindSession {
-		sc.fail(req.Channel, http.StatusNotFound, errors.New("unknown or expired session"))
+	if st.Kind() != kind {
+		sc.fail(ch, http.StatusNotFound, fmt.Errorf("unknown or expired %s", kind))
 		return
 	}
-	st.Mu.Lock()
-	err := st.applyMemberAnswer(0, req.Answer, req.Entity, req.Confirm, req.Subset, req.Semantics)
-	st.Mu.Unlock()
+	var q *wireproto.Question
+	status, err := answerRound(st, answers, func(memberErrs map[int]string) {
+		q = sc.question(ch, id, st, memberErrs, wantState)
+	})
 	if err != nil {
-		status := http.StatusBadRequest
-		var conflict *answerConflictError
-		if errors.As(err, &conflict) {
-			status = http.StatusConflict
-		}
-		sc.fail(req.Channel, status, err)
+		sc.fail(ch, status, err)
 		return
 	}
-	sc.respondQuestion(req.Channel, id, st, nil, req.WantState)
-}
-
-func (sc *streamConn) handleBatchAnswer(req *wireproto.BatchAnswer) {
-	id, st, ok := sc.resource(req.Channel)
-	if !ok {
-		return
-	}
-	if st.Kind() != KindBatch {
-		sc.fail(req.Channel, http.StatusNotFound, errors.New("unknown or expired batch"))
-		return
-	}
-	st.Mu.Lock()
-	for _, ma := range req.Answers {
-		if ma.Member < 0 || ma.Member >= st.Members() {
-			st.Mu.Unlock()
-			sc.fail(req.Channel, http.StatusBadRequest, fmt.Errorf("batch has no member %d", ma.Member))
-			return
-		}
-	}
-	memberErrs := make(map[int]string)
-	for _, ma := range req.Answers {
-		if err := st.applyMemberAnswer(ma.Member, ma.Answer, ma.Entity, ma.Confirm, ma.Subset, ma.Semantics); err != nil {
-			memberErrs[ma.Member] = err.Error()
-		}
-	}
-	st.Mu.Unlock()
-	sc.respondQuestion(req.Channel, id, st, memberErrs, req.WantState)
+	sc.write(q)
 }
 
 func (sc *streamConn) handleResult(req *wireproto.ResultRequest) {
@@ -300,52 +228,32 @@ func (sc *streamConn) handleResult(req *wireproto.ResultRequest) {
 	st.Mu.Lock()
 	resp := &wireproto.Result{Channel: req.Channel, ID: id, Done: st.Done()}
 	for i := 0; i < st.Members(); i++ {
-		body := resultBody(st, i)
+		row := memberResult(st, i)
 		resp.Members = append(resp.Members, wireproto.MemberResult{
-			Member:          i,
-			Done:            st.MemberDone(i),
-			Target:          body.Target,
-			Candidates:      body.Candidates,
-			Questions:       body.Questions,
-			Interactions:    body.Interactions,
-			Backtracks:      body.Backtracks,
-			SelectionTimeUS: body.SelectionTimeUS,
-			Error:           body.Error,
+			Member:          row.Member,
+			Done:            row.Done,
+			Target:          row.Target,
+			Candidates:      row.Candidates,
+			Questions:       row.Questions,
+			Interactions:    row.Interactions,
+			Backtracks:      row.Backtracks,
+			SelectionTimeUS: row.SelectionTimeUS,
+			Error:           row.Error,
 		})
 	}
 	st.Mu.Unlock()
 	sc.write(resp)
 }
 
-// respondQuestion renders the resource's pending interaction as a Question
-// frame — the response to create, attach, answer and batch-answer frames.
-// It reuses the HTTP plane's snapshot renderers so both planes see the same
-// fields. Snapshot failures for wantState are logged and the field omitted,
-// matching the ?include_state=1 piggyback's advisory semantics.
-func (sc *streamConn) respondQuestion(ch uint64, id string, st *Stored, memberErrs map[int]string, wantState bool) {
-	st.Mu.Lock()
-	resp := &wireproto.Question{Channel: ch, ID: id, Done: st.Done()}
+// question renders the resource's pending interaction as a Question frame —
+// the response to create, attach, answer and batch-answer frames — from the
+// same member rows as the JSON responses, with the inline snapshot when the
+// frame asked for it. Callers hold the resource lock.
+func (sc *streamConn) question(ch uint64, id string, st *Stored, memberErrs map[int]string, wantState bool) *wireproto.Question {
+	q := &wireproto.Question{Channel: ch, ID: id, Done: st.Done()}
 	for i := 0; i < st.Members(); i++ {
-		q, done := st.Question(i)
-		resp.Members = append(resp.Members, wireproto.MemberQuestion{
-			Member:    i,
-			Done:      done,
-			Entity:    q.Entity,
-			Confirm:   q.Confirm,
-			Subset:    q.Subset,
-			Semantics: q.Semantics,
-			Questions: st.QuestionsAsked(i),
-			Error:     memberErrs[i],
-		})
+		q.Members = append(q.Members, wireproto.MemberQuestion(memberQuestion(st, i, memberErrs[i])))
 	}
-	if wantState {
-		state, err := st.Snapshot()
-		if err != nil {
-			sc.s.logf("server: stream inline state for %s: %v", id, err)
-		} else {
-			resp.State = state
-		}
-	}
-	st.Mu.Unlock()
-	sc.write(resp)
+	q.State = sc.s.inlineState(wantState, id, st)
+	return q
 }

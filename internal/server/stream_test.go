@@ -268,20 +268,35 @@ func TestStreamAttachAndState(t *testing.T) {
 	}
 }
 
+// TestStreamErrorStatuses pins the stream plane's failure answers and,
+// for every request the JSON plane can also express, that both planes
+// answer it with the same status and the same error text — they run one
+// request core.
 func TestStreamErrorStatuses(t *testing.T) {
-	_, _, c := newStreamServer(t)
+	_, base, c := newStreamServer(t, WithMaxBatchMembers(2))
 
+	// samePlanes requires the stream failure err to carry status want, and
+	// the JSON plane's answer to the same request to match it.
+	samePlanes := func(name string, err error, want int, method, url string, body any) {
+		t.Helper()
+		var re *wireproto.RemoteError
+		if !errors.As(err, &re) || re.Status != want {
+			t.Fatalf("%s: stream got %v, want %d", name, err, want)
+		}
+		var e ErrorResponse
+		if code := do(t, method, url, body, &e); code != re.Status || e.Error != re.Msg {
+			t.Fatalf("%s: JSON answered %d %q, stream %d %q", name, code, e.Error, re.Status, re.Msg)
+		}
+	}
 	var re *wireproto.RemoteError
 
 	// Unknown collection → 404.
 	s := c.OpenStream()
 	_, err := s.Create(&wireproto.Create{Collection: "nope"}, streamTestTimeout)
-	if !errors.As(err, &re) || re.Status != http.StatusNotFound {
-		t.Fatalf("unknown collection: got %v, want 404", err)
-	}
+	samePlanes("unknown collection", err, http.StatusNotFound, http.MethodPost, base+"/v1/collections/nope/sessions", nil)
 	s.Close()
 
-	// Answer on an unbound channel → 404.
+	// Answer on an unbound channel → 404 (no JSON equivalent).
 	s = c.OpenStream()
 	_, err = s.Answer(&wireproto.Answer{Answer: "yes"}, streamTestTimeout)
 	if !errors.As(err, &re) || re.Status != http.StatusNotFound {
@@ -289,24 +304,62 @@ func TestStreamErrorStatuses(t *testing.T) {
 	}
 	s.Close()
 
-	// Stale question assertion → 409; malformed answer → 400.
+	// Stale question assertion → 409; malformed answer → 400. The JSON twin
+	// is a fresh session over the same collection, so it pends the same
+	// question and the texts match.
 	s = c.OpenStream()
 	q, err := s.Create(&wireproto.Create{Collection: "paper"}, streamTestTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var jq QuestionResponse
+	if code := do(t, http.MethodPost, base+"/v1/collections/paper/sessions", nil, &jq); code != http.StatusCreated {
+		t.Fatalf("JSON create: status %d", code)
+	}
+	jAnswer := base + "/v1/sessions/" + jq.SessionID + "/answer"
 	_, err = s.Answer(&wireproto.Answer{Answer: "yes", Entity: "not-the-question"}, streamTestTimeout)
-	if !errors.As(err, &re) || re.Status != http.StatusConflict {
-		t.Fatalf("stale assertion: got %v, want 409", err)
-	}
+	samePlanes("stale assertion", err, http.StatusConflict, http.MethodPost, jAnswer,
+		AnswerRequest{Answer: "yes", Entity: "not-the-question"})
 	_, err = s.Answer(&wireproto.Answer{Answer: "maybe", Entity: q.Members[0].Entity}, streamTestTimeout)
-	if !errors.As(err, &re) || re.Status != http.StatusBadRequest {
-		t.Fatalf("malformed answer: got %v, want 400", err)
+	samePlanes("malformed answer", err, http.StatusBadRequest, http.MethodPost, jAnswer,
+		AnswerRequest{Answer: "maybe", Entity: jq.Entity})
+	// A batch-answer frame on a session channel → 404.
+	_, err = s.AnswerBatch(&wireproto.BatchAnswer{Answers: []wireproto.MemberAnswer{{Answer: "yes"}}}, streamTestTimeout)
+	samePlanes("batch answer on a session", err, http.StatusNotFound, http.MethodPost,
+		base+"/v1/batches/"+jq.SessionID+"/answers", BatchAnswerRequest{Answers: []MemberAnswerRequest{{Answer: "yes"}}})
+	s.Close()
+
+	// A batch with no seeds, or more than WithMaxBatchMembers → 400.
+	s = c.OpenStream()
+	_, err = s.Create(&wireproto.Create{Collection: "paper", Batch: true}, streamTestTimeout)
+	samePlanes("batch without seeds", err, http.StatusBadRequest, http.MethodPost,
+		base+"/v1/collections/paper/batches", CreateBatchRequest{})
+	_, err = s.Create(&wireproto.Create{Collection: "paper", Batch: true, Seeds: [][]string{nil, nil, nil}}, streamTestTimeout)
+	samePlanes("batch over the member limit", err, http.StatusBadRequest, http.MethodPost,
+		base+"/v1/collections/paper/batches", CreateBatchRequest{Seeds: []BatchSeed{{}, {}, {}}})
+	s.Close()
+
+	// A batch answer naming no member → 400; a session answer frame on a
+	// batch channel → 404.
+	s = c.OpenStream()
+	if _, err := s.Create(&wireproto.Create{Collection: "paper", Batch: true, Seeds: [][]string{nil}}, streamTestTimeout); err != nil {
+		t.Fatal(err)
 	}
+	var jb BatchQuestionResponse
+	if code := do(t, http.MethodPost, base+"/v1/collections/paper/batches",
+		CreateBatchRequest{Seeds: []BatchSeed{{}}}, &jb); code != http.StatusCreated {
+		t.Fatalf("JSON batch create: status %d", code)
+	}
+	_, err = s.AnswerBatch(&wireproto.BatchAnswer{Answers: []wireproto.MemberAnswer{{Member: 5, Answer: "yes"}}}, streamTestTimeout)
+	samePlanes("batch answer naming no member", err, http.StatusBadRequest, http.MethodPost,
+		base+"/v1/batches/"+jb.BatchID+"/answers", BatchAnswerRequest{Answers: []MemberAnswerRequest{{Member: 5, Answer: "yes"}}})
+	_, err = s.Answer(&wireproto.Answer{Answer: "yes"}, streamTestTimeout)
+	samePlanes("session answer on a batch", err, http.StatusNotFound, http.MethodPost,
+		base+"/v1/sessions/"+jb.BatchID+"/answer", AnswerRequest{Answer: "yes"})
 	s.Close()
 
 	// Store at capacity → 503.
-	srv2, _, _ := newTestServer(t, WithMaxSessions(1))
+	srv2, ts2, _ := newTestServer(t, WithMaxSessions(1))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -324,9 +377,7 @@ func TestStreamErrorStatuses(t *testing.T) {
 	}
 	sB := c2.OpenStream()
 	_, err = sB.Create(&wireproto.Create{Collection: "paper"}, streamTestTimeout)
-	if !errors.As(err, &re) || re.Status != http.StatusServiceUnavailable {
-		t.Fatalf("full store: got %v, want 503", err)
-	}
+	samePlanes("full store", err, http.StatusServiceUnavailable, http.MethodPost, ts2.URL+"/v1/collections/paper/sessions", nil)
 }
 
 // TestStreamTreeSession drives the prebuilt-tree walk over the stream.
