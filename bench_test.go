@@ -22,6 +22,7 @@ import (
 	"setdiscovery/internal/synth"
 	"setdiscovery/internal/testutil"
 	"setdiscovery/internal/tree"
+	"setdiscovery/internal/webtables"
 )
 
 // benchExperiment runs one experiment per iteration and reports its table
@@ -234,6 +235,39 @@ func BenchmarkSelectSteadyState(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSelectSubCollection is BenchmarkSelectSteadyState's pooled
+// variant over a seed sub-collection of a 2,000-set web-tables corpus
+// rather than a whole 200-set synthetic collection: one k-LP (k=2) root
+// selection per iteration, with a cold lookahead cache and a warm scratch.
+// The 60 member sets touch 947 entities spread over a window of about 64k
+// entity IDs, the shape the serving and tree-build workloads select over,
+// where what counting costs depends on the width of that window.
+func BenchmarkSelectSubCollection(b *testing.B) {
+	p := webtables.DefaultParams()
+	p.NumSets = 2000
+	c, err := webtables.Generate(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := webtables.SeedQueries(c, 60, 8, 1)
+	if len(qs) == 0 {
+		b.Fatal("no seed query")
+	}
+	sub := c.SupersetsOf([]dataset.Entity{qs[0].A, qs[0].B})
+	sel := strategy.NewKLP(cost.AD, 2).New().(*strategy.KLP)
+	if _, ok := sel.Select(sub); !ok { // size the scratch before timing
+		b.Fatal("selection failed")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel.ResetCache()
+		if _, ok := sel.Select(sub); !ok {
+			b.Fatal("selection failed")
+		}
 	}
 }
 

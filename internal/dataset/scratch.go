@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"math/bits"
 	"slices"
 
 	"setdiscovery/internal/bitset"
@@ -34,11 +35,15 @@ import (
 type Scratch struct {
 	pool *bitset.Pool
 
-	// Dense counting state (universes up to denseThreshold): counts is
-	// sized to the collection's universe on first use and zeroed over the
-	// touched range [lo, hi] after every count, so reuse costs a ranged
-	// memclr instead of a fresh universe-sized allocation.
+	// Dense counting state (universes up to denseThreshold): counts holds
+	// one member count per entity and seen one bit per entity, set beside
+	// every increment. Both are sized to the collection's universe on first
+	// use. The collect pass visits only the set bits, zeroing each count it
+	// reads and then the bitmap words it walked, so both are all zero
+	// between calls and reuse costs O(touched entities + window/64), not a
+	// universe-sized allocation or a scan of the whole window.
 	counts []int32
+	seen   []uint64
 
 	// Sparse counting state (universes beyond denseThreshold): a reusable
 	// map, emptied with clear() after every count.
@@ -97,14 +102,18 @@ func (s *Subset) InformativeEntitiesInto(sc *Scratch) []EntityCount {
 	return s.informativeSparseInto(sc)
 }
 
-// informativeDenseInto mirrors informativeDense over sc.counts. The touched
-// range is zeroed after collection, so the array is clean for the next call
-// without a universe-sized memclr.
+// informativeDenseInto mirrors informativeDense over sc.counts, but
+// collects through the seen bitmap instead of scanning counts over the
+// window [lo, hi]: a sub-collection's members typically touch a few hundred
+// entities spread over tens of thousands of IDs, and the bitmap walk costs
+// one word per 64 IDs of the window plus one step per touched entity.
+// Walking the bits in ascending order keeps the result in entity-ID order.
 func (s *Subset) informativeDenseInto(sc *Scratch) []EntityCount {
 	if len(sc.counts) < s.c.numEntities {
 		sc.counts = make([]int32, s.c.numEntities)
+		sc.seen = make([]uint64, (s.c.numEntities+63)/64)
 	}
-	counts := sc.counts
+	counts, seen := sc.counts, sc.seen
 	lo, hi := s.c.numEntities, -1
 	s.members.ForEach(func(i int) bool {
 		elems := s.c.sets[i].Elems
@@ -118,22 +127,26 @@ func (s *Subset) informativeDenseInto(sc *Scratch) []EntityCount {
 		}
 		for _, e := range elems {
 			counts[e]++
+			seen[e/64] |= 1 << (e % 64)
 		}
 		return true
 	})
 	out := sc.ecBuf[:0]
 	size := int32(s.size)
 	if hi >= lo {
-		// Ranging over the touched window, rather than indexing counts
-		// from lo to hi, drops the per-entity bounds check from the
-		// selection path's hottest loop.
-		window := counts[lo : hi+1]
-		for i, n := range window {
-			if n > 0 && n < size {
-				out = append(out, EntityCount{Entity(lo + i), int(n)})
+		first := lo / 64
+		words := seen[first : hi/64+1]
+		for w, word := range words {
+			base := (first + w) * 64
+			for ; word != 0; word &= word - 1 {
+				e := base + bits.TrailingZeros64(word)
+				if n := counts[e]; n < size {
+					out = append(out, EntityCount{Entity(e), int(n)})
+				}
+				counts[e] = 0
 			}
 		}
-		clear(window)
+		clear(words)
 	}
 	sc.ecBuf = out
 	return out

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"setdiscovery/internal/bitset"
@@ -197,24 +199,126 @@ func TestUnpoolDetaches(t *testing.T) {
 }
 
 // TestScratchSteadyStateAllocs pins the tentpole property at the dataset
-// layer: with a warm scratch, counting and partitioning allocate nothing.
+// layer: with a warm scratch, counting and partitioning allocate nothing —
+// on the small fixture and on a universe of 2^18 entities.
 func TestScratchSteadyStateAllocs(t *testing.T) {
-	c := scratchTestCollection(t)
-	sub := c.All()
-	sc := NewScratch()
-	// Warm up: size the count array, the EntityCount buffer and the pool.
-	sub.InformativeEntitiesInto(sc)
-	w, wo := sub.PartitionScratch(2, sc)
-	w.Release()
-	wo.Release()
-	allocs := testing.AllocsPerRun(200, func() {
-		_ = sub.InformativeEntitiesInto(sc)
-		with, without := sub.PartitionScratch(2, sc)
-		with.Release()
-		without.Release()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state scratch use: %.1f allocs/op, want 0", allocs)
+	wide := wideTestCollection(t, 1<<18, 48, 2).All()
+	cases := []struct {
+		sub *Subset
+		e   Entity
+	}{
+		{scratchTestCollection(t).All(), 2},
+		{wide, wide.InformativeEntities()[0].Entity},
+	}
+	for _, tc := range cases {
+		sub, e := tc.sub, tc.e
+		sc := NewScratch()
+		// Warm up: size the count array and bitmap, the EntityCount buffer
+		// and the pool.
+		sub.InformativeEntitiesInto(sc)
+		w, wo := sub.PartitionScratch(e, sc)
+		w.Release()
+		wo.Release()
+		allocs := testing.AllocsPerRun(200, func() {
+			_ = sub.InformativeEntitiesInto(sc)
+			with, without := sub.PartitionScratch(e, sc)
+			with.Release()
+			without.Release()
+		})
+		if allocs != 0 {
+			t.Fatalf("%d-entity universe: steady-state scratch use: %.1f allocs/op, want 0",
+				sub.Collection().NumEntities(), allocs)
+		}
+	}
+}
+
+// wideTestCollection builds n sets over a universe of numEntities IDs in
+// which every set touches a handful of entities spread over a wide range:
+// three of 16 hubs spaced evenly over the universe (at and next to bitmap
+// word boundaries), two entities drawn at random, and entity 0 and the last
+// entity. Every fourth set (indexes 3, 7, ...) keeps to the upper half of
+// the universe instead, so sub-collections of those sets count a window
+// that starts far from ID 0. Either way a sub-collection's window is tens
+// of thousands of IDs wide while its members touch a small share of them.
+func wideTestCollection(t testing.TB, numEntities, n int, seed int64) *Collection {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	hubs := make([]Entity, 16)
+	for i := range hubs {
+		hubs[i] = Entity(i*(numEntities/16) + 63 + i%2)
+	}
+	names := make([]string, n)
+	elems := make([][]Entity, n)
+	for i := range elems {
+		names[i] = fmt.Sprintf("w%d", i)
+		pool, lo := hubs, 0
+		var e []Entity
+		if i%4 == 3 {
+			pool, lo = hubs[8:], numEntities/2
+		} else {
+			e = append(e, 0, Entity(numEntities-1))
+		}
+		for _, h := range r.Perm(len(pool))[:3] {
+			e = append(e, pool[h])
+		}
+		for j := 0; j < 2; j++ {
+			e = append(e, Entity(lo+r.Intn(numEntities-lo)))
+		}
+		elems[i] = e
+	}
+	c, err := FromIDSets(names, elems, numEntities, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestInformativeEntitiesIntoWideUniverse checks counting where the window
+// [lo, hi] is far wider than the entities counted, on both counting paths.
+// One scratch serves sub-collections of two collections in turn, the
+// smaller universe first, so the count array and the seen bitmap grow
+// mid-test; every call must equal the allocating reference and leave the
+// scratch's counting state all zero.
+func TestInformativeEntitiesIntoWideUniverse(t *testing.T) {
+	small := wideTestCollection(t, 1<<16+1000, 40, 1)
+	large := wideTestCollection(t, 1<<18, 48, 2)
+	subs := []*Subset{small.All(), large.All()}
+	for _, members := range [][]uint32{
+		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+		{1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23},
+		{3, 7, 11, 15}, // upper-half sets only
+		{2, 5},
+		{4},
+		nil,
+	} {
+		subs = append(subs, small.SubsetOf(members), large.SubsetOf(members))
+	}
+	want := make([][]EntityCount, len(subs))
+	for i, sub := range subs {
+		want[i] = sub.InformativeEntities()
+	}
+	if len(want[0]) == 0 || len(want[1]) == 0 {
+		t.Fatal("fixture has no informative entity")
+	}
+	for _, forceSparse := range []bool{false, true} {
+		name := "dense"
+		if forceSparse {
+			name = "sparse"
+			restore := SetDenseThresholdForTest(0)
+			defer restore()
+		}
+		sc := NewScratch()
+		for i, sub := range subs {
+			got := sub.InformativeEntitiesInto(sc)
+			if !sameEntityCounts(got, want[i]) {
+				t.Errorf("%s path, sub %d (%d-entity universe): Into = %v, want %v",
+					name, i, sub.Collection().NumEntities(), got, want[i])
+			}
+			if counts, words, sparse := sc.DirtyCountStateForTest(); counts+words+sparse != 0 {
+				t.Fatalf("%s path, sub %d: scratch left %d counts, %d seen words and %d map entries non-zero",
+					name, i, counts, words, sparse)
+			}
+		}
 	}
 }
 

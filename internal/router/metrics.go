@@ -10,7 +10,6 @@ package router
 // endpoint stays cheap enough for tight intervals.
 
 import (
-	"fmt"
 	"net/http"
 	"sort"
 	"sync"
@@ -109,13 +108,13 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Family("setdiscovery_router_backend_up", "Backend health by probe verdict (1 = healthy).", "gauge")
 	for _, b := range rows {
 		m.Sample("setdiscovery_router_backend_up",
-			fmt.Sprintf(`backend=%q,health=%q`, server.EscapeLabel(b.name), server.EscapeLabel(b.health)),
+			server.Label("backend", b.name)+","+server.Label("health", b.health),
 			server.BoolGauge(b.health == "healthy"))
 	}
 	m.Family("setdiscovery_router_backend_draining", "Whether the backend is refusing new placements.", "gauge")
 	for _, b := range rows {
 		m.Sample("setdiscovery_router_backend_draining",
-			fmt.Sprintf(`backend=%q`, server.EscapeLabel(b.name)), server.BoolGauge(b.draining))
+			server.Label("backend", b.name), server.BoolGauge(b.draining))
 	}
 
 	m.Family("setdiscovery_router_migrations_total", "Resources moved between engines via snapshot export/import.", "counter")
@@ -141,11 +140,11 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Family("setdiscovery_router_round_seconds",
 		"Proxied round-trip latency per backend over the recent sample window.", "summary")
 	for _, l := range lats {
-		be := server.EscapeLabel(l.name)
-		m.Sample("setdiscovery_router_round_seconds", fmt.Sprintf(`backend=%q,quantile="0.5"`, be), l.p50)
-		m.Sample("setdiscovery_router_round_seconds", fmt.Sprintf(`backend=%q,quantile="0.99"`, be), l.p99)
-		m.Sample("setdiscovery_router_round_seconds_sum", fmt.Sprintf(`backend=%q`, be), l.sum)
-		m.Sample("setdiscovery_router_round_seconds_count", fmt.Sprintf(`backend=%q`, be), float64(l.count))
+		be := server.Label("backend", l.name)
+		m.Sample("setdiscovery_router_round_seconds", be+`,quantile="0.5"`, l.p50)
+		m.Sample("setdiscovery_router_round_seconds", be+`,quantile="0.99"`, l.p99)
+		m.Sample("setdiscovery_router_round_seconds_sum", be, l.sum)
+		m.Sample("setdiscovery_router_round_seconds_count", be, float64(l.count))
 	}
 
 	m.Serve(w)

@@ -26,10 +26,29 @@ func (m *MetricsWriter) Family(name, help, typ string) {
 	fmt.Fprintf(&m.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// EscapeLabel escapes a label value per the exposition format.
-func EscapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
+// Label renders one label pair, name="value", with the value escaped per
+// the exposition format: backslash, double quote and line feed, and nothing
+// else. Sample's labels are such pairs joined by commas. The loop stands in
+// for a strings.Replacer, whose 6 KB byte table would stay live for the
+// life of the process after the first scrape.
+func Label(name, value string) string {
+	var b strings.Builder
+	b.Grow(len(name) + len(value) + 3)
+	b.WriteString(name)
+	b.WriteString(`="`)
+	for i := 0; i < len(value); i++ {
+		switch c := value[i]; c {
+		case '\\', '"':
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		case '\n':
+			b.WriteString(`\n`)
+		default:
+			b.WriteByte(c)
+		}
+	}
+	b.WriteByte('"')
+	return b.String()
 }
 
 // Sample writes one sample of the current family; labels is the rendered
@@ -86,7 +105,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	perCollection := func(name, help, typ string, get func(CollectionStats) float64) {
 		m.Family(name, help, typ)
 		for _, c := range st.Collections {
-			m.Sample(name, fmt.Sprintf(`collection=%q`, EscapeLabel(c.Name)), get(c))
+			m.Sample(name, Label("collection", c.Name), get(c))
 		}
 	}
 	perCollection("setdiscovery_collection_sets", "Registered sets per collection.", "gauge",

@@ -226,6 +226,30 @@ func (s *KLP) search(sub *dataset.Subset, k int, ul cost.Value, depth int) (ent 
 
 	n := sub.Size()
 	cands := s.scratch.candidatesAt(depth, sub, s.metric)
+
+	// Lines 7–10: at one step of lookahead the answer is the minimum LB1,
+	// the first candidate in sorted order — found by one scan, since the
+	// beam cut below always keeps the first candidate. (See DESIGN.md: we
+	// take the true minimum-LB1 entity rather than the most-even one so the
+	// cached value remains a genuine lower bound under AD's ceilings.)
+	if k <= 1 {
+		var excluded map[dataset.Entity]bool
+		if excluding {
+			excluded = s.excluded
+		}
+		best, ok := minByLB1(cands, excluded)
+		if !ok {
+			return 0, ul, false
+		}
+		if !excluding {
+			s.cache.Put(key, cacheEntry{best.entity, best.lb1, true})
+		}
+		if best.lb1 >= ul {
+			return 0, best.lb1, false
+		}
+		return best.entity, best.lb1, true
+	}
+
 	sortByLB1(cands)
 	if excluding {
 		kept := cands[:0]
@@ -241,21 +265,6 @@ func (s *KLP) search(sub *dataset.Subset, k int, ul cost.Value, depth int) (ent 
 	}
 	if qEff := s.effectiveQ(depth); qEff > 0 && len(cands) > qEff {
 		cands = cands[:qEff]
-	}
-
-	// Lines 7–10: at one step of lookahead the answer is the minimum LB1,
-	// which after sorting is the first candidate. (See DESIGN.md: we take
-	// the true minimum-LB1 entity rather than the most-even one so the
-	// cached value remains a genuine lower bound under AD's ceilings.)
-	if k <= 1 {
-		best := cands[0]
-		if !excluding {
-			s.cache.Put(key, cacheEntry{best.entity, best.lb1, true})
-		}
-		if best.lb1 >= ul {
-			return 0, best.lb1, false
-		}
-		return best.entity, best.lb1, true
 	}
 
 	var ns NodeStats

@@ -90,30 +90,48 @@ func appendCandidates(buf []candidate, sub *dataset.Subset, m cost.Metric, sc *d
 	return buf
 }
 
-// sortByLB1 orders candidates by 1-step bound, then evenness, then entity ID
-// (Algorithm 1 line 11; see DESIGN.md on why LB1 is the primary key rather
-// than evenness). slices.SortFunc instead of sort.Slice: the comparator is
-// monomorphised and the swap loses the reflect indirection, on the hottest
-// sort in the engine.
-func sortByLB1(cands []candidate) {
-	slices.SortFunc(cands, func(a, b candidate) int {
-		if a.lb1 != b.lb1 {
-			if a.lb1 < b.lb1 {
-				return -1
-			}
-			return 1
-		}
-		if a.uneven != b.uneven {
-			return a.uneven - b.uneven
-		}
-		if a.entity < b.entity {
+// cmpLB1 is the candidate order of Algorithm 1 line 11: 1-step bound, then
+// evenness, then entity ID (see DESIGN.md on why LB1 is the primary key
+// rather than evenness). Entity IDs are unique, so the order is total.
+func cmpLB1(a, b candidate) int {
+	if a.lb1 != b.lb1 {
+		if a.lb1 < b.lb1 {
 			return -1
 		}
-		if a.entity > b.entity {
-			return 1
+		return 1
+	}
+	if a.uneven != b.uneven {
+		return a.uneven - b.uneven
+	}
+	if a.entity < b.entity {
+		return -1
+	}
+	if a.entity > b.entity {
+		return 1
+	}
+	return 0
+}
+
+// sortByLB1 orders candidates by cmpLB1. slices.SortFunc instead of
+// sort.Slice: the comparator is monomorphised and the swap loses the
+// reflect indirection, on the hottest sort in the engine.
+func sortByLB1(cands []candidate) {
+	slices.SortFunc(cands, cmpLB1)
+}
+
+// minByLB1 returns the first candidate of sortByLB1's order among those not
+// in excluded (nil excludes nothing), in one pass and without reordering
+// cands. ok is false when no candidate remains.
+func minByLB1(cands []candidate, excluded map[dataset.Entity]bool) (best candidate, ok bool) {
+	for _, c := range cands {
+		if excluded != nil && excluded[c.entity] {
+			continue
 		}
-		return 0
-	})
+		if !ok || cmpLB1(c, best) < 0 {
+			best, ok = c, true
+		}
+	}
+	return best, ok
 }
 
 func abs(x int) int {

@@ -428,3 +428,55 @@ func greedyScaledCost(sub *dataset.Subset, m cost.Metric) cost.Value {
 	return cost.Combine(m, with.Size(), greedyScaledCost(with, m),
 		without.Size(), greedyScaledCost(without, m))
 }
+
+// TestMinByLB1MatchesSortedFirst pins k-LP's one-step pick: the single-pass
+// minimum must be the first candidate sortByLB1 leaves after exclusions,
+// over random candidate lists in random order whose 1-step bounds and
+// evenness tie often, so every key of the order decides some cases.
+func TestMinByLB1MatchesSortedFirst(t *testing.T) {
+	r := rng.New(41)
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + r.Intn(40)
+		ids := r.Perm(3 * n)[:n]
+		cands := make([]candidate, n)
+		for i := range cands {
+			cands[i] = candidate{
+				entity: dataset.Entity(ids[i]),
+				lb1:    cost.Value(r.Intn(4)),
+				uneven: r.Intn(3),
+			}
+		}
+		var excluded map[dataset.Entity]bool
+		if trial%2 == 1 {
+			excluded = make(map[dataset.Entity]bool)
+			share := r.Intn(4) // 0 excludes nothing, 3 can exclude everything
+			for _, c := range cands {
+				if r.Intn(3) < share {
+					excluded[c.entity] = true
+				}
+			}
+		}
+		before := append([]candidate(nil), cands...)
+		got, ok := minByLB1(cands, excluded)
+		for i := range cands {
+			if cands[i] != before[i] {
+				t.Fatalf("trial %d: minByLB1 reordered its input", trial)
+			}
+		}
+
+		sorted := append([]candidate(nil), cands...)
+		sortByLB1(sorted)
+		var kept []candidate
+		for _, c := range sorted {
+			if !excluded[c.entity] {
+				kept = append(kept, c)
+			}
+		}
+		if ok != (len(kept) > 0) {
+			t.Fatalf("trial %d: ok = %v with %d candidates left after exclusions", trial, ok, len(kept))
+		}
+		if ok && got != kept[0] {
+			t.Fatalf("trial %d: minByLB1 = %+v, sortByLB1 first = %+v", trial, got, kept[0])
+		}
+	}
+}
