@@ -168,10 +168,7 @@ func BenchmarkFingerprint(b *testing.B) {
 // BenchmarkBuildParallel measures offline construction (Algorithm 3) across
 // worker counts, reporting the shared lookahead cache's hit rate and
 // allocation profile. The tree is identical at every width; only wall-clock
-// changes. The unpooled-workers-1 variant runs the original allocating
-// build (no scratch arenas, no bitset pool) as the baseline the pooled
-// numbers are compared against — the B/op delta is this PR's acceptance
-// criterion.
+// changes.
 func BenchmarkBuildParallel(b *testing.B) {
 	c := benchCollection(b)
 	sub := c.All()
@@ -193,53 +190,31 @@ func BenchmarkBuildParallel(b *testing.B) {
 			b.ReportMetric(st.HitRate()*100, "cachehit%")
 		})
 	}
-	b.Run("unpooled-workers-1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sel := strategy.NewKLP(cost.AD, 2).DisableScratch()
-			if _, err := tree.Build(sub, sel, tree.WithParallelism(1), tree.WithPooling(false)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkSelectSteadyState measures one full k-LP root selection with a
 // cold lookahead cache but warm per-instance scratch — the steady state of
 // a long-lived worker whose every node allocation is served by its arena.
-// The unpooled variant is the original allocating hot path; compare B/op.
-// (The cache reset is shared overhead in both variants; without it every
-// iteration after the first would be a pure cache hit.)
+// (Without the cache reset every iteration after the first would be a pure
+// cache hit.)
 func BenchmarkSelectSteadyState(b *testing.B) {
 	c := benchCollection(b)
 	sub := c.All()
-	variants := []struct {
-		name string
-		f    strategy.Factory
-	}{
-		{"pooled", strategy.NewKLP(cost.AD, 2)},
-		{"unpooled", strategy.NewKLP(cost.AD, 2).DisableScratch()},
+	sel := strategy.NewKLP(cost.AD, 2).New().(*strategy.KLP)
+	if _, ok := sel.Select(sub); !ok { // size the scratch before timing
+		b.Fatal("selection failed")
 	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			sel := v.f.New().(*strategy.KLP)
-			if _, ok := sel.Select(sub); !ok { // size the scratch before timing
-				b.Fatal("selection failed")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sel.ResetCache()
-				if _, ok := sel.Select(sub); !ok {
-					b.Fatal("selection failed")
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel.ResetCache()
+		if _, ok := sel.Select(sub); !ok {
+			b.Fatal("selection failed")
+		}
 	}
 }
 
-// BenchmarkSelectSubCollection is BenchmarkSelectSteadyState's pooled
-// variant over a seed sub-collection of a 2,000-set web-tables corpus
+// BenchmarkSelectSubCollection is BenchmarkSelectSteadyState over a seed sub-collection of a 2,000-set web-tables corpus
 // rather than a whole 200-set synthetic collection: one k-LP (k=2) root
 // selection per iteration, with a cold lookahead cache and a warm scratch.
 // The 60 member sets touch 947 entities spread over a window of about 64k
@@ -466,28 +441,37 @@ func BenchmarkSharedSelection(b *testing.B) {
 }
 
 // BenchmarkPartition measures sub-collection splitting via the inverted
-// index (the inner loop of every lookahead step).
+// index (the inner loop of every lookahead step): a pooled split on a warm
+// scratch, both halves released.
 func BenchmarkPartition(b *testing.B) {
 	c := benchCollection(b)
 	sub := c.All()
-	infos := sub.InformativeEntities()
+	sc := dataset.NewScratch()
+	infos := sub.InformativeEntitiesInto(sc)
 	if len(infos) == 0 {
 		b.Fatal("no informative entities")
 	}
 	e := infos[len(infos)/2].Entity
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sub.Partition(e)
+		with, without := sub.PartitionScratch(e, sc)
+		with.Release()
+		without.Release()
 	}
 }
 
-// BenchmarkInformativeEntities measures per-node candidate counting.
+// BenchmarkInformativeEntities measures per-node candidate counting on a
+// warm scratch.
 func BenchmarkInformativeEntities(b *testing.B) {
 	c := benchCollection(b)
 	sub := c.All()
+	sc := dataset.NewScratch()
+	sub.InformativeEntitiesInto(sc)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sub.InformativeEntities()
+		sub.InformativeEntitiesInto(sc)
 	}
 }
 

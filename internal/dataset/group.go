@@ -17,7 +17,8 @@ import "setdiscovery/internal/bitset"
 // O(Σ|postings(e)| + words(members)), independent of the members' sizes.
 
 // groupMaskInto sets, in the zeroed bitset in, the member sets answering
-// "yes" to the group question (members, subsetOf).
+// "yes" to the group question (members, subsetOf). The intersection of
+// several postings borrows one temporary bitset from pool.
 func (s *Subset) groupMaskInto(members []Entity, subsetOf bool, in *bitset.Bits, pool *bitset.Pool) {
 	if !subsetOf {
 		// Union of postings, masked to the current members.
@@ -44,12 +45,7 @@ func (s *Subset) groupMaskInto(members []Entity, subsetOf bool, in *bitset.Bits,
 	if len(members) == 1 {
 		return
 	}
-	var tmp *bitset.Bits
-	if pool != nil {
-		tmp = pool.Get(len(s.c.sets))
-	} else {
-		tmp = bitset.New(len(s.c.sets))
-	}
+	tmp := pool.Get(len(s.c.sets))
 	for _, e := range members[1:] {
 		postings := s.c.Postings(e)
 		for _, idx := range postings {
@@ -62,9 +58,7 @@ func (s *Subset) groupMaskInto(members []Entity, subsetOf bool, in *bitset.Bits,
 			tmp.Clear(int(idx))
 		}
 	}
-	if pool != nil {
-		pool.Put(tmp)
-	}
+	pool.Put(tmp)
 }
 
 // PartitionGroup splits the sub-collection by a group question into
@@ -73,7 +67,7 @@ func (s *Subset) groupMaskInto(members []Entity, subsetOf bool, in *bitset.Bits,
 // them. Like Partition, the results are unpooled.
 func (s *Subset) PartitionGroup(members []Entity, subsetOf bool) (yes, no *Subset) {
 	in := bitset.New(len(s.c.sets))
-	s.groupMaskInto(members, subsetOf, in, nil)
+	s.groupMaskInto(members, subsetOf, in, bitset.NewPool())
 	out := s.members.AndNot(in)
 	yesN := in.Count()
 	return &Subset{c: s.c, members: in, size: yesN},
@@ -94,27 +88,21 @@ func (s *Subset) PartitionGroupScratch(members []Entity, subsetOf bool, sc *Scra
 
 // GroupCoverage accumulates, entity by entity, the member sets a growing
 // group question would reach under intersects semantics — the working state
-// of the halving strategy's greedy split construction. The zero-cost query
-// Gain reports how many members an entity would newly cover without
-// committing it; Add commits it. A coverage drawn from a scratch must be
-// handed back with Release.
+// of the group strategies' split construction. The zero-cost query Gain
+// reports how many members an entity would newly cover without committing
+// it; Add commits it. Its bitset comes from a scratch's pool and goes back
+// with Release.
 type GroupCoverage struct {
 	s       *Subset
 	covered *bitset.Bits
 	n       int
-	sc      *Scratch // non-nil when covered came from the scratch's pool
+	sc      *Scratch // the scratch whose pool covered came from
 }
 
 // NewGroupCoverage starts an empty coverage over the sub-collection,
-// drawing from the scratch's pool when sc is non-nil.
+// drawing its bitset from the scratch's pool.
 func (s *Subset) NewGroupCoverage(sc *Scratch) *GroupCoverage {
-	cv := &GroupCoverage{s: s, sc: sc}
-	if sc != nil {
-		cv.covered = sc.pool.Get(len(s.c.sets))
-	} else {
-		cv.covered = bitset.New(len(s.c.sets))
-	}
-	return cv
+	return &GroupCoverage{s: s, covered: sc.pool.Get(len(s.c.sets)), sc: sc}
 }
 
 // Gain returns how many member sets e would newly cover.
@@ -145,12 +133,9 @@ func (cv *GroupCoverage) Add(e Entity) int {
 // Covered returns the number of member sets the committed entities reach.
 func (cv *GroupCoverage) Covered() int { return cv.n }
 
-// Release returns the coverage's bitset to the scratch pool; a no-op for
-// coverages built without a scratch, or already released.
+// Release returns the coverage's bitset to the scratch pool; a no-op once
+// released.
 func (cv *GroupCoverage) Release() {
-	if cv.sc == nil {
-		return
-	}
 	cv.sc.pool.Put(cv.covered)
-	cv.covered, cv.sc = nil, nil
+	cv.covered = nil
 }

@@ -118,34 +118,31 @@ func eqStrings(a, b []string) bool {
 func TestGroupCoverage(t *testing.T) {
 	c := paperCollection(t)
 	all := c.All()
-	for _, sc := range []*Scratch{nil, NewScratch()} {
-		cv := all.NewGroupCoverage(sc)
-		d, g := entity(t, c, "d"), entity(t, c, "g")
-		if got := cv.Gain(d); got != 3 {
-			t.Fatalf("Gain(d) = %d, want 3", got)
-		}
-		if got := cv.Add(d); got != 3 {
-			t.Fatalf("Add(d) = %d, want 3", got)
-		}
-		// S3 already covered by d, so g (S4,S7) gains 2.
-		if got := cv.Gain(g); got != 2 {
-			t.Fatalf("Gain(g) after d = %d, want 2", got)
-		}
-		cv.Add(g)
-		if cv.Covered() != 5 {
-			t.Fatalf("Covered() = %d, want 5", cv.Covered())
-		}
-		// Re-adding gains nothing.
-		if got := cv.Add(d); got != 0 {
-			t.Fatalf("re-Add(d) = %d, want 0", got)
-		}
-		cv.Release()
-		cv.Release() // double release is a no-op
-		if sc != nil {
-			if out := sc.Pool().Stats().Outstanding(); out != 0 {
-				t.Fatalf("pool outstanding = %d after coverage release", out)
-			}
-		}
+	sc := NewScratch()
+	cv := all.NewGroupCoverage(sc)
+	d, g := entity(t, c, "d"), entity(t, c, "g")
+	if got := cv.Gain(d); got != 3 {
+		t.Fatalf("Gain(d) = %d, want 3", got)
+	}
+	if got := cv.Add(d); got != 3 {
+		t.Fatalf("Add(d) = %d, want 3", got)
+	}
+	// S3 already covered by d, so g (S4,S7) gains 2.
+	if got := cv.Gain(g); got != 2 {
+		t.Fatalf("Gain(g) after d = %d, want 2", got)
+	}
+	cv.Add(g)
+	if cv.Covered() != 5 {
+		t.Fatalf("Covered() = %d, want 5", cv.Covered())
+	}
+	// Re-adding gains nothing.
+	if got := cv.Add(d); got != 0 {
+		t.Fatalf("re-Add(d) = %d, want 0", got)
+	}
+	cv.Release()
+	cv.Release() // double release is a no-op
+	if out := sc.Pool().Stats().Outstanding(); out != 0 {
+		t.Fatalf("pool outstanding = %d after coverage release", out)
 	}
 }
 
@@ -154,7 +151,8 @@ func TestGroupCoverageRespectsSubset(t *testing.T) {
 	// Restrict to S4..S7 (indexes 3..6); d only appears in S1..S3, so its
 	// gain inside the restriction must be zero.
 	sub := c.SubsetOf([]uint32{3, 4, 5, 6})
-	cv := sub.NewGroupCoverage(nil)
+	cv := sub.NewGroupCoverage(NewScratch())
+	defer cv.Release()
 	if got := cv.Gain(entity(t, c, "d")); got != 0 {
 		t.Fatalf("Gain(d) in S4..S7 = %d, want 0", got)
 	}

@@ -7,11 +7,12 @@ import (
 	"setdiscovery/internal/bitset"
 )
 
-// Scratch is the reusable working memory of one selection worker. The
-// selection hot path (candidates → sort → Partition → recurse) historically
-// allocated, at every node of every lookahead, a count array sized to the
-// entity universe, an EntityCount slice and two bitsets; a Scratch owns all
-// of that once so steady-state selection allocates nothing.
+// Scratch is the reusable working memory of one selection worker. At every
+// node of every lookahead, selection counts the node's informative entities
+// (InformativeEntitiesInto), ranks them, and splits the node by each
+// candidate (PartitionScratch) before recursing. A Scratch owns the count
+// state, the EntityCount buffer and the bitsets those steps need, so
+// steady-state selection allocates nothing.
 //
 // Ownership rules (see also the README "Memory discipline" section):
 //
@@ -91,10 +92,10 @@ func (sc *Scratch) release(s *Subset) {
 	sc.subFree = append(sc.subFree, s)
 }
 
-// InformativeEntitiesInto is the allocation-free InformativeEntities: same
-// result, same order (ascending entity ID), but counted in the scratch's
-// reusable state and returned in a slice that aliases the scratch. The
-// result is valid until the next InformativeEntitiesInto call on sc.
+// InformativeEntitiesInto counts the informative entities of the
+// sub-collection (see InformativeEntities) in the scratch's reusable state,
+// ascending by entity ID. The returned slice aliases the scratch and is
+// valid until the next InformativeEntitiesInto call on sc.
 func (s *Subset) InformativeEntitiesInto(sc *Scratch) []EntityCount {
 	if s.c.numEntities <= denseThreshold {
 		return s.informativeDenseInto(sc)
@@ -102,12 +103,13 @@ func (s *Subset) InformativeEntitiesInto(sc *Scratch) []EntityCount {
 	return s.informativeSparseInto(sc)
 }
 
-// informativeDenseInto mirrors informativeDense over sc.counts, but
-// collects through the seen bitmap instead of scanning counts over the
-// window [lo, hi]: a sub-collection's members typically touch a few hundred
-// entities spread over tens of thousands of IDs, and the bitmap walk costs
-// one word per 64 IDs of the window plus one step per touched entity.
-// Walking the bits in ascending order keeps the result in entity-ID order.
+// informativeDenseInto counts into sc.counts, one cell per entity, marking
+// each touched entity in the seen bitmap, and collects by walking the set
+// bits of the bitmap over the window [lo, hi] of touched IDs: a
+// sub-collection's members typically touch a few hundred entities spread
+// over tens of thousands of IDs, and the bitmap walk costs one word per 64
+// IDs of the window plus one step per touched entity. Walking the bits in
+// ascending order keeps the result in entity-ID order without sorting.
 func (s *Subset) informativeDenseInto(sc *Scratch) []EntityCount {
 	if len(sc.counts) < s.c.numEntities {
 		sc.counts = make([]int32, s.c.numEntities)
@@ -152,8 +154,8 @@ func (s *Subset) informativeDenseInto(sc *Scratch) []EntityCount {
 	return out
 }
 
-// informativeSparseInto mirrors the map path of InformativeEntities over a
-// reusable map, sorting in place with slices.SortFunc.
+// informativeSparseInto counts into a reusable map and sorts the collected
+// result in place by entity ID.
 func (s *Subset) informativeSparseInto(sc *Scratch) []EntityCount {
 	if sc.sparse == nil {
 		sc.sparse = make(map[Entity]int32)

@@ -1,8 +1,10 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"setdiscovery/internal/bitset"
@@ -27,6 +29,27 @@ func scratchTestCollection(t *testing.T) *Collection {
 	return c
 }
 
+// naiveInformative is the independent reference counter of the counting
+// suites: a map over the member sets, keeping the entities in some but not
+// all of them, sorted by entity ID.
+func naiveInformative(s *Subset) []EntityCount {
+	counts := make(map[Entity]int)
+	s.ForEachMember(func(set *Set) bool {
+		for _, e := range set.Elems {
+			counts[e]++
+		}
+		return true
+	})
+	var out []EntityCount
+	for e, n := range counts {
+		if n > 0 && n < s.Size() {
+			out = append(out, EntityCount{e, n})
+		}
+	}
+	slices.SortFunc(out, func(a, b EntityCount) int { return cmp.Compare(a.Entity, b.Entity) })
+	return out
+}
+
 func sameEntityCounts(a, b []EntityCount) bool {
 	if len(a) != len(b) {
 		return false
@@ -39,9 +62,10 @@ func sameEntityCounts(a, b []EntityCount) bool {
 	return true
 }
 
-// TestInformativeEntitiesIntoMatches checks the scratch path against the
-// allocating path on both counting strategies (dense array and sparse map),
-// across every 2+-member sub-collection of the test fixture.
+// TestInformativeEntitiesIntoMatches checks the scratch counter against the
+// naive reference on both counting paths (dense array and sparse map),
+// across sub-collections of the test fixture, including the degenerate
+// single-member and empty ones.
 func TestInformativeEntitiesIntoMatches(t *testing.T) {
 	c := scratchTestCollection(t)
 	subs := []*Subset{
@@ -61,7 +85,7 @@ func TestInformativeEntitiesIntoMatches(t *testing.T) {
 		}
 		sc := NewScratch()
 		for i, sub := range subs {
-			want := sub.InformativeEntities()
+			want := naiveInformative(sub)
 			got := sub.InformativeEntitiesInto(sc)
 			if !sameEntityCounts(got, want) {
 				t.Errorf("%s path, sub %d: Into = %v, want %v", name, i, got, want)
@@ -77,18 +101,22 @@ func TestInformativeEntitiesIntoMatches(t *testing.T) {
 
 // TestInformativeEntitiesDenseSparseEquality forces denseThreshold down so
 // the map path runs at a universe size where the dense path is also
-// feasible, and checks both produce identical results — previously only the
-// dense path was exercised at realistic universe sizes.
+// feasible, and checks that InformativeEntities returns the naive
+// reference's counts on both paths.
 func TestInformativeEntitiesDenseSparseEquality(t *testing.T) {
 	c := scratchTestCollection(t)
 	subs := []*Subset{c.All(), c.SubsetOf([]uint32{0, 1, 4}), c.SubsetOf([]uint32{1, 2})}
 	for i, sub := range subs {
+		want := naiveInformative(sub)
 		dense := sub.InformativeEntities()
 		restore := SetDenseThresholdForTest(0)
 		sparse := sub.InformativeEntities()
 		restore()
-		if !sameEntityCounts(dense, sparse) {
-			t.Errorf("sub %d: dense path %v != sparse path %v", i, dense, sparse)
+		if !sameEntityCounts(dense, want) {
+			t.Errorf("sub %d: dense path %v, want %v", i, dense, want)
+		}
+		if !sameEntityCounts(sparse, want) {
+			t.Errorf("sub %d: sparse path %v, want %v", i, sparse, want)
 		}
 	}
 }
@@ -277,7 +305,7 @@ func wideTestCollection(t testing.TB, numEntities, n int, seed int64) *Collectio
 // [lo, hi] is far wider than the entities counted, on both counting paths.
 // One scratch serves sub-collections of two collections in turn, the
 // smaller universe first, so the count array and the seen bitmap grow
-// mid-test; every call must equal the allocating reference and leave the
+// mid-test; every call must equal the naive reference and leave the
 // scratch's counting state all zero.
 func TestInformativeEntitiesIntoWideUniverse(t *testing.T) {
 	small := wideTestCollection(t, 1<<16+1000, 40, 1)
@@ -295,7 +323,7 @@ func TestInformativeEntitiesIntoWideUniverse(t *testing.T) {
 	}
 	want := make([][]EntityCount, len(subs))
 	for i, sub := range subs {
-		want[i] = sub.InformativeEntities()
+		want[i] = naiveInformative(sub)
 	}
 	if len(want[0]) == 0 || len(want[1]) == 0 {
 		t.Fatal("fixture has no informative entity")

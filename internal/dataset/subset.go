@@ -17,7 +17,8 @@ type Subset struct {
 
 	// sc is non-nil while the subset is pooled: its bitset came from sc's
 	// pool via PartitionScratch and goes back there on Release. Unpool
-	// clears it. Subsets from the allocating constructors have sc == nil.
+	// clears it. Subsets from the allocating constructors (All, SubsetOf,
+	// Partition, ...) have sc == nil.
 	sc *Scratch
 }
 
@@ -70,81 +71,20 @@ type EntityCount struct {
 }
 
 // denseThreshold bounds the universe size for which entity counting uses a
-// dense array (4 bytes per possible entity) instead of a map. Dense counting
-// is several times faster on the experiment workloads; beyond the threshold
-// the transient allocation would dominate small sub-collections. It is a
-// variable only so tests can exercise both paths.
+// dense array (4 bytes and one bitmap bit per possible entity, held by the
+// Scratch) instead of a map. Dense counting is several times faster on the
+// experiment workloads; beyond the threshold every scratch would carry
+// arrays sized to a huge universe. It is a variable only so tests can
+// exercise both paths.
 var denseThreshold = 1 << 21
 
 // InformativeEntities returns, for every entity present in some but not all
 // member sets, the number of member sets containing it (§3: uninformative
 // entities — present in all or none — are excluded). The result is ordered
-// by entity ID. Runs in O(total elements of member sets).
+// by entity ID and owned by the caller. It counts through a throwaway
+// Scratch; hot paths keep one and call InformativeEntitiesInto.
 func (s *Subset) InformativeEntities() []EntityCount {
-	if s.c.numEntities <= denseThreshold {
-		return s.informativeDense()
-	}
-	counts := make(map[Entity]int)
-	s.members.ForEach(func(i int) bool {
-		for _, e := range s.c.sets[i].Elems {
-			counts[e]++
-		}
-		return true
-	})
-	out := make([]EntityCount, 0, len(counts))
-	for e, n := range counts {
-		if n > 0 && n < s.size {
-			out = append(out, EntityCount{e, n})
-		}
-	}
-	// slices.SortFunc rather than sort.Slice: no closure-through-interface
-	// indirection, and no reflect-based swapping — the only sort left on
-	// the counting paths (the dense path is sort-free by construction).
-	slices.SortFunc(out, func(a, b EntityCount) int {
-		if a.Entity < b.Entity {
-			return -1
-		}
-		if a.Entity > b.Entity {
-			return 1
-		}
-		return 0
-	})
-	return out
-}
-
-// informativeDense is the array-counting fast path. It visits the touched
-// entities twice (count, collect) and never sorts: member element lists are
-// sorted, so collecting via a second pass over a sorted "touched" record
-// keeps entity-ID order. To avoid sorting the touched list, it scans the
-// count array range [lo, hi] observed during counting.
-func (s *Subset) informativeDense() []EntityCount {
-	counts := make([]int32, s.c.numEntities)
-	lo, hi := s.c.numEntities, -1
-	total := 0
-	s.members.ForEach(func(i int) bool {
-		elems := s.c.sets[i].Elems
-		total += len(elems)
-		if len(elems) > 0 {
-			if first := int(elems[0]); first < lo {
-				lo = first
-			}
-			if last := int(elems[len(elems)-1]); last > hi {
-				hi = last
-			}
-		}
-		for _, e := range elems {
-			counts[e]++
-		}
-		return true
-	})
-	out := make([]EntityCount, 0, total/2+1)
-	size := int32(s.size)
-	for e := lo; e <= hi; e++ {
-		if n := counts[e]; n > 0 && n < size {
-			out = append(out, EntityCount{Entity(e), int(n)})
-		}
-	}
-	return out
+	return slices.Clone(s.InformativeEntitiesInto(NewScratch()))
 }
 
 // CountWith returns how many member sets contain e, via the posting list.
@@ -160,7 +100,9 @@ func (s *Subset) CountWith(e Entity) int {
 
 // Partition splits the sub-collection by entity e into (with, without):
 // members containing e and members not containing it. Cost is
-// O(|postings(e)| + words(members)).
+// O(|postings(e)| + words(members)). It is the allocating definition of a
+// split, for callers outside the selection path (tree validation, the
+// exhaustive optimum, tests); selection splits through PartitionScratch.
 func (s *Subset) Partition(e Entity) (with, without *Subset) {
 	in := bitset.New(len(s.c.sets))
 	for _, idx := range s.c.Postings(e) {

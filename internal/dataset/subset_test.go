@@ -205,8 +205,9 @@ func TestQuickPartitionAgreesWithScan(t *testing.T) {
 	}
 }
 
-// TestDensePathMatchesMapPath forces the map-based counting path and checks
-// it agrees with the dense-array fast path on random subsets.
+// TestDensePathMatchesMapPath checks both counting paths — the dense array
+// and, with SetDenseThresholdForTest(0), the sparse map — against the naive
+// reference counter on random subsets.
 func TestDensePathMatchesMapPath(t *testing.T) {
 	r := rng.New(321)
 	for trial := 0; trial < 40; trial++ {
@@ -218,17 +219,16 @@ func TestDensePathMatchesMapPath(t *testing.T) {
 			}
 		}
 		sub := c.SubsetOf(members)
-		dense := sub.InformativeEntities()
-		restore := SetDenseThresholdForTest(-1) // force map path
-		viaMap := sub.InformativeEntities()
+		want := naiveInformative(sub)
+		dense := sub.InformativeEntitiesInto(NewScratch())
+		restore := SetDenseThresholdForTest(0) // force the map path
+		viaMap := sub.InformativeEntitiesInto(NewScratch())
 		restore()
-		if len(dense) != len(viaMap) {
-			t.Fatalf("trial %d: dense %d entities, map %d", trial, len(dense), len(viaMap))
+		if !sameEntityCounts(dense, want) {
+			t.Fatalf("trial %d: dense path %v, want %v", trial, dense, want)
 		}
-		for i := range dense {
-			if dense[i] != viaMap[i] {
-				t.Fatalf("trial %d: entry %d differs: %+v vs %+v", trial, i, dense[i], viaMap[i])
-			}
+		if !sameEntityCounts(viaMap, want) {
+			t.Fatalf("trial %d: map path %v, want %v", trial, viaMap, want)
 		}
 	}
 }

@@ -96,9 +96,7 @@ func driveBatch(t *testing.T, b *Batch, oracles []Oracle) {
 func outstanding(b *Batch) int64 {
 	var n int64
 	for _, m := range b.members {
-		if m.scratch != nil {
-			n += m.scratch.Pool().Stats().Outstanding()
-		}
+		n += m.scratch.Pool().Stats().Outstanding()
 	}
 	return n
 }

@@ -262,11 +262,6 @@ type Options struct {
 	Memo    *SelectionMemo
 	MemoAux uint64
 
-	// noScratch disables the session's subset recycling (tests only: the
-	// pooled-vs-unpooled equivalence suite uses it to drive the original
-	// allocating path as the reference).
-	noScratch bool
-
 	// stats is the counter set of the Batch the session is a member of
 	// (set by NewBatch and DecodeBatch); nil for solo sessions.
 	stats *BatchStats
@@ -319,13 +314,13 @@ type trailEntry struct {
 	flipped bool   // whether recovery already flipped this answer
 }
 
-// reapply narrows the entry's pre-partition candidates by answer a,
-// dispatching on the entry's question kind (unpooled, like backtrack).
-func (te trailEntry) reapply(a Answer) *dataset.Subset {
+// reapply narrows the entry's pre-partition candidates by answer a through
+// sc, dispatching on the entry's question kind.
+func (te trailEntry) reapply(a Answer, sc *dataset.Scratch) *dataset.Subset {
 	if te.subset != nil {
-		return applyGroup(te.before, te.subset, te.sem, a)
+		return applyGroup(te.before, te.subset, te.sem, a, sc)
 	}
-	return apply(te.before, te.entity, a)
+	return apply(te.before, te.entity, a, sc)
 }
 
 // Run executes Algorithm 2: filter the collection to supersets of initial,
@@ -380,23 +375,11 @@ func Run(c *dataset.Collection, initial []dataset.Entity, o Oracle, opts Options
 	return s.Result()
 }
 
-// apply narrows the candidates by one answered question (lines 8–12).
-func apply(cs *dataset.Subset, e dataset.Entity, a Answer) *dataset.Subset {
-	with, without := cs.Partition(e)
-	if a == Yes {
-		return with
-	}
-	return without
-}
-
-// applyScratch is apply through the session scratch: the partition draws
-// pooled bitsets and the half ruled out by the answer — which nothing can
-// ever reference — is recycled on the spot. With a nil scratch it is
-// exactly apply.
-func applyScratch(cs *dataset.Subset, e dataset.Entity, a Answer, sc *dataset.Scratch) *dataset.Subset {
-	if sc == nil {
-		return apply(cs, e, a)
-	}
+// apply narrows the candidates by one answered question (lines 8–12)
+// through the session scratch: the partition draws pooled bitsets and the
+// half ruled out by the answer — which nothing can ever reference — is
+// recycled on the spot.
+func apply(cs *dataset.Subset, e dataset.Entity, a Answer, sc *dataset.Scratch) *dataset.Subset {
 	with, without := cs.PartitionScratch(e, sc)
 	if a == Yes {
 		without.Release()
@@ -406,22 +389,10 @@ func applyScratch(cs *dataset.Subset, e dataset.Entity, a Answer, sc *dataset.Sc
 	return without
 }
 
-// applyGroup narrows the candidates by one answered group question: the
-// yes half under the subset's semantics, or its complement.
-func applyGroup(cs *dataset.Subset, members []dataset.Entity, sem grouptest.Semantics, a Answer) *dataset.Subset {
-	yes, no := cs.PartitionGroup(members, sem == grouptest.SubsetOfTarget)
-	if a == Yes {
-		return yes
-	}
-	return no
-}
-
-// applyGroupScratch is applyGroup through the session scratch, mirroring
-// applyScratch: the half ruled out by the answer is recycled on the spot.
-func applyGroupScratch(cs *dataset.Subset, members []dataset.Entity, sem grouptest.Semantics, a Answer, sc *dataset.Scratch) *dataset.Subset {
-	if sc == nil {
-		return applyGroup(cs, members, sem, a)
-	}
+// applyGroup narrows the candidates by one answered group question through
+// the session scratch: the yes half under the subset's semantics, or its
+// complement. Like apply, it recycles the half ruled out on the spot.
+func applyGroup(cs *dataset.Subset, members []dataset.Entity, sem grouptest.Semantics, a Answer, sc *dataset.Scratch) *dataset.Subset {
 	yes, no := cs.PartitionGroupScratch(members, sem == grouptest.SubsetOfTarget, sc)
 	if a == Yes {
 		no.Release()
@@ -434,7 +405,7 @@ func applyGroupScratch(cs *dataset.Subset, members []dataset.Entity, sem groupte
 // selectBatch picks the entities for the next interaction: the strategy's
 // choice, plus (BatchSize−1) further entities ranked by 1-step bound for
 // multiple-choice interactions. Selection time is accounted to the result.
-// sc, when non-nil, backs the batch ranking's entity counting.
+// sc backs the batch ranking's entity counting.
 func selectBatch(cs *dataset.Subset, opts Options, excluded map[dataset.Entity]bool, res *Result, sc *dataset.Scratch) ([]dataset.Entity, bool) {
 	start := time.Now()
 	defer func() { res.SelectionTime += time.Since(start) }()
@@ -455,13 +426,7 @@ func selectBatch(cs *dataset.Subset, opts Options, excluded map[dataset.Entity]b
 		uneven int
 	}
 	var cands []cand
-	var infos []dataset.EntityCount
-	if sc != nil {
-		infos = cs.InformativeEntitiesInto(sc)
-	} else {
-		infos = cs.InformativeEntities()
-	}
-	for _, ec := range infos {
+	for _, ec := range cs.InformativeEntitiesInto(sc) {
 		if ec.Entity == first || excluded[ec.Entity] {
 			continue
 		}
@@ -507,26 +472,29 @@ func selectOne(cs *dataset.Subset, sel strategy.Strategy, excluded map[dataset.E
 
 // backtrack implements §6 error recovery: walk the trail backwards flipping
 // the most recent answer that has not been flipped yet, and restart from
-// that point. Returns the restored candidate set and the truncated trail.
-func backtrack(trail []trailEntry, opts Options, res *Result) (*dataset.Subset, []trailEntry, error) {
-	if !opts.Backtrack {
-		return nil, trail, ErrContradiction
+// that point. It truncates the trail and installs the restored candidate
+// set, re-applied through the session scratch, in place of the superseded
+// one. On error s.cs is left for finish to dispose of.
+func (s *Session) backtrack() error {
+	if !s.opts.Backtrack {
+		return ErrContradiction
 	}
-	for i := len(trail) - 1; i >= 0; i-- {
-		if trail[i].flipped {
+	res := s.res
+	for i := len(s.trail) - 1; i >= 0; i-- {
+		if s.trail[i].flipped {
 			continue
 		}
-		if res.Backtracks >= opts.MaxBacktracks {
-			return nil, trail, fmt.Errorf("%w (backtrack limit %d reached)",
-				ErrContradiction, opts.MaxBacktracks)
+		if res.Backtracks >= s.opts.MaxBacktracks {
+			return fmt.Errorf("%w (backtrack limit %d reached)",
+				ErrContradiction, s.opts.MaxBacktracks)
 		}
 		res.Backtracks++
-		e := trail[i]
+		e := s.trail[i]
 		flippedAnswer := Yes
 		if e.answer == Yes {
 			flippedAnswer = No
 		}
-		cs := e.reapply(flippedAnswer)
+		cs := e.reapply(flippedAnswer, s.scratch)
 		// Record the flip in the asked log so Asked reflects answers as
 		// finally used.
 		for j := len(res.Asked) - 1; j >= 0; j-- {
@@ -539,16 +507,22 @@ func backtrack(trail []trailEntry, opts Options, res *Result) (*dataset.Subset, 
 		// truncation drops them for good, so their retained pre-partition
 		// sets go back to the pool (entry i's own subset lives on in the
 		// re-appended flipped entry).
-		for j := i + 1; j < len(trail); j++ {
-			trail[j].before.Release()
+		for j := i + 1; j < len(s.trail); j++ {
+			s.trail[j].before.Release()
 		}
-		trail = trail[:i]
-		trail = append(trail, trailEntry{before: e.before, entity: e.entity,
+		s.trail = append(s.trail[:i], trailEntry{before: e.before, entity: e.entity,
 			subset: e.subset, sem: e.sem, answer: flippedAnswer, flipped: true})
 		if cs.Size() > 0 {
-			return cs, trail, nil
+			// The superseded candidate set (the rejected single candidate,
+			// or the emptied set of a contradiction) is referenced by
+			// nothing else: trail entries hold pre-partition sets and
+			// snapshots detach first.
+			s.cs.Release()
+			s.cs = cs // lint:owns — the session owns cs; finish/releaseTrail recycle it.
+			return nil
 		}
-		// Still contradictory: keep unwinding.
+		// Still contradictory: recycle the empty restore and keep unwinding.
+		cs.Release()
 	}
-	return nil, trail, ErrContradiction
+	return ErrContradiction
 }

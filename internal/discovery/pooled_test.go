@@ -1,15 +1,12 @@
 package discovery
 
 import (
-	"errors"
 	"slices"
 	"testing"
 
 	"setdiscovery/internal/cost"
 	"setdiscovery/internal/dataset"
-	"setdiscovery/internal/rng"
 	"setdiscovery/internal/strategy"
-	"setdiscovery/internal/synth"
 	"setdiscovery/internal/testutil"
 )
 
@@ -28,43 +25,7 @@ func sameQuestions(a, b []Question) bool {
 	return true
 }
 
-// runPair drives one discovery twice — pooled (session scratch + scratch
-// strategy sibling) and unpooled (the original allocating paths) — and
-// fails unless both asked byte-identical question sequences and produced
-// the same outcome. mkOracle must return deterministic, equally seeded
-// oracles.
-func runPair(t *testing.T, c *dataset.Collection, initial []dataset.Entity,
-	mkOracle func() Oracle, pooledSel, unpooledSel strategy.Strategy, mut func(*Options)) {
-	t.Helper()
-	pOpts := Options{Strategy: pooledSel}
-	uOpts := Options{Strategy: unpooledSel, noScratch: true}
-	if mut != nil {
-		mut(&pOpts)
-		mut(&uOpts)
-	}
-	pRes, pErr := Run(c, initial, mkOracle(), pOpts)
-	uRes, uErr := Run(c, initial, mkOracle(), uOpts)
-	if (pErr == nil) != (uErr == nil) || (pErr != nil && !errors.Is(pErr, uErr) && !errors.Is(uErr, pErr)) {
-		t.Fatalf("pooled err %v vs unpooled err %v", pErr, uErr)
-	}
-	if pErr != nil {
-		return
-	}
-	if !sameQuestions(pRes.Asked, uRes.Asked) {
-		t.Fatalf("question sequences diverged:\npooled:   %v\nunpooled: %v", pRes.Asked, uRes.Asked)
-	}
-	if pRes.Target != uRes.Target {
-		t.Fatalf("targets diverged: %v vs %v", pRes.Target, uRes.Target)
-	}
-	if pRes.Questions != uRes.Questions || pRes.Interactions != uRes.Interactions ||
-		pRes.Unknowns != uRes.Unknowns || pRes.Backtracks != uRes.Backtracks {
-		t.Fatalf("counters diverged: pooled %+v vs unpooled %+v", pRes, uRes)
-	}
-	if !sameMemberIndexes(pRes.Candidates, uRes.Candidates) {
-		t.Fatalf("candidates diverged")
-	}
-}
-
+// sameMemberIndexes reports whether two subsets hold the same set indexes.
 func sameMemberIndexes(a, b *dataset.Subset) bool {
 	am, bm := a.Members(), b.Members()
 	if len(am) != len(bm) {
@@ -78,78 +39,23 @@ func sameMemberIndexes(a, b *dataset.Subset) bool {
 	return true
 }
 
-// TestPooledSessionsAskIdenticalQuestions is the tentpole equivalence proof
-// at the discovery layer: across strategies and every target of two
-// collections, the pooled session asks exactly the questions the original
-// allocating session asks.
-func TestPooledSessionsAskIdenticalQuestions(t *testing.T) {
-	sc, err := synth.Generate(synth.Params{N: 50, SizeMin: 8, SizeMax: 12, Alpha: 0.8, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []*dataset.Collection{testutil.PaperCollection(), sc} {
-		klp := strategy.NewKLP(cost.AD, 2)
-		klpRef := strategy.NewKLP(cost.AD, 2).DisableScratch()
-		gaink := strategy.NewGainK(2)
-		gainkRef := strategy.NewGainK(2).DisableScratch()
-		for _, target := range c.Sets() {
-			mk := func() Oracle { return TargetOracle{target} }
-			runPair(t, c, nil, mk, klp.New(), klpRef.New(), nil)
-			runPair(t, c, nil, mk, gaink.New(), gainkRef.New(), nil)
-			runPair(t, c, nil, mk, strategy.MostEven{}.New(), strategy.MostEven{}, nil)
-		}
-	}
-}
+// TestPooledSessionsAskIdenticalQuestions replays k-LP (k=2), gain-k (k=2)
+// and most-even over every target of the paper collection and of a 50-set
+// synthetic collection, and requires each session to ask exactly the
+// questions recorded in testdata/sessions.golden.
+func TestPooledSessionsAskIdenticalQuestions(t *testing.T) { replayGolden(t) }
 
 // TestPooledSessionsWithUnknownsAndBatches covers the session features that
-// touch the candidate set beyond plain narrowing: "don't know" exclusions
-// and multi-question batches.
-func TestPooledSessionsWithUnknownsAndBatches(t *testing.T) {
-	c := testutil.PaperCollection()
-	klp := strategy.NewKLP(cost.AD, 2)
-	klpRef := strategy.NewKLP(cost.AD, 2).DisableScratch()
-	for _, target := range c.Sets() {
-		// First question answered "don't know": forces the exclusion path.
-		mkUnsure := func() Oracle {
-			first := true
-			inner := TargetOracle{target}
-			return OracleFunc(func(e dataset.Entity) Answer {
-				if first {
-					first = false
-					return Unknown
-				}
-				return inner.Answer(e)
-			})
-		}
-		runPair(t, c, nil, mkUnsure, klp.New(), klpRef.New(), nil)
-		// Batches of three questions per interaction.
-		mk := func() Oracle { return TargetOracle{target} }
-		runPair(t, c, nil, mk, klp.New(), klpRef.New(), func(o *Options) { o.BatchSize = 3 })
-	}
-}
+// touch the candidate set beyond plain narrowing: a "don't know" answer to
+// the first question, which forces the exclusion path, and batches of three
+// questions per interaction, over every paper target.
+func TestPooledSessionsWithUnknownsAndBatches(t *testing.T) { replayGolden(t) }
 
-// TestPooledSessionsWithBacktracking drives noisy oracles through the §6
-// confirm-and-recover loop on both paths: backtracking retains superseded
-// candidate sets in its trail, the hardest case for recycling to get right.
-func TestPooledSessionsWithBacktracking(t *testing.T) {
-	c := testutil.PaperCollection()
-	klp := strategy.NewKLP(cost.AD, 2)
-	klpRef := strategy.NewKLP(cost.AD, 2).DisableScratch()
-	for _, target := range c.Sets() {
-		for trial := 0; trial < 10; trial++ {
-			seed := uint64(trial)*1000 + uint64(target.Index)
-			mk := func() Oracle {
-				return &NoisyOracle{Inner: TargetOracle{target}, P: 0.2, R: rng.New(seed)}
-			}
-			runPair(t, c, nil, mk, klp.New(), klpRef.New(), func(o *Options) {
-				o.Backtrack = true
-				o.ConfirmTarget = true
-				o.MaxQuestions = 200
-				o.MaxBacktracks = 200
-			})
-		}
-	}
-}
+// TestPooledSessionsWithBacktracking drives noisy oracles (P=0.2, 10 seeded
+// trials per paper target) through the §6 confirm-and-recover loop:
+// backtracking retains superseded candidate sets in its trail and restores
+// them from the pool, the hardest case for recycling to get right.
+func TestPooledSessionsWithBacktracking(t *testing.T) { replayGolden(t) }
 
 // TestSessionSnapshotSurvivesLaterAnswers pins the escape discipline: a
 // progress snapshot taken mid-session must keep its candidate list intact

@@ -118,9 +118,7 @@ func NewSession(c *dataset.Collection, initial []dataset.Entity, opts Options) (
 		res:      &Result{Candidates: cs},
 		cs:       cs,
 		excluded: make(map[dataset.Entity]bool),
-	}
-	if !opts.noScratch {
-		s.scratch = dataset.NewScratch()
+		scratch:  dataset.NewScratch(),
 	}
 	if cs.Size() == 0 {
 		s.finish(ErrNoCandidates)
@@ -192,16 +190,10 @@ func (s *Session) Answer(a Answer) error {
 		}
 		// Rejection (a "don't know" about one's own set counts as one):
 		// some earlier answer was wrong — flip and resume.
-		cs, trail, err := backtrack(s.trail, s.opts, s.res)
-		s.trail = trail
-		if err != nil {
+		if err := s.backtrack(); err != nil {
 			s.finish(err)
 			return nil
 		}
-		// The rejected single-candidate set is superseded by the restored
-		// one and nothing else references it (snapshots detach first).
-		s.cs.Release()
-		s.cs = cs
 		s.advance()
 		return nil
 	case stateAsk:
@@ -221,7 +213,7 @@ func (s *Session) Answer(a Answer) error {
 		case Yes, No:
 			old := s.cs
 			// lint:owns — the session owns cs; finish/releaseTrail recycle it.
-			s.cs = applyScratch(old, e, a, s.scratch)
+			s.cs = apply(old, e, a, s.scratch)
 			if s.opts.Backtrack {
 				// The trail must be able to restore any earlier candidate
 				// set, so superseded subsets stay live until the session
@@ -266,7 +258,7 @@ func (s *Session) answerGroup(a Answer) error {
 	case Yes, No:
 		old := s.cs
 		// lint:owns — the session owns cs; finish/releaseTrail recycle it.
-		s.cs = applyGroupScratch(old, members, sem, a, s.scratch)
+		s.cs = applyGroup(old, members, sem, a, s.scratch)
 		if s.opts.Backtrack {
 			s.trail = append(s.trail, trailEntry{before: old, subset: members, sem: sem, answer: a})
 		} else {
@@ -287,14 +279,10 @@ func (s *Session) answerGroup(a Answer) error {
 func (s *Session) advanceGroup() {
 	if s.contradiction {
 		s.contradiction = false
-		cs, trail, err := backtrack(s.trail, s.opts, s.res)
-		s.trail = trail
-		if err != nil {
+		if err := s.backtrack(); err != nil {
 			s.finish(err)
 			return
 		}
-		s.cs.Release()
-		s.cs = cs
 	}
 	if s.cs.Size() > 1 && !(s.opts.MaxQuestions > 0 && s.res.Questions >= s.opts.MaxQuestions) {
 		if q, ok := s.selectGroup(); ok {
@@ -348,17 +336,10 @@ func (s *Session) advance() {
 			s.inBatch = false
 			if s.contradiction {
 				s.contradiction = false
-				cs, trail, err := backtrack(s.trail, s.opts, s.res)
-				s.trail = trail
-				if err != nil {
+				if err := s.backtrack(); err != nil {
 					s.finish(err)
 					return
 				}
-				// The emptied candidate set of the abandoned batch is
-				// superseded by the restored one; recycle it (it cannot be
-				// in the trail — trail entries hold pre-partition sets).
-				s.cs.Release()
-				s.cs = cs
 			}
 		}
 		if s.cs.Size() > 1 && !(s.opts.MaxQuestions > 0 && s.res.Questions >= s.opts.MaxQuestions) {

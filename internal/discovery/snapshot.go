@@ -603,9 +603,7 @@ func decodeSessionInto(c *dataset.Collection, opts Options, r *stateReader, vers
 		pending:       pending,
 		pendingSub:    pendingSub,
 		pendingSem:    pendingSem,
-	}
-	if !opts.noScratch {
-		s.scratch = dataset.NewScratch()
+		scratch:       dataset.NewScratch(),
 	}
 	if confirmIdx > 0 {
 		s.confirm = c.Set(int(confirmIdx - 1))

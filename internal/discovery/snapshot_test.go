@@ -162,11 +162,9 @@ func TestSessionSnapshotRestoreEquivalence(t *testing.T) {
 					compareOutcome(t, target.Name, restored, orig)
 					// The restored session must leave no pooled subsets behind
 					// beyond the final (unpooled) candidate set.
-					if restored.scratch != nil {
-						if out := restored.scratch.Pool().Stats().Outstanding(); out > 1 {
-							t.Fatalf("%s cut %d: %d pooled subsets outstanding after restore+finish",
-								target.Name, cut, out)
-						}
+					if out := restored.scratch.Pool().Stats().Outstanding(); out > 1 {
+						t.Fatalf("%s cut %d: %d pooled subsets outstanding after restore+finish",
+							target.Name, cut, out)
 					}
 				}
 			}

@@ -92,14 +92,16 @@ func Table3(cfg Config) (*Result, error) {
 }
 
 // fig8Strategies are the strategy constructors of Figure 8 in the paper's
-// order and parameterisation.
+// order and parameterisation. Each call mints a fresh instance through
+// Factory.New, exactly as engines, batches and tree builds do, so Figure
+// 8(b) times the selection path they run.
 func fig8Strategies() (names []string, make []func() strategy.Strategy) {
 	names = []string{"InfoGain", "k-LP(k=2)", "k-LPLE(k=3,q=10)", "k-LPLVE(k=3,q=10)"}
 	make = []func() strategy.Strategy{
-		func() strategy.Strategy { return strategy.InfoGain{} },
-		func() strategy.Strategy { return strategy.NewKLP(cost.AD, 2) },
-		func() strategy.Strategy { return strategy.NewKLPLE(cost.AD, 3, 10) },
-		func() strategy.Strategy { return strategy.NewKLPLVE(cost.AD, 3, 10) },
+		func() strategy.Strategy { return strategy.InfoGain{}.New() },
+		func() strategy.Strategy { return strategy.NewKLP(cost.AD, 2).New() },
+		func() strategy.Strategy { return strategy.NewKLPLE(cost.AD, 3, 10).New() },
+		func() strategy.Strategy { return strategy.NewKLPLVE(cost.AD, 3, 10).New() },
 	}
 	return names, make
 }

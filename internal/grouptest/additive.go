@@ -40,7 +40,8 @@ func (s Additive) New() Strategy {
 
 // SelectSubset implements Strategy.
 func (s Additive) SelectSubset(sub *dataset.Subset, excluded map[dataset.Entity]bool) (QuestionSubset, bool) {
-	pool := s.poolOf(sub, excluded)
+	sc := s.scratch()
+	pool := poolOf(sub, excluded, sc)
 	if len(pool) == 0 {
 		return QuestionSubset{}, false
 	}
@@ -77,7 +78,7 @@ func (s Additive) SelectSubset(sub *dataset.Subset, excluded map[dataset.Entity]
 		slices.Sort(members)
 		// Progress guard: closure can inflate C until every candidate
 		// intersects it, which would pin the session on one question.
-		cv := sub.NewGroupCoverage(s.sc)
+		cv := sub.NewGroupCoverage(sc)
 		for _, e := range members {
 			cv.Add(e)
 		}

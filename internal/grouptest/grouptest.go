@@ -118,27 +118,26 @@ func New(name string, constraints []Constraint) (Factory, error) {
 	}
 }
 
-// baseScratch mirrors strategy's: an optional scratch for allocation-free
-// entity counting. The zero value runs the allocating path.
+// baseScratch mirrors strategy's: the scratch behind allocation-free entity
+// counting and coverage bitsets. Factory.New attaches a fresh one; a zero
+// value used without New works through a throwaway scratch per call.
 type baseScratch struct {
 	sc *dataset.Scratch
 }
 
-// infos returns sub's informative entities, through the scratch when one is
-// attached. The slice aliases the scratch and is consumed before its next
-// use.
-func (b baseScratch) infos(sub *dataset.Subset) []dataset.EntityCount {
-	if b.sc != nil {
-		return sub.InformativeEntitiesInto(b.sc)
+// scratch returns the attached scratch, or a throwaway one for a zero value.
+func (b baseScratch) scratch() *dataset.Scratch {
+	if b.sc == nil {
+		return dataset.NewScratch()
 	}
-	return sub.InformativeEntities()
+	return b.sc
 }
 
-// poolOf copies the non-excluded informative entities out of the scratch
-// aliased infos slice, in entity-ID order. The copy is what lets strategies
+// poolOf copies the non-excluded informative entities of sub, counted
+// through sc, in entity-ID order. The copy is what lets strategies
 // interleave further scratch use (coverage bitsets) with the pool.
-func (b baseScratch) poolOf(sub *dataset.Subset, excluded map[dataset.Entity]bool) []dataset.EntityCount {
-	infos := b.infos(sub)
+func poolOf(sub *dataset.Subset, excluded map[dataset.Entity]bool, sc *dataset.Scratch) []dataset.EntityCount {
+	infos := sub.InformativeEntitiesInto(sc)
 	pool := make([]dataset.EntityCount, 0, len(infos))
 	for _, ec := range infos {
 		if excluded != nil && excluded[ec.Entity] {

@@ -30,7 +30,8 @@ func (s Halving) New() Strategy { return Halving{baseScratch{dataset.NewScratch(
 // only returned when non-empty, and the single-entity fallback is
 // informative by construction.
 func (s Halving) SelectSubset(sub *dataset.Subset, excluded map[dataset.Entity]bool) (QuestionSubset, bool) {
-	pool := s.poolOf(sub, excluded)
+	sc := s.scratch()
+	pool := poolOf(sub, excluded, sc)
 	if len(pool) == 0 {
 		return QuestionSubset{}, false
 	}
@@ -45,7 +46,7 @@ func (s Halving) SelectSubset(sub *dataset.Subset, excluded map[dataset.Entity]b
 	}
 
 	target := n / 2
-	cv := sub.NewGroupCoverage(s.sc)
+	cv := sub.NewGroupCoverage(sc)
 	var picked []dataset.Entity
 	for cv.Covered() < target {
 		found := false

@@ -83,7 +83,7 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 // Marker annotations. A marker comment anywhere on a line — trailing or on
 // the line immediately above a statement — opts that line out of one rule:
 //
-//	s.cs = applyScratch(old, e, a, s.scratch) // lint:owns — session owns cs
+//	s.cs = apply(old, e, a, s.scratch) // lint:owns — session owns cs
 //
 // Recognised markers: "lint:owns" (poolcheck: this store is a deliberate
 // ownership transfer) and "lint:bounded" (decoderbounds: this size is

@@ -23,19 +23,18 @@ import (
 // the paper's pruning removes. A memoised variant exists as an ablation to
 // show the speedup is not mere caching.
 type GainK struct {
-	k         int
-	memo      bool
-	noScratch bool
-	cache     *cache.Cache[float64] // nil unless memo; shared across siblings
+	k     int
+	memo  bool
+	cache *cache.Cache[float64] // nil unless memo; shared across siblings
 	// Evaluations counts entity evaluations across all recursion levels —
 	// a machine-independent work measure used alongside wall time. It is
 	// per-instance: siblings minted by New count their own work.
 	Evaluations int64
 	excluded    map[dataset.Entity]bool // active only during SelectExcluding
 
-	// scratch is live on siblings minted by New (see KLP.New): count
-	// arrays, candidate buffers and partition bitsets are reused across
-	// the whole lookahead, allocation-free in steady state.
+	// scratch holds the count arrays, candidate buffers and partition
+	// bitsets reused across the whole lookahead, allocation-free in steady
+	// state. NewGainK attaches one and New mints a fresh one per sibling.
 	scratch workerScratch
 }
 
@@ -44,7 +43,7 @@ func NewGainK(k int) *GainK {
 	if k < 1 {
 		panic("strategy: gain-k requires k >= 1")
 	}
-	return &GainK{k: k}
+	return &GainK{k: k, scratch: newWorkerScratch()}
 }
 
 // NewGainKMemo returns a memoised gain-k (ablation).
@@ -62,19 +61,8 @@ func (g *GainK) New() Strategy {
 	sibling := *g
 	sibling.Evaluations = 0
 	sibling.excluded = nil
-	sibling.scratch = workerScratch{}
-	if !g.noScratch {
-		sibling.scratch = workerScratch{sc: dataset.NewScratch()}
-	}
+	sibling.scratch = newWorkerScratch()
 	return &sibling
-}
-
-// DisableScratch turns off scratch/pool reuse on minted siblings
-// (ablation and reference path; selections are identical either way).
-func (g *GainK) DisableScratch() *GainK {
-	g.noScratch = true
-	g.scratch = workerScratch{}
-	return g
 }
 
 // SetCacheBound replaces the memo cache (when memoised) with a bounded one
@@ -112,7 +100,7 @@ func (g *GainK) Select(sub *dataset.Subset) (dataset.Entity, bool) {
 			continue
 		}
 		g.Evaluations++
-		with, without := g.scratch.partition(sub, cand.entity)
+		with, without := sub.PartitionScratch(cand.entity, g.scratch.sc)
 		v := (float64(with.Size())*g.entropy(with, g.k-1) +
 			float64(without.Size())*g.entropy(without, g.k-1)) / n
 		with.Release()
@@ -159,7 +147,7 @@ func (g *GainK) entropy(sub *dataset.Subset, j int) float64 {
 	} else {
 		for _, cand := range cands {
 			g.Evaluations++
-			with, without := g.scratch.partition(sub, cand.entity)
+			with, without := sub.PartitionScratch(cand.entity, g.scratch.sc)
 			v := (float64(with.Size())*g.entropy(with, j-1) +
 				float64(without.Size())*g.entropy(without, j-1)) / float64(n)
 			with.Release()

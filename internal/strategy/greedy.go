@@ -6,23 +6,23 @@ import (
 	"setdiscovery/internal/dataset"
 )
 
-// baseScratch gives the stateless baselines an optional scratch for
-// allocation-free entity counting. The zero value (nil pointer) keeps the
-// baseline a plain stateless value running the allocating path; Factory.New
-// attaches a fresh scratch so each worker counts into private reusable
-// memory.
+// baseScratch gives the stateless baselines their scratch for
+// allocation-free entity counting. Factory.New attaches a fresh scratch so
+// each worker counts into private reusable memory; a zero value used
+// without New counts through a throwaway scratch per call.
 type baseScratch struct {
 	sc *dataset.Scratch
 }
 
-// infos returns sub's informative entities, through the scratch when one is
-// attached. The slice aliases the scratch and is consumed before the next
-// call, matching how every baseline uses it.
+// infos returns sub's informative entities. The slice aliases the scratch
+// and is consumed before the next call, matching how every baseline uses
+// it.
 func (b baseScratch) infos(sub *dataset.Subset) []dataset.EntityCount {
-	if b.sc != nil {
-		return sub.InformativeEntitiesInto(b.sc)
+	sc := b.sc
+	if sc == nil {
+		sc = dataset.NewScratch()
 	}
-	return sub.InformativeEntities()
+	return sub.InformativeEntitiesInto(sc)
 }
 
 // MostEven is the greedy (ln n + 1)-approximation of Adler & Heeringa

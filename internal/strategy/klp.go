@@ -34,7 +34,6 @@ type KLP struct {
 
 	noSortPrune bool // ablation: disable the sorted early-stop (lines 14–15)
 	noULPrune   bool // ablation: disable recursive upper limits (lines 22, 29)
-	noScratch   bool // ablation: disable scratch/pool reuse on minted siblings
 
 	cache    *cache.Cache[cacheEntry]
 	recorder *Recorder
@@ -42,8 +41,8 @@ type KLP struct {
 
 	// scratch is the per-instance reusable working memory (count arrays,
 	// candidate buffers, bitset pool) making steady-state Select
-	// allocation-free. It is live on siblings minted by New; a KLP value
-	// used directly as a Strategy runs the allocating fallback paths.
+	// allocation-free. NewKLP attaches one and New mints a fresh one per
+	// sibling.
 	scratch workerScratch
 }
 
@@ -59,7 +58,7 @@ func NewKLP(m cost.Metric, k int) *KLP {
 	if k < 1 {
 		panic("strategy: k-LP requires k >= 1")
 	}
-	return &KLP{metric: m, k: k, cache: cache.New[cacheEntry]()}
+	return &KLP{metric: m, k: k, cache: cache.New[cacheEntry](), scratch: newWorkerScratch()}
 }
 
 // New implements Factory: it returns a sibling strategy for the exclusive
@@ -72,10 +71,7 @@ func NewKLP(m cost.Metric, k int) *KLP {
 func (s *KLP) New() Strategy {
 	sibling := *s
 	sibling.excluded = nil
-	sibling.scratch = workerScratch{}
-	if !s.noScratch {
-		sibling.scratch = workerScratch{sc: dataset.NewScratch()}
-	}
+	sibling.scratch = newWorkerScratch()
 	return &sibling
 }
 
@@ -122,16 +118,6 @@ func (s *KLP) DisableSortPrune() *KLP { s.noSortPrune = true; return s }
 
 // DisableULPrune turns off the recursive upper-limit pruning (ablation).
 func (s *KLP) DisableULPrune() *KLP { s.noULPrune = true; return s }
-
-// DisableScratch turns off the per-sibling scratch arenas and bitset pool
-// (ablation and reference path): siblings minted by New then run the
-// original allocating hot path. Selections are identical either way — the
-// pooled-vs-unpooled equivalence tests pin this.
-func (s *KLP) DisableScratch() *KLP {
-	s.noScratch = true
-	s.scratch = workerScratch{}
-	return s
-}
 
 // SetCacheBound replaces the shared lookahead cache with a bounded one
 // holding at most (approximately) n entries under clock eviction, so
@@ -277,9 +263,9 @@ func (s *KLP) search(sub *dataset.Subset, k int, ul cost.Value, depth int) (ent 
 			ns.PrunedSort += len(cands) - i
 			break
 		}
-		with, without := s.scratch.partition(sub, cand.entity)
+		with, without := sub.PartitionScratch(cand.entity, s.scratch.sc)
 		l, aborted := s.childBounds(with, without, k, ul, depth, n)
-		// The children are pure lookahead state: hand their (pooled)
+		// The children are pure lookahead state: hand their pooled
 		// bitsets back before moving to the next candidate.
 		with.Release()
 		without.Release()

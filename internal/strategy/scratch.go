@@ -5,17 +5,18 @@ import (
 	"setdiscovery/internal/dataset"
 )
 
-// workerScratch bundles the reusable per-instance state behind the
-// allocation-free hot path: the dataset scratch (count arrays, EntityCount
-// buffer, bitset pool) and a depth-indexed stack of candidate buffers so
-// the lookahead recursion levels never stomp each other's candidate lists.
-//
-// A zero workerScratch (nil sc) falls back to the allocating paths — that
-// is the behaviour of strategy values used directly rather than minted
-// through Factory.New, and of the DisableScratch ablation.
+// workerScratch bundles the reusable per-instance state of the lookahead
+// strategies: the dataset scratch (count arrays, EntityCount buffer, bitset
+// pool) and a depth-indexed stack of candidate buffers so the lookahead
+// recursion levels never stomp each other's candidate lists. Every KLP and
+// GainK value carries one, and New mints a fresh one per sibling.
 type workerScratch struct {
 	sc        *dataset.Scratch
 	candStack [][]candidate
+}
+
+func newWorkerScratch() workerScratch {
+	return workerScratch{sc: dataset.NewScratch()}
 }
 
 // candidatesAt fills the depth-th candidate buffer with sub's informative
@@ -29,14 +30,4 @@ func (w *workerScratch) candidatesAt(depth int, sub *dataset.Subset, m cost.Metr
 	cands := appendCandidates(w.candStack[depth], sub, m, w.sc)
 	w.candStack[depth] = cands
 	return cands
-}
-
-// partition splits sub by e, through the pool when scratch state is live.
-// Pooled results must be handed back with Release (a no-op on the
-// allocating fallback, so callers release unconditionally).
-func (w *workerScratch) partition(sub *dataset.Subset, e dataset.Entity) (with, without *dataset.Subset) {
-	if w.sc != nil {
-		return sub.PartitionScratch(e, w.sc)
-	}
-	return sub.Partition(e)
 }

@@ -37,89 +37,40 @@ func scratchSubs(t testing.TB) []*dataset.Subset {
 	return subs
 }
 
-// TestScratchSelectionsMatchUnpooled pins the tentpole equivalence at the
-// strategy layer: for every strategy, a scratch-carrying sibling minted by
-// New selects exactly what the allocating reference path selects, on every
-// sub-collection, in repeated passes over warm scratch state.
+// TestScratchSelectionsMatchUnpooled pins every strategy's Select pick on
+// every sub-collection to testdata/selections.golden. The file was recorded
+// while the allocating reference path still existed, from a build in which
+// its picks equalled the scratch path's, so it is that reference's output.
+// One warm instance per strategy runs two passes, and both must match.
+// Regenerate the file only for a change meant to alter selections:
+//
+//	go test ./internal/strategy/ -run 'TestScratchSelect' -update
 func TestScratchSelectionsMatchUnpooled(t *testing.T) {
 	subs := scratchSubs(t)
-	factories := []struct {
-		name             string
-		pooled, unpooled Factory
-	}{
-		{"klp-k2", NewKLP(cost.AD, 2), NewKLP(cost.AD, 2).DisableScratch()},
-		{"klp-k3-h", NewKLP(cost.H, 3), NewKLP(cost.H, 3).DisableScratch()},
-		{"klple-k3-q5", NewKLPLE(cost.AD, 3, 5), NewKLPLE(cost.AD, 3, 5).DisableScratch()},
-		{"klplve-k3-q5", NewKLPLVE(cost.AD, 3, 5), NewKLPLVE(cost.AD, 3, 5).DisableScratch()},
-		{"gaink-2", NewGainK(2), NewGainK(2).DisableScratch()},
-		{"gaink-memo-2", NewGainKMemo(2), NewGainKMemo(2).DisableScratch()},
-		{"most-even", MostEven{}, MostEven{}},
-		{"infogain", InfoGain{}, InfoGain{}},
-		{"indg", Indg{}, Indg{}},
-	}
-	for _, f := range factories {
-		t.Run(f.name, func(t *testing.T) {
-			pooled := f.pooled.New()
-			for pass := 0; pass < 2; pass++ {
-				// Unpooled reference minted fresh each pass so its caches
-				// cannot mask a divergence the pooled instance introduces.
-				unpooled := f.unpooled.New()
-				for i, sub := range subs {
-					pe, pok := pooled.Select(sub)
-					ue, uok := unpooled.Select(sub)
-					if pe != ue || pok != uok {
-						t.Fatalf("pass %d sub %d: pooled (%d,%v) != unpooled (%d,%v)",
-							pass, i, pe, pok, ue, uok)
-					}
-				}
+	golden := goldenSelections(t, subs)
+	for _, s := range goldenSelectionStrategies {
+		t.Run(s.name, func(t *testing.T) {
+			sel := s.f().New()
+			for pass := range 2 {
+				checkLines(t, golden, s.name+" select", pass, selectLines(s.name, sel, subs))
 			}
 		})
 	}
 }
 
-// TestScratchSelectExcludingMatches runs the exclusion path over warm
-// scratch state for the strategies that implement Excluder.
+// TestScratchSelectExcludingMatches pins the SelectExcluding pick of the
+// five Excluders, with each sub-collection's first informative entity
+// excluded, to the golden file, in two passes over one warm instance.
 func TestScratchSelectExcludingMatches(t *testing.T) {
 	subs := scratchSubs(t)
-	mk := func() []Excluder {
-		return []Excluder{
-			NewKLP(cost.AD, 2).New().(*KLP),
-			NewGainK(2).New().(*GainK),
-			MostEven{}.New().(Excluder),
-			InfoGain{}.New().(Excluder),
-			Indg{}.New().(Excluder),
-		}
-	}
-	pooled := mk()
-	for i, sub := range subs {
-		infos := sub.InformativeEntities()
-		if len(infos) == 0 {
+	golden := goldenSelections(t, subs)
+	for _, s := range goldenSelectionStrategies {
+		if !s.excluding {
 			continue
 		}
-		excluded := map[dataset.Entity]bool{infos[0].Entity: true}
-		for j, p := range pooled {
-			pe, pok := p.SelectExcluding(sub, excluded)
-			if pok && excluded[pe] {
-				t.Fatalf("strategy %d sub %d proposed an excluded entity", j, i)
-			}
-			// Unpooled references are stateless per call.
-			var ue dataset.Entity
-			var uok bool
-			switch r := p.(type) {
-			case *KLP:
-				ue, uok = NewKLP(r.Metric(), r.K()).SelectExcluding(sub, excluded)
-			case *GainK:
-				ue, uok = NewGainK(2).SelectExcluding(sub, excluded)
-			case MostEven:
-				ue, uok = MostEven{}.SelectExcluding(sub, excluded)
-			case InfoGain:
-				ue, uok = InfoGain{}.SelectExcluding(sub, excluded)
-			case Indg:
-				ue, uok = Indg{}.SelectExcluding(sub, excluded)
-			}
-			if pe != ue || pok != uok {
-				t.Fatalf("strategy %d sub %d: pooled (%d,%v) != unpooled (%d,%v)", j, i, pe, pok, ue, uok)
-			}
+		sel := s.f().New().(Excluder)
+		for pass := range 2 {
+			checkLines(t, golden, s.name+" exclude", pass, excludeLines(t, s.name, sel, subs))
 		}
 	}
 }

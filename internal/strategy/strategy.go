@@ -42,9 +42,10 @@ type Strategy interface {
 // caches (Algorithm 1's Cache), which are concurrency-safe.
 //
 // Every concrete strategy in this package implements both Strategy and
-// Factory: the stateless baselines return themselves from New, the stateful
-// lookahead strategies return a sibling sharing their cache. A concrete
-// value can therefore be used directly where a Factory is expected.
+// Factory: New returns a fresh instance with its own counting scratch — for
+// the lookahead strategies a sibling sharing the receiver's cache. A
+// concrete value can therefore be used directly where a Factory is
+// expected.
 type Factory interface {
 	Name() string
 	// New returns a Strategy for the exclusive use of one goroutine.
@@ -59,24 +60,13 @@ type candidate struct {
 	uneven int        // |‖C1|−|C2‖ = |2·with − n|; 0 is perfectly even
 }
 
-// candidates lists the informative entities of sub with LB1 under metric m,
-// in entity-ID order.
-func candidates(sub *dataset.Subset, m cost.Metric) []candidate {
-	return appendCandidates(nil, sub, m, nil)
-}
-
-// appendCandidates is the buffer-reusing core of candidates: it resets buf
-// and fills it with the informative entities of sub (counted through sc
-// when non-nil, allocation-free in steady state), returning the possibly
-// regrown slice. The result is valid until sc's next use only so far as it
-// holds copies — the EntityCount scratch slice is consumed before return.
+// appendCandidates resets buf and fills it with the informative entities
+// of sub, counted through sc, with their LB1 under metric m, in entity-ID
+// order; it returns the possibly regrown slice. The scratch's EntityCount
+// slice is consumed before return, so the result stays valid across later
+// uses of sc.
 func appendCandidates(buf []candidate, sub *dataset.Subset, m cost.Metric, sc *dataset.Scratch) []candidate {
-	var infos []dataset.EntityCount
-	if sc != nil {
-		infos = sub.InformativeEntitiesInto(sc)
-	} else {
-		infos = sub.InformativeEntities()
-	}
+	infos := sub.InformativeEntitiesInto(sc)
 	n := sub.Size()
 	buf = slices.Grow(buf[:0], len(infos))
 	for _, ec := range infos {

@@ -2,6 +2,8 @@ package tree
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"setdiscovery/internal/bitset"
@@ -29,56 +31,50 @@ func serializeTree(t *testing.T, tr *Tree) []byte {
 	return buf.Bytes()
 }
 
-// TestPooledBuildByteIdentical is the tentpole equivalence proof at the
-// tree layer: the pooled build (scratch arenas, pooled partitions, context
-// recycling) produces a byte-identical serialized tree to the original
-// allocating build, across strategies and worker counts.
+// TestPooledBuildByteIdentical builds the 80-set synthetic collection with
+// the cases of the pooled-versus-allocating check that recorded them, at one,
+// two and four workers, and requires each tree to serialize byte for byte to
+// its golden tree and to validate. One pool serves every build, so each
+// build after the first runs on bitsets recycled from the builds before it,
+// and each build must hand every bitset back.
 func TestPooledBuildByteIdentical(t *testing.T) {
-	c := pooledTestCollection(t)
-	sub := c.All()
-	factories := []struct {
-		name     string
-		pooled   func() strategy.Factory
-		unpooled func() strategy.Factory
+	sub := pooledTestCollection(t).All()
+	pool := bitset.NewPool()
+	for _, f := range []struct {
+		name, golden string
+		f            func() strategy.Factory
 	}{
-		{"klp-k2",
-			func() strategy.Factory { return strategy.NewKLP(cost.AD, 2) },
-			func() strategy.Factory { return strategy.NewKLP(cost.AD, 2).DisableScratch() }},
-		{"klple-k3-q8",
-			func() strategy.Factory { return strategy.NewKLPLE(cost.AD, 3, 8) },
-			func() strategy.Factory { return strategy.NewKLPLE(cost.AD, 3, 8).DisableScratch() }},
-		{"infogain",
-			func() strategy.Factory { return strategy.InfoGain{} },
-			func() strategy.Factory { return strategy.InfoGain{} }},
-		{"gaink-2",
-			func() strategy.Factory { return strategy.NewGainK(2) },
-			func() strategy.Factory { return strategy.NewGainK(2).DisableScratch() }},
-	}
-	for _, f := range factories {
+		{"klp-k2", "synth80-klp-k2-ad", func() strategy.Factory { return strategy.NewKLP(cost.AD, 2) }},
+		{"klple-k3-q8", "synth80-klple-k3-q8", func() strategy.Factory { return strategy.NewKLPLE(cost.AD, 3, 8) }},
+		{"infogain", "synth80-infogain", func() strategy.Factory { return strategy.InfoGain{} }},
+		{"gaink-2", "synth80-gaink-2", func() strategy.Factory { return strategy.NewGainK(2) }},
+	} {
 		t.Run(f.name, func(t *testing.T) {
-			ref, err := Build(sub, f.unpooled(), WithParallelism(1), WithPooling(false))
+			path := filepath.Join("testdata", f.golden+".tree")
+			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := serializeTree(t, ref)
 			for _, workers := range []int{1, 2, 4} {
-				got, err := Build(sub, f.pooled(), WithParallelism(workers))
+				got, err := Build(sub, f.f(), WithParallelism(workers), withSharedPool(pool))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(serializeTree(t, got), want) {
-					t.Fatalf("pooled build (workers=%d) differs from unpooled reference", workers)
+				if b := serializeTree(t, got); !bytes.Equal(b, want) {
+					t.Fatalf("workers=%d: tree differs from %s at byte %d", workers, path, firstDiff(b, want))
 				}
 				if err := got.Validate(sub); err != nil {
-					t.Fatalf("pooled build (workers=%d): %v", workers, err)
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if out := pool.Stats().Outstanding(); out != 0 {
+					t.Fatalf("workers=%d: %d pooled bitsets outstanding after the build", workers, out)
 				}
 			}
 		})
 	}
 }
 
-// TestBuildReturnsEveryPooledBitset is the satellite leak check: after a
-// full build — sequential and parallel — every bitset drawn from the
+// TestBuildReturnsEveryPooledBitset is the leak check: after a full build — sequential and parallel — every bitset drawn from the
 // injected pool has been handed back.
 func TestBuildReturnsEveryPooledBitset(t *testing.T) {
 	c := pooledTestCollection(t)

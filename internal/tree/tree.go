@@ -44,9 +44,8 @@ type Tree struct {
 type BuildOption func(*buildConfig)
 
 type buildConfig struct {
-	workers  int
-	unpooled bool
-	pool     *bitset.Pool
+	workers int
+	pool    *bitset.Pool
 }
 
 // WithParallelism bounds the worker pool of Build at n goroutines. n ≤ 0
@@ -54,15 +53,6 @@ type buildConfig struct {
 // built tree is identical for every n (see Build).
 func WithParallelism(n int) BuildOption {
 	return func(c *buildConfig) { c.workers = n }
-}
-
-// WithPooling toggles the pooled partition path of Build (default on).
-// Turning it off restores the original allocating build — same tree,
-// byte for byte, just slower — which exists as the reference for the
-// pooled-vs-unpooled equivalence tests and for memory-profiling the pool
-// itself out of the picture.
-func WithPooling(on bool) BuildOption {
-	return func(c *buildConfig) { c.unpooled = !on }
 }
 
 // withSharedPool injects the bitset pool the build draws from, so tests
@@ -100,21 +90,17 @@ func Build(sub *dataset.Subset, f strategy.Factory, opts ...BuildOption) (*Tree,
 		// extra ones.
 		b.sem = make(chan struct{}, cfg.workers-1)
 	}
-	var sc *dataset.Scratch
-	if !cfg.unpooled {
-		// One concurrency-safe bitset pool is shared by every worker's
-		// scratch, so bitsets freed by one worker serve another's next
-		// partition; each subset is still created and released by the same
-		// goroutine (the parent releases after joining its fork). The
-		// build reaches an allocation-free steady state bounded by tree
-		// depth × workers instead of churning two bitsets per node visit.
-		b.pool = cfg.pool
-		if b.pool == nil {
-			b.pool = bitset.NewPool()
-		}
-		sc = dataset.NewScratchWithPool(b.pool)
+	// One concurrency-safe bitset pool is shared by every worker's scratch,
+	// so bitsets freed by one worker serve another's next partition; each
+	// subset is still created and released by the same goroutine (the
+	// parent releases after joining its fork). The build reaches an
+	// allocation-free steady state bounded by tree depth × workers instead
+	// of churning two bitsets per node visit.
+	b.pool = cfg.pool
+	if b.pool == nil {
+		b.pool = bitset.NewPool()
 	}
-	root, err := b.build(sub, f.New(), sc)
+	root, err := b.build(sub, f.New(), dataset.NewScratchWithPool(b.pool))
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +110,7 @@ func Build(sub *dataset.Subset, f strategy.Factory, opts ...BuildOption) (*Tree,
 // builder carries the shared state of one Build call: the strategy factory,
 // the token semaphore bounding extra worker goroutines (nil when the build
 // is sequential), and the shared bitset pool behind the per-worker
-// scratches (nil when pooling is disabled).
+// scratches.
 type builder struct {
 	factory strategy.Factory
 	sem     chan struct{}
@@ -157,11 +143,7 @@ func (b *builder) getCtx() *workerCtx {
 		return ctx
 	}
 	b.ctxMu.Unlock()
-	ctx := &workerCtx{sel: b.factory.New()}
-	if b.pool != nil {
-		ctx.sc = dataset.NewScratchWithPool(b.pool)
-	}
-	return ctx
+	return &workerCtx{sel: b.factory.New(), sc: dataset.NewScratchWithPool(b.pool)}
 }
 
 // putCtx hands a worker context back for the next fork.
@@ -189,12 +171,7 @@ func (b *builder) build(sub *dataset.Subset, sel strategy.Strategy, sc *dataset.
 			sel.Name(), sub.Size())
 	}
 	// Lines 6–7: split.
-	var with, without *dataset.Subset
-	if sc != nil {
-		with, without = sub.PartitionScratch(e, sc)
-	} else {
-		with, without = sub.Partition(e)
-	}
+	with, without := sub.PartitionScratch(e, sc)
 	if with.Size() == 0 || without.Size() == 0 {
 		with.Release()
 		without.Release()
