@@ -214,26 +214,55 @@ func BenchmarkSelectSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectSubCollection is BenchmarkSelectSteadyState over a seed sub-collection of a 2,000-set web-tables corpus
-// rather than a whole 200-set synthetic collection: one k-LP (k=2) root
-// selection per iteration, with a cold lookahead cache and a warm scratch.
-// The 60 member sets touch 947 entities spread over a window of about 64k
-// entity IDs, the shape the serving and tree-build workloads select over,
-// where what counting costs depends on the width of that window.
+// BenchmarkSelectSubCollection is BenchmarkSelectSteadyState over seed
+// sub-collections of web-tables corpora: one k-LP (k=2) root selection per
+// iteration, with a cold lookahead cache and a warm scratch.
+//
+//   - corpus-2k: 60 member sets of a 2,000-set corpus, touching 947
+//     entities spread over IDs up to about 64k. Its global bitsets are 32
+//     words, so it shows what counting and the candidate order cost.
+//   - corpus-40k: the largest of the first 64 seed sub-collections of the
+//     default 40k-set corpus that holds at most 850 sets, the largest tree
+//     the tree-build workload builds. Its global bitsets are 625 words, so
+//     it also shows what a node's partitions and cache keys cost.
 func BenchmarkSelectSubCollection(b *testing.B) {
-	p := webtables.DefaultParams()
-	p.NumSets = 2000
-	c, err := webtables.Generate(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qs := webtables.SeedQueries(c, 60, 8, 1)
-	if len(qs) == 0 {
-		b.Fatal("no seed query")
-	}
-	sub := c.SupersetsOf([]dataset.Entity{qs[0].A, qs[0].B})
+	b.Run("corpus-2k", func(b *testing.B) {
+		p := webtables.DefaultParams()
+		p.NumSets = 2000
+		c, err := webtables.Generate(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		qs := webtables.SeedQueries(c, 60, 8, 1)
+		if len(qs) == 0 {
+			b.Fatal("no seed query")
+		}
+		benchSelectRoot(b, c.SupersetsOf([]dataset.Entity{qs[0].A, qs[0].B}))
+	})
+	b.Run("corpus-40k", func(b *testing.B) {
+		c, err := webtables.Generate(webtables.DefaultParams())
+		if err != nil {
+			b.Fatal(err)
+		}
+		var best *webtables.SeedQuery
+		qs := webtables.SeedQueries(c, 100, 64, 1)
+		for i := range qs {
+			if q := &qs[i]; q.Size <= 850 && (best == nil || q.Size > best.Size) {
+				best = q
+			}
+		}
+		if best == nil {
+			b.Fatal("no seed query selects 100..850 sets")
+		}
+		benchSelectRoot(b, c.SupersetsOf([]dataset.Entity{best.A, best.B}))
+	})
+}
+
+// benchSelectRoot times one cold-cache k-LP (k=2) root selection over sub
+// per iteration, through a scratch sized by an untimed first selection.
+func benchSelectRoot(b *testing.B, sub *dataset.Subset) {
 	sel := strategy.NewKLP(cost.AD, 2).New().(*strategy.KLP)
-	if _, ok := sel.Select(sub); !ok { // size the scratch before timing
+	if _, ok := sel.Select(sub); !ok {
 		b.Fatal("selection failed")
 	}
 	b.ReportAllocs()

@@ -18,6 +18,12 @@
 // correctness proof of Lemma 4.4 carries over verbatim. ⌈n·log2 n⌉ itself is
 // computed exactly (float fast path, math/big verification when the float
 // value is suspiciously close to an integer).
+//
+// The lookahead strategies do not call LB0 and LB1 per candidate: each
+// selection worker keeps a table of LB0 up to the largest node it has
+// served and lifts it with Combine, and ULFirst takes the second child's
+// LB0 as an argument so that the same table serves it. The table is sized
+// to the nodes served, not fixed: a 64-set collection needs 65 entries.
 package cost
 
 import (
@@ -126,17 +132,18 @@ func LB1(m Metric, n1, n2 int) Value {
 // ULFirst returns the exclusive upper limit for the first child's
 // (k−1)-step bound (eqs 11–12 in scaled form): an entity can only beat aflv
 // if LB_{k−1}(C1) is strictly below the returned value, assuming the second
-// child achieves its 0-step bound. n is the parent size, n2 the second
-// child's size. Derivation for AD: l1 + l2 + n < aflv with l2 ≥ LB0(C2)
-// requires l1 < aflv − n − LB0(C2). For H: max(l1,l2)+1 < aflv requires
-// l1 < aflv − 1. Both limits are exclusive, matching Algorithm 1's use of
-// ul (line 14 prunes when a bound is ≥ ul).
-func ULFirst(m Metric, aflv Value, n, n2 int) Value {
+// child achieves its 0-step bound lb2 = LB0(m, n2). n is the parent size.
+// Derivation for AD: l1 + l2 + n < aflv with l2 ≥ lb2 requires
+// l1 < aflv − n − lb2. For H: max(l1,l2)+1 < aflv requires l1 < aflv − 1.
+// Both limits are exclusive, matching Algorithm 1's use of ul (line 14
+// prunes when a bound is ≥ ul). The caller passes lb2 so that a table of
+// LB0 serves it.
+func ULFirst(m Metric, aflv Value, n int, lb2 Value) Value {
 	if aflv >= Inf {
 		return Inf
 	}
 	if m == AD {
-		return aflv - Value(n) - LB0(AD, n2)
+		return aflv - Value(n) - lb2
 	}
 	return aflv - 1
 }

@@ -165,7 +165,7 @@ func TestULFirstExclusiveSemantics(t *testing.T) {
 		n1, n2 := 5, 9
 		n := n1 + n2
 		aflv := LB1(m, n1, n2) + 3
-		ul := ULFirst(m, aflv, n, n2)
+		ul := ULFirst(m, aflv, n, LB0(m, n2))
 		l2 := LB0(m, n2)
 		if ul <= 0 {
 			t.Fatalf("metric %v: degenerate UL %d", m, ul)
@@ -197,7 +197,7 @@ func TestULSecondExclusiveSemantics(t *testing.T) {
 
 func TestULWithInfinity(t *testing.T) {
 	for _, m := range []Metric{AD, H} {
-		if got := ULFirst(m, Inf, 10, 5); got != Inf {
+		if got := ULFirst(m, Inf, 10, LB0(m, 5)); got != Inf {
 			t.Errorf("ULFirst(Inf) = %d", got)
 		}
 		if got := ULSecond(m, Inf, 10, 3); got != Inf {

@@ -47,6 +47,10 @@ type Collection struct {
 	// after build, so one computation serves every snapshot guard.
 	fpOnce sync.Once
 	fp     Fingerprint
+
+	// view is non-nil when the collection is the compact view of a
+	// sub-collection of another one (see Subset.Project).
+	view *view
 }
 
 // ErrDuplicateSet is reported by Builder.Build when two sets have identical

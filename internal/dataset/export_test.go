@@ -25,3 +25,23 @@ func (sc *Scratch) DirtyCountStateForTest() (counts, seenWords, sparse int) {
 	}
 	return counts, seenWords, len(sc.sparse)
 }
+
+// NaiveInformative is the counting suites' reference counter, for the
+// external view tests.
+var NaiveInformative = naiveInformative
+
+// GlobalMembers returns the members of a view's subset as the global set
+// indexes they stand for (plain member indexes on a subset that is not a
+// view).
+func GlobalMembers(s *Subset) []uint32 {
+	members := s.Members()
+	if p := s.c.view; p != nil {
+		for i, m := range members {
+			members[i] = p.sets[m]
+		}
+	}
+	return members
+}
+
+// XOR returns a ⊕ b.
+func XOR(a, b Fingerprint) Fingerprint { return a.xor(b) }

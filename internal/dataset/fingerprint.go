@@ -20,8 +20,14 @@ type Fingerprint struct {
 
 // Fingerprint returns the 128-bit fingerprint of the sub-collection's
 // membership. It is a pure function of the members — safe to call from any
-// number of goroutines sharing the Subset.
+// number of goroutines sharing the Subset. It keys the SelectionMemo, the
+// snapshot guards and the cache shards. It panics on a view (see Project):
+// a view's bitset is local, so equal bitsets of two views can stand for
+// different sets; lookahead over views keys by XORFingerprint instead.
 func (s *Subset) Fingerprint() Fingerprint {
+	if s.c.view != nil {
+		panic("dataset: Fingerprint of a projected subset")
+	}
 	hi, lo := s.members.Sum128()
 	return Fingerprint{Hi: hi, Lo: lo}
 }

@@ -11,7 +11,8 @@ import (
 // node of every lookahead, selection counts the node's informative entities
 // (InformativeEntitiesInto), ranks them, and splits the node by each
 // candidate (PartitionScratch) before recursing. A Scratch owns the count
-// state, the EntityCount buffer and the bitsets those steps need, so
+// state, the EntityCount buffer and the bitsets those steps need, and the
+// compact view a selection root is projected onto (Project), so
 // steady-state selection allocates nothing.
 //
 // Ownership rules (see also the README "Memory discipline" section):
@@ -55,6 +56,10 @@ type Scratch struct {
 
 	// subFree recycles Subset headers released by Release.
 	subFree []*Subset
+
+	// proj is the compact collection Project builds and rebuilds in place;
+	// nil until the first Project.
+	proj *Collection
 }
 
 // NewScratch returns a Scratch with its own private bitset pool.
@@ -78,7 +83,7 @@ func (sc *Scratch) newSubset(c *Collection, members *bitset.Bits, size int) *Sub
 		s := sc.subFree[n-1]
 		sc.subFree[n-1] = nil
 		sc.subFree = sc.subFree[:n-1]
-		s.c, s.members, s.size, s.sc = c, members, size, sc
+		s.c, s.members, s.size, s.xor, s.sc = c, members, size, Fingerprint{}, sc
 		return s
 	}
 	return &Subset{c: c, members: members, size: size, sc: sc}
@@ -97,20 +102,27 @@ func (sc *Scratch) release(s *Subset) {
 // ascending by entity ID. The returned slice aliases the scratch and is
 // valid until the next InformativeEntitiesInto call on sc.
 func (s *Subset) InformativeEntitiesInto(sc *Scratch) []EntityCount {
-	if s.c.numEntities <= denseThreshold {
-		return s.informativeDenseInto(sc)
-	}
-	return s.informativeSparseInto(sc)
+	return s.countInto(sc, int32(s.size))
 }
 
-// informativeDenseInto counts into sc.counts, one cell per entity, marking
+// countInto counts the entities of the members like
+// InformativeEntitiesInto, keeping those in fewer than limit member sets:
+// limit = Size() keeps the informative ones, Size()+1 every touched one.
+func (s *Subset) countInto(sc *Scratch, limit int32) []EntityCount {
+	if s.c.numEntities <= denseThreshold {
+		return s.countDenseInto(sc, limit)
+	}
+	return s.countSparseInto(sc, limit)
+}
+
+// countDenseInto counts into sc.counts, one cell per entity, marking
 // each touched entity in the seen bitmap, and collects by walking the set
 // bits of the bitmap over the window [lo, hi] of touched IDs: a
 // sub-collection's members typically touch a few hundred entities spread
 // over tens of thousands of IDs, and the bitmap walk costs one word per 64
 // IDs of the window plus one step per touched entity. Walking the bits in
 // ascending order keeps the result in entity-ID order without sorting.
-func (s *Subset) informativeDenseInto(sc *Scratch) []EntityCount {
+func (s *Subset) countDenseInto(sc *Scratch, limit int32) []EntityCount {
 	if len(sc.counts) < s.c.numEntities {
 		sc.counts = make([]int32, s.c.numEntities)
 		sc.seen = make([]uint64, (s.c.numEntities+63)/64)
@@ -134,7 +146,6 @@ func (s *Subset) informativeDenseInto(sc *Scratch) []EntityCount {
 		return true
 	})
 	out := sc.ecBuf[:0]
-	size := int32(s.size)
 	if hi >= lo {
 		first := lo / 64
 		words := seen[first : hi/64+1]
@@ -142,7 +153,7 @@ func (s *Subset) informativeDenseInto(sc *Scratch) []EntityCount {
 			base := (first + w) * 64
 			for ; word != 0; word &= word - 1 {
 				e := base + bits.TrailingZeros64(word)
-				if n := counts[e]; n < size {
+				if n := counts[e]; n < limit {
 					out = append(out, EntityCount{Entity(e), int(n)})
 				}
 				counts[e] = 0
@@ -154,9 +165,9 @@ func (s *Subset) informativeDenseInto(sc *Scratch) []EntityCount {
 	return out
 }
 
-// informativeSparseInto counts into a reusable map and sorts the collected
+// countSparseInto counts into a reusable map and sorts the collected
 // result in place by entity ID.
-func (s *Subset) informativeSparseInto(sc *Scratch) []EntityCount {
+func (s *Subset) countSparseInto(sc *Scratch, limit int32) []EntityCount {
 	if sc.sparse == nil {
 		sc.sparse = make(map[Entity]int32)
 	}
@@ -168,9 +179,8 @@ func (s *Subset) informativeSparseInto(sc *Scratch) []EntityCount {
 		return true
 	})
 	out := sc.ecBuf[:0]
-	size := int32(s.size)
 	for e, n := range counts {
-		if n > 0 && n < size {
+		if n > 0 && n < limit {
 			out = append(out, EntityCount{e, int(n)})
 		}
 	}
@@ -191,18 +201,15 @@ func (s *Subset) informativeSparseInto(sc *Scratch) []EntityCount {
 // PartitionScratch is the pooled Partition: it splits the sub-collection by
 // entity e into (with, without) exactly like Partition, but both results
 // draw their bitsets from the scratch's pool and must be handed back with
-// Release (or detached with Unpool) when the caller is done with them.
+// Release (or detached with Unpool) when the caller is done with them. On a
+// view it XORs the with half's key over the postings it walks, and the
+// without half's key is the parent's XOR that.
 func (s *Subset) PartitionScratch(e Entity, sc *Scratch) (with, without *Subset) {
-	in := sc.pool.Get(len(s.c.sets))
-	for _, idx := range s.c.Postings(e) {
-		if s.members.Test(int(idx)) {
-			in.Set(int(idx))
-		}
-	}
-	out := sc.pool.Get(len(s.c.sets))
-	s.members.AndNotInto(in, out)
-	withN := in.Count()
-	return sc.newSubset(s.c, in, withN), sc.newSubset(s.c, out, s.size-withN)
+	in, out := sc.pool.Get(len(s.c.sets)), sc.pool.Get(len(s.c.sets))
+	withN, withKey := s.split(e, in, out)
+	with, without = sc.newSubset(s.c, in, withN), sc.newSubset(s.c, out, s.size-withN)
+	with.xor, without.xor = withKey, s.xor.xor(withKey)
+	return with, without
 }
 
 // Release hands a PartitionScratch result back for reuse. It is a no-op on

@@ -15,6 +15,10 @@ type Subset struct {
 	members *bitset.Bits // over set indexes
 	size    int
 
+	// xor is the subset's XORFingerprint when c is a view (see Project),
+	// kept up to date by every constructor; zero otherwise.
+	xor Fingerprint
+
 	// sc is non-nil while the subset is pooled: its bitset came from sc's
 	// pool via PartitionScratch and goes back there on Release. Unpool
 	// clears it. Subsets from the allocating constructors (All, SubsetOf,
@@ -24,13 +28,14 @@ type Subset struct {
 
 // All returns the sub-collection containing every set.
 func (c *Collection) All() *Subset {
-	return &Subset{c: c, members: bitset.NewFull(len(c.sets)), size: len(c.sets)}
+	b := bitset.NewFull(len(c.sets))
+	return &Subset{c: c, members: b, size: len(c.sets), xor: c.viewKey(b)}
 }
 
 // SubsetOf returns the sub-collection with exactly the given set indexes.
 func (c *Collection) SubsetOf(indexes []uint32) *Subset {
 	b := bitset.FromSlice(len(c.sets), indexes)
-	return &Subset{c: c, members: b, size: b.Count()}
+	return &Subset{c: c, members: b, size: b.Count(), xor: c.viewKey(b)}
 }
 
 // Collection returns the parent collection.
@@ -104,16 +109,31 @@ func (s *Subset) CountWith(e Entity) int {
 // split, for callers outside the selection path (tree validation, the
 // exhaustive optimum, tests); selection splits through PartitionScratch.
 func (s *Subset) Partition(e Entity) (with, without *Subset) {
-	in := bitset.New(len(s.c.sets))
+	in, out := bitset.New(len(s.c.sets)), bitset.New(len(s.c.sets))
+	withN, withKey := s.split(e, in, out)
+	return &Subset{c: s.c, members: in, size: withN, xor: withKey},
+		&Subset{c: s.c, members: out, size: s.size - withN, xor: s.xor.xor(withKey)}
+}
+
+// split sets in to the members containing e and out to the others, both
+// empty bitsets over the collection's sets, and returns how many members
+// contain e and their XOR key (zero unless the collection is a view).
+func (s *Subset) split(e Entity, in, out *bitset.Bits) (withN int, withKey Fingerprint) {
+	var keys []Fingerprint
+	if p := s.c.view; p != nil {
+		keys = p.keys
+	}
 	for _, idx := range s.c.Postings(e) {
 		if s.members.Test(int(idx)) {
 			in.Set(int(idx))
+			withN++
+			if keys != nil {
+				withKey = withKey.xor(keys[idx])
+			}
 		}
 	}
-	out := s.members.AndNot(in)
-	withN := in.Count()
-	return &Subset{c: s.c, members: in, size: withN},
-		&Subset{c: s.c, members: out, size: s.size - withN}
+	s.members.AndNotInto(in, out)
+	return withN, withKey
 }
 
 // Without returns a copy of the sub-collection with set index i removed.
@@ -123,7 +143,7 @@ func (s *Subset) Without(i int) *Subset {
 	}
 	m := s.members.Clone()
 	m.Clear(i)
-	return &Subset{c: s.c, members: m, size: s.size - 1}
+	return &Subset{c: s.c, members: m, size: s.size - 1, xor: s.c.viewKey(m)}
 }
 
 // Names returns the member set names in index order (for small outputs).

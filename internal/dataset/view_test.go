@@ -1,0 +1,248 @@
+package dataset_test
+
+import (
+	"slices"
+	"testing"
+
+	"setdiscovery/internal/dataset"
+	"setdiscovery/internal/rng"
+	"setdiscovery/internal/synth"
+	"setdiscovery/internal/testutil"
+	"setdiscovery/internal/webtables"
+)
+
+// viewFixtures returns the sub-collections the view tests draw random
+// subsets from: the paper's 7-set collection, the 80-set synthetic
+// collection of the golden trees, and the first seed sub-collection of a
+// 2,000-set web-tables corpus, whose members touch entities spread over
+// about 64k IDs.
+func viewFixtures(t *testing.T) map[string]*dataset.Subset {
+	t.Helper()
+	synth80, err := synth.Generate(synth.Params{N: 80, SizeMin: 10, SizeMax: 16, Alpha: 0.85, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := webtables.DefaultParams()
+	p.NumSets = 2000
+	web, err := webtables.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := webtables.SeedQueries(web, 60, 8, 1)
+	if len(qs) == 0 {
+		t.Fatal("no seed query")
+	}
+	return map[string]*dataset.Subset{
+		"paper":   testutil.PaperCollection().All(),
+		"synth80": synth80.All(),
+		"web-q0":  web.SupersetsOf([]dataset.Entity{qs[0].A, qs[0].B}),
+	}
+}
+
+// randomSubset returns a random sub-collection of sub with at least two
+// members: each member is kept with probability 1/2.
+func randomSubset(r *rng.RNG, sub *dataset.Subset) *dataset.Subset {
+	members := sub.Members()
+	for {
+		var kept []uint32
+		for _, i := range members {
+			if r.Intn(2) == 0 {
+				kept = append(kept, i)
+			}
+		}
+		if len(kept) >= 2 {
+			return sub.Collection().SubsetOf(kept)
+		}
+	}
+}
+
+// globalCounts maps entity counts of a view back to global entity IDs.
+func globalCounts(view *dataset.Subset, ecs []dataset.EntityCount) []dataset.EntityCount {
+	out := make([]dataset.EntityCount, len(ecs))
+	for i, ec := range ecs {
+		out[i] = dataset.EntityCount{Entity: view.GlobalEntity(ec.Entity), Count: ec.Count}
+	}
+	return out
+}
+
+// TestProjectInformativeMatchesNaive: a view's sets are its root's members
+// in order, with their elements renumbered but still sorted, and its
+// informative entities, mapped back, are the naive counter's over the
+// global subset, in the same order — on both counting paths.
+func TestProjectInformativeMatchesNaive(t *testing.T) {
+	for name, base := range viewFixtures(t) {
+		for _, threshold := range []int{1 << 21, 0} {
+			func() {
+				defer dataset.SetDenseThresholdForTest(threshold)()
+				r := rng.New(7)
+				sc := dataset.NewScratch()
+				for trial := range 20 {
+					sub := randomSubset(r, base)
+					view := sub.Project(sc)
+					if view.Size() != sub.Size() {
+						t.Fatalf("%s trial %d: view has %d sets, root %d", name, trial, view.Size(), sub.Size())
+					}
+					global := sub.Members()
+					for i, set := range view.Collection().Sets() {
+						want := sub.Collection().Set(int(global[i])).Elems
+						got := make([]dataset.Entity, len(set.Elems))
+						for j, e := range set.Elems {
+							got[j] = view.GlobalEntity(e)
+						}
+						if set.Index != i || !slices.IsSorted(set.Elems) || !slices.Equal(got, want) {
+							t.Fatalf("%s trial %d: local set %d (index %d) = %v, maps to %v, want %v",
+								name, trial, i, set.Index, set.Elems, got, want)
+						}
+					}
+					got := globalCounts(view, view.InformativeEntitiesInto(sc))
+					if want := dataset.NaiveInformative(sub); !slices.Equal(got, want) {
+						t.Fatalf("%s threshold %d trial %d: view informative entities differ\ngot  %v\nwant %v",
+							name, threshold, trial, got, want)
+					}
+					view.Release()
+				}
+			}()
+		}
+	}
+}
+
+// TestProjectPartitionMatchesGlobal walks random paths down views:
+// PartitionScratch on a view, mapped back, must hold the members Partition
+// gives on the global subset, and the halves' keys must XOR to their
+// parent's and equal the XOR fingerprint of the global halves.
+func TestProjectPartitionMatchesGlobal(t *testing.T) {
+	for name, base := range viewFixtures(t) {
+		r := rng.New(11)
+		sc := dataset.NewScratch()
+		for trial := range 20 {
+			global := randomSubset(r, base)
+			view := global.Project(sc)
+			if view.XORFingerprint() != global.XORFingerprint() {
+				t.Fatalf("%s trial %d: root key differs from the global subset's", name, trial)
+			}
+			node := view
+			var held []*dataset.Subset
+			for node.Size() >= 2 {
+				infos := node.InformativeEntitiesInto(sc)
+				l := infos[r.Intn(len(infos))].Entity
+				with, without := node.PartitionScratch(l, sc)
+				held = append(held, with, without)
+				gWith, gWithout := global.Partition(node.GlobalEntity(l))
+				if !slices.Equal(dataset.GlobalMembers(with), gWith.Members()) ||
+					!slices.Equal(dataset.GlobalMembers(without), gWithout.Members()) {
+					t.Fatalf("%s trial %d: view partition by %d differs from the global one", name, trial, node.GlobalEntity(l))
+				}
+				if x := dataset.XOR(with.XORFingerprint(), without.XORFingerprint()); x != node.XORFingerprint() {
+					t.Fatalf("%s trial %d: key(with) ⊕ key(without) != key(parent)", name, trial)
+				}
+				if with.XORFingerprint() != gWith.XORFingerprint() || without.XORFingerprint() != gWithout.XORFingerprint() {
+					t.Fatalf("%s trial %d: a half's key differs from its global subset's", name, trial)
+				}
+				node, global = with, gWith
+				if r.Intn(2) == 0 {
+					node, global = without, gWithout
+				}
+			}
+			for _, s := range held {
+				s.Release()
+			}
+			view.Release()
+		}
+		if out := sc.Pool().Stats().Outstanding(); out != 0 {
+			t.Fatalf("%s: %d pooled bitsets outstanding after releasing every view subset", name, out)
+		}
+	}
+}
+
+// TestProjectKeysSharedAcrossRoots: two different roots that contain the
+// same global subset give it the same key — a view of the whole collection
+// reaches it by two partitions, a view of one half by one — though its
+// bitsets, local to each view, differ.
+func TestProjectKeysSharedAcrossRoots(t *testing.T) {
+	for name, base := range viewFixtures(t) {
+		infos := base.InformativeEntities()
+		e, f := infos[0].Entity, infos[len(infos)-1].Entity
+		half, _ := base.Partition(e)
+		if half.Size() < 2 {
+			half, _ = base.Partition(f)
+			e, f = f, e
+		}
+		scA, scB := dataset.NewScratch(), dataset.NewScratch()
+		whole, part := base.Project(scA), half.Project(scB)
+		withE, withoutE := whole.PartitionScratch(local(t, whole, scA, e), scA)
+		if withE.XORFingerprint() != part.XORFingerprint() {
+			t.Fatalf("%s: the half has different keys in the two views", name)
+		}
+		// One level further down, by an entity informative in the half.
+		g := half.InformativeEntities()[0].Entity
+		a, aOut := withE.PartitionScratch(local(t, withE, scA, g), scA)
+		b, bOut := part.PartitionScratch(local(t, part, scB, g), scB)
+		if a.XORFingerprint() != b.XORFingerprint() || aOut.XORFingerprint() != bOut.XORFingerprint() {
+			t.Fatalf("%s: the quarter has different keys in the two views", name)
+		}
+		if !slices.Equal(dataset.GlobalMembers(a), dataset.GlobalMembers(b)) {
+			t.Fatalf("%s: the two views split the half differently", name)
+		}
+		for _, s := range []*dataset.Subset{a, aOut, b, bOut, withE, withoutE, whole, part} {
+			s.Release()
+		}
+	}
+}
+
+// local returns the local ID of global entity e in view, which must be
+// informative there.
+func local(t *testing.T, view *dataset.Subset, sc *dataset.Scratch, e dataset.Entity) dataset.Entity {
+	t.Helper()
+	for _, ec := range view.InformativeEntitiesInto(sc) {
+		if view.GlobalEntity(ec.Entity) == e {
+			return ec.Entity
+		}
+	}
+	t.Fatalf("entity %d is not informative in the view", e)
+	return 0
+}
+
+// TestProjectFingerprintPanics: a view's bitset is local, so Fingerprint
+// must refuse it rather than return a key two views could share for
+// different sets; Project refuses a view too.
+func TestProjectFingerprintPanics(t *testing.T) {
+	sc := dataset.NewScratch()
+	view := testutil.PaperCollection().All().Project(sc)
+	defer view.Release()
+	for name, f := range map[string]func(){
+		"Fingerprint": func() { view.Fingerprint() },
+		"Project":     func() { view.Project(dataset.NewScratch()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a projected subset did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestProjectWarmAllocs: with warm buffers, projecting a root, counting
+// and splitting its view, and releasing everything allocate nothing.
+func TestProjectWarmAllocs(t *testing.T) {
+	for name, base := range viewFixtures(t) {
+		sc := dataset.NewScratch()
+		run := func() {
+			view := base.Project(sc)
+			e := view.InformativeEntitiesInto(sc)[0].Entity
+			with, without := view.PartitionScratch(e, sc)
+			with.Release()
+			without.Release()
+			view.Release()
+		}
+		run()
+		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+			t.Fatalf("%s: warm Project: %.1f allocs/op, want 0", name, allocs)
+		}
+		if out := sc.Pool().Stats().Outstanding(); out != 0 {
+			t.Fatalf("%s: %d pooled bitsets outstanding", name, out)
+		}
+	}
+}

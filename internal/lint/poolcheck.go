@@ -17,8 +17,8 @@ import (
 //
 // Ownership model, matching how the codebase actually uses the pool:
 //
-//   - Acquire: calling PartitionScratch or PartitionGroupScratch on a
-//     subset, or calling a same-package function that (transitively)
+//   - Acquire: calling PartitionScratch, PartitionGroupScratch or Project
+//     on a subset, or calling a same-package function that (transitively)
 //     returns such a result.
 //   - Discharge: Release (exactly once), Unpool, returning the value,
 //     deferring its Release, or passing it to a same-package function that
@@ -93,7 +93,7 @@ func (s *poolSummaries) acquireResults(info *types.Info, call *ast.CallExpr) map
 	if !ok {
 		return nil
 	}
-	if (f.Name() == "PartitionScratch" || f.Name() == "PartitionGroupScratch") && sig.Recv() != nil && isPooledSubset(sig.Recv().Type()) {
+	if (f.Name() == "PartitionScratch" || f.Name() == "PartitionGroupScratch" || f.Name() == "Project") && sig.Recv() != nil && isPooledSubset(sig.Recv().Type()) {
 		owned := map[int]bool{}
 		for i := 0; i < sig.Results().Len(); i++ {
 			if isPooledSubset(sig.Results().At(i).Type()) {

@@ -85,6 +85,26 @@ func batchRoundFixed(css []*dataset.Subset, e dataset.Entity, sc *dataset.Scratc
 	}
 }
 
+// --- compact views -------------------------------------------------------
+// A selection projects its root onto a pooled view and must release it on
+// every path, the early return of an empty root included.
+
+func viewLeak(cs *dataset.Subset, sc *dataset.Scratch) int {
+	view := cs.Project(sc) // want `view acquired here is not released`
+	if view.Size() < 2 {
+		return 0
+	}
+	view.Release()
+	return 1
+}
+
+func viewReleased(cs *dataset.Subset, sc *dataset.Scratch) int {
+	view := cs.Project(sc)
+	n := view.Size()
+	view.Release()
+	return n
+}
+
 // --- double release and use after release -------------------------------
 
 func doubleRelease(cs *dataset.Subset, e dataset.Entity, sc *dataset.Scratch) {

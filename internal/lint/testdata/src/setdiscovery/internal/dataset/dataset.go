@@ -22,6 +22,8 @@ func (s *Subset) PartitionScratch(e Entity, sc *Scratch) (with, without *Subset)
 	return &Subset{sc: sc}, &Subset{sc: sc}
 }
 
+func (s *Subset) Project(sc *Scratch) *Subset { return &Subset{sc: sc} }
+
 func (s *Subset) Partition(e Entity) (with, without *Subset) {
 	return &Subset{}, &Subset{}
 }

@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"setdiscovery/internal/cost"
 	"setdiscovery/internal/dataset"
 )
 
@@ -88,8 +87,21 @@ func (s *KLP) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]b
 	}
 	s.excluded = excluded
 	defer func() { s.excluded = nil }()
-	e, _, found := s.search(sub, s.k, cost.Inf, 0)
+	e, _, found := s.searchRoot(sub)
 	return e, found
+}
+
+// dropExcluded removes from cands, in place and keeping their order, the
+// candidates whose entity is in excluded. cands are entities of view,
+// checked by their global IDs.
+func dropExcluded(cands []candidate, view *dataset.Subset, excluded map[dataset.Entity]bool) []candidate {
+	kept := cands[:0]
+	for _, c := range cands {
+		if !excluded[view.GlobalEntity(c.entity)] {
+			kept = append(kept, c)
+		}
+	}
+	return kept
 }
 
 // SelectExcluding implements Excluder for GainK.

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"setdiscovery/internal/cache"
+	"setdiscovery/internal/cost"
 	"setdiscovery/internal/dataset"
 )
 
@@ -43,7 +44,7 @@ func NewGainK(k int) *GainK {
 	if k < 1 {
 		panic("strategy: gain-k requires k >= 1")
 	}
-	return &GainK{k: k, scratch: newWorkerScratch()}
+	return &GainK{k: k, scratch: newWorkerScratch(cost.AD)}
 }
 
 // NewGainKMemo returns a memoised gain-k (ablation).
@@ -61,7 +62,7 @@ func (g *GainK) New() Strategy {
 	sibling := *g
 	sibling.Evaluations = 0
 	sibling.excluded = nil
-	sibling.scratch = newWorkerScratch()
+	sibling.scratch = newWorkerScratch(cost.AD)
 	return &sibling
 }
 
@@ -82,33 +83,35 @@ func (g *GainK) Name() string {
 	return fmt.Sprintf("gain-%d", g.k)
 }
 
-// Select implements Strategy.
+// Select implements Strategy. Like k-LP it runs on the compact view of
+// sub, in the same candidate order, so that Figs 4a/4b compare the two
+// algorithms rather than two implementations; exclusions are checked by
+// global entity ID.
 func (g *GainK) Select(sub *dataset.Subset) (dataset.Entity, bool) {
 	if sub.Size() <= 1 {
 		return 0, false
 	}
-	cands := g.scratch.candidatesAt(0, sub, 0)
-	if len(cands) == 0 {
-		return 0, false
+	root := g.scratch.project(sub)
+	cands := g.scratch.candidatesAt(0, root)
+	if len(g.excluded) > 0 {
+		cands = dropExcluded(cands, root, g.excluded)
 	}
-	sortByLB1(cands) // deterministic tie order: even splits first
-	n := float64(sub.Size())
+	g.scratch.orderByLB1(cands, root.Size()) // deterministic tie order: even splits first
+	n := float64(root.Size())
 	var best dataset.Entity
 	bestVal := math.Inf(1)
 	for _, cand := range cands {
-		if g.excluded[cand.entity] {
-			continue
-		}
 		g.Evaluations++
-		with, without := sub.PartitionScratch(cand.entity, g.scratch.sc)
+		with, without := root.PartitionScratch(cand.entity, g.scratch.sc)
 		v := (float64(with.Size())*g.entropy(with, g.k-1) +
 			float64(without.Size())*g.entropy(without, g.k-1)) / n
 		with.Release()
 		without.Release()
 		if v < bestVal {
-			best, bestVal = cand.entity, v
+			best, bestVal = root.GlobalEntity(cand.entity), v
 		}
 	}
+	root.Release()
 	return best, !math.IsInf(bestVal, 1)
 }
 
@@ -123,7 +126,7 @@ func (g *GainK) entropy(sub *dataset.Subset, j int) float64 {
 	}
 	var key cache.Key
 	if g.memo {
-		fp := sub.Fingerprint()
+		fp := sub.XORFingerprint()
 		key = cache.Key{Hi: fp.Hi, Lo: fp.Lo, Aux: uint64(j)}
 		if v, ok := g.cache.Get(key); ok {
 			return v
@@ -131,7 +134,7 @@ func (g *GainK) entropy(sub *dataset.Subset, j int) float64 {
 	}
 	// Depth-indexed candidate buffer: the top-level Select owns depth 0,
 	// the ent_j recursion level owns depth k−j.
-	cands := g.scratch.candidatesAt(g.k-j, sub, 0)
+	cands := g.scratch.candidatesAt(g.k-j, sub)
 	best := math.Inf(1)
 	if j == 1 {
 		// ent_1 needs only the split sizes, which the candidate counts

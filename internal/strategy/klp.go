@@ -19,12 +19,14 @@ import (
 //     candidate inside recursive lower-bound steps.
 //
 // A KLP value carries Algorithm 1's memoisation cache keyed by the
-// sub-collection fingerprint plus (k, effective beam width). The cache is
-// concurrency-safe and shared by every sibling minted through New, so
-// lookahead work at a parent node is shared with its children, across the
-// workers of a parallel tree build, and across concurrent discovery
-// sessions over the same collection. The KLP instance itself carries
-// per-call scratch state (exclusions, instrumentation) and is a
+// sub-collection's XOR fingerprint plus (k, effective beam width). The
+// cache is concurrency-safe and shared by every sibling minted through New,
+// so lookahead work at a parent node is shared with its children, across
+// the workers of a parallel tree build, and across concurrent discovery
+// sessions over the same collection. Each Select runs on a compact view of
+// its root (dataset.Subset.Project), so a lookahead node costs what its own
+// sets do, not what the collection does. The KLP instance itself carries
+// per-call scratch state (exclusions, instrumentation, the view) and is a
 // single-worker object: share the factory, not the instance.
 type KLP struct {
 	metric   cost.Metric
@@ -58,7 +60,7 @@ func NewKLP(m cost.Metric, k int) *KLP {
 	if k < 1 {
 		panic("strategy: k-LP requires k >= 1")
 	}
-	return &KLP{metric: m, k: k, cache: cache.New[cacheEntry](), scratch: newWorkerScratch()}
+	return &KLP{metric: m, k: k, cache: cache.New[cacheEntry](), scratch: newWorkerScratch(m)}
 }
 
 // New implements Factory: it returns a sibling strategy for the exclusive
@@ -71,7 +73,7 @@ func NewKLP(m cost.Metric, k int) *KLP {
 func (s *KLP) New() Strategy {
 	sibling := *s
 	sibling.excluded = nil
-	sibling.scratch = newWorkerScratch()
+	sibling.scratch = newWorkerScratch(s.metric)
 	return &sibling
 }
 
@@ -150,7 +152,7 @@ func (s *KLP) Select(sub *dataset.Subset) (dataset.Entity, bool) {
 	if sub.Size() <= 1 {
 		return 0, false
 	}
-	e, _, found := s.search(sub, s.k, cost.Inf, 0)
+	e, _, found := s.searchRoot(sub)
 	return e, found
 }
 
@@ -161,7 +163,21 @@ func (s *KLP) LowerBound(sub *dataset.Subset) (dataset.Entity, cost.Value, bool)
 	if sub.Size() <= 1 {
 		return 0, 0, sub.Size() == 1
 	}
-	return s.search(sub, s.k, cost.Inf, 0)
+	return s.searchRoot(sub)
+}
+
+// searchRoot runs Algorithm 1 from the root sub (≥ 2 member sets) on its
+// compact view, so that every node of the lookahead costs what its own sets
+// do, whatever the collection's size, and maps the pick back to its global
+// entity ID.
+func (s *KLP) searchRoot(sub *dataset.Subset) (dataset.Entity, cost.Value, bool) {
+	root := s.scratch.project(sub)
+	e, val, found := s.search(root, s.k, cost.Inf, 0)
+	if found {
+		e = root.GlobalEntity(e)
+	}
+	root.Release()
+	return e, val, found
 }
 
 // effectiveQ returns the beam width for a call at the given recursion depth:
@@ -177,11 +193,16 @@ func (s *KLP) effectiveQ(depth int) int {
 }
 
 // cacheKey builds the memo key for (sub, k, qEff): the sub-collection's
-// 128-bit fingerprint plus the remaining depth and effective beam width
-// packed into the auxiliary word. The metric needs no slot — each factory
-// lineage owns a metric-specific cache.
+// 128-bit XOR fingerprint plus the remaining depth and effective beam width
+// packed into the auxiliary word. sub is a node of a compact view, and its
+// XOR fingerprint names its global member sets, so entries are shared
+// across roots, sessions and tree workers exactly as a fingerprint of the
+// global subset would share them; it is carried through every partition,
+// so keying costs O(1). The metric needs no slot — each factory lineage
+// owns a metric-specific cache. The cache never leaves the process, so the
+// key is free to differ from the SelectionMemo's Fingerprint.
 func (s *KLP) cacheKey(sub *dataset.Subset, k, qEff int) cache.Key {
-	fp := sub.Fingerprint()
+	fp := sub.XORFingerprint()
 	return cache.Key{Hi: fp.Hi, Lo: fp.Lo, Aux: uint64(k)<<32 | uint64(uint32(qEff))}
 }
 
@@ -211,7 +232,13 @@ func (s *KLP) search(sub *dataset.Subset, k int, ul cost.Value, depth int) (ent 
 	}
 
 	n := sub.Size()
-	cands := s.scratch.candidatesAt(depth, sub, s.metric)
+	cands := s.scratch.candidatesAt(depth, sub)
+	if excluding {
+		cands = dropExcluded(cands, sub, s.excluded)
+		if len(cands) == 0 {
+			return 0, ul, false
+		}
+	}
 
 	// Lines 7–10: at one step of lookahead the answer is the minimum LB1,
 	// the first candidate in sorted order — found by one scan, since the
@@ -219,11 +246,7 @@ func (s *KLP) search(sub *dataset.Subset, k int, ul cost.Value, depth int) (ent 
 	// take the true minimum-LB1 entity rather than the most-even one so the
 	// cached value remains a genuine lower bound under AD's ceilings.)
 	if k <= 1 {
-		var excluded map[dataset.Entity]bool
-		if excluding {
-			excluded = s.excluded
-		}
-		best, ok := minByLB1(cands, excluded)
+		best, ok := minByLB1(cands)
 		if !ok {
 			return 0, ul, false
 		}
@@ -236,19 +259,7 @@ func (s *KLP) search(sub *dataset.Subset, k int, ul cost.Value, depth int) (ent 
 		return best.entity, best.lb1, true
 	}
 
-	sortByLB1(cands)
-	if excluding {
-		kept := cands[:0]
-		for _, cand := range cands {
-			if !s.excluded[cand.entity] {
-				kept = append(kept, cand)
-			}
-		}
-		cands = kept
-		if len(cands) == 0 {
-			return 0, ul, false
-		}
-	}
+	s.scratch.orderByLB1(cands, n)
 	if qEff := s.effectiveQ(depth); qEff > 0 && len(cands) > qEff {
 		cands = cands[:qEff]
 	}
@@ -305,7 +316,7 @@ func (s *KLP) childBounds(with, without *dataset.Subset, k int, ul cost.Value, d
 	} else {
 		ul1 := cost.Inf
 		if !s.noULPrune {
-			ul1 = cost.ULFirst(s.metric, ul, n, n2)
+			ul1 = cost.ULFirst(s.metric, ul, n, s.scratch.lb0[n2])
 		}
 		_, v, ok := s.search(with, k-1, ul1, depth+1)
 		if !ok {

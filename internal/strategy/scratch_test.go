@@ -7,6 +7,7 @@ import (
 	"setdiscovery/internal/cost"
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/synth"
+	"setdiscovery/internal/webtables"
 )
 
 // scratchSubs builds a spread of sub-collections over a synthetic
@@ -178,5 +179,60 @@ func scratchOf(s Strategy) *dataset.Scratch {
 		return v.sc
 	default:
 		panic(fmt.Sprintf("unknown strategy %T", s))
+	}
+}
+
+// TestKLPSharedFactoryOverlappingRoots: one k-LP instance, whose lookahead
+// cache and view buffers serve every root in turn, picks at each round of
+// interleaved discovery sessions what a fresh factory picks. The sessions
+// start from two seed pairs over one web-tables collection and walk down
+// to their targets, so the roots overlap: each is a subset of the one
+// before, and the cache holds entries for sub-collections of both seeds,
+// keyed by the global member sets whichever view computed them.
+func TestKLPSharedFactoryOverlappingRoots(t *testing.T) {
+	p := webtables.DefaultParams()
+	p.NumSets = 2000
+	c, err := webtables.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := webtables.SeedQueries(c, 60, 8, 1)
+	if len(qs) < 2 {
+		t.Fatalf("corpus yields %d seed queries, want ≥ 2", len(qs))
+	}
+	for _, m := range []cost.Metric{cost.AD, cost.H} {
+		shared := NewKLP(m, 2).New()
+		// One session per target: its current candidate sub-collection.
+		var sessions []*dataset.Subset
+		var targets []*dataset.Set
+		for _, q := range qs[:2] {
+			seed := c.SupersetsOf([]dataset.Entity{q.A, q.B})
+			members := seed.Members()
+			for i := 0; i < len(members); i += len(members)/6 + 1 {
+				sessions = append(sessions, seed)
+				targets = append(targets, c.Set(int(members[i])))
+			}
+		}
+		for round, live := 0, len(sessions); live > 0; round++ {
+			live = 0
+			for i, sub := range sessions {
+				if sub.Size() <= 1 {
+					continue
+				}
+				live++
+				got, gotOK := shared.Select(sub)
+				want, wantOK := NewKLP(m, 2).New().Select(sub)
+				if got != want || gotOK != wantOK || !gotOK {
+					t.Fatalf("metric %v session %d round %d: shared factory picks (%d,%v), fresh (%d,%v)",
+						m, i, round, got, gotOK, want, wantOK)
+				}
+				with, without := sub.Partition(got)
+				if targets[i].Contains(got) {
+					sessions[i] = with
+				} else {
+					sessions[i] = without
+				}
+			}
+		}
 	}
 }

@@ -12,7 +12,6 @@ package strategy
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"setdiscovery/internal/cost"
@@ -60,26 +59,6 @@ type candidate struct {
 	uneven int        // |‖C1|−|C2‖ = |2·with − n|; 0 is perfectly even
 }
 
-// appendCandidates resets buf and fills it with the informative entities
-// of sub, counted through sc, with their LB1 under metric m, in entity-ID
-// order; it returns the possibly regrown slice. The scratch's EntityCount
-// slice is consumed before return, so the result stays valid across later
-// uses of sc.
-func appendCandidates(buf []candidate, sub *dataset.Subset, m cost.Metric, sc *dataset.Scratch) []candidate {
-	infos := sub.InformativeEntitiesInto(sc)
-	n := sub.Size()
-	buf = slices.Grow(buf[:0], len(infos))
-	for _, ec := range infos {
-		buf = append(buf, candidate{
-			entity: ec.Entity,
-			with:   ec.Count,
-			lb1:    cost.LB1(m, ec.Count, n-ec.Count),
-			uneven: abs(2*ec.Count - n),
-		})
-	}
-	return buf
-}
-
 // cmpLB1 is the candidate order of Algorithm 1 line 11: 1-step bound, then
 // evenness, then entity ID (see DESIGN.md on why LB1 is the primary key
 // rather than evenness). Entity IDs are unique, so the order is total.
@@ -102,21 +81,10 @@ func cmpLB1(a, b candidate) int {
 	return 0
 }
 
-// sortByLB1 orders candidates by cmpLB1. slices.SortFunc instead of
-// sort.Slice: the comparator is monomorphised and the swap loses the
-// reflect indirection, on the hottest sort in the engine.
-func sortByLB1(cands []candidate) {
-	slices.SortFunc(cands, cmpLB1)
-}
-
-// minByLB1 returns the first candidate of sortByLB1's order among those not
-// in excluded (nil excludes nothing), in one pass and without reordering
-// cands. ok is false when no candidate remains.
-func minByLB1(cands []candidate, excluded map[dataset.Entity]bool) (best candidate, ok bool) {
+// minByLB1 returns the first candidate of cmpLB1's order in one pass and
+// without reordering cands. ok is false when cands is empty.
+func minByLB1(cands []candidate) (best candidate, ok bool) {
 	for _, c := range cands {
-		if excluded != nil && excluded[c.entity] {
-			continue
-		}
 		if !ok || cmpLB1(c, best) < 0 {
 			best, ok = c, true
 		}

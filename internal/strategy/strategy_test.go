@@ -1,6 +1,8 @@
 package strategy
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -429,23 +431,23 @@ func greedyScaledCost(sub *dataset.Subset, m cost.Metric) cost.Value {
 		without.Size(), greedyScaledCost(without, m))
 }
 
-// TestMinByLB1MatchesSortedFirst pins k-LP's one-step pick: the single-pass
-// minimum must be the first candidate sortByLB1 leaves after exclusions,
-// over random candidate lists in random order whose 1-step bounds and
-// evenness tie often, so every key of the order decides some cases.
+// TestMinByLB1MatchesSortedFirst pins k-LP's one-step pick: exclusions are
+// dropped first, in candidate order, and the single-pass minimum over the
+// rest must be the first candidate sortByLB1 leaves after exclusions, over
+// random candidate lists in random order whose 1-step bounds and evenness
+// tie often, so every key of the order decides some cases.
 func TestMinByLB1MatchesSortedFirst(t *testing.T) {
+	// Exclusions are checked through a view's GlobalEntity; on a subset
+	// that is not a view it maps every entity to itself.
+	ident, err := dataset.FromIDSets([]string{"a"}, [][]dataset.Entity{{0}}, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := rng.New(41)
 	for trial := 0; trial < 2000; trial++ {
-		n := 1 + r.Intn(40)
-		ids := r.Perm(3 * n)[:n]
-		cands := make([]candidate, n)
-		for i := range cands {
-			cands[i] = candidate{
-				entity: dataset.Entity(ids[i]),
-				lb1:    cost.Value(r.Intn(4)),
-				uneven: r.Intn(3),
-			}
-		}
+		cands := randomCandidates(r, 1+r.Intn(40), func() candidate {
+			return candidate{lb1: cost.Value(r.Intn(4)), uneven: r.Intn(3)}
+		})
 		var excluded map[dataset.Entity]bool
 		if trial%2 == 1 {
 			excluded = make(map[dataset.Entity]bool)
@@ -456,15 +458,16 @@ func TestMinByLB1MatchesSortedFirst(t *testing.T) {
 				}
 			}
 		}
-		before := append([]candidate(nil), cands...)
-		got, ok := minByLB1(cands, excluded)
-		for i := range cands {
-			if cands[i] != before[i] {
+		sorted := append([]candidate(nil), cands...)
+		allowed := dropExcluded(cands, ident.All(), excluded)
+		before := append([]candidate(nil), allowed...)
+		got, ok := minByLB1(allowed)
+		for i := range allowed {
+			if allowed[i] != before[i] {
 				t.Fatalf("trial %d: minByLB1 reordered its input", trial)
 			}
 		}
 
-		sorted := append([]candidate(nil), cands...)
 		sortByLB1(sorted)
 		var kept []candidate
 		for _, c := range sorted {
@@ -477,6 +480,76 @@ func TestMinByLB1MatchesSortedFirst(t *testing.T) {
 		}
 		if ok && got != kept[0] {
 			t.Fatalf("trial %d: minByLB1 = %+v, sortByLB1 first = %+v", trial, got, kept[0])
+		}
+	}
+}
+
+// sortByLB1 is the reference candidate order: a comparison sort by cmpLB1,
+// which orderByLB1's counting sort must reproduce.
+func sortByLB1(cands []candidate) {
+	slices.SortFunc(cands, cmpLB1)
+}
+
+// randomCandidates returns count candidates with distinct entity IDs drawn
+// from 0..3·count−1, in random order, and the split statistics stats
+// returns for each.
+func randomCandidates(r *rng.RNG, count int, stats func() candidate) []candidate {
+	ids := r.Perm(3 * count)[:count]
+	cands := make([]candidate, count)
+	for i := range cands {
+		cands[i] = stats()
+		cands[i].entity = dataset.Entity(ids[i])
+	}
+	return cands
+}
+
+// TestLB0TableMatchesCost: the scratch's ⌈n·log2 n⌉ table equals cost.LB0
+// for both metrics at every n below 2^16, as it grows from a 64-set root to
+// a 1,500-set one and on to the largest.
+func TestLB0TableMatchesCost(t *testing.T) {
+	for _, m := range []cost.Metric{cost.AD, cost.H} {
+		w := newWorkerScratch(m)
+		largest := 0
+		for _, n := range []int{64, 1500, 10, 1<<16 - 1} {
+			w.growLB0(n)
+			largest = max(largest, n)
+			if len(w.lb0) != largest+1 {
+				t.Fatalf("metric %v: after growing to %d the table has %d entries, want %d", m, n, len(w.lb0), largest+1)
+			}
+			for i, v := range w.lb0 {
+				if want := cost.LB0(m, i); v != want {
+					t.Fatalf("metric %v, grown to %d: lb0[%d] = %d, want %d", m, n, i, v, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCountingOrderMatchesSortByLB1: orderByLB1's counting sort reproduces
+// sortByLB1 on random candidate lists in entity order, under both metrics,
+// for odd and even node sizes, with both sides c and n−c of a split drawn so
+// that h-groups hold several candidates and distinct groups tie on LB1.
+func TestCountingOrderMatchesSortByLB1(t *testing.T) {
+	r := rng.New(41)
+	for _, m := range []cost.Metric{cost.AD, cost.H} {
+		w := newWorkerScratch(m)
+		for trial := 0; trial < 2000; trial++ {
+			n := 2 + r.Intn(80)
+			w.growLB0(n)
+			cands := randomCandidates(r, 1+r.Intn(40), func() candidate {
+				c := 1 + r.Intn(n/2)
+				if r.Intn(2) == 0 {
+					c = n - c
+				}
+				return candidate{with: c, lb1: cost.LB1(m, c, n-c), uneven: abs(2*c - n)}
+			})
+			slices.SortFunc(cands, func(a, b candidate) int { return cmp.Compare(a.entity, b.entity) })
+			want := slices.Clone(cands)
+			sortByLB1(want)
+			w.orderByLB1(cands, n)
+			if !slices.Equal(cands, want) {
+				t.Fatalf("metric %v trial %d (n=%d): counting order differs\ngot  %+v\nwant %+v", m, trial, n, cands, want)
+			}
 		}
 	}
 }
