@@ -18,7 +18,7 @@
 //	         [-addr :8079] [-stream-addr :8078] [-router-persist routing.log]
 //	         [-health-interval 5s] [-health-timeout 2s]
 //	         [-health-fail 3] [-health-recover 2]
-//	         [-snapshot-every 1] [-proxy-timeout 10s]
+//	         [-snapshot-every 16] [-proxy-timeout 10s]
 //
 // Each -collection flag registers one collection; "name=path" sets the
 // registered name explicitly, a bare path uses the file's base name without
@@ -36,8 +36,10 @@
 // The router self-heals (see the README "Fault tolerance" section): it
 // probes every backend's /v1/healthz on -health-interval, declares one dead
 // after -health-fail consecutive failures, resurrects the dead engine's
-// sessions onto survivors from their last-known snapshots, and readmits the
-// engine after -health-recover consecutive successes. -health-interval 0
+// sessions onto survivors from their last-known snapshots plus the answers
+// acknowledged since (captured every -snapshot-every answered rounds, and
+// journaled between), and readmits the engine after -health-recover
+// consecutive successes. -health-interval 0
 // disables the probe loop. With -router-persist the backend set and the
 // session→backend affinity table survive router restarts in an append-only
 // log, so a restarted router keeps routing every live session without a
@@ -130,7 +132,7 @@ func main() {
 		healthTimeout  = flag.Duration("health-timeout", router.DefaultHealthTimeout, "router mode: per-probe timeout")
 		healthFail     = flag.Int("health-fail", router.DefaultFailThreshold, "router mode: consecutive probe failures before a backend is declared dead")
 		healthRecover  = flag.Int("health-recover", router.DefaultRecoverThreshold, "router mode: consecutive probe successes before a dead backend is readmitted")
-		snapshotEvery  = flag.Int("snapshot-every", router.DefaultSnapshotEvery, "router mode: answered rounds between session-snapshot captures (resurrection staleness bound)")
+		snapshotEvery  = flag.Int("snapshot-every", router.DefaultSnapshotEvery, "router mode: answered rounds between session-snapshot captures (bounds the answer journal kept per session and the rounds a resurrection replays)")
 		proxyTimeout   = flag.Duration("proxy-timeout", router.DefaultProxyTimeout, "router mode: per-attempt deadline on proxied client requests")
 	)
 	flag.Var(&collections, "collection", "collection to serve, as path or name=path (repeatable, required)")

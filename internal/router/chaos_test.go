@@ -203,9 +203,9 @@ func TestChaosKillResurrect(t *testing.T) {
 // a session whose owner is dead and unresurrectable (no snapshot) is
 // answered 503 with Retry-After, never blind-forwarded.
 func TestChaosAnswerWhileDead(t *testing.T) {
-	// SnapshotEvery high enough that no snapshot is ever captured after
-	// creation... creation always captures, so drop the cache entry by hand
-	// below instead.
+	// Creation always captures a snapshot, whatever the cadence, so the
+	// test makes the session unrecoverable by dropping that cache entry by
+	// hand below.
 	f := newChaosFleet(t, WithSnapshotEvery(1))
 	var q server.QuestionResponse
 	if code := do(t, "POST", f.front.URL+"/v1/collections/paper/sessions",

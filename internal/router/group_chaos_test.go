@@ -204,4 +204,17 @@ func TestChaosGroupSessionResurrect(t *testing.T) {
 	if strings.Contains(text, "setdiscovery_router_resurrections_total 0\n") {
 		t.Fatalf("resurrection not counted:\n%s", text)
 	}
+	// The journal counters: at cadence 1 every create and answer round is
+	// captured, so nothing was journaled and nothing replayed.
+	for _, want := range []string{
+		fmt.Sprintf("setdiscovery_router_snapshot_captures_total %d\n", f.rt.metrics.captures.Load()),
+		"setdiscovery_router_replayed_answers_total 0\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("router metrics missing %q:\n%s", want, text)
+		}
+	}
+	if got, want := f.rt.metrics.captures.Load(), int64(2+len(wantAsked)+len(asked)); got != want {
+		t.Fatalf("%d snapshot captures, want %d: two creates and every answer round", got, want)
+	}
 }

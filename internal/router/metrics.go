@@ -1,8 +1,8 @@
 package router
 
 // Prometheus text-format exposition for the router (GET /v1/metrics):
-// fleet liveness, the self-healing counters (migrations, resurrections),
-// and per-backend proxied round-trip latency quantiles. Counters are
+// fleet liveness, the self-healing counters (migrations, resurrections,
+// snapshot captures, replayed journal rounds), and per-backend proxied round-trip latency quantiles. Counters are
 // process-local atomics; latency is a fixed-size sample ring per backend
 // recorded on every completed backend exchange of either plane (doProxy for
 // JSON, the stream handlers for frames), with p50/p99 computed at scrape
@@ -59,8 +59,10 @@ func (r *latencyRing) quantiles() (p50, p99 float64) {
 
 // routerMetrics holds the router's scrape-time state.
 type routerMetrics struct {
-	migrations    atomic.Int64 // resources moved via the portable-state protocol
-	resurrections atomic.Int64 // resources re-imported off a dead backend
+	migrations      atomic.Int64 // resources moved via the portable-state protocol
+	resurrections   atomic.Int64 // resources re-imported off a dead backend
+	captures        atomic.Int64 // snapshots stored in the snapshot cache
+	replayedAnswers atomic.Int64 // journaled answer rounds replayed by resurrections
 
 	mu    sync.Mutex
 	rings map[string]*latencyRing // backend name → recent round-trips
@@ -122,6 +124,12 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	m.Family("setdiscovery_router_resurrections_total", "Resources re-imported from a cached snapshot after a backend death.", "counter")
 	m.Sample("setdiscovery_router_resurrections_total", "", float64(rt.metrics.resurrections.Load()))
+
+	m.Family("setdiscovery_router_snapshot_captures_total", "Resource snapshots captured into the snapshot cache.", "counter")
+	m.Sample("setdiscovery_router_snapshot_captures_total", "", float64(rt.metrics.captures.Load()))
+
+	m.Family("setdiscovery_router_replayed_answers_total", "Journaled answer rounds replayed onto survivors by resurrections.", "counter")
+	m.Sample("setdiscovery_router_replayed_answers_total", "", float64(rt.metrics.replayedAnswers.Load()))
 
 	type latRow struct {
 		name          string

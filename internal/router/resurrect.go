@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -14,45 +15,61 @@ import (
 
 // Crash-tolerant session resurrection. Graceful drain migrates sessions by
 // exporting live state from the old owner — which a SIGKILLed engine can no
-// longer provide. So the router opportunistically caches each tracked
-// resource's most recent snapshot: piggybacked on answer traffic (the
-// forwarded request gains ?include_state=1 every SnapshotEvery rounds, and
-// the engine's response carries the snapshot inline — zero extra round
-// trips), at creation, and on any state export that passes through. When
-// the health loop declares a backend dead, every session it owned is
-// re-imported onto its new ring owner from that last-known snapshot.
+// longer provide. So the router keeps, for each tracked resource, its most
+// recent snapshot plus an answer journal: the answer rounds the owner
+// acknowledged since that snapshot, in apply order. A session's state is a
+// pure function of its create request and its answers, so the two together
+// name its current state exactly.
 //
-// The staleness bound is explicit: a resurrected session resumes at most
-// SnapshotEvery-1 answered rounds behind the crash point (0 with
-// SnapshotEvery=1), and the first JSON response after resurrection carries
-// an
+// Snapshots ride existing traffic: the forwarded create, and every
+// SnapshotEvery-th answer, asks the engine for its state inline
+// (?include_state=1 on JSON, WantState on frames), and the router strips it
+// from the reply — zero extra round trips. Every other acknowledged answer
+// joins the journal as the JSON body of the engine's answer endpoint, so
+// SnapshotEvery bounds the journal's length and the replay work of a
+// death, not staleness. When the health loop declares a backend dead,
+// every resource it owned is re-imported onto its new ring owner from the
+// snapshot, and the journal is replayed through the survivor's ordinary
+// POST …/answer(s) path: the resource resumes at its last acknowledged
+// round at any cadence.
+//
+// One case resumes earlier. When an answer's forward fails in transport,
+// the owner may have applied it without the router seeing the reply; the
+// journal then stops at that gap and the next answer captures a snapshot.
+// A death inside that window replays the prefix before the gap — a true
+// past state, possibly one round behind what the owner held.
+//
+// The first JSON response after a resurrection carries an
 //
 //	X-Setdisc-Resumed: from=<dead-backend>; questions=<n>
 //
-// header (n = the checkpoint's question count, -1 when unknown) so clients
-// that tracked more rounds than n know to re-fetch the question and
-// re-answer. The stream plane has no counterpart yet: its frames have no
-// field for the notice, so it stays pending until the resource's next JSON
-// response. Sessions with no cached snapshot (crash before the first
-// capture) stay parked on the dead backend and answer 503 + Retry-After
-// until it recovers.
+// header (n = the resumed question count, -1 when unknown, as for batches)
+// so clients that tracked more rounds than n know to re-fetch the question
+// and re-answer. The stream plane has no counterpart yet: its frames have
+// no field for the notice, so it stays pending until the resource's next
+// JSON response. Resources with no cached snapshot (crash before the first
+// capture, or evicted from the bounded cache) stay parked on the dead
+// backend and answer 503 + Retry-After until it recovers.
 
 // ResumedHeader marks the first JSON response of a resource after a crash
 // resurrection.
 const ResumedHeader = "X-Setdisc-Resumed"
 
-// Snapshot-cache defaults: capture every answer round (a snapshot export
-// is cheap relative to a strategy selection, and it makes resurrection
-// lossless), keep the most recent few thousand sessions' checkpoints.
+// Snapshot-cache defaults: capture every 16th answer round (the journal
+// covers the rounds between, so resurrection stays lossless, and a session
+// that finishes within 15 answers captures at create only), and keep the
+// most recent few thousand resources' checkpoints.
 const (
-	DefaultSnapshotEvery = 1
+	DefaultSnapshotEvery = 16
 	DefaultSnapshotCache = 4096
 )
 
 // WithSnapshotEvery sets how many answered rounds may pass between
-// snapshot captures (default DefaultSnapshotEvery). Larger values trade
-// capture traffic for a wider resurrection staleness bound: after a crash
-// a session may resume up to k-1 rounds behind.
+// snapshot captures (default DefaultSnapshotEvery). The rounds between are
+// journaled, so a resurrection resumes at the last acknowledged round at
+// any cadence: larger values trade capture work on the answer path for a
+// longer journal per live resource and more rounds to replay after a
+// death (at most k-1 each).
 func WithSnapshotEvery(k int) Option {
 	return func(rt *Router) {
 		if k >= 1 {
@@ -130,11 +147,11 @@ func (c *snapCache) len() int {
 }
 
 // wantSnapshotLocked decides whether this answer round-trip should carry a
-// snapshot capture: every snapEvery answered rounds, or immediately when no
-// checkpoint exists yet.
+// snapshot capture: every snapEvery answered rounds, immediately when no
+// checkpoint exists yet, and after a gap in the journal.
 func (rt *Router) wantSnapshotLocked(own *owner, id string) bool {
 	own.sinceSnap++
-	if own.sinceSnap >= rt.snapEvery {
+	if own.sinceSnap >= rt.snapEvery || own.gap {
 		return true
 	}
 	_, have := rt.snaps.get(id)
@@ -143,23 +160,24 @@ func (rt *Router) wantSnapshotLocked(own *owner, id string) bool {
 
 // captureInline extracts an inline snapshot (the "state" field the engine
 // added because the forwarded request carried ?include_state=1) from a
-// JSON response body and captures it. With strip, the field
-// is removed from the returned body — clients never see a piggyback the
-// router added; when the client asked for the state itself, strip is false
-// and the body passes through intact. A body without the field (older
-// engine, error response) passes through unchanged either way.
-func (rt *Router) captureInline(id, collection, kindPath string, body []byte, strip bool) []byte {
+// JSON response body and captures it, reporting whether it did. With
+// strip, the field is removed from the returned body — clients never see a
+// piggyback the router added; when the client asked for the state itself,
+// strip is false and the body passes through intact. A body without the
+// field (older engine, error response) passes through unchanged either
+// way.
+func (rt *Router) captureInline(id, collection, kindPath string, body []byte, strip bool) ([]byte, bool) {
 	var m map[string]json.RawMessage
 	if err := json.Unmarshal(body, &m); err != nil {
-		return body
+		return body, false
 	}
 	raw, ok := m["state"]
 	if !ok {
-		return body
+		return body, false
 	}
 	var state []byte
 	if err := json.Unmarshal(raw, &state); err != nil || len(state) == 0 {
-		return body
+		return body, false
 	}
 	questions := -1
 	if qraw, ok := m["questions"]; ok {
@@ -170,14 +188,14 @@ func (rt *Router) captureInline(id, collection, kindPath string, body []byte, st
 	}
 	rt.capture(snapEntry{id: id, collection: collection, kindPath: kindPath, state: state, questions: questions})
 	if !strip {
-		return body
+		return body, true
 	}
 	delete(m, "state")
 	stripped, err := json.Marshal(m)
 	if err != nil {
-		return body
+		return body, true
 	}
-	return stripped
+	return stripped, true
 }
 
 // addIncludeState makes the forwarded query request an inline snapshot,
@@ -196,11 +214,16 @@ func addIncludeState(rawQuery string) (string, bool) {
 	return vals.Encode(), true
 }
 
+// errNoSnapshot reports a victim of a backend death with no cached
+// checkpoint to resurrect from.
+var errNoSnapshot = errors.New("no cached snapshot")
+
 // resurrectFrom re-places every tracked resource owned by the dead backend
-// onto its collection's current ring owner, importing the last-known
-// snapshot under the same ID. Resources without a checkpoint stay parked on
-// the dead backend (503 to clients) in case it recovers. Called from the
-// health loop after a death transition, outside the router lock.
+// onto its collection's current ring owner: the last-known snapshot is
+// imported under the same ID and the answer journal replayed on top.
+// Resources without a checkpoint stay parked on the dead backend (503 to
+// clients) in case it recovers. Called from the health loop after a death
+// transition, outside the router lock.
 func (rt *Router) resurrectFrom(ctx context.Context, dead *backend) {
 	type victim struct {
 		id  string
@@ -216,20 +239,19 @@ func (rt *Router) resurrectFrom(ctx context.Context, dead *backend) {
 	rt.mu.RUnlock()
 	resurrected, lost := 0, 0
 	for _, v := range victims {
-		snap, ok := rt.snaps.get(v.id)
-		if !ok {
+		moved, err := rt.resurrectOne(ctx, v.id, v.own, dead)
+		switch {
+		case errors.Is(err, errNoSnapshot):
 			lost++
 			rt.logf("router: %s %s owned by dead backend %s has no cached snapshot; parked until recovery",
 				kindNoun(v.own.kindPath), v.id, dead.name)
-			continue
-		}
-		if err := rt.resurrectOne(ctx, v.id, v.own, dead, snap); err != nil {
+		case err != nil:
 			lost++
 			rt.logf("router: resurrecting %s %s from %s: %v", kindNoun(v.own.kindPath), v.id, dead.name, err)
-			continue
+		case moved:
+			resurrected++
+			rt.metrics.resurrections.Add(1)
 		}
-		resurrected++
-		rt.metrics.resurrections.Add(1)
 	}
 	if resurrected+lost > 0 {
 		rt.logf("router: backend %s dead: resurrected %d resource(s) from last-known snapshots, %d unrecoverable",
@@ -237,10 +259,28 @@ func (rt *Router) resurrectFrom(ctx context.Context, dead *backend) {
 	}
 }
 
-// resurrectOne imports one checkpoint onto the collection's ring owner,
-// then repoints affinity and marks the owner resumed so the next JSON
-// response carries the ResumedHeader.
-func (rt *Router) resurrectOne(ctx context.Context, id string, own *owner, dead *backend, snap snapEntry) error {
+// resurrectOne imports one resource's checkpoint onto the collection's
+// ring owner and replays its answer journal there, then repoints affinity
+// and marks the owner resumed so the next JSON response carries the
+// ResumedHeader. It holds the resource's answer lock throughout, so no
+// client round runs beside the replay; a round that waited for it is
+// forwarded to the new owner. A replay that is not answered 200 ends the
+// replay: the resource resumes at the prefix before it. It reports false
+// when the resource had already left the dead backend.
+func (rt *Router) resurrectOne(ctx context.Context, id string, own *owner, dead *backend) (bool, error) {
+	own.answerMu.Lock()
+	defer own.answerMu.Unlock()
+	rt.mu.RLock()
+	onDead := rt.owners[id] == own && own.b == dead
+	journal := own.journal
+	rt.mu.RUnlock()
+	if !onDead {
+		return false, nil
+	}
+	snap, ok := rt.snaps.get(id)
+	if !ok {
+		return false, errNoSnapshot
+	}
 	dst, err := rt.importState(ctx, snap, func() *backend {
 		if b := rt.ringOwner(snap.collection); b != dead {
 			return b
@@ -248,18 +288,43 @@ func (rt *Router) resurrectOne(ctx context.Context, id string, own *owner, dead 
 		return nil
 	})
 	if err != nil {
-		return err
+		return false, err
 	}
+	path := "/v1/" + snap.kindPath + "/" + id + "/answer"
+	if snap.kindPath == "batches" {
+		path += "s"
+	}
+	questions, replayed, gap := snap.questions, 0, false
+	for _, body := range journal {
+		status, reply, err := rt.doProxy(ctx, http.MethodPost, dst, path, "", "application/json", body, opTimeout)
+		if err != nil || status != http.StatusOK {
+			// A transport failure leaves this replay's fate unknown.
+			gap = err != nil
+			rt.logf("router: replaying round %d of %s %s on %s: status %d, %v; resuming at round %d",
+				replayed+1, kindNoun(snap.kindPath), id, dst.name, status, err, replayed)
+			break
+		}
+		replayed++
+		if snap.kindPath == "sessions" {
+			var q server.QuestionResponse
+			if json.Unmarshal(reply, &q) == nil {
+				questions = q.Questions
+			}
+		}
+	}
+	rt.metrics.replayedAnswers.Add(int64(replayed))
 	rt.mu.Lock()
-	if cur, ok := rt.owners[id]; ok && cur == own && cur.b == dead {
-		cur.b = dst
-		cur.resumedFrom = dead.name
-		cur.resumedQuestions = snap.questions
-		cur.sinceSnap = 0
-		rt.persistOwnerLocked(id, cur)
+	if rt.owners[id] == own && own.b == dead {
+		own.b = dst
+		own.resumedFrom = dead.name
+		own.resumedQuestions = questions
+		own.sinceSnap = replayed
+		own.journal = journal[:replayed]
+		own.gap = gap
+		rt.persistOwnerLocked(id, own)
 	}
 	rt.mu.Unlock()
-	return nil
+	return true, nil
 }
 
 // importState PUTs a checkpoint under its resource's ID onto the backend

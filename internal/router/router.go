@@ -20,10 +20,11 @@
 // The router holds no discovery state of its own: everything it tracks is
 // the ID → backend affinity table, rebuilt from traffic, dropped on
 // DELETE/expiry — plus, for fault tolerance, each resource's last-known
-// snapshot (resurrect.go). Engines remain the source of truth; the router's
-// own routing state can be made durable with WithPersist (persist.go), and
-// backend liveness is tracked by the active health loop (health.go) with
-// retry/timeout discipline on every proxy path (retry.go).
+// snapshot and the answers acknowledged since (resurrect.go). Engines
+// remain the source of truth; the router's own routing state can be made
+// durable with WithPersist (persist.go), and backend liveness is tracked
+// by the active health loop (health.go) with retry/timeout discipline on
+// every proxy path (retry.go).
 package router
 
 import (
@@ -126,7 +127,14 @@ type owner struct {
 
 	sinceSnap        int    // answered rounds since the last snapshot capture
 	resumedFrom      string // dead backend this resource was resurrected off, until announced
-	resumedQuestions int    // checkpoint question count at resurrection (-1 unknown)
+	resumedQuestions int    // resumed question count at resurrection (-1 unknown)
+
+	// answerMu orders the resource's answer rounds with each other and
+	// with its resurrection and migration (core.go lockAnswers). journal
+	// and gap are guarded by the router lock and written under answerMu.
+	answerMu sync.Mutex
+	journal  [][]byte // acknowledged answer request bodies since the last capture, in apply order
+	gap      bool     // an answer's fate is unknown since the last capture: journal no further
 }
 
 // ringPoint is one virtual node on the consistent-hash ring.
@@ -551,8 +559,37 @@ func (rt *Router) migrateAll(moves []move) int {
 // the new one, delete the original. A session that already expired is
 // simply forgotten. The freshly exported state also refreshes the
 // last-known snapshot cache — the "on demand at drain" capture, so a later
-// crash of the destination resurrects from at worst this checkpoint.
+// crash of the destination resurrects from this checkpoint.
 func (rt *Router) migrate(m move) (bool, error) {
+	moved, err := rt.transfer(m)
+	if !moved || err != nil {
+		return moved, err
+	}
+	// Best-effort: remove the original so the drained engine frees its slot
+	// (and a half-dead engine cannot serve a stale twin if traffic somehow
+	// reaches it directly).
+	if dstatus, _, derr := rt.doProxy(context.Background(), http.MethodDelete, m.src, "/v1/"+m.kindPath+"/"+m.id, "", "", nil, opTimeout); derr != nil || dstatus >= 300 {
+		rt.logf("router: deleting migrated %s %s from %s: status %d, %v", kindNoun(m.kindPath), m.id, m.src.name, dstatus, derr)
+	}
+	return true, nil
+}
+
+// transfer is migrate's export → import → owner flip. It holds the
+// resource's answer lock throughout, so no answer is applied on the old
+// owner after its state left: a round that waits for the lock is forwarded
+// to the new owner.
+func (rt *Router) transfer(m move) (bool, error) {
+	own := rt.lockAnswers(m.id)
+	if own == nil {
+		return false, nil // forgotten meanwhile
+	}
+	defer own.answerMu.Unlock()
+	rt.mu.RLock()
+	onSrc := rt.owners[m.id] == own && own.b == m.src
+	rt.mu.RUnlock()
+	if !onSrc {
+		return false, nil // dropped or moved meanwhile (resurrection, another migration)
+	}
 	ctx := context.Background()
 	status, body, err := rt.doProxy(ctx, http.MethodGet, m.src, "/v1/"+m.kindPath+"/"+m.id+"/state", "", "", nil, opTimeout)
 	if err != nil {
@@ -560,7 +597,7 @@ func (rt *Router) migrate(m move) (bool, error) {
 	}
 	if status == http.StatusNotFound {
 		// Expired or deleted behind our back: nothing to move.
-		rt.settle(m.id, status, false, false)
+		rt.settle(m.id, status, false, false, nil, nil)
 		return false, nil
 	}
 	if status != http.StatusOK {
@@ -576,17 +613,11 @@ func (rt *Router) migrate(m move) (bool, error) {
 		return false, err
 	}
 	rt.mu.Lock()
-	if own, ok := rt.owners[m.id]; ok && own.b == m.src {
+	if rt.owners[m.id] == own && own.b == m.src {
 		own.b = m.dest
 		rt.persistOwnerLocked(m.id, own)
 	}
 	rt.mu.Unlock()
-	// Best-effort: remove the original so the drained engine frees its slot
-	// (and a half-dead engine cannot serve a stale twin if traffic somehow
-	// reaches it directly).
-	if dstatus, _, derr := rt.doProxy(ctx, http.MethodDelete, m.src, "/v1/"+m.kindPath+"/"+m.id, "", "", nil, opTimeout); derr != nil || dstatus >= 300 {
-		rt.logf("router: deleting migrated %s %s from %s: status %d, %v", kindNoun(m.kindPath), m.id, m.src.name, dstatus, derr)
-	}
 	return true, nil
 }
 
@@ -664,7 +695,7 @@ func (rt *Router) handleCreate(kindPath string) http.HandlerFunc {
 				}
 				if id != "" {
 					rt.adopt(id, b, kindPath, collection)
-					body = rt.captureInline(id, collection, kindPath, body, strip)
+					body, _ = rt.captureInline(id, collection, kindPath, body, strip)
 				}
 			}
 		}
@@ -681,9 +712,12 @@ func (rt *Router) handleCreate(kindPath string) http.HandlerFunc {
 // resurrection or recovery mid-retry redirects the next attempt to the new
 // owner. POST (answers) is single-shot: a lost response leaves the answer's
 // fate unknown, so the client must disambiguate by re-fetching the question
-// rather than the router re-sending blind. Answer rounds also carry the
-// snapshot piggyback every SnapshotEvery rounds (resurrect.go), and any
-// response after a crash resurrection is stamped with the ResumedHeader.
+// rather than the router re-sending blind. An answer runs under the
+// resource's answer lock; an acknowledged one joins the answer journal, or
+// carries the snapshot piggyback every SnapshotEvery rounds (resurrect.go).
+// A state import (PUT …/state) replaces the resource's state, so it runs
+// under the same lock and becomes the new checkpoint. Any response after a
+// crash resurrection is stamped with the ResumedHeader.
 func (rt *Router) handleResource(kindPath string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
@@ -693,12 +727,14 @@ func (rt *Router) handleResource(kindPath string) http.HandlerFunc {
 			return
 		}
 		answer := r.Method == http.MethodPost
+		imports := r.Method == http.MethodPut && strings.HasSuffix(r.URL.Path, "/state")
 		rte, err := rt.resolve(id, kindPath, answer)
+		defer rte.release()
 		if rte.b == nil {
-			// One special case: a state import (PUT …/state) may target an ID
-			// the router has never seen — an external restore. Place it by
-			// the collection named in the body.
-			if r.Method == http.MethodPut && strings.HasSuffix(r.URL.Path, "/state") {
+			// One special case: a state import may target an ID the router
+			// has never seen — an external restore. Place it by the
+			// collection named in the body.
+			if imports {
 				rt.handleExternalImport(w, r, kindPath, id, reqBody)
 				return
 			}
@@ -712,6 +748,7 @@ func (rt *Router) handleResource(kindPath string) http.HandlerFunc {
 		contentType := r.Header.Get("Content-Type")
 		var status int
 		var body []byte
+		round := reqBody // what an acknowledged answer adds to the journal
 		if answer {
 			if err != nil {
 				// The owner is down and this resource has not (yet) been
@@ -723,11 +760,23 @@ func (rt *Router) handleResource(kindPath string) http.HandlerFunc {
 			status, body, err = rt.doProxy(r.Context(), r.Method, rte.b, r.URL.Path, rawQuery,
 				contentType, reqBody, rt.proxyTimeout)
 			if err != nil {
+				rt.settle(id, 0, false, false, rte.own, nil)
 				w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterSeconds()))
 				rt.writeError(w, http.StatusBadGateway, err)
 				return
 			}
+			if status == http.StatusOK && rte.wantSnap {
+				var captured bool
+				if body, captured = rt.captureInline(id, rte.collection, kindPath, body, strip); captured {
+					round = nil
+				}
+			}
 		} else {
+			if imports {
+				if own := rt.lockAnswers(id); own != nil {
+					defer own.answerMu.Unlock()
+				}
+			}
 			resolve := func() *backend {
 				cur, err := rt.resolve(id, kindPath, false)
 				if err != nil {
@@ -746,21 +795,13 @@ func (rt *Router) handleResource(kindPath string) http.HandlerFunc {
 				}
 				return
 			}
-		}
-		if status == http.StatusOK {
-			if rte.wantSnap {
-				body = rt.captureInline(id, rte.collection, kindPath, body, strip)
-			} else if r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/state") {
-				// Opportunistic: a state export passing through is the
-				// freshest checkpoint we can have — cache it as-is.
-				var state server.StateResponse
-				if json.Unmarshal(body, &state) == nil && len(state.State) > 0 {
-					rt.capture(snapEntry{id: id, collection: state.Collection, kindPath: kindPath,
-						state: state.State, questions: -1})
-				}
+			var req server.ImportStateRequest
+			if imports && status == http.StatusOK && json.Unmarshal(reqBody, &req) == nil && len(req.State) > 0 {
+				rt.capture(snapEntry{id: id, collection: req.Collection, kindPath: kindPath,
+					state: req.State, questions: -1})
 			}
 		}
-		if notice := rt.settle(id, status, r.Method == http.MethodDelete, true); notice != "" {
+		if notice := rt.settle(id, status, r.Method == http.MethodDelete, true, rte.own, round); notice != "" {
 			w.Header().Set(ResumedHeader, notice)
 		}
 		writeRaw(w, status, body)

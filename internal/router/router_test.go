@@ -35,7 +35,7 @@ type engine struct {
 
 // newEngine starts a full discovery engine over the paper collection — its
 // own registry and session store, as a separate process would have.
-func newEngine(t *testing.T) *engine {
+func newEngine(t testing.TB) *engine {
 	t.Helper()
 	c, err := setdiscovery.NewCollection(paperSets())
 	if err != nil {
@@ -51,7 +51,7 @@ func newEngine(t *testing.T) *engine {
 }
 
 // do performs one JSON exchange against the router (or an engine).
-func do(t *testing.T, method, url string, body, out any) int {
+func do(t testing.TB, method, url string, body, out any) int {
 	t.Helper()
 	var buf bytes.Buffer
 	if body != nil {

@@ -2,6 +2,7 @@ package router
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"setdiscovery/internal/server"
 	"setdiscovery/internal/wireproto"
 )
 
@@ -19,12 +21,14 @@ import (
 // per-request proxy transactions. Because each hop is terminated (not
 // spliced), the frame handlers run the same owner-bookkeeping core as the
 // JSON handlers (core.go): every frame re-resolves its resource's owner,
-// every forwarded create and answer asks the engine for an inline snapshot
-// on the router's cadence and captures it, and when an owner dies and its
-// sessions are resurrected elsewhere, the next frame transparently
-// re-attaches to the new owner. The one JSON-plane behaviour without a
-// stream counterpart is the ResumedHeader notice: no frame field carries
-// it, so it stays pending for the resource's next JSON response.
+// every forwarded create asks the engine for an inline snapshot, every
+// forwarded answer either does so on the router's cadence or joins the
+// answer journal as the JSON body the engine's answer endpoint takes, and
+// when an owner dies and its sessions are resurrected elsewhere, the next
+// frame transparently re-attaches to the new owner. The one JSON-plane
+// behaviour without a stream counterpart is the ResumedHeader notice: no
+// frame field carries it, so it stays pending for the resource's next JSON
+// response.
 
 // DefaultStreamPoolSize is the per-backend stream-connection bound. Each
 // connection multiplexes arbitrarily many channels, so a handful is enough
@@ -184,13 +188,21 @@ type routerStreamConn struct {
 
 	wmu sync.Mutex
 
-	mu    sync.Mutex
-	chans map[uint64]*proxyChan
+	mu      sync.Mutex
+	chans   map[uint64]*proxyChan
+	sweepAt int // chans size that triggers the next sweep of gone resources
 }
 
 // streamProxyWorkers bounds concurrently-processed frames per client
 // connection (same rationale as the engine's bound).
 const streamProxyWorkers = 256
+
+// chanSweepFloor is the smallest channel map a sweep runs on. Clients do
+// not tell the router when they are done with a channel, so a long-lived
+// connection would keep every channel it ever bound; each time the map
+// has doubled since the last sweep (and holds at least this many), the
+// channels whose resource is gone are dropped — amortised O(1) per bind.
+const chanSweepFloor = 64
 
 func (rt *Router) serveStreamConn(conn net.Conn) {
 	defer conn.Close()
@@ -198,7 +210,18 @@ func (rt *Router) serveStreamConn(conn net.Conn) {
 		rt.logf("router: stream preface from %s: %v", conn.RemoteAddr(), err)
 		return
 	}
-	sc := &routerStreamConn{rt: rt, conn: conn, chans: make(map[uint64]*proxyChan)}
+	rt.newStreamConn(conn).serve()
+}
+
+func (rt *Router) newStreamConn(conn net.Conn) *routerStreamConn {
+	return &routerStreamConn{rt: rt, conn: conn, chans: make(map[uint64]*proxyChan), sweepAt: chanSweepFloor}
+}
+
+// serve handles the connection's frames, past the preface, until the
+// client hangs up.
+func (sc *routerStreamConn) serve() {
+	rt := sc.rt
+	conn := sc.conn
 	defer sc.closeChans()
 	br := bufio.NewReader(conn)
 	sem := make(chan struct{}, streamProxyWorkers)
@@ -282,10 +305,12 @@ func (sc *routerStreamConn) channel(ch uint64) (*proxyChan, bool) {
 }
 
 // handleCreate binds a client channel: placement by collection ring owner
-// for fresh resources, owner lookup for AttachID re-binds. The forwarded
-// create always demands an inline snapshot, so stream-created resources
-// are resurrectable from the moment they exist, exactly like the JSON
-// plane's create path.
+// for fresh resources, owner lookup for AttachID re-binds. A forwarded
+// fresh create always demands an inline snapshot, so stream-created
+// resources are resurrectable from the moment they exist, exactly like the
+// JSON plane's create path. An attach captures nothing: it runs outside
+// the resource's answer lock, so its state could predate a journaled
+// round.
 func (sc *routerStreamConn) handleCreate(req *wireproto.Create) {
 	rt := sc.rt
 	rte := route{kindPath: "sessions", collection: req.Collection}
@@ -313,7 +338,8 @@ func (sc *routerStreamConn) handleCreate(req *wireproto.Create) {
 	}
 	bs := bc.OpenStream()
 	fwd := *req
-	fwd.WantState = true // snapshot capture piggyback, stripped below
+	fresh := req.AttachID == ""
+	fwd.WantState = req.WantState || fresh // snapshot capture piggyback, stripped below
 	start := time.Now()
 	q, err := bs.Create(&fwd, rt.proxyTimeout)
 	sc.observe(rte.b.name, start, err)
@@ -323,10 +349,10 @@ func (sc *routerStreamConn) handleCreate(req *wireproto.Create) {
 		return
 	}
 
-	if req.AttachID == "" && q.ID != "" {
+	if fresh && q.ID != "" {
 		rt.adopt(q.ID, rte.b, rte.kindPath, rte.collection)
+		sc.capture(q.ID, rte, q)
 	}
-	sc.capture(q.ID, rte, q)
 
 	pc := &proxyChan{id: q.ID, kindPath: rte.kindPath, backendName: rte.b.name, bc: bc, bs: bs}
 	sc.mu.Lock()
@@ -339,15 +365,48 @@ func (sc *routerStreamConn) handleCreate(req *wireproto.Create) {
 		old.bs.Close()
 	}
 	sc.chans[req.Channel] = pc
+	gone := sc.sweepLocked()
 	sc.mu.Unlock()
+	for _, pc := range gone {
+		pc.mu.Lock()
+		if pc.bs != nil {
+			pc.bs.Close()
+			pc.bs = nil
+		}
+		pc.mu.Unlock()
+	}
 
 	sc.reply(req.Channel, q, req.WantState)
+}
+
+// sweepLocked drops, once the channel map has doubled since the last
+// sweep, every channel whose resource the router no longer tracks
+// (deleted, expired, or aged out), returning them so the caller can close
+// their backend streams outside the map lock. A frame on a dropped
+// channel answers 404, as it would have from the owner. Callers hold
+// sc.mu.
+func (sc *routerStreamConn) sweepLocked() []*proxyChan {
+	if len(sc.chans) < sc.sweepAt {
+		return nil
+	}
+	var gone []*proxyChan
+	sc.rt.mu.RLock()
+	for ch, pc := range sc.chans {
+		if _, ok := sc.rt.owners[pc.id]; !ok {
+			delete(sc.chans, ch)
+			gone = append(gone, pc)
+		}
+	}
+	sc.rt.mu.RUnlock()
+	sc.sweepAt = max(2*len(sc.chans), chanSweepFloor)
+	return gone
 }
 
 // rebind resolves the channel's resource owner through the core before a
 // forward, remaking the backend-side stream when the owner moved
 // (resurrection, migration, recovery) or its pooled connection died — the
-// stream plane's failover re-dial. Callers hold pc.mu.
+// stream plane's failover re-dial. An answer's route holds the resource's
+// answer lock on success, as resolve's does. Callers hold pc.mu.
 func (sc *routerStreamConn) rebind(pc *proxyChan, answer bool) (route, error) {
 	rt := sc.rt
 	rte, err := rt.resolve(pc.id, pc.kindPath, answer)
@@ -361,12 +420,14 @@ func (sc *routerStreamConn) rebind(pc *proxyChan, answer bool) (route, error) {
 		}
 		bc, err := rt.streamConn(rte.b)
 		if err != nil {
-			return rte, fmt.Errorf("backend %s unreachable: %w", rte.b.name, err)
+			rte.release()
+			return route{}, fmt.Errorf("backend %s unreachable: %w", rte.b.name, err)
 		}
 		bs := bc.OpenStream()
 		if _, err := bs.Attach(pc.id, false, rt.proxyTimeout); err != nil {
 			bs.Close()
-			return rte, err
+			rte.release()
+			return route{}, err
 		}
 		pc.bc, pc.bs, pc.backendName = bc, bs, rte.b.name
 	}
@@ -375,10 +436,10 @@ func (sc *routerStreamConn) rebind(pc *proxyChan, answer bool) (route, error) {
 
 // handleRound forwards one answer or batch-answer exchange. Like the JSON
 // plane's POST path it is single-shot: a transport failure mid-exchange
-// leaves the answer's fate unknown, so the client disambiguates by
-// re-attaching (which re-fetches the question) rather than the router
-// re-sending blind. Snapshot capture rides the forward on the router's
-// cadence.
+// leaves the answer's fate unknown (a gap in the journal), so the client
+// disambiguates by re-attaching (which re-fetches the question) rather
+// than the router re-sending blind. Snapshot capture rides the forward on
+// the router's cadence; any other acknowledged round is journaled.
 func (sc *routerStreamConn) handleRound(ch uint64, req wireproto.Message, clientWantState bool) {
 	rt := sc.rt
 	pc, ok := sc.channel(ch)
@@ -394,6 +455,7 @@ func (sc *routerStreamConn) handleRound(ch uint64, req wireproto.Message, client
 		sc.forwardError(ch, pc.id, err)
 		return
 	}
+	defer rte.release()
 
 	var q *wireproto.Question
 	start := time.Now()
@@ -414,12 +476,39 @@ func (sc *routerStreamConn) handleRound(ch uint64, req wireproto.Message, client
 		if !isRemote(err) {
 			pc.bs.Close()
 			pc.bs = nil
+			rt.settle(pc.id, 0, false, false, rte.own, nil)
 		}
 		sc.forwardError(ch, pc.id, err)
 		return
 	}
-	sc.capture(pc.id, rte, q)
+	var round []byte
+	if !(rte.wantSnap && sc.capture(pc.id, rte, q)) {
+		round = journalBody(req)
+	}
+	rt.settle(pc.id, http.StatusOK, false, false, rte.own, round)
 	sc.reply(ch, q, clientWantState)
+}
+
+// journalBody renders a forwarded answer frame as the JSON request body of
+// the engine's answer endpoint — the form in which the journal replays it.
+func journalBody(req wireproto.Message) []byte {
+	var v any
+	switch r := req.(type) {
+	case *wireproto.Answer:
+		v = server.AnswerRequest{Answer: r.Answer, Entity: r.Entity, Confirm: r.Confirm,
+			Subset: r.Subset, Semantics: r.Semantics}
+	case *wireproto.BatchAnswer:
+		answers := make([]server.MemberAnswerRequest, len(r.Answers))
+		for i, ma := range r.Answers {
+			answers[i] = server.MemberAnswerRequest(ma)
+		}
+		v = server.BatchAnswerRequest{Answers: answers}
+	}
+	body, err := json.Marshal(v)
+	if err != nil {
+		panic(err) // plain strings and ints always marshal
+	}
+	return body
 }
 
 // handleResultReq forwards a result fetch — idempotent, so a transport
@@ -468,11 +557,11 @@ func (sc *routerStreamConn) observe(backend string, start time.Time, err error) 
 }
 
 // capture hands a forwarded Question's inline snapshot to the core — the
-// frame codec's counterpart of captureInline. A single session's
-// checkpoint records its question count.
-func (sc *routerStreamConn) capture(id string, rte route, q *wireproto.Question) {
+// frame codec's counterpart of captureInline — reporting whether there
+// was one. A single session's checkpoint records its question count.
+func (sc *routerStreamConn) capture(id string, rte route, q *wireproto.Question) bool {
 	if id == "" || len(q.State) == 0 {
-		return
+		return false
 	}
 	questions := -1
 	if rte.kindPath == "sessions" && len(q.Members) == 1 {
@@ -480,6 +569,7 @@ func (sc *routerStreamConn) capture(id string, rte route, q *wireproto.Question)
 	}
 	sc.rt.capture(snapEntry{id: id, collection: rte.collection, kindPath: rte.kindPath,
 		state: q.State, questions: questions})
+	return true
 }
 
 // reply relays a forwarded Question to the client on its channel, without
@@ -500,7 +590,7 @@ func (sc *routerStreamConn) forwardError(ch uint64, id string, err error) {
 	var re *wireproto.RemoteError
 	if errors.As(err, &re) {
 		if id != "" {
-			sc.rt.settle(id, re.Status, false, false)
+			sc.rt.settle(id, re.Status, false, false, nil, nil)
 		}
 		sc.write(&wireproto.Error{Channel: ch, Status: re.Status, Msg: re.Msg})
 		return

@@ -170,6 +170,15 @@ func (st *Store) Get(id string) (*Stored, bool) {
 	return e.s, true
 }
 
+// has reports whether id names an unexpired entry, without sliding its
+// expiry.
+func (st *Store) has(id string) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	e, ok := st.m[id]
+	return ok && !st.now().After(e.expires)
+}
+
 // PutWithID stores a session or batch under a caller-chosen ID — the import
 // half of state migration, where a session must keep its ID as it moves
 // between engines so clients (and the router's affinity table) never see it

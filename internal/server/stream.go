@@ -28,6 +28,14 @@ import (
 // and never feel the bound.
 const streamFrameWorkers = 256
 
+// boundSweepFloor is the smallest channel map a sweep runs on. Clients do
+// not tell the engine when they are done with a channel, and a router's
+// pooled connection lives as long as the backend, so a connection would
+// keep every channel it ever bound; each time the map has doubled since
+// the last sweep (and holds at least this many), the channels whose
+// resource is gone from the store are dropped — amortised O(1) per bind.
+const boundSweepFloor = 64
+
 // ServeStream accepts stream-plane connections on l until it is closed,
 // then returns nil. Each connection may multiplex any number of concurrent
 // sessions and batches.
@@ -51,8 +59,9 @@ type streamConn struct {
 
 	wmu sync.Mutex // serializes response frame writes
 
-	mu    sync.Mutex
-	bound map[uint64]string // channel → resource ID
+	mu      sync.Mutex
+	bound   map[uint64]string // channel → resource ID
+	sweepAt int               // bound size that triggers the next sweep of gone resources
 }
 
 func (s *Server) serveStreamConn(conn net.Conn) {
@@ -61,7 +70,17 @@ func (s *Server) serveStreamConn(conn net.Conn) {
 		s.logf("server: stream preface from %s: %v", conn.RemoteAddr(), err)
 		return
 	}
-	sc := &streamConn{s: s, conn: conn, bound: make(map[uint64]string)}
+	s.newStreamConn(conn).serve()
+}
+
+func (s *Server) newStreamConn(conn net.Conn) *streamConn {
+	return &streamConn{s: s, conn: conn, bound: make(map[uint64]string), sweepAt: boundSweepFloor}
+}
+
+// serve handles the connection's frames, past the preface, until the peer
+// hangs up.
+func (sc *streamConn) serve() {
+	s, conn := sc.s, sc.conn
 	br := bufio.NewReader(conn)
 	sem := make(chan struct{}, streamFrameWorkers)
 	var wg sync.WaitGroup
@@ -149,10 +168,22 @@ func (sc *streamConn) resource(ch uint64) (string, *Stored, bool) {
 	return id, st, true
 }
 
+// bind records the channel's resource and, once the map has doubled since
+// the last sweep, drops every channel whose resource is gone from the
+// store. A frame on a dropped channel answers 404, as its resource would.
 func (sc *streamConn) bind(ch uint64, id string) {
 	sc.mu.Lock()
+	defer sc.mu.Unlock()
 	sc.bound[ch] = id
-	sc.mu.Unlock()
+	if len(sc.bound) < sc.sweepAt {
+		return
+	}
+	for ch, id := range sc.bound {
+		if !sc.s.store.has(id) {
+			delete(sc.bound, ch)
+		}
+	}
+	sc.sweepAt = max(2*len(sc.bound), boundSweepFloor)
 }
 
 // wireConfig maps the frame-level engine configuration to the JSON plane's.

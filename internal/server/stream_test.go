@@ -396,3 +396,63 @@ func TestStreamTreeSession(t *testing.T) {
 	}
 	_ = setdiscovery.Yes // keep the import honest if helpers change
 }
+
+// TestStreamChannelMapBounded serves 256 sessions over one long-lived
+// connection — the shape of a router's pooled link — each finished and then
+// DELETEd over the JSON plane. Clients never tell the engine they are done
+// with a channel, so the connection's channel map must shed the channels of
+// gone resources on its own and stay under a fixed bound.
+func TestStreamChannelMapBounded(t *testing.T) {
+	srv, ts, _ := newTestServer(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	conns := make(chan *streamConn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if wireproto.ReadPreface(conn) != nil {
+			return
+		}
+		sc := srv.newStreamConn(conn)
+		conns <- sc
+		sc.serve()
+	}()
+	c, err := wireproto.Dial(ln.Addr().String(), streamTestTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	sc := <-conns
+
+	target := map[string]bool{"a": true, "d": true, "e": true} // S2
+	for i := 0; i < 256; i++ {
+		s := c.OpenStream()
+		q, err := s.Create(&wireproto.Create{Collection: "paper"}, streamTestTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, res := resolveStream(t, s, q, target); res.Members[0].Target != "S2" {
+			t.Fatalf("session %d resolved %q, want S2", i, res.Members[0].Target)
+		}
+		s.Close()
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+q.ID, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		sc.mu.Lock()
+		n := len(sc.bound)
+		sc.mu.Unlock()
+		if n > boundSweepFloor {
+			t.Fatalf("after %d finished and deleted sessions the connection binds %d channels, want at most %d",
+				i+1, n, boundSweepFloor)
+		}
+	}
+}

@@ -28,14 +28,19 @@ const (
 	// ChaosDelay forwards the request after the configured delay — a
 	// saturated engine answering slowly.
 	ChaosDelay
+	// ChaosResetAfter forwards the request, drops the backend's reply and
+	// resets the connection — a reply lost after the engine applied the
+	// request.
+	ChaosResetAfter
 )
 
 // ChaosProxy is an httptest-based fault-injection reverse proxy for one
 // backend: the E2E chaos suites put one in front of each engine and flip
 // its mode to black-hole, delay, 500, or connection-reset traffic on
-// demand. Faults can be applied globally (SetMode) or for the next N
-// requests only (FailNext), and restricted to matching paths (SetPathFilter)
-// so e.g. health probes can be failed while data traffic flows.
+// demand, or to apply a request and lose its reply. Faults can be applied
+// globally (SetMode) or for the next N requests only (FailNext), and
+// restricted to matching paths (SetPathFilter) so e.g. health probes can be
+// failed while data traffic flows.
 //
 // All methods are safe for concurrent use. The proxy counts every request
 // it receives (Requests), faulted or not, so retry policies can be pinned
@@ -164,14 +169,14 @@ func (p *ChaosProxy) serve(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"chaos: injected failure"}`, http.StatusInternalServerError)
 		return
 	case ChaosReset:
-		if hj, ok := w.(http.Hijacker); ok {
-			if conn, _, err := hj.Hijack(); err == nil {
-				conn.Close()
-				return
-			}
+		reset(w)
+		return
+	case ChaosResetAfter:
+		if resp, err := p.roundTrip(r); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
 		}
-		// No hijack support: the closest observable fault is an empty 500.
-		w.WriteHeader(http.StatusInternalServerError)
+		reset(w)
 		return
 	case ChaosDelay:
 		select {
@@ -185,19 +190,35 @@ func (p *ChaosProxy) serve(w http.ResponseWriter, r *http.Request) {
 	p.forward(w, r)
 }
 
-// forward replays the request against the target and copies the response
-// back verbatim.
-func (p *ChaosProxy) forward(w http.ResponseWriter, r *http.Request) {
+// reset hijacks and closes the client's connection without a response.
+func reset(w http.ResponseWriter) {
+	if hj, ok := w.(http.Hijacker); ok {
+		if conn, _, err := hj.Hijack(); err == nil {
+			conn.Close()
+			return
+		}
+	}
+	// No hijack support: the closest observable fault is an empty 500.
+	w.WriteHeader(http.StatusInternalServerError)
+}
+
+// roundTrip replays the request against the target.
+func (p *ChaosProxy) roundTrip(r *http.Request) (*http.Response, error) {
 	target := *p.target
 	target.Path = r.URL.Path
 	target.RawQuery = r.URL.RawQuery
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, target.String(), r.Body)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
+		return nil, err
 	}
 	req.Header = r.Header.Clone()
-	resp, err := p.client.Do(req)
+	return p.client.Do(req)
+}
+
+// forward replays the request against the target and copies the response
+// back verbatim.
+func (p *ChaosProxy) forward(w http.ResponseWriter, r *http.Request) {
+	resp, err := p.roundTrip(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
