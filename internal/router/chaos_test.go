@@ -204,7 +204,7 @@ func TestChaosKillResurrect(t *testing.T) {
 // answered 503 with Retry-After, never blind-forwarded.
 func TestChaosAnswerWhileDead(t *testing.T) {
 	// Creation always captures a snapshot, whatever the cadence, so the
-	// test makes the session unrecoverable by dropping that cache entry by
+	// test makes the session unrecoverable by clearing that checkpoint by
 	// hand below.
 	f := newChaosFleet(t, WithSnapshotEvery(1))
 	var q server.QuestionResponse
@@ -220,7 +220,9 @@ func TestChaosAnswerWhileDead(t *testing.T) {
 		}
 	}
 	// Make the session unrecoverable, then kill its owner: it must park.
-	f.rt.snaps.drop(q.SessionID)
+	f.rt.mu.Lock()
+	f.rt.owners[q.SessionID].snap = nil
+	f.rt.mu.Unlock()
 	f.proxies[ownerName].SetMode(testutil.ChaosReset)
 	f.detectDeath(t)
 
@@ -300,7 +302,7 @@ func TestRouterRestartPersistedAffinity(t *testing.T) {
 // rides out transient 500s (exactly one request per attempt), while a
 // non-idempotent answer POST is single-shot and surfaces the failure.
 func TestRetryTransientBackendErrors(t *testing.T) {
-	f := newChaosFleet(t, WithRetry(3, time.Millisecond))
+	f := newChaosFleet(t)
 	var q server.QuestionResponse
 	if code := do(t, "POST", f.front.URL+"/v1/collections/paper/sessions",
 		server.CreateSessionRequest{Initial: []string{"b"}}, &q); code != http.StatusCreated {
@@ -315,15 +317,15 @@ func TestRetryTransientBackendErrors(t *testing.T) {
 	}
 	proxy := f.proxies[ownerName]
 
-	// Two injected 500s, then clean: the third attempt wins.
+	// Two injected 500s, then clean: the last attempt wins.
 	proxy.SetPathFilter(func(path string) bool { return strings.HasSuffix(path, "/question") })
-	proxy.FailNext(2, testutil.ChaosError500)
+	proxy.FailNext(retryAttempts-1, testutil.ChaosError500)
 	before := proxy.Requests()
 	if code := do(t, "GET", f.front.URL+"/v1/sessions/"+q.SessionID+"/question", nil, &q); code != http.StatusOK {
 		t.Fatalf("question through transient faults: status %d", code)
 	}
-	if got := proxy.Requests() - before; got != 3 {
-		t.Errorf("retried GET cost %d backend requests, want 3", got)
+	if got := proxy.Requests() - before; got != retryAttempts {
+		t.Errorf("retried GET cost %d backend requests, want %d", got, retryAttempts)
 	}
 
 	// A faulted answer is NOT retried: one request, the 500 passes through.
@@ -379,5 +381,134 @@ func TestAnswerTimeoutBound(t *testing.T) {
 	}
 	if elapsed > 3*time.Second {
 		t.Errorf("answer against hung engine took %v, want ~200ms per-attempt bound", elapsed)
+	}
+}
+
+// TestChaosEveryTrackedResourceResurrects holds 4,200 live sessions, more
+// than a 4,096-entry cache of checkpoints would keep, and answers each
+// once in creation order. Each resource's checkpoint lives in its owner
+// entry, so no answer re-captures a checkpoint another session's capture
+// evicted, every tracked ID holds one, and when the owner dies every
+// session resumes on the survivor at the question its twin asks next.
+func TestChaosEveryTrackedResourceResurrects(t *testing.T) {
+	const sessions = 4200
+	f := newChaosFleet(t)
+	oracle, err := f.engines["a"].c.TargetOracle("S5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAsked, _ := fullSequence(t, newEngine(t).ts.URL, server.CreateSessionRequest{}, oracle)
+	if len(wantAsked) < 3 {
+		t.Fatalf("want a discovery of at least 3 questions, got %v", wantAsked)
+	}
+
+	qs := make([]server.QuestionResponse, sessions)
+	for i := range qs {
+		if code := do(t, "POST", f.front.URL+"/v1/collections/paper/sessions", server.CreateSessionRequest{}, &qs[i]); code != http.StatusCreated {
+			t.Fatalf("create %d: status %d", i, code)
+		}
+	}
+	before := f.rt.metrics.captures.Load()
+	for i := range qs {
+		qs[i] = answerOnce(t, f.front.URL, qs[i], oracle)
+	}
+	if got := f.rt.metrics.captures.Load() - before; got != 0 {
+		t.Errorf("one answer per session captured %d snapshots, want 0", got)
+	}
+	f.rt.mu.RLock()
+	tracked, bare := len(f.rt.owners), 0
+	for _, own := range f.rt.owners {
+		if own.snap == nil {
+			bare++
+		}
+	}
+	f.rt.mu.RUnlock()
+	if tracked != sessions || bare != 0 {
+		t.Fatalf("%d tracked IDs, %d without a checkpoint; want %d, 0", tracked, bare, sessions)
+	}
+
+	dead := f.rt.ringOwner("paper")
+	f.proxies[dead.name].SetMode(testutil.ChaosReset)
+	f.detectDeath(t)
+	if got := f.rt.metrics.resurrections.Load(); got != sessions {
+		t.Errorf("%d resurrections, want %d", got, sessions)
+	}
+	failed := 0
+	for _, q := range qs {
+		var next server.QuestionResponse
+		code := do(t, "POST", f.front.URL+"/v1/sessions/"+q.SessionID+"/answer",
+			server.AnswerRequest{Answer: wireAnswer(oracle, q.Entity, q.Confirm), Entity: q.Entity, Confirm: q.Confirm}, &next)
+		if code != http.StatusOK || next.Questions != 2 || next.Entity != wantAsked[2] {
+			failed++
+		}
+	}
+	if failed != 0 {
+		t.Fatalf("%d of %d sessions did not answer their second question on the survivor", failed, sessions)
+	}
+	if counts := sessionOwner(t, f.front.URL); counts[dead.name] != 0 {
+		t.Errorf("%d sessions still tracked on the dead owner", counts[dead.name])
+	}
+}
+
+// TestChaosResurrectionNotQueued holds one victim's answer lock, as a
+// round in flight to the dead owner would, while the probe rounds declare
+// the owner dead. Every other victim must reach the survivor meanwhile,
+// and the probe round returns only once the held victim is resurrected
+// too.
+func TestChaosResurrectionNotQueued(t *testing.T) {
+	const sessions = 32
+	f := newChaosFleet(t)
+	ids := make([]string, sessions)
+	for i := range ids {
+		var q server.QuestionResponse
+		if code := do(t, "POST", f.front.URL+"/v1/collections/paper/sessions", server.CreateSessionRequest{}, &q); code != http.StatusCreated {
+			t.Fatalf("create %d: status %d", i, code)
+		}
+		ids[i] = q.SessionID
+	}
+	dead := f.rt.ringOwner("paper")
+	onDead := func(id string) bool {
+		f.rt.mu.RLock()
+		defer f.rt.mu.RUnlock()
+		return f.rt.owners[id].b == dead
+	}
+
+	held := f.rt.lockAnswers(ids[0])
+	f.proxies[dead.name].SetMode(testutil.ChaosReset)
+	probed := make(chan struct{})
+	go func() {
+		defer close(probed)
+		f.detectDeath(t)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		moved := 0
+		for _, id := range ids[1:] {
+			if !onDead(id) {
+				moved++
+			}
+		}
+		if moved == sessions-1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			held.answerMu.Unlock()
+			<-probed
+			t.Fatalf("%d of %d victims reached the survivor while one victim's answer lock was held", moved, sessions-1)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	select {
+	case <-probed:
+		t.Error("the probe round returned before the held victim was resurrected")
+	default:
+	}
+	if !onDead(ids[0]) {
+		t.Error("the held victim left the dead owner while its answer lock was held")
+	}
+	held.answerMu.Unlock()
+	<-probed
+	if onDead(ids[0]) {
+		t.Error("the held victim was not resurrected once its answer lock was released")
 	}
 }

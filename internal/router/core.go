@@ -8,13 +8,13 @@ import (
 )
 
 // The owner-bookkeeping core. Both client planes — the JSON handlers
-// (router.go) and the stream frame handlers (stream.go) — reach the
-// affinity table, the snapshot cache and the answer journals only through
-// these four methods, so the two planes cannot drift apart: resolve looks
-// up the owner of an exchange, adopt records a newly minted or imported
-// ID, capture stores a checkpoint, and settle finishes an exchange. The
-// planes themselves are codecs: they decode a request, forward it, and
-// encode the answer.
+// (router.go) and the stream frame handlers (stream.go) — reach the owner
+// table, whose entries hold each resource's affinity, checkpoint and
+// answer journal, only through these four methods, so the two planes
+// cannot drift apart: resolve looks up the owner of an exchange, adopt
+// records a newly minted or imported ID, capture stores a checkpoint, and
+// settle finishes an exchange. The planes themselves are codecs: they
+// decode a request, forward it, and encode the answer.
 
 // route is the resolved target of one client exchange.
 type route struct {
@@ -93,7 +93,7 @@ func (rt *Router) resolve(id, kindPath string, answer bool) (route, error) {
 	}
 	if answer {
 		rte.own = own
-		rte.wantSnap = rt.wantSnapshotLocked(own, id)
+		rte.wantSnap = rt.wantSnapshotLocked(own)
 	}
 	return rte, nil
 }
@@ -110,29 +110,38 @@ func (rt *Router) adopt(id string, b *backend, kindPath, collection string) {
 	rt.sweepOwnersLocked(now)
 }
 
-// capture stores a resource's latest checkpoint — piggybacked on a
-// forwarded create or answer, or an import or migration passing through —
-// and restarts its snapshot cadence and answer journal: the checkpoint
-// contains every round the journal held. It is the snapshot cache's one
-// writer. Callers hold the resource's answer lock, so no round is in
-// flight beside the checkpoint — except for a resource just created or
+// capture stores state, the engine's snapshot of resource id, as the
+// resource's checkpoint, with questions the question count at capture (-1
+// unknown) — piggybacked on a forwarded create or answer, or an import or
+// migration passing through — and restarts its snapshot cadence and answer
+// journal:
+// the checkpoint contains every round the journal held. It is the one
+// writer of checkpoints. An import may name another collection than the
+// entry did; the entry follows it, so placement and migration read the
+// collection the state belongs to. An ID the router no longer tracks
+// stores nothing. Callers hold the resource's answer lock, so no round is
+// in flight beside the checkpoint — except for a resource just created or
 // imported, whose ID no client holds yet.
-func (rt *Router) capture(e snapEntry) {
-	rt.snaps.put(e)
-	rt.metrics.captures.Add(1)
+func (rt *Router) capture(id, collection string, state []byte, questions int) {
 	rt.mu.Lock()
-	if own, ok := rt.owners[e.id]; ok {
-		own.sinceSnap = 0
-		own.journal = nil
-		own.gap = false
+	defer rt.mu.Unlock()
+	own, ok := rt.owners[id]
+	if !ok {
+		return
 	}
-	rt.mu.Unlock()
+	own.snap, own.snapQuestions = state, questions
+	own.sinceSnap, own.journal, own.gap = 0, nil, false
+	if collection != own.collection {
+		own.collection = collection
+		rt.persistOwnerLocked(id, own)
+	}
+	rt.metrics.captures.Add(1)
 }
 
 // settle finishes one exchange for id given the backend's status: a 404
 // (expired behind our back) or a successful DELETE forgets the resource
-// completely — affinity entry, cached snapshot, answer journal, and the
-// persist record that would bring either back on restart.
+// completely — its owner entry, checkpoint and journal included, and the
+// persist record that would bring the entry back on restart.
 //
 // own is the answer-locked owner entry of an answer round (nil otherwise).
 // A 200 acknowledges the round: its request body, round, joins the journal
@@ -151,7 +160,6 @@ func (rt *Router) settle(id string, status int, deleted, announce bool, own *own
 	if status == http.StatusNotFound || (deleted && status < 300) {
 		delete(rt.owners, id)
 		rt.log.append(record{op: opDropOwner, id: id})
-		rt.snaps.drop(id)
 		return ""
 	}
 	cur, ok := rt.owners[id]

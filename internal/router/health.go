@@ -68,13 +68,10 @@ type HealthConfig struct {
 	// probe from draining an engine.
 	FailThreshold int
 	// RecoverThreshold is how many consecutive probe successes readmit a
-	// dead backend (default 2). Each death within FlapWindow of the last
-	// doubles the requirement (capped at 8×), so a crash-looping engine
+	// dead backend (default 2). Each death within flapWindow of the last
+	// doubles the requirement (capped at 16×), so a crash-looping engine
 	// has to hold a real streak before it gets sessions back.
 	RecoverThreshold int
-	// FlapWindow is how recently a previous death must be to count the
-	// next one as a flap (default 10 minutes).
-	FlapWindow time.Duration
 }
 
 // Health defaults.
@@ -83,8 +80,8 @@ const (
 	DefaultHealthTimeout    = 2 * time.Second
 	DefaultFailThreshold    = 3
 	DefaultRecoverThreshold = 2
-	DefaultFlapWindow       = 10 * time.Minute
-	maxFlapPenalty          = 4 // recovery requirement multiplier cap: 2^4
+	flapWindow              = 10 * time.Minute // how recent a previous death must be to count the next as a flap
+	maxFlapPenalty          = 4                // recovery requirement multiplier cap: 2^4
 )
 
 // withDefaults fills zero fields.
@@ -100,9 +97,6 @@ func (hc HealthConfig) withDefaults() HealthConfig {
 	}
 	if hc.RecoverThreshold < 1 {
 		hc.RecoverThreshold = DefaultRecoverThreshold
-	}
-	if hc.FlapWindow <= 0 {
-		hc.FlapWindow = DefaultFlapWindow
 	}
 	return hc
 }
@@ -177,7 +171,7 @@ func (rt *Router) CheckHealthNow(ctx context.Context) {
 		// Condemned link discipline: no stream frame is ever forwarded to a
 		// backend the prober declared dead. The pool re-dials lazily once
 		// the backend recovers (stream.go).
-		rt.closeStreamPool(b.name)
+		rt.pool(b).closeAll()
 		rt.resurrectFrom(ctx, b)
 	}
 	if len(recovered) > 0 {
@@ -276,7 +270,7 @@ func (rt *Router) applyProbeResults(results []probeResult) (died, recovered []*b
 func (rt *Router) declareDeadLocked(b *backend, now time.Time) {
 	b.state = stateDead
 	b.successes = 0
-	if !b.lastDeath.IsZero() && now.Sub(b.lastDeath) <= rt.health.FlapWindow {
+	if !b.lastDeath.IsZero() && now.Sub(b.lastDeath) <= flapWindow {
 		if b.flaps < maxFlapPenalty {
 			b.flaps++
 		}
@@ -292,7 +286,7 @@ func (rt *Router) declareDeadLocked(b *backend, now time.Time) {
 func (rt *Router) requiredRecoveriesLocked(b *backend, now time.Time) int {
 	n := rt.health.RecoverThreshold
 	flaps := b.flaps
-	if flaps > 0 && now.Sub(b.lastDeath) > rt.health.FlapWindow {
+	if flaps > 0 && now.Sub(b.lastDeath) > flapWindow {
 		flaps = 0 // the penalty decays once the backend stays up a window
 	}
 	return n << uint(flaps)

@@ -155,7 +155,7 @@ func TestFlapPenaltyDoubling(t *testing.T) {
 	}
 
 	// A quiet flap window decays the penalty back to the base threshold.
-	f.now = f.now.Add(f.rt.health.FlapWindow + time.Minute)
+	f.now = f.now.Add(flapWindow + time.Minute)
 	die()
 	recoverRounds(f.rt.health.RecoverThreshold)
 	if st := f.state(t); st != stateHealthy {

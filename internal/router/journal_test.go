@@ -418,12 +418,11 @@ func TestChaosLostReplyGap(t *testing.T) {
 		}
 		f.rt.mu.RLock()
 		own := f.rt.owners[run.id]
-		journaled, gap := len(own.journal), own.gap
+		journaled, gap, snapQuestions := len(own.journal), own.gap, own.snapQuestions
 		f.rt.mu.RUnlock()
-		snap, _ := f.rt.snaps.get(run.id)
-		if journaled != 0 || gap || snap.questions != run.questions {
+		if journaled != 0 || gap || snapQuestions != run.questions {
 			t.Fatalf("after the capture: journal %d rounds, gap %v, snapshot at question %d; want 0, false, %d",
-				journaled, gap, snap.questions, run.questions)
+				journaled, gap, snapQuestions, run.questions)
 		}
 	})
 

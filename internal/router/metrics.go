@@ -61,7 +61,7 @@ func (r *latencyRing) quantiles() (p50, p99 float64) {
 type routerMetrics struct {
 	migrations      atomic.Int64 // resources moved via the portable-state protocol
 	resurrections   atomic.Int64 // resources re-imported off a dead backend
-	captures        atomic.Int64 // snapshots stored in the snapshot cache
+	captures        atomic.Int64 // snapshots stored as owner checkpoints
 	replayedAnswers atomic.Int64 // journaled answer rounds replayed by resurrections
 
 	mu    sync.Mutex
@@ -122,10 +122,10 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Family("setdiscovery_router_migrations_total", "Resources moved between engines via snapshot export/import.", "counter")
 	m.Sample("setdiscovery_router_migrations_total", "", float64(rt.metrics.migrations.Load()))
 
-	m.Family("setdiscovery_router_resurrections_total", "Resources re-imported from a cached snapshot after a backend death.", "counter")
+	m.Family("setdiscovery_router_resurrections_total", "Resources re-imported from their checkpoint after a backend death.", "counter")
 	m.Sample("setdiscovery_router_resurrections_total", "", float64(rt.metrics.resurrections.Load()))
 
-	m.Family("setdiscovery_router_snapshot_captures_total", "Resource snapshots captured into the snapshot cache.", "counter")
+	m.Family("setdiscovery_router_snapshot_captures_total", "Resource snapshots captured as checkpoints.", "counter")
 	m.Sample("setdiscovery_router_snapshot_captures_total", "", float64(rt.metrics.captures.Load()))
 
 	m.Family("setdiscovery_router_replayed_answers_total", "Journaled answer rounds replayed onto survivors by resurrections.", "counter")

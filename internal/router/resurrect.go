@@ -1,7 +1,6 @@
 package router
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,17 +8,20 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
+	"sync/atomic"
 
 	"setdiscovery/internal/server"
 )
 
 // Crash-tolerant session resurrection. Graceful drain migrates sessions by
 // exporting live state from the old owner — which a SIGKILLed engine can no
-// longer provide. So the router keeps, for each tracked resource, its most
-// recent snapshot plus an answer journal: the answer rounds the owner
-// acknowledged since that snapshot, in apply order. A session's state is a
-// pure function of its create request and its answers, so the two together
-// name its current state exactly.
+// longer provide. So the router keeps, in each tracked resource's owner
+// entry, a checkpoint (its most recent snapshot) plus an answer journal:
+// the answer rounds the owner acknowledged since that snapshot, in apply
+// order. A session's state is a pure function of its create request and
+// its answers, so the two together name its current state exactly. Both
+// live and die with the entry, so their memory is bounded as the owner
+// table's is: by engine admission and owner-TTL aging.
 //
 // Snapshots ride existing traffic: the forwarded create, and every
 // SnapshotEvery-th answer, asks the engine for its state inline
@@ -47,22 +49,20 @@ import (
 // so clients that tracked more rounds than n know to re-fetch the question
 // and re-answer. The stream plane has no counterpart yet: its frames have
 // no field for the notice, so it stays pending until the resource's next
-// JSON response. Resources with no cached snapshot (crash before the first
-// capture, or evicted from the bounded cache) stay parked on the dead
-// backend and answer 503 + Retry-After until it recovers.
+// JSON response. A resource with no checkpoint — its owner crashed before
+// the first capture reached the router, or its entry was replayed from the
+// persist log, which keeps placement but not state — stays parked on the
+// dead backend and answers 503 + Retry-After until it recovers.
 
 // ResumedHeader marks the first JSON response of a resource after a crash
 // resurrection.
 const ResumedHeader = "X-Setdisc-Resumed"
 
-// Snapshot-cache defaults: capture every 16th answer round (the journal
-// covers the rounds between, so resurrection stays lossless, and a session
-// that finishes within 15 answers captures at create only), and keep the
-// most recent few thousand resources' checkpoints.
-const (
-	DefaultSnapshotEvery = 16
-	DefaultSnapshotCache = 4096
-)
+// DefaultSnapshotEvery is the default capture cadence: every 16th answer
+// round (the journal covers the rounds between, so resurrection stays
+// lossless, and a session that finishes within 15 answers captures at
+// create only).
+const DefaultSnapshotEvery = 16
 
 // WithSnapshotEvery sets how many answered rounds may pass between
 // snapshot captures (default DefaultSnapshotEvery). The rounds between are
@@ -78,84 +78,12 @@ func WithSnapshotEvery(k int) Option {
 	}
 }
 
-// snapEntry is one resource's last-known checkpoint.
-type snapEntry struct {
-	id         string
-	collection string
-	kindPath   string
-	state      []byte // the engine's opaque snapshot bytes
-	questions  int    // member-0 question count at capture; -1 unknown
-}
-
-// snapCache is a bounded LRU of last-known snapshots, keyed by resource ID.
-type snapCache struct {
-	mu  sync.Mutex
-	max int
-	ll  *list.List // front = most recent
-	m   map[string]*list.Element
-}
-
-func newSnapCache(max int) *snapCache {
-	return &snapCache{max: max, ll: list.New(), m: make(map[string]*list.Element)}
-}
-
-// put stores (or refreshes) a resource's checkpoint, evicting the least
-// recently touched entry past the bound.
-func (c *snapCache) put(e snapEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[e.id]; ok {
-		el.Value = e
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.m[e.id] = c.ll.PushFront(e)
-	for c.ll.Len() > c.max {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.m, last.Value.(snapEntry).id)
-	}
-}
-
-// get returns a resource's checkpoint and marks it recently used.
-func (c *snapCache) get(id string) (snapEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[id]
-	if !ok {
-		return snapEntry{}, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(snapEntry), true
-}
-
-// drop forgets a resource's checkpoint (deleted/expired sessions).
-func (c *snapCache) drop(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[id]; ok {
-		c.ll.Remove(el)
-		delete(c.m, id)
-	}
-}
-
-// len returns the number of cached checkpoints.
-func (c *snapCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // wantSnapshotLocked decides whether this answer round-trip should carry a
 // snapshot capture: every snapEvery answered rounds, immediately when no
 // checkpoint exists yet, and after a gap in the journal.
-func (rt *Router) wantSnapshotLocked(own *owner, id string) bool {
+func (rt *Router) wantSnapshotLocked(own *owner) bool {
 	own.sinceSnap++
-	if own.sinceSnap >= rt.snapEvery || own.gap {
-		return true
-	}
-	_, have := rt.snaps.get(id)
-	return !have
+	return own.sinceSnap >= rt.snapEvery || own.gap || own.snap == nil
 }
 
 // captureInline extracts an inline snapshot (the "state" field the engine
@@ -166,7 +94,7 @@ func (rt *Router) wantSnapshotLocked(own *owner, id string) bool {
 // strip is false and the body passes through intact. A body without the
 // field (older engine, error response) passes through unchanged either
 // way.
-func (rt *Router) captureInline(id, collection, kindPath string, body []byte, strip bool) ([]byte, bool) {
+func (rt *Router) captureInline(id, collection string, body []byte, strip bool) ([]byte, bool) {
 	var m map[string]json.RawMessage
 	if err := json.Unmarshal(body, &m); err != nil {
 		return body, false
@@ -186,7 +114,7 @@ func (rt *Router) captureInline(id, collection, kindPath string, body []byte, st
 			questions = q
 		}
 	}
-	rt.capture(snapEntry{id: id, collection: collection, kindPath: kindPath, state: state, questions: questions})
+	rt.capture(id, collection, state, questions)
 	if !strip {
 		return body, true
 	}
@@ -214,16 +142,23 @@ func addIncludeState(rawQuery string) (string, bool) {
 	return vals.Encode(), true
 }
 
-// errNoSnapshot reports a victim of a backend death with no cached
-// checkpoint to resurrect from.
-var errNoSnapshot = errors.New("no cached snapshot")
+// errNoSnapshot reports a victim of a backend death with no checkpoint to
+// resurrect from.
+var errNoSnapshot = errors.New("no checkpoint")
+
+// resurrectWorkers bounds the victims of one death resurrected at once. A
+// victim whose answer lock a round in flight to the dead owner holds waits
+// out that round's proxy timeout; it must not hold up the others, and a
+// death must not fan out into one import per victim at the same instant.
+const resurrectWorkers = 8
 
 // resurrectFrom re-places every tracked resource owned by the dead backend
-// onto its collection's current ring owner: the last-known snapshot is
-// imported under the same ID and the answer journal replayed on top.
-// Resources without a checkpoint stay parked on the dead backend (503 to
-// clients) in case it recovers. Called from the health loop after a death
-// transition, outside the router lock.
+// onto its collection's current ring owner: the checkpoint is imported
+// under the same ID and the answer journal replayed on top, up to
+// resurrectWorkers resources at a time. It returns once every victim is
+// done. Resources without a checkpoint stay parked on the dead backend
+// (503 to clients) in case it recovers. Called from the health loop after
+// a death transition, outside the router lock.
 func (rt *Router) resurrectFrom(ctx context.Context, dead *backend) {
 	type victim struct {
 		id  string
@@ -237,25 +172,33 @@ func (rt *Router) resurrectFrom(ctx context.Context, dead *backend) {
 		}
 	}
 	rt.mu.RUnlock()
-	resurrected, lost := 0, 0
+	var resurrected, lost atomic.Int64
+	sem := make(chan struct{}, resurrectWorkers)
+	var wg sync.WaitGroup
 	for _, v := range victims {
-		moved, err := rt.resurrectOne(ctx, v.id, v.own, dead)
-		switch {
-		case errors.Is(err, errNoSnapshot):
-			lost++
-			rt.logf("router: %s %s owned by dead backend %s has no cached snapshot; parked until recovery",
-				kindNoun(v.own.kindPath), v.id, dead.name)
-		case err != nil:
-			lost++
-			rt.logf("router: resurrecting %s %s from %s: %v", kindNoun(v.own.kindPath), v.id, dead.name, err)
-		case moved:
-			resurrected++
-			rt.metrics.resurrections.Add(1)
-		}
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			moved, err := rt.resurrectOne(ctx, v.id, v.own, dead)
+			switch {
+			case errors.Is(err, errNoSnapshot):
+				lost.Add(1)
+				rt.logf("router: %s %s owned by dead backend %s has no checkpoint; parked until recovery",
+					kindNoun(v.own.kindPath), v.id, dead.name)
+			case err != nil:
+				lost.Add(1)
+				rt.logf("router: resurrecting %s %s from %s: %v", kindNoun(v.own.kindPath), v.id, dead.name, err)
+			case moved:
+				resurrected.Add(1)
+				rt.metrics.resurrections.Add(1)
+			}
+		}()
 	}
-	if resurrected+lost > 0 {
-		rt.logf("router: backend %s dead: resurrected %d resource(s) from last-known snapshots, %d unrecoverable",
-			dead.name, resurrected, lost)
+	wg.Wait()
+	if n, l := resurrected.Load(), lost.Load(); n+l > 0 {
+		rt.logf("router: backend %s dead: resurrected %d resource(s) from their checkpoints, %d unrecoverable",
+			dead.name, n, l)
 	}
 }
 
@@ -272,17 +215,17 @@ func (rt *Router) resurrectOne(ctx context.Context, id string, own *owner, dead 
 	defer own.answerMu.Unlock()
 	rt.mu.RLock()
 	onDead := rt.owners[id] == own && own.b == dead
-	journal := own.journal
+	kindPath, collection := own.kindPath, own.collection
+	snap, questions, journal := own.snap, own.snapQuestions, own.journal
 	rt.mu.RUnlock()
 	if !onDead {
 		return false, nil
 	}
-	snap, ok := rt.snaps.get(id)
-	if !ok {
+	if snap == nil {
 		return false, errNoSnapshot
 	}
-	dst, err := rt.importState(ctx, snap, func() *backend {
-		if b := rt.ringOwner(snap.collection); b != dead {
+	dst, err := rt.importState(ctx, id, kindPath, collection, snap, func() *backend {
+		if b := rt.ringOwner(collection); b != dead {
 			return b
 		}
 		return nil
@@ -290,22 +233,22 @@ func (rt *Router) resurrectOne(ctx context.Context, id string, own *owner, dead 
 	if err != nil {
 		return false, err
 	}
-	path := "/v1/" + snap.kindPath + "/" + id + "/answer"
-	if snap.kindPath == "batches" {
+	path := "/v1/" + kindPath + "/" + id + "/answer"
+	if kindPath == "batches" {
 		path += "s"
 	}
-	questions, replayed, gap := snap.questions, 0, false
+	replayed, gap := 0, false
 	for _, body := range journal {
 		status, reply, err := rt.doProxy(ctx, http.MethodPost, dst, path, "", "application/json", body, opTimeout)
 		if err != nil || status != http.StatusOK {
 			// A transport failure leaves this replay's fate unknown.
 			gap = err != nil
 			rt.logf("router: replaying round %d of %s %s on %s: status %d, %v; resuming at round %d",
-				replayed+1, kindNoun(snap.kindPath), id, dst.name, status, err, replayed)
+				replayed+1, kindNoun(kindPath), id, dst.name, status, err, replayed)
 			break
 		}
 		replayed++
-		if snap.kindPath == "sessions" {
+		if kindPath == "sessions" {
 			var q server.QuestionResponse
 			if json.Unmarshal(reply, &q) == nil {
 				questions = q.Questions
@@ -327,13 +270,12 @@ func (rt *Router) resurrectOne(ctx context.Context, id string, own *owner, dead 
 	return true, nil
 }
 
-// importState PUTs a checkpoint under its resource's ID onto the backend
+// importState PUTs a resource's state under its ID onto the backend
 // resolve picks before each attempt — the step migration and resurrection
-// share. The PUT
-// re-sends the same snapshot bytes, so it rides the retry policy. It
-// returns the backend that took the import.
-func (rt *Router) importState(ctx context.Context, snap snapEntry, resolve func() *backend) (*backend, error) {
-	body, err := json.Marshal(server.ImportStateRequest{Collection: snap.collection, State: snap.state})
+// share. The PUT re-sends the same snapshot bytes, so it rides the retry
+// policy. It returns the backend that took the import.
+func (rt *Router) importState(ctx context.Context, id, kindPath, collection string, state []byte, resolve func() *backend) (*backend, error) {
+	body, err := json.Marshal(server.ImportStateRequest{Collection: collection, State: state})
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +283,7 @@ func (rt *Router) importState(ctx context.Context, snap snapEntry, resolve func(
 	status, respBody, err := rt.proxyRetry(ctx, http.MethodPut, func() *backend {
 		dst = resolve()
 		return dst
-	}, "/v1/"+snap.kindPath+"/"+snap.id+"/state", "", "application/json", body, opTimeout)
+	}, "/v1/"+kindPath+"/"+id+"/state", "", "application/json", body, opTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("import: %w", err)
 	}

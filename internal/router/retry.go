@@ -45,24 +45,13 @@ func WithProxyTimeout(d time.Duration) Option {
 	return func(rt *Router) { rt.proxyTimeout = d }
 }
 
-// WithRetry configures the idempotent-request retry policy: total attempts
-// (minimum 1) and the base backoff doubled per retry (capped at backoffCap).
-func WithRetry(attempts int, base time.Duration) Option {
-	return func(rt *Router) {
-		if attempts < 1 {
-			attempts = 1
-		}
-		rt.retryAttempts = attempts
-		rt.retryBase = base
-	}
-}
-
-// Retry defaults: three attempts with 50ms/100ms backoff rides out a
+// The idempotent-request retry policy: three attempts with 50ms/100ms
+// backoff (the base doubled per retry, capped at backoffCap) ride out a
 // restarting engine without stretching a failed GET past a second.
 const (
-	defaultRetryAttempts = 3
-	defaultRetryBase     = 50 * time.Millisecond
-	backoffCap           = 2 * time.Second
+	retryAttempts = 3
+	retryBase     = 50 * time.Millisecond
+	backoffCap    = 2 * time.Second
 )
 
 // jitterMu guards the shared backoff jitter source (math/rand's global
@@ -75,8 +64,8 @@ var (
 // backoffDelay computes the capped exponential backoff for retry number n
 // (0-based), with up to 50% added jitter so a fleet of routers retrying the
 // same dead engine does not stampede in lockstep.
-func (rt *Router) backoffDelay(n int) time.Duration {
-	d := rt.retryBase << uint(n)
+func backoffDelay(n int) time.Duration {
+	d := retryBase << uint(n)
 	if d > backoffCap || d <= 0 {
 		d = backoffCap
 	}
@@ -144,12 +133,12 @@ func (rt *Router) proxyRetry(ctx context.Context, method string, resolve func() 
 		lastStatus int
 		lastBody   []byte
 	)
-	for attempt := 0; attempt < rt.retryAttempts; attempt++ {
+	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
 				return 0, nil, ctx.Err()
-			case <-time.After(rt.backoffDelay(attempt - 1)):
+			case <-time.After(backoffDelay(attempt - 1)):
 			}
 		}
 		b := resolve()

@@ -17,14 +17,16 @@
 //     users just keep answering, now against another engine — test-pinned
 //     to produce the identical remaining question sequence.
 //
-// The router holds no discovery state of its own: everything it tracks is
-// the ID → backend affinity table, rebuilt from traffic, dropped on
-// DELETE/expiry — plus, for fault tolerance, each resource's last-known
-// snapshot and the answers acknowledged since (resurrect.go). Engines
-// remain the source of truth; the router's own routing state can be made
-// durable with WithPersist (persist.go), and backend liveness is tracked
-// by the active health loop (health.go) with retry/timeout discipline on
-// every proxy path (retry.go).
+// The router holds no discovery state of its own. It keeps one record per
+// tracked resource, rebuilt from traffic and dropped on DELETE/expiry: the
+// ID → backend affinity and, for fault tolerance, the resource's last
+// checkpoint and the answers acknowledged since (resurrect.go). It keeps
+// one record per backend too, holding the backend's health state and its
+// stream-plane connection pool (stream.go). Engines remain the source of
+// truth; the router's own routing state can be made durable with
+// WithPersist (persist.go), and backend liveness is tracked by the active
+// health loop (health.go) with retry/timeout discipline on every proxy path
+// (retry.go).
 package router
 
 import (
@@ -104,10 +106,10 @@ const ownerSweepInterval = time.Minute
 // the probe state machine's (health.go); they are guarded by the router
 // lock like everything else here.
 type backend struct {
-	name       string
-	base       *url.URL
-	streamAddr string // stream-plane listen address; "" = HTTP only (stream.go)
-	draining   bool
+	name     string
+	base     *url.URL
+	stream   *streamPool // stream-plane connections; nil = HTTP only (stream.go)
+	draining bool
 
 	state     healthState
 	fails     int       // consecutive probe failures (suspect counting)
@@ -116,25 +118,29 @@ type backend struct {
 	lastDeath time.Time // when the backend was last declared dead
 }
 
-// owner records where a live resource's state is held and how to address it
-// for migration. lastSeen ages the entry out once traffic stops (the engine
-// reaps the session on its own TTL; the router cannot observe that).
+// owner records where a live resource's state is held, how to address it
+// for migration, and how to rebuild it elsewhere. lastSeen ages the entry
+// out once traffic stops (the engine reaps the session on its own TTL; the
+// router cannot observe that), and its checkpoint and journal with it.
 type owner struct {
 	b          *backend
 	kindPath   string // "sessions" or "batches"
 	collection string
 	lastSeen   time.Time
 
-	sinceSnap        int    // answered rounds since the last snapshot capture
 	resumedFrom      string // dead backend this resource was resurrected off, until announced
 	resumedQuestions int    // resumed question count at resurrection (-1 unknown)
 
 	// answerMu orders the resource's answer rounds with each other and
-	// with its resurrection and migration (core.go lockAnswers). journal
-	// and gap are guarded by the router lock and written under answerMu.
-	answerMu sync.Mutex
-	journal  [][]byte // acknowledged answer request bodies since the last capture, in apply order
-	gap      bool     // an answer's fate is unknown since the last capture: journal no further
+	// with its resurrection and migration (core.go lockAnswers). The
+	// checkpoint and the journal on top of it (resurrect.go) are guarded by
+	// the router lock and written under answerMu.
+	answerMu      sync.Mutex
+	snap          []byte   // the engine's snapshot at the last capture; nil before the first
+	snapQuestions int      // member-0 question count at that capture; -1 unknown
+	sinceSnap     int      // answered rounds since the last capture
+	journal       [][]byte // acknowledged answer request bodies since the last capture, in apply order
+	gap           bool     // an answer's fate is unknown since the last capture: journal no further
 }
 
 // ringPoint is one virtual node on the consistent-hash ring.
@@ -159,20 +165,13 @@ type Router struct {
 	lastSweep time.Time
 	now       func() time.Time // injectable clock for aging tests
 
-	health        HealthConfig  // probe loop tuning (health.go)
-	snaps         *snapCache    // last-known snapshots (resurrect.go)
-	snapEvery     int           // capture cadence in answered rounds
-	proxyTimeout  time.Duration // per-attempt deadline on client proxy paths
-	retryAttempts int
-	retryBase     time.Duration
+	health       HealthConfig  // probe loop tuning (health.go)
+	snapEvery    int           // capture cadence in answered rounds (resurrect.go)
+	proxyTimeout time.Duration // per-attempt deadline on client proxy paths
 
 	persistPath string      // WithPersist target; "" = in-memory only
 	log         *persistLog // nil when persistence is off or failed
 	persistErr  error
-
-	spMu           sync.Mutex             // guards streamPools (lock order: mu before spMu)
-	streamPools    map[string]*streamPool // per-backend stream connections (stream.go)
-	streamPoolSize int
 
 	metrics routerMetrics // /v1/metrics counters and latency windows (metrics.go)
 }
@@ -196,19 +195,13 @@ func New(opts ...Option) *Router {
 			MaxIdleConnsPerHost: maxIdleConnsPerHost,
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		logf:          func(string, ...any) {},
-		started:       time.Now(),
-		ownerTTL:      DefaultOwnerTTL,
-		now:           time.Now,
-		health:        HealthConfig{}.withDefaults(),
-		snaps:         newSnapCache(DefaultSnapshotCache),
-		snapEvery:     DefaultSnapshotEvery,
-		proxyTimeout:  DefaultProxyTimeout,
-		retryAttempts: defaultRetryAttempts,
-		retryBase:     defaultRetryBase,
-
-		streamPools:    make(map[string]*streamPool),
-		streamPoolSize: DefaultStreamPoolSize,
+		logf:         func(string, ...any) {},
+		started:      time.Now(),
+		ownerTTL:     DefaultOwnerTTL,
+		now:          time.Now,
+		health:       HealthConfig{}.withDefaults(),
+		snapEvery:    DefaultSnapshotEvery,
+		proxyTimeout: DefaultProxyTimeout,
 	}
 	for _, o := range opts {
 		o(rt)
@@ -269,9 +262,10 @@ func (rt *Router) persistOwnerLocked(id string, own *owner) {
 		kindPath: own.kindPath, collection: own.collection})
 }
 
-// sweepOwnersLocked drops affinity entries that have seen no traffic for
+// sweepOwnersLocked drops owner entries that have seen no traffic for
 // ownerTTL, at most once per ownerSweepInterval — the bound that keeps the
-// table proportional to *live* sessions, not all sessions ever created.
+// table, checkpoints and journals included, proportional to *live*
+// sessions, not all sessions ever created.
 func (rt *Router) sweepOwnersLocked(now time.Time) {
 	if now.Sub(rt.lastSweep) < ownerSweepInterval {
 		return
@@ -280,7 +274,6 @@ func (rt *Router) sweepOwnersLocked(now time.Time) {
 	for id, own := range rt.owners {
 		if now.Sub(own.lastSeen) > rt.ownerTTL {
 			delete(rt.owners, id)
-			rt.snaps.drop(id)
 			rt.log.append(record{op: opDropOwner, id: id})
 		}
 	}
@@ -427,27 +420,28 @@ func (rt *Router) Drain(name string) (int, error) {
 	return rt.migrateAll(moves), nil
 }
 
-// RemoveBackend forgets a (typically drained) engine. Affinity entries
-// still pointing at it are dropped; any state not migrated off first is
-// lost to the router.
+// RemoveBackend forgets a (typically drained) engine and closes its stream
+// connections. Owner entries still pointing at it are dropped; any state
+// not migrated off first is lost to the router.
 func (rt *Router) RemoveBackend(name string) error {
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	b, ok := rt.backends[name]
 	if !ok {
+		rt.mu.Unlock()
 		return fmt.Errorf("%w %q", ErrNoBackend, name)
 	}
 	delete(rt.backends, name)
 	for id, own := range rt.owners {
 		if own.b == b {
 			delete(rt.owners, id)
-			rt.snaps.drop(id)
 		}
 	}
 	rt.rebuildRingLocked()
 	// One remove record: the log mirror cascades the owner drops.
 	rt.log.append(record{op: opRemoveBackend, name: name})
-	rt.closeStreamPool(name)
+	pool := b.stream
+	rt.mu.Unlock()
+	pool.closeAll()
 	return nil
 }
 
@@ -557,9 +551,9 @@ func (rt *Router) migrateAll(moves []move) int {
 // migrate moves one live resource between engines through the portable
 // state protocol: export from the old owner, import under the same ID on
 // the new one, delete the original. A session that already expired is
-// simply forgotten. The freshly exported state also refreshes the
-// last-known snapshot cache — the "on demand at drain" capture, so a later
-// crash of the destination resurrects from this checkpoint.
+// simply forgotten. The freshly exported state also becomes the resource's
+// checkpoint — the "on demand at drain" capture, so a later crash of the
+// destination resurrects from it.
 func (rt *Router) migrate(m move) (bool, error) {
 	moved, err := rt.transfer(m)
 	if !moved || err != nil {
@@ -607,9 +601,8 @@ func (rt *Router) transfer(m move) (bool, error) {
 	if err := json.Unmarshal(body, &state); err != nil {
 		return false, fmt.Errorf("export: %w", err)
 	}
-	snap := snapEntry{id: m.id, collection: state.Collection, kindPath: m.kindPath, state: state.State, questions: -1}
-	rt.capture(snap)
-	if _, err := rt.importState(ctx, snap, func() *backend { return m.dest }); err != nil {
+	rt.capture(m.id, state.Collection, state.State, -1)
+	if _, err := rt.importState(ctx, m.id, m.kindPath, state.Collection, state.State, func() *backend { return m.dest }); err != nil {
 		return false, err
 	}
 	rt.mu.Lock()
@@ -641,7 +634,7 @@ func (rt *Router) Handler() http.Handler {
 	for _, prefix := range []string{"/v1", ""} {
 		mux.HandleFunc("POST "+prefix+"/collections/{collection}/sessions", rt.handleCreate("sessions"))
 		mux.HandleFunc("POST "+prefix+"/collections/{collection}/batches", rt.handleCreate("batches"))
-		mux.HandleFunc(prefix+"/collections", rt.handleAnyBackend)
+		mux.HandleFunc("GET "+prefix+"/collections", rt.handleCollections)
 		mux.HandleFunc(prefix+"/sessions/{id}/{rest...}", rt.handleResource("sessions"))
 		mux.HandleFunc(prefix+"/sessions/{id}", rt.handleResource("sessions"))
 		mux.HandleFunc(prefix+"/batches/{id}/{rest...}", rt.handleResource("batches"))
@@ -695,7 +688,7 @@ func (rt *Router) handleCreate(kindPath string) http.HandlerFunc {
 				}
 				if id != "" {
 					rt.adopt(id, b, kindPath, collection)
-					body, _ = rt.captureInline(id, collection, kindPath, body, strip)
+					body, _ = rt.captureInline(id, collection, body, strip)
 				}
 			}
 		}
@@ -767,7 +760,7 @@ func (rt *Router) handleResource(kindPath string) http.HandlerFunc {
 			}
 			if status == http.StatusOK && rte.wantSnap {
 				var captured bool
-				if body, captured = rt.captureInline(id, rte.collection, kindPath, body, strip); captured {
+				if body, captured = rt.captureInline(id, rte.collection, body, strip); captured {
 					round = nil
 				}
 			}
@@ -797,8 +790,7 @@ func (rt *Router) handleResource(kindPath string) http.HandlerFunc {
 			}
 			var req server.ImportStateRequest
 			if imports && status == http.StatusOK && json.Unmarshal(reqBody, &req) == nil && len(req.State) > 0 {
-				rt.capture(snapEntry{id: id, collection: req.Collection, kindPath: kindPath,
-					state: req.State, questions: -1})
+				rt.capture(id, req.Collection, req.State, -1)
 			}
 		}
 		if notice := rt.settle(id, status, r.Method == http.MethodDelete, true, rte.own, round); notice != "" {
@@ -830,7 +822,7 @@ func (rt *Router) writeFailure(w http.ResponseWriter, err error) {
 // know: the body names the collection, whose ring owner receives the
 // import, and the router starts tracking the ID. The import re-sends the
 // same snapshot bytes on every attempt, so it rides the retry policy; the
-// imported state doubles as the resource's first cached checkpoint.
+// imported state doubles as the resource's first checkpoint.
 func (rt *Router) handleExternalImport(w http.ResponseWriter, r *http.Request, kindPath, id string, body []byte) {
 	var req server.ImportStateRequest
 	if err := json.Unmarshal(body, &req); err != nil || req.Collection == "" {
@@ -849,23 +841,16 @@ func (rt *Router) handleExternalImport(w http.ResponseWriter, r *http.Request, k
 	if status == http.StatusOK {
 		rt.adopt(id, b, kindPath, req.Collection)
 		if len(req.State) > 0 {
-			rt.capture(snapEntry{id: id, collection: req.Collection, kindPath: kindPath,
-				state: req.State, questions: -1})
+			rt.capture(id, req.Collection, req.State, -1)
 		}
 	}
 	writeRaw(w, status, respBody)
 }
 
-// handleAnyBackend serves registry-level traffic from any live backend (all
-// engines register the same collections in a homogeneous fleet). Reads are
-// retried across ring changes; writes (collection registration) stay
-// single-shot.
-func (rt *Router) handleAnyBackend(w http.ResponseWriter, r *http.Request) {
-	reqBody, err := readAllBounded(r.Body)
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, err)
-		return
-	}
+// handleCollections serves the collection registry from any live backend
+// (all engines register the same collections in a homogeneous fleet),
+// retried across ring changes.
+func (rt *Router) handleCollections(w http.ResponseWriter, r *http.Request) {
 	resolve := func() *backend {
 		rt.mu.RLock()
 		defer rt.mu.RUnlock()
@@ -874,21 +859,8 @@ func (rt *Router) handleAnyBackend(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	}
-	contentType := r.Header.Get("Content-Type")
-	var status int
-	var body []byte
-	if r.Method == http.MethodGet {
-		status, body, err = rt.proxyRetry(r.Context(), r.Method, resolve, r.URL.Path, r.URL.RawQuery,
-			contentType, reqBody, rt.proxyTimeout)
-	} else {
-		b := resolve()
-		if b == nil {
-			rt.writeUnavailable(w, errNoLiveBackend)
-			return
-		}
-		status, body, err = rt.doProxy(r.Context(), r.Method, b, r.URL.Path, r.URL.RawQuery,
-			contentType, reqBody, rt.proxyTimeout)
-	}
+	status, body, err := rt.proxyRetry(r.Context(), r.Method, resolve, r.URL.Path, r.URL.RawQuery,
+		"", nil, rt.proxyTimeout)
 	if err != nil {
 		rt.writeFailure(w, err)
 		return

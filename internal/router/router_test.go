@@ -473,6 +473,45 @@ func TestRouterExternalImport(t *testing.T) {
 	}
 }
 
+// TestRouterImportRenamesCollection: a state import for a tracked ID may
+// carry another collection's session. The owner entry, which placement,
+// migration and resurrection read, must then name the import's collection
+// and hold the imported state as its checkpoint.
+func TestRouterImportRenamesCollection(t *testing.T) {
+	eng := newEngine(t)
+	registerBits(t, eng.srv)
+	rt := New()
+	if err := rt.AddBackend("a", eng.ts.URL); err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	var onPaper, onBits server.QuestionResponse
+	if code := do(t, "POST", front.URL+"/v1/collections/paper/sessions", nil, &onPaper); code != http.StatusCreated {
+		t.Fatalf("create on paper: status %d", code)
+	}
+	if code := do(t, "POST", front.URL+"/v1/collections/bits/sessions", nil, &onBits); code != http.StatusCreated {
+		t.Fatalf("create on bits: status %d", code)
+	}
+	var state server.StateResponse
+	if code := do(t, "GET", front.URL+"/v1/sessions/"+onBits.SessionID+"/state", nil, &state); code != http.StatusOK {
+		t.Fatalf("export: status %d", code)
+	}
+	if code := do(t, "PUT", front.URL+"/v1/sessions/"+onPaper.SessionID+"/state",
+		server.ImportStateRequest{Collection: state.Collection, State: state.State}, nil); code != http.StatusOK {
+		t.Fatalf("import over the paper session: status %d", code)
+	}
+	rt.mu.RLock()
+	own := rt.owners[onPaper.SessionID]
+	collection, snap := own.collection, own.snap
+	rt.mu.RUnlock()
+	if collection != "bits" || !bytes.Equal(snap, state.State) {
+		t.Errorf("after the import the entry names %q and holds %d checkpoint bytes; want %q and the %d imported",
+			collection, len(snap), "bits", len(state.State))
+	}
+}
+
 // TestOwnerAging pins the affinity-table bound: an entry whose session saw
 // no traffic for the owner TTL is swept, while a touched one survives — so
 // the table tracks live sessions, not every session ever created.

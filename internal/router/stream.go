@@ -39,41 +39,35 @@ const DefaultStreamPoolSize = 4
 // streamDialTimeout bounds one pool dial; stream backends are LAN peers.
 const streamDialTimeout = 5 * time.Second
 
-// WithStreamPoolSize bounds the number of pooled stream connections per
-// backend.
-func WithStreamPoolSize(n int) Option {
-	return func(rt *Router) {
-		if n > 0 {
-			rt.streamPoolSize = n
-		}
-	}
-}
-
 // SetBackendStream records a backend's stream-plane listen address
-// (host:port). Stream addresses are not persisted in the router log — the
-// daemon replays its -stream-route flags at startup, exactly like -route.
+// (host:port) by giving the backend a fresh connection pool to it; the
+// connections of a pool it replaces are closed. Stream addresses are not
+// persisted in the router log — the daemon replays its -stream-route flags
+// at startup, exactly like -route.
 func (rt *Router) SetBackendStream(name, addr string) error {
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	b, ok := rt.backends[name]
 	if !ok {
+		rt.mu.Unlock()
 		return fmt.Errorf("%w %q", ErrNoBackend, name)
 	}
-	b.streamAddr = addr
+	old := b.stream
+	b.stream = &streamPool{addr: addr}
+	rt.mu.Unlock()
+	old.closeAll()
 	return nil
 }
 
 // streamPool is a bounded set of multiplexed stream connections to one
-// backend. get lazily dials up to max connections, round-robins across
-// them, and prunes any whose transport has failed — so after a backend
-// death the pool drains, and the first frame following its resurrection or
-// recovery re-dials fresh (failover re-dial).
+// backend. get lazily dials up to DefaultStreamPoolSize connections,
+// round-robins across them, and prunes any whose transport has failed — so
+// after a backend death the pool drains, and the first frame following its
+// resurrection or recovery re-dials fresh (failover re-dial).
 type streamPool struct {
 	mu    sync.Mutex
 	addr  string
 	conns []*wireproto.Client
 	next  int
-	max   int
 }
 
 func (p *streamPool) get() (*wireproto.Client, error) {
@@ -88,7 +82,7 @@ func (p *streamPool) get() (*wireproto.Client, error) {
 		live = append(live, c)
 	}
 	p.conns = live
-	if len(p.conns) < p.max {
+	if len(p.conns) < DefaultStreamPoolSize {
 		c, err := wireproto.Dial(p.addr, streamDialTimeout)
 		if err != nil {
 			if len(p.conns) > 0 {
@@ -110,7 +104,12 @@ func (p *streamPool) pick() *wireproto.Client {
 	return c
 }
 
+// closeAll closes every pooled connection in place; a later get re-dials.
+// A nil pool (an HTTP-only backend) has nothing to close.
 func (p *streamPool) closeAll() {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	conns := p.conns
 	p.conns = nil
@@ -120,36 +119,20 @@ func (p *streamPool) closeAll() {
 	}
 }
 
-// streamConn returns a pooled connection to b's stream address, creating
-// the pool on first use.
-func (rt *Router) streamConn(b *backend) (*wireproto.Client, error) {
+// pool returns b's stream-connection pool, nil for an HTTP-only backend.
+func (rt *Router) pool(b *backend) *streamPool {
 	rt.mu.RLock()
-	addr := b.streamAddr
-	rt.mu.RUnlock()
-	if addr == "" {
-		return nil, fmt.Errorf("backend %s has no stream address", b.name)
-	}
-	rt.spMu.Lock()
-	p, ok := rt.streamPools[b.name]
-	if !ok || p.addr != addr {
-		p = &streamPool{addr: addr, max: rt.streamPoolSize}
-		rt.streamPools[b.name] = p
-	}
-	rt.spMu.Unlock()
-	return p.get()
+	defer rt.mu.RUnlock()
+	return b.stream
 }
 
-// closeStreamPool drops every pooled connection to the named backend —
-// called when the health loop declares it dead and when it is removed, so
-// no frame is ever forwarded down a link the prober already condemned.
-func (rt *Router) closeStreamPool(name string) {
-	rt.spMu.Lock()
-	p := rt.streamPools[name]
-	delete(rt.streamPools, name)
-	rt.spMu.Unlock()
-	if p != nil {
-		p.closeAll()
+// streamConn returns a pooled connection to b's stream address.
+func (rt *Router) streamConn(b *backend) (*wireproto.Client, error) {
+	p := rt.pool(b)
+	if p == nil || p.addr == "" {
+		return nil, fmt.Errorf("backend %s has no stream address", b.name)
 	}
+	return p.get()
 }
 
 // ServeStream accepts stream-plane client connections on l until it is
@@ -252,11 +235,18 @@ func (sc *routerStreamConn) closeChans() {
 	sc.chans = nil
 	sc.mu.Unlock()
 	for _, pc := range chans {
-		pc.mu.Lock()
-		if pc.bs != nil {
-			pc.bs.Close()
-		}
-		pc.mu.Unlock()
+		pc.release()
+	}
+}
+
+// release closes the channel's backend stream once no round holds the
+// channel, for a channel the connection no longer maps.
+func (pc *proxyChan) release() {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.bs != nil {
+		pc.bs.Close()
+		pc.bs = nil
 	}
 }
 
@@ -361,19 +351,17 @@ func (sc *routerStreamConn) handleCreate(req *wireproto.Create) {
 		bs.Close()
 		return
 	}
-	if old := sc.chans[req.Channel]; old != nil && old.bs != nil {
-		old.bs.Close()
-	}
+	old := sc.chans[req.Channel]
 	sc.chans[req.Channel] = pc
 	gone := sc.sweepLocked()
 	sc.mu.Unlock()
+	// A replaced channel may have a round in flight: its stream is closed
+	// once that round lets go of it, as a swept channel's is.
+	if old != nil {
+		gone = append(gone, old)
+	}
 	for _, pc := range gone {
-		pc.mu.Lock()
-		if pc.bs != nil {
-			pc.bs.Close()
-			pc.bs = nil
-		}
-		pc.mu.Unlock()
+		pc.release()
 	}
 
 	sc.reply(req.Channel, q, req.WantState)
@@ -381,10 +369,9 @@ func (sc *routerStreamConn) handleCreate(req *wireproto.Create) {
 
 // sweepLocked drops, once the channel map has doubled since the last
 // sweep, every channel whose resource the router no longer tracks
-// (deleted, expired, or aged out), returning them so the caller can close
-// their backend streams outside the map lock. A frame on a dropped
-// channel answers 404, as it would have from the owner. Callers hold
-// sc.mu.
+// (deleted, expired, or aged out), returning them so the caller can
+// release them outside the map lock. A frame on a dropped channel answers
+// 404, as it would have from the owner. Callers hold sc.mu.
 func (sc *routerStreamConn) sweepLocked() []*proxyChan {
 	if len(sc.chans) < sc.sweepAt {
 		return nil
@@ -567,8 +554,7 @@ func (sc *routerStreamConn) capture(id string, rte route, q *wireproto.Question)
 	if rte.kindPath == "sessions" && len(q.Members) == 1 {
 		questions = q.Members[0].Questions
 	}
-	sc.rt.capture(snapEntry{id: id, collection: rte.collection, kindPath: rte.kindPath,
-		state: q.State, questions: questions})
+	sc.rt.capture(id, rte.collection, q.State, questions)
 	return true
 }
 

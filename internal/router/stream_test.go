@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"net"
@@ -18,12 +19,14 @@ import (
 const streamTestTimeout = 5 * time.Second
 
 // trackingListener counts and retains accepted connections so tests can
-// bound pool sizes and simulate an abrupt engine kill.
+// bound pool sizes and simulate an abrupt engine kill. It can also hold the
+// next connection it accepts, keeping every frame sent on it in flight.
 type trackingListener struct {
 	net.Listener
 	accepted atomic.Int64
 	mu       sync.Mutex
 	conns    []net.Conn
+	hold     chan struct{} // reads of the next accepted connection wait for it to close
 }
 
 func (l *trackingListener) Accept() (net.Conn, error) {
@@ -32,9 +35,34 @@ func (l *trackingListener) Accept() (net.Conn, error) {
 		l.accepted.Add(1)
 		l.mu.Lock()
 		l.conns = append(l.conns, c)
+		if l.hold != nil {
+			c = &heldConn{Conn: c, release: l.hold}
+			l.hold = nil
+		}
 		l.mu.Unlock()
 	}
 	return c, err
+}
+
+// holdNext makes the engine read nothing from the next connection it
+// accepts until release is called.
+func (l *trackingListener) holdNext() (release func()) {
+	ch := make(chan struct{})
+	l.mu.Lock()
+	l.hold = ch
+	l.mu.Unlock()
+	return sync.OnceFunc(func() { close(ch) })
+}
+
+// heldConn is an accepted connection whose reads wait for release.
+type heldConn struct {
+	net.Conn
+	release <-chan struct{}
+}
+
+func (c *heldConn) Read(p []byte) (int, error) {
+	<-c.release
+	return c.Conn.Read(p)
 }
 
 func (l *trackingListener) killConns() {
@@ -183,14 +211,14 @@ func TestRouterStreamProxy(t *testing.T) {
 	}
 	f.rt.mu.RLock()
 	own, ok := f.rt.owners[q.ID]
+	captured := ok && own.snap != nil
 	f.rt.mu.RUnlock()
 	if !ok {
 		t.Fatal("router did not learn affinity for the stream-created session")
 	}
-	if _, have := f.rt.snaps.get(q.ID); !have {
+	if !captured {
 		t.Fatal("router did not capture a creation snapshot")
 	}
-	_ = own
 
 	target := map[string]bool{"a": true, "d": true, "e": true} // S2
 	_, res := driveStream(t, s, q, target)
@@ -213,14 +241,14 @@ func TestRouterStreamProxy(t *testing.T) {
 }
 
 // TestStreamPoolBounded runs many concurrent sessions through the router
-// and checks the router never holds more than the configured number of
-// stream connections per backend — the pooled fan-out replacing
-// per-request dials.
+// and checks the router never holds more than DefaultStreamPoolSize stream
+// connections per backend — the pooled fan-out replacing per-request
+// dials.
 func TestStreamPoolBounded(t *testing.T) {
-	f := newStreamFleet(t, []string{"a"}, WithStreamPoolSize(2))
+	f := newStreamFleet(t, []string{"a"})
 	c := f.dial(t)
 
-	const sessions = 24
+	const sessions = 6 * DefaultStreamPoolSize
 	var wg sync.WaitGroup
 	errs := make(chan error, sessions)
 	for i := 0; i < sessions; i++ {
@@ -254,8 +282,8 @@ func TestStreamPoolBounded(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := f.engines["a"].ln.accepted.Load(); got > 2 {
-		t.Fatalf("router opened %d stream connections to the backend, pool bound is 2", got)
+	if got := f.engines["a"].ln.accepted.Load(); got > DefaultStreamPoolSize {
+		t.Fatalf("router opened %d stream connections to the backend, pool bound is %d", got, DefaultStreamPoolSize)
 	}
 }
 
@@ -269,11 +297,11 @@ func TestStreamPoolClosedOnDeath(t *testing.T) {
 	if _, err := s.Create(&wireproto.Create{Collection: "paper"}, streamTestTimeout); err != nil {
 		t.Fatal(err)
 	}
-	f.rt.spMu.Lock()
-	_, hadPool := f.rt.streamPools["a"]
-	f.rt.spMu.Unlock()
-	if !hadPool {
-		t.Fatal("no stream pool after a forwarded create")
+	f.rt.mu.RLock()
+	pool := f.rt.backends["a"].stream
+	f.rt.mu.RUnlock()
+	if n := pool.held(); n == 0 {
+		t.Fatal("no pooled connection after a forwarded create")
 	}
 
 	f.engines["a"].kill()
@@ -281,12 +309,18 @@ func TestStreamPoolClosedOnDeath(t *testing.T) {
 		f.rt.CheckHealthNow(t.Context())
 	}
 
-	f.rt.spMu.Lock()
-	_, stillThere := f.rt.streamPools["a"]
-	f.rt.spMu.Unlock()
-	if stillThere {
-		t.Fatal("stream pool survived the backend's death")
+	if n := pool.held(); n != 0 {
+		t.Fatalf("the dead backend's pool holds %d connections, want 0", n)
 	}
+}
+
+// held counts the pool's connections, closed or not: a pool prunes a
+// broken connection only on its next use, so a pool that still holds one
+// was not closed.
+func (p *streamPool) held() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.conns)
 }
 
 // roundCount scrapes the router's /v1/metrics for the number of rounds its
@@ -335,5 +369,105 @@ func TestStreamRoundsFeedLatencyWindow(t *testing.T) {
 	}
 	if got := roundCount(t, f.front, "a") - before; got < len(asked) {
 		t.Fatalf("latency window grew by %d over %d stream answers", got, len(asked))
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test after
+// streamTestTimeout.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(streamTestTimeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStreamRecreateDuringRound sends a Create on a channel while an
+// Answer on that channel is still in flight, over one client connection.
+// The Answer's round must re-attach its resource to the engine (its pooled
+// connection died), and the engine holds that re-attach until the Create
+// has been served, so the Create replaces a channel whose round still owns
+// it. Both frames must be answered, and the replaced channel's backend
+// stream may be touched only under the channel's lock: run under -race.
+// The client end is an in-memory pipe, so the router's replies to it are
+// no socket writes, which the race detector would take to order every
+// later socket read (the held round's among them) after the Create.
+func TestStreamRecreateDuringRound(t *testing.T) {
+	f := newStreamFleet(t, []string{"a"})
+	eng := f.engines["a"]
+	client, server := net.Pipe()
+	t.Cleanup(func() { client.Close() })
+	go f.rt.newStreamConn(server).serve()
+	send := func(m wireproto.Message) {
+		buf, err := wireproto.AppendFrame(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	br := bufio.NewReader(client)
+	recv := func() *wireproto.Question {
+		t.Helper()
+		client.SetReadDeadline(time.Now().Add(streamTestTimeout))
+		m, err := wireproto.ReadFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, ok := m.(*wireproto.Question)
+		if !ok || q.Channel != 1 || len(q.Members) != 1 {
+			t.Fatalf("got %#v, want a single-session question on channel 1", m)
+		}
+		return q
+	}
+
+	send(&wireproto.Create{Channel: 1, Collection: "paper"})
+	first := recv()
+
+	// Break the router's pooled connection, so the next round re-dials,
+	// and hold the connection it dials.
+	eng.ln.killConns()
+	f.rt.mu.RLock()
+	pool := f.rt.backends["a"].stream
+	f.rt.mu.RUnlock()
+	waitUntil(t, "the router sees its stream connection fail", func() bool {
+		pool.mu.Lock()
+		defer pool.mu.Unlock()
+		for _, c := range pool.conns {
+			if c.Err() == nil {
+				return false
+			}
+		}
+		return true
+	})
+	release := eng.ln.holdNext()
+	t.Cleanup(release)
+
+	accepted := eng.ln.accepted.Load()
+	send(&wireproto.Answer{Channel: 1, Answer: "no", Entity: first.Members[0].Entity})
+	waitUntil(t, "the round dials the held connection", func() bool { return eng.ln.accepted.Load() > accepted })
+	captures := f.rt.metrics.captures.Load()
+	send(&wireproto.Create{Channel: 1, Collection: "paper"})
+	waitUntil(t, "the second create is captured", func() bool { return f.rt.metrics.captures.Load() > captures })
+	release()
+
+	var answered, created *wireproto.Question
+	for i := 0; i < 2; i++ {
+		q := recv()
+		if q.ID == "" || q.ID == first.ID {
+			answered = q
+		} else {
+			created = q
+		}
+	}
+	if answered == nil || answered.Members[0].Questions != 1 {
+		t.Errorf("the answer in flight was answered with %+v, want the question after one answer", answered)
+	}
+	if created == nil || created.Members[0].Questions != 0 {
+		t.Errorf("the second create was answered with %+v, want a fresh session's first question", created)
 	}
 }

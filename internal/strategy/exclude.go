@@ -14,65 +14,6 @@ type Excluder interface {
 	SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]bool) (dataset.Entity, bool)
 }
 
-// SelectExcluding implements Excluder for MostEven.
-func (s MostEven) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]bool) (dataset.Entity, bool) {
-	infos := s.infos(sub)
-	n := sub.Size()
-	found := false
-	var best dataset.Entity
-	bestUneven := 0
-	for _, ec := range infos {
-		if excluded[ec.Entity] {
-			continue
-		}
-		if u := abs(2*ec.Count - n); !found || u < bestUneven {
-			best, bestUneven, found = ec.Entity, u, true
-		}
-	}
-	return best, found
-}
-
-// SelectExcluding implements Excluder for InfoGain. Exclusion filters the
-// candidates before the usual gain comparison.
-func (s InfoGain) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]bool) (dataset.Entity, bool) {
-	infos := s.infos(sub)
-	n := sub.Size()
-	found := false
-	var best dataset.Entity
-	bestEnt, bestUneven := 0.0, 0
-	for _, ec := range infos {
-		if excluded[ec.Entity] {
-			continue
-		}
-		e := weightedChildEntropy(ec.Count, n-ec.Count)
-		u := abs(2*ec.Count - n)
-		if !found || e < bestEnt || (e == bestEnt && u < bestUneven) {
-			best, bestEnt, bestUneven, found = ec.Entity, e, u, true
-		}
-	}
-	return best, found
-}
-
-// SelectExcluding implements Excluder for Indg.
-func (s Indg) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]bool) (dataset.Entity, bool) {
-	infos := s.infos(sub)
-	n := sub.Size()
-	found := false
-	var best dataset.Entity
-	var bestPairs int64
-	for _, ec := range infos {
-		if excluded[ec.Entity] {
-			continue
-		}
-		n1, n2 := int64(ec.Count), int64(n-ec.Count)
-		pairs := n1*(n1-1)/2 + n2*(n2-1)/2
-		if !found || pairs < bestPairs {
-			best, bestPairs, found = ec.Entity, pairs, true
-		}
-	}
-	return best, found
-}
-
 // SelectExcluding implements Excluder for KLP. Exclusion applies only to the
 // entity proposed at the node itself; lookahead below the node may still
 // reason with excluded entities (their bounds stay valid — only the next

@@ -39,18 +39,25 @@ func (s MostEven) New() Strategy { return MostEven{baseScratch{dataset.NewScratc
 
 // Select implements Strategy.
 func (s MostEven) Select(sub *dataset.Subset) (dataset.Entity, bool) {
+	return s.SelectExcluding(sub, nil)
+}
+
+// SelectExcluding implements Excluder for MostEven.
+func (s MostEven) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]bool) (dataset.Entity, bool) {
 	infos := s.infos(sub)
-	if len(infos) == 0 {
-		return 0, false
-	}
 	n := sub.Size()
-	best, bestUneven := infos[0].Entity, abs(2*infos[0].Count-n)
-	for _, ec := range infos[1:] {
-		if u := abs(2*ec.Count - n); u < bestUneven {
-			best, bestUneven = ec.Entity, u
+	found := false
+	var best dataset.Entity
+	bestUneven := 0
+	for _, ec := range infos {
+		if excluded[ec.Entity] {
+			continue
+		}
+		if u := abs(2*ec.Count - n); !found || u < bestUneven {
+			best, bestUneven, found = ec.Entity, u, true
 		}
 	}
-	return best, true
+	return best, found
 }
 
 // InfoGain is the ID3/C4.5 heuristic (§4.2.2, eq 9): each set is its own
@@ -68,21 +75,28 @@ func (s InfoGain) New() Strategy { return InfoGain{baseScratch{dataset.NewScratc
 
 // Select implements Strategy.
 func (s InfoGain) Select(sub *dataset.Subset) (dataset.Entity, bool) {
+	return s.SelectExcluding(sub, nil)
+}
+
+// SelectExcluding implements Excluder for InfoGain. Exclusion filters the
+// candidates before the usual gain comparison.
+func (s InfoGain) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]bool) (dataset.Entity, bool) {
 	infos := s.infos(sub)
-	if len(infos) == 0 {
-		return 0, false
-	}
 	n := sub.Size()
+	found := false
 	var best dataset.Entity
-	bestEnt, bestUneven := math.Inf(1), 0
+	bestEnt, bestUneven := 0.0, 0
 	for _, ec := range infos {
+		if excluded[ec.Entity] {
+			continue
+		}
 		e := weightedChildEntropy(ec.Count, n-ec.Count)
 		u := abs(2*ec.Count - n)
-		if e < bestEnt || (e == bestEnt && u < bestUneven) {
-			best, bestEnt, bestUneven = ec.Entity, e, u
+		if !found || e < bestEnt || (e == bestEnt && u < bestUneven) {
+			best, bestEnt, bestUneven, found = ec.Entity, e, u, true
 		}
 	}
-	return best, true
+	return best, found
 }
 
 // weightedChildEntropy returns n1·log2 n1 + n2·log2 n2 — the only part of
@@ -113,20 +127,25 @@ func (s Indg) New() Strategy { return Indg{baseScratch{dataset.NewScratch()}} }
 
 // Select implements Strategy.
 func (s Indg) Select(sub *dataset.Subset) (dataset.Entity, bool) {
+	return s.SelectExcluding(sub, nil)
+}
+
+// SelectExcluding implements Excluder for Indg.
+func (s Indg) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]bool) (dataset.Entity, bool) {
 	infos := s.infos(sub)
-	if len(infos) == 0 {
-		return 0, false
-	}
 	n := sub.Size()
+	found := false
 	var best dataset.Entity
-	bestPairs := int64(math.MaxInt64)
+	var bestPairs int64
 	for _, ec := range infos {
-		n1 := int64(ec.Count)
-		n2 := int64(n - ec.Count)
+		if excluded[ec.Entity] {
+			continue
+		}
+		n1, n2 := int64(ec.Count), int64(n-ec.Count)
 		pairs := n1*(n1-1)/2 + n2*(n2-1)/2
-		if pairs < bestPairs {
-			best, bestPairs = ec.Entity, pairs
+		if !found || pairs < bestPairs {
+			best, bestPairs, found = ec.Entity, pairs, true
 		}
 	}
-	return best, true
+	return best, found
 }
