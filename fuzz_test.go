@@ -109,19 +109,10 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// snap above is a version-2 envelope (shared selection is on by default,
-	// so the session carries a memo delta); seed the delta-less version-1
-	// envelope too so the fuzzer mutates both layouts.
-	plain, err := c.NewSession([]string{"b"}, WithSharedSelection(false))
-	if err != nil {
-		f.Fatal(err)
-	}
-	plainSnap, err := plain.Snapshot()
-	if err != nil {
-		f.Fatal(err)
-	}
+	// snap above is a version-1 envelope; seed the recorded version-2
+	// envelope of an earlier release too so the fuzzer mutates both layouts.
 	f.Add(snap)
-	f.Add(plainSnap)
+	f.Add(recordedV2Envelope(f))
 	f.Add(batchSnap)
 	f.Add(treeSnap)
 	f.Add([]byte("SDSS"))
@@ -195,12 +186,13 @@ func FuzzSelectionCacheShard(f *testing.F) {
 // question state: the snapshot envelope (RestoreSession/RestoreBatch, bumped
 // to version 3 for group sessions) and the wire frame decoder (group state
 // travels under flag-gated appends). The corpus seeds every envelope
-// generation — version-1 delta-less, version-2 shared-selection, version-3
-// halving mid-flight and additive-with-constraints — plus group-flagged
-// Create/Question/Answer/BatchAnswer frames. Contracts: rejections wrap
-// ErrBadSnapshot / wireproto.ErrBadFrame (never a panic or naked error), an
-// accepted session re-snapshots byte-identically and drives to completion,
-// and an accepted frame survives decode → encode → decode deep-equal.
+// generation — version 1, the recorded version-2 envelope of an earlier
+// release, version-3 halving mid-flight and additive-with-constraints — plus
+// group-flagged Create/Question/Answer/BatchAnswer frames. Contracts:
+// rejections wrap ErrBadSnapshot / wireproto.ErrBadFrame (never a panic or
+// naked error), an accepted session re-snapshots byte-identically and drives
+// to completion, and an accepted frame survives decode → encode → decode
+// deep-equal.
 func FuzzGroupQuestionState(f *testing.F) {
 	c := fuzzCollection(f)
 	o, err := c.TargetOracle(c.Names()[0])
@@ -251,17 +243,6 @@ func FuzzGroupQuestionState(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	v2, err := c.NewSession(nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := v2.Answer(No); err != nil {
-		f.Fatal(err)
-	}
-	v2Snap, err := v2.Snapshot()
-	if err != nil {
-		f.Fatal(err)
-	}
 
 	// Group-flagged wire frames alongside the snapshots: one corpus, both
 	// decoders probed per input.
@@ -289,7 +270,7 @@ func FuzzGroupQuestionState(f *testing.F) {
 	f.Add(additiveSnap)
 	f.Add(groupBatchSnap)
 	f.Add(v1Snap)
-	f.Add(v2Snap)
+	f.Add(recordedV2Envelope(f))
 	f.Add([]byte("SDSS"))
 	f.Add([]byte{})
 

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -189,6 +190,21 @@ func TestBoundedMinimumCapacity(t *testing.T) {
 	}
 	if n := c.Len(); n != 1 {
 		t.Fatalf("Len = %d, want 1 (single slot in shard 0)", n)
+	}
+}
+
+// TestBoundedHugeBound: a bound of 2^37 or more (setdiscd -cache-bound
+// accepts any int) asks for more than math.MaxInt32 slots per shard. The cap
+// is clamped, never wrapped negative, and the cache serves as usual.
+func TestBoundedHugeBound(t *testing.T) {
+	c := NewBounded[int](1 << 37)
+	if c.Bound() != math.MaxInt32 {
+		t.Errorf("Bound() = %d, want %d", c.Bound(), math.MaxInt32)
+	}
+	k := Key{Hi: 1, Lo: 2, Aux: 3}
+	c.Put(k, 7)
+	if v, ok := c.Get(k); !ok || v != 7 {
+		t.Fatalf("Get = (%d, %v), want (7, true)", v, ok)
 	}
 }
 

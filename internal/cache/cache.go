@@ -25,6 +25,7 @@
 package cache
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -127,12 +128,11 @@ func New[V any]() *Cache[V] {
 //
 // The cap is a ceiling, not a reservation: shards grow their rings on
 // demand, so a generously bounded cache (setdiscd defaults to 1M entries)
-// costs memory proportional to what the workload actually caches.
+// costs memory proportional to what the workload actually caches. A shard's
+// ring is indexed by int32, so the per-shard cap is clamped to
+// math.MaxInt32.
 func NewBounded[V any](n int) *Cache[V] {
-	perShard := (n + shardCount - 1) / shardCount
-	if perShard < 1 {
-		perShard = 1
-	}
+	perShard := max(1, min((n-1)/shardCount+1, math.MaxInt32))
 	c := &Cache[V]{}
 	for i := range c.shards {
 		c.shards[i].bcap = int32(perShard)
@@ -259,23 +259,6 @@ func (c *Cache[V]) Reset() {
 		s.misses.Store(0)
 		s.evictions.Store(0)
 	}
-}
-
-// Peek returns the entry for k without touching the hit/miss counters or the
-// entry's second-chance bit. Use it for read-only inspection (exports,
-// snapshot deltas) where a lookup must not perturb eviction or statistics.
-func (c *Cache[V]) Peek(k Key) (V, bool) {
-	s := c.shardFor(k)
-	var v V
-	var ok bool
-	s.mu.RLock()
-	if s.m != nil {
-		v, ok = s.m[k]
-	} else if i, found := s.idx[k]; found {
-		v, ok = s.slots[i].val, true
-	}
-	s.mu.RUnlock()
-	return v, ok
 }
 
 // Entry is one key/value pair returned by Export.

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -109,13 +110,6 @@ func (m *SelectionMemo) Stats() MemoStats {
 // Len returns the number of memoised selections.
 func (m *SelectionMemo) Len() int { return m.cache.Len() }
 
-// memoTrailCap bounds a session's visited-key trail. The trail exists so a
-// migrating session can carry the memo entries along its own discovery path
-// (the snapshot memo-delta); the early, widely shared prefix states are the
-// valuable ones, so once the cap is reached later keys are simply not
-// recorded.
-const memoTrailCap = 512
-
 // selectShared is the memo-backed selection path of a session: serve a hit,
 // coalesce onto an in-progress computation, or compute and publish; computed
 // reports the last. The computing session runs the strategy on its own
@@ -125,10 +119,6 @@ const memoTrailCap = 512
 func (m *SelectionMemo) selectShared(s *Session) (entities []dataset.Entity, ok, computed bool) {
 	fp := s.cs.Fingerprint()
 	key := cache.Key{Hi: fp.Hi, Lo: fp.Lo, Aux: s.opts.MemoAux}
-	// Batch members keep no trail: a batch snapshot carries no memo delta.
-	if s.opts.stats == nil && len(s.memoKeys) < memoTrailCap {
-		s.memoKeys = append(s.memoKeys, key)
-	}
 	if e, ok := m.cache.Get(key); ok {
 		return e.entities, e.ok, false
 	}
@@ -155,11 +145,10 @@ func (m *SelectionMemo) selectShared(s *Session) (entities []dataset.Entity, ok,
 
 // Persisted/exported memo shards: a versioned, fingerprint-guarded binary
 // encoding of a memo's hottest entries, reusing the session-state primitive
-// codecs. One format serves all three transport layers of the fabric — the
+// codecs. Shards are the one way memo state travels between engines: the
 // /v1/cache/shard export/import surface that warms a freshly added engine
-// from a healthy peer, the -cache-persist file a restarted setdiscd reloads,
-// and (minus the magic/fingerprint header, which the snapshot envelope
-// already carries) the memo-delta section of a migrated session's snapshot.
+// from a healthy peer, and the -cache-persist file a restarted setdiscd
+// reloads. Session snapshots carry no memo state.
 //
 // Layout:
 //
@@ -170,10 +159,14 @@ func (m *SelectionMemo) selectShared(s *Session) (entities []dataset.Entity, ok,
 // key words are high-entropy hashes, so varints would only pad them), the ok
 // verdict, and the entity list in verbatim strategy-ranked order.
 //
-// Decoders treat input as untrusted, like the session-state decoders: counts
-// are bounded by the remaining input, entities are range-checked against the
+// The decoder bounds its work like the session-state decoders: counts are
+// bounded by the remaining input, entities are range-checked against the
 // collection, a foreign collection fingerprint is rejected, and malformed
-// input yields an error, never a panic (fuzz-enforced).
+// input yields an error, never a panic (fuzz-enforced). It cannot check that
+// an entry is the selection its key's state would compute — a key is a hash
+// of a state the decoder never sees — so imported entries are trusted as
+// given, and every session whose state hashes to a key is served its entry.
+// Import shards only from engines of the same fleet.
 
 // memoShardMagic identifies a persisted selection-cache shard.
 const memoShardMagic = "SDCS"
@@ -182,23 +175,13 @@ const memoShardMagic = "SDCS"
 // they do not know.
 const memoShardVersion = 1
 
-func (w *stateWriter) u64(v uint64) {
-	w.buf = appendU64(w.buf, v)
-}
-
-func appendU64(buf []byte, v uint64) []byte {
-	return append(buf,
-		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
+func (w *stateWriter) u64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
 
 func (r *stateReader) u64() (uint64, error) {
 	if len(r.data) < 8 {
 		return 0, corrupt("truncated word")
 	}
-	v := uint64(r.data[0])<<56 | uint64(r.data[1])<<48 | uint64(r.data[2])<<40 |
-		uint64(r.data[3])<<32 | uint64(r.data[4])<<24 | uint64(r.data[5])<<16 |
-		uint64(r.data[6])<<8 | uint64(r.data[7])
+	v := binary.BigEndian.Uint64(r.data)
 	r.data = r.data[8:]
 	return v, nil
 }
@@ -214,7 +197,15 @@ func EncodeMemoShard(c *dataset.Collection, m *SelectionMemo, max int) []byte {
 	w.buf = append(w.buf, memoShardMagic...)
 	w.u8(memoShardVersion)
 	w.fingerprint(c.ContentFingerprint())
-	appendMemoEntries(w, m.cache.Export(max))
+	entries := m.cache.Export(max)
+	w.uvarint(uint64(len(entries)))
+	for _, e := range entries {
+		w.u64(e.Key.Hi)
+		w.u64(e.Key.Lo)
+		w.u64(e.Key.Aux)
+		w.bool(e.Val.ok)
+		w.entities(e.Val.entities)
+	}
 	return w.buf
 }
 
@@ -236,112 +227,39 @@ func DecodeMemoShard(c *dataset.Collection, m *SelectionMemo, data []byte) (int,
 	if fp != c.ContentFingerprint() {
 		return 0, corrupt("shard was exported from a different collection")
 	}
-	n, err := decodeMemoEntries(c, m, r)
-	if err != nil {
-		return 0, err
-	}
-	if len(r.data) != 0 {
-		return 0, corrupt("%d trailing bytes", len(r.data))
-	}
-	return n, nil
-}
-
-// appendMemoEntries writes the count-prefixed entry list shared by shards and
-// snapshot memo-deltas.
-func appendMemoEntries(w *stateWriter, entries []cache.Entry[selMemoEntry]) {
-	w.uvarint(uint64(len(entries)))
-	for _, e := range entries {
-		w.u64(e.Key.Hi)
-		w.u64(e.Key.Lo)
-		w.u64(e.Key.Aux)
-		w.bool(e.Val.ok)
-		w.entities(e.Val.entities)
-	}
-}
-
-// decodeMemoEntries reads a count-prefixed entry list into m, validating each
-// entry against the collection. A key is content-addressed (a fingerprint
-// plus an options hash), so importing an entry can at worst waste a slot —
-// a session only consumes it after hashing its own state to the same key —
-// but entities are still range-checked so no imported slice can hold IDs the
-// collection cannot name.
-func decodeMemoEntries(c *dataset.Collection, m *SelectionMemo, r *stateReader) (int, error) {
 	n, err := r.count()
 	if err != nil {
 		return 0, err
 	}
-	imported := 0
+	distinct := c.DistinctEntities()
 	for i := 0; i < n; i++ {
 		var key cache.Key
 		if key.Hi, err = r.u64(); err != nil {
-			return imported, err
+			return 0, err
 		}
 		if key.Lo, err = r.u64(); err != nil {
-			return imported, err
+			return 0, err
 		}
 		if key.Aux, err = r.u64(); err != nil {
-			return imported, err
+			return 0, err
 		}
 		ok, err := r.bool()
 		if err != nil {
-			return imported, err
+			return 0, err
 		}
 		entities, err := r.entities()
 		if err != nil {
-			return imported, err
+			return 0, err
 		}
 		for _, e := range entities {
-			if int(e) >= c.DistinctEntities() {
-				return imported, corrupt("shard entity %d of %d", e, c.DistinctEntities())
+			if int(e) >= distinct {
+				return 0, corrupt("shard entity %d of %d", e, distinct)
 			}
 		}
 		if ok == (len(entities) == 0) {
-			return imported, corrupt("shard entry verdict inconsistent with its entity list")
+			return 0, corrupt("shard entry verdict inconsistent with its entity list")
 		}
 		m.cache.Put(key, selMemoEntry{entities: entities, ok: ok})
-		imported++
-	}
-	return imported, nil
-}
-
-// AppendMemoDelta appends the memo entries visited along the session's own
-// discovery path (count-prefixed, same entry layout as a shard, no header —
-// the snapshot envelope already carries version and fingerprint) and returns
-// the extended buffer plus the number of entries written. A migrated session
-// carries exactly the hot states it walked through, so the receiving engine
-// serves the session's remaining questions — and every sibling on the same
-// popular prefix — from its own memo.
-func (s *Session) AppendMemoDelta(buf []byte) ([]byte, int) {
-	w := &stateWriter{buf: buf}
-	m := s.opts.Memo
-	if m == nil || len(s.memoKeys) == 0 {
-		w.uvarint(0)
-		return w.buf, 0
-	}
-	entries := make([]cache.Entry[selMemoEntry], 0, len(s.memoKeys))
-	seen := make(map[cache.Key]bool, len(s.memoKeys))
-	for _, k := range s.memoKeys {
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if v, ok := m.cache.Peek(k); ok {
-			entries = append(entries, cache.Entry[selMemoEntry]{Key: k, Val: v})
-		}
-	}
-	appendMemoEntries(w, entries)
-	return w.buf, len(entries)
-}
-
-// DecodeMemoDelta imports a memo-delta section written by AppendMemoDelta
-// into m, with the same validation as DecodeMemoShard (the caller has already
-// verified the envelope's collection fingerprint). The input must be exactly
-// one delta section; trailing bytes are rejected.
-func DecodeMemoDelta(c *dataset.Collection, m *SelectionMemo, data []byte) (int, error) {
-	r := &stateReader{data: data}
-	n, err := decodeMemoEntries(c, m, r)
-	if err != nil {
-		return 0, err
 	}
 	if len(r.data) != 0 {
 		return 0, corrupt("%d trailing bytes", len(r.data))

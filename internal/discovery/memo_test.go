@@ -211,43 +211,3 @@ func TestMemoShardRejectsForeignAndCorrupt(t *testing.T) {
 		t.Fatal("unknown version accepted")
 	}
 }
-
-// TestMemoDeltaRoundTrip pins the snapshot memo-delta section: a session's
-// visited entries travel, and an empty trail encodes as a zero count.
-func TestMemoDeltaRoundTrip(t *testing.T) {
-	c := testutil.PaperCollection()
-	f := strategy.NewKLP(cost.AD, 2)
-	memo := NewSelectionMemo(0)
-	s, err := NewSession(c, nil, Options{Strategy: f.New(), Memo: memo, MemoAux: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := TargetOracle{Target: c.Set(c.Len() - 1)}
-	driveSolo(t, s, oracle)
-
-	delta, n := s.AppendMemoDelta(nil)
-	if n == 0 {
-		t.Fatal("completed session wrote an empty memo delta")
-	}
-	cold := NewSelectionMemo(0)
-	imported, err := DecodeMemoDelta(c, cold, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imported != n {
-		t.Fatalf("imported %d entries, delta wrote %d", imported, n)
-	}
-	if _, err := DecodeMemoDelta(c, NewSelectionMemo(0), append(bytes.Clone(delta), 7)); err == nil {
-		t.Fatal("delta with trailing bytes accepted")
-	}
-
-	// A memo-less session writes the empty (zero-count) section.
-	plain, err := NewSession(c, nil, Options{Strategy: f.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, n := plain.AppendMemoDelta(nil)
-	if n != 0 || len(buf) != 1 {
-		t.Fatalf("memo-less delta: %d entries in %d bytes, want 0 in 1", n, len(buf))
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"time"
 
-	"setdiscovery/internal/cache"
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/grouptest"
 	"setdiscovery/internal/tree"
@@ -77,12 +76,6 @@ type Session struct {
 	batch         []dataset.Entity
 	inBatch       bool
 	contradiction bool
-
-	// memoKeys is the trail of collection-memo keys this session's selections
-	// visited (hits and misses alike), capped at memoTrailCap. Snapshotting
-	// exports the corresponding entries as a memo delta, so a migrated
-	// session warms its destination's memo along its own discovery path.
-	memoKeys []cache.Key
 
 	state   sessionState
 	pending dataset.Entity

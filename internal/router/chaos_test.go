@@ -1,12 +1,15 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -511,4 +514,57 @@ func TestChaosResurrectionNotQueued(t *testing.T) {
 	if onDead(ids[0]) {
 		t.Error("the held victim was not resurrected once its answer lock was released")
 	}
+}
+
+// TestChaosImportedStateCannotSteerMemo: a client-supplied snapshot cannot
+// change the questions other sessions are asked. The recorded version-2
+// envelope of an earlier release, its memo entry rewritten to name b (which
+// every candidate from seed {b} contains), is imported through the router:
+// the collection's ring owner, which serves every session of the
+// collection, restores it, and the router keeps it as the resource's
+// checkpoint. A fresh session from {b} must then ask what an independent
+// engine asks, and finish; so must one on the survivor after the importing
+// owner dies and the import is resurrected there from its checkpoint.
+func TestChaosImportedStateCannotSteerMemo(t *testing.T) {
+	env, err := os.ReadFile(filepath.Join("..", "..", "testdata", "snapshot-v2-seed-b.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newChaosFleet(t)
+	oracle, err := f.engines["a"].c.TargetOracle("S5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	create := server.CreateSessionRequest{Initial: []string{"b"}}
+	wantAsked, wantRes := fullSequence(t, newEngine(t).ts.URL, create, oracle)
+
+	tampered := bytes.Clone(env)
+	tampered[len(tampered)-1] = byte(testutil.Entity(f.engines["a"].c.Internal(), "b"))
+	const id = "imported-tampered"
+	if code := do(t, "PUT", f.front.URL+"/v1/sessions/"+id+"/state",
+		server.ImportStateRequest{Collection: "paper", State: tampered}, nil); code != http.StatusOK {
+		t.Fatalf("import via router: status %d", code)
+	}
+	honest := func(when string) {
+		t.Helper()
+		asked, res := fullSequence(t, f.front.URL, create, oracle)
+		if !reflect.DeepEqual(asked, wantAsked) || res.Target != wantRes.Target {
+			t.Fatalf("%s: a fresh session asked %v and found %q; an independent engine asked %v and found %q",
+				when, asked, res.Target, wantAsked, wantRes.Target)
+		}
+	}
+	honest("after the import")
+
+	f.rt.mu.RLock()
+	importer := f.rt.owners[id].b.name
+	f.rt.mu.RUnlock()
+	f.proxies[importer].SetMode(testutil.ChaosReset)
+	f.detectDeath(t)
+	f.rt.mu.RLock()
+	now := f.rt.owners[id].b.name
+	f.rt.mu.RUnlock()
+	if now == importer {
+		t.Fatalf("imported resource still on its dead owner %s", importer)
+	}
+	honest("after resurrecting the import on " + now)
 }

@@ -118,6 +118,15 @@ type backend struct {
 	lastDeath time.Time // when the backend was last declared dead
 }
 
+// eligible reports whether b takes placements and may warm a newcomer: not
+// draining, and not declared dead (or still working its way back through
+// recovery) by the health loop. A suspect backend stays eligible — that is
+// the flap damping: it keeps serving until the failure streak crosses the
+// threshold. Callers hold the router lock.
+func (b *backend) eligible() bool {
+	return !b.draining && b.state != stateDead && b.state != stateRecovering
+}
+
 // owner records where a live resource's state is held, how to address it
 // for migration, and how to rebuild it elsewhere. lastSeen ages the entry
 // out once traffic stops (the engine reaps the session on its own TTL; the
@@ -155,7 +164,7 @@ type ringPoint struct {
 type Router struct {
 	mu       sync.RWMutex
 	backends map[string]*backend
-	ring     []ringPoint // sorted by hash, non-draining backends only
+	ring     []ringPoint // sorted by hash, eligible backends only
 	owners   map[string]*owner
 
 	client    *http.Client
@@ -289,8 +298,10 @@ func (rt *Router) sweepOwnersLocked(now time.Time) {
 // The new engine is also warmed: for every collection an established peer
 // serves, the peer's hot selection-cache shard is copied over (GET → PUT
 // /v1/cache/shard), so the first sessions the newcomer serves hit a
-// populated memo instead of paying the cold-start selection cost. Warming
-// is best-effort performance state — failures are logged, never returned.
+// populated memo instead of paying the cold-start selection cost. Only
+// eligible peers are asked, so warming never waits on an engine the health
+// loop declared dead. Warming is best-effort performance state — failures
+// are logged, never returned.
 func (rt *Router) AddBackend(name, rawURL string) error {
 	if name == "" {
 		return errors.New("router: backend name must be non-empty")
@@ -314,7 +325,7 @@ func (rt *Router) AddBackend(name, rawURL string) error {
 	moves := rt.misplacedLocked()
 	var peers []*backend
 	for _, b := range rt.backends {
-		if b != nb && !b.draining {
+		if b != nb && b.eligible() {
 			peers = append(peers, b)
 		}
 	}
@@ -445,15 +456,12 @@ func (rt *Router) RemoveBackend(name string) error {
 	return nil
 }
 
-// rebuildRingLocked recomputes the virtual-node ring over the backends
-// eligible for placement: not draining, and not declared dead (or still
-// working their way back through recovery) by the health loop. A suspect
-// backend stays in the ring — that is the flap damping: it keeps serving
-// until the failure streak crosses the threshold.
+// rebuildRingLocked recomputes the virtual-node ring over the eligible
+// backends.
 func (rt *Router) rebuildRingLocked() {
 	rt.ring = rt.ring[:0]
 	for _, b := range rt.backends {
-		if b.draining || b.state == stateDead || b.state == stateRecovering {
+		if !b.eligible() {
 			continue
 		}
 		for i := 0; i < vnodes; i++ {

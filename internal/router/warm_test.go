@@ -5,9 +5,11 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+	"time"
 
 	"setdiscovery"
 	"setdiscovery/internal/server"
+	"setdiscovery/internal/testutil"
 )
 
 // warmEngine resolves one session per target directly against an engine, so
@@ -127,5 +129,35 @@ func TestAddBackendWarmFailuresAreAdvisory(t *testing.T) {
 	}
 	if got := fresh.c.SelectionCacheStats().Entries; got != 0 {
 		t.Fatalf("warming from a dead peer imported %d entries", got)
+	}
+}
+
+// TestChaosAddBackendSkipsDeadPeer: AddBackend warms a newcomer only from
+// peers the health loop lets serve. Peer a is black-holed and declared dead,
+// so listing its collections would wait out opTimeout (30 s); AddBackend
+// must skip it and warm the newcomer from the live peer b at once.
+func TestChaosAddBackendSkipsDeadPeer(t *testing.T) {
+	f := newChaosFleet(t, WithHealth(HealthConfig{Timeout: 100 * time.Millisecond}))
+	warmEngine(t, f.engines["b"])
+	want := f.engines["b"].c.SelectionCacheStats().Entries
+	if want == 0 {
+		t.Fatal("live peer has no cache entries")
+	}
+	f.proxies["a"].SetMode(testutil.ChaosBlackhole)
+	f.detectDeath(t)
+	if st, ok := f.rt.healthStateOf("a"); !ok || st != stateDead {
+		t.Fatalf("black-holed peer a is %v, want dead", st)
+	}
+
+	fresh := newEngine(t)
+	start := time.Now()
+	if err := f.rt.AddBackend("c", fresh.ts.URL); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("AddBackend took %v with a dead peer, want under 5s", elapsed)
+	}
+	if got := fresh.c.SelectionCacheStats().Entries; got != want {
+		t.Fatalf("newcomer holds %d cache entries, live peer b holds %d", got, want)
 	}
 }

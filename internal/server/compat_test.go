@@ -3,6 +3,8 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -314,9 +316,11 @@ func TestCompatGroupSessionLegacyRoutes(t *testing.T) {
 }
 
 // TestCompatPreBumpSnapshotImport: snapshot envelopes produced before the
-// group version bump (version-1 delta-less sessions, version-2
-// shared-selection sessions) must keep importing over both surfaces — a
-// fleet mid-upgrade migrates old sessions onto new engines.
+// group version bump (version-1 sessions, and the version-2 envelope an
+// earlier release wrote for shared-selection sessions, recorded under the
+// repository's testdata) must keep importing over both surfaces — a fleet
+// mid-upgrade migrates old sessions onto new engines. An import leaves the
+// collection's selection memo as it was: a version-2 memo section is skipped.
 func TestCompatPreBumpSnapshotImport(t *testing.T) {
 	_, ts, c := newTestServer(t)
 	oracle, err := c.TargetOracle("S4")
@@ -339,17 +343,29 @@ func TestCompatPreBumpSnapshotImport(t *testing.T) {
 		}
 		return snap
 	}
-	envelopes := map[string][]byte{
-		"v1-delta-less":       mk(setdiscovery.WithSharedSelection(false)),
-		"v2-shared-selection": mk(),
+	v2, err := os.ReadFile(filepath.Join("..", "..", "testdata", "snapshot-v2-seed-b.bin"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, snap := range envelopes {
+	envelopes := []struct {
+		name string
+		snap []byte
+	}{
+		{"v2-shared-selection", v2},
+		{"v1-delta-less", mk(setdiscovery.WithSharedSelection(false))},
+	}
+	for _, env := range envelopes {
+		name, snap := env.name, env.snap
 		for _, prefix := range []string{"", "/v1"} {
 			id := fmt.Sprintf("prebump-%s%s", name, strings.ReplaceAll(prefix, "/", "-"))
 			var q QuestionResponse
+			before := c.SelectionCacheStats().Entries
 			if code := do(t, "PUT", ts.URL+prefix+"/sessions/"+id+"/state",
 				ImportStateRequest{Collection: "paper", State: snap}, &q); code != http.StatusOK {
 				t.Fatalf("%s via %q: import status %d", name, prefix, code)
+			}
+			if after := c.SelectionCacheStats().Entries; after != before {
+				t.Fatalf("%s via %q: import changed the memo from %d to %d entries", name, prefix, before, after)
 			}
 			for i := 0; !q.Done; i++ {
 				if i > 100 {

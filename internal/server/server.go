@@ -433,7 +433,10 @@ func (s *Server) handleExportCacheShard(w http.ResponseWriter, r *http.Request) 
 // handleImportCacheShard serves PUT /v1/cache/shard?collection=NAME: merge a
 // binary shard body into the collection's selection memo. Shards from a
 // different collection (content-fingerprint mismatch) or corrupted bodies are
-// rejected; a valid import reports how many entries landed.
+// rejected; a valid import reports how many entries landed. The entries
+// themselves are trusted as given — every session whose state hashes to an
+// entry's key is asked its entities — so this route is for operators and
+// the router's warming, never for clients.
 func (s *Server) handleImportCacheShard(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("collection")
 	if name == "" {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"setdiscovery/internal/cache"
 	"setdiscovery/internal/cost"
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/synth"
@@ -43,6 +44,9 @@ func scratchSubs(t testing.TB) []*dataset.Subset {
 // while the allocating reference path still existed, from a build in which
 // its picks equalled the scratch path's, so it is that reference's output.
 // One warm instance per strategy runs two passes, and both must match.
+// Each strategy with a selection cache runs a second time with the cache
+// bounded at one entry per shard ("-bound64"): it must stay within its bound
+// and still match the same lines, since evictions recompute.
 // Regenerate the file only for a change meant to alter selections:
 //
 //	go test ./internal/strategy/ -run 'TestScratchSelect' -update
@@ -56,7 +60,37 @@ func TestScratchSelectionsMatchUnpooled(t *testing.T) {
 				checkLines(t, golden, s.name+" select", pass, selectLines(s.name, sel, subs))
 			}
 		})
+		f := s.f()
+		if selectionCache(f) == nil {
+			continue
+		}
+		t.Run(s.name+"-bound64", func(t *testing.T) {
+			f.(interface{ SetCacheBound(int) }).SetCacheBound(64)
+			sel := f.New()
+			for pass := range 2 {
+				checkLines(t, golden, s.name+" select", pass, selectLines(s.name, sel, subs))
+			}
+			st := selectionCache(f).Stats()
+			if st.Entries > 64 {
+				t.Fatalf("bounded cache holds %d entries, bound 64", st.Entries)
+			}
+			t.Logf("bounded cache: %d entries, %d evictions", st.Entries, st.Evictions)
+		})
 	}
+}
+
+// selectionCache returns the cache f's instances share, or nil for a
+// strategy that caches nothing.
+func selectionCache(f Factory) interface{ Stats() cache.Stats } {
+	switch v := f.(type) {
+	case *KLP:
+		return v.cache
+	case *GainK:
+		if v.cache != nil {
+			return v.cache
+		}
+	}
+	return nil
 }
 
 // TestScratchSelectExcludingMatches pins the SelectExcluding pick of the
@@ -73,29 +107,6 @@ func TestScratchSelectExcludingMatches(t *testing.T) {
 		for pass := range 2 {
 			checkLines(t, golden, s.name+" exclude", pass, excludeLines(t, s.name, sel, subs))
 		}
-	}
-}
-
-// TestBoundedCacheSameSelections: a factory with a tight cache bound must
-// select exactly what the unbounded factory selects (evictions recompute,
-// never corrupt).
-func TestBoundedCacheSameSelections(t *testing.T) {
-	subs := scratchSubs(t)
-	unbounded := NewKLP(cost.AD, 3)
-	bounded := NewKLP(cost.AD, 3)
-	bounded.SetCacheBound(64) // 1 entry per shard: heavy eviction
-	us, bs := unbounded.New(), bounded.New()
-	for pass := 0; pass < 2; pass++ {
-		for i, sub := range subs {
-			ue, uok := us.Select(sub)
-			be, bok := bs.Select(sub)
-			if ue != be || uok != bok {
-				t.Fatalf("pass %d sub %d: unbounded (%d,%v) != bounded (%d,%v)", pass, i, ue, uok, be, bok)
-			}
-		}
-	}
-	if got := bounded.CacheStats().Entries; got > 64 {
-		t.Fatalf("bounded cache holds %d entries, bound 64", got)
 	}
 }
 

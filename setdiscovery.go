@@ -271,7 +271,10 @@ func (c *Collection) ExportSelectionCache(w io.Writer, max int, opts ...Option) 
 // ImportSelectionCache merges a shard written by ExportSelectionCache into
 // the collection's selection memo and returns the number of entries
 // imported. The shard must come from a collection with identical content;
-// foreign or corrupted shards are rejected with ErrBadSnapshot. Options are
+// foreign or corrupted shards are rejected with ErrBadSnapshot. An entry's
+// entities cannot be checked against the state its key hashes, so entries
+// are trusted as given: every session reaching that state is asked them.
+// Import shards only from instances you run, never from clients. Options are
 // applied only for their cache bound, which matters when the import is what
 // creates the memo (a freshly added engine being warmed before any traffic).
 func (c *Collection) ImportSelectionCache(r io.Reader, opts ...Option) (int, error) {

@@ -3,6 +3,8 @@ package setdiscovery
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -225,72 +227,131 @@ func TestExportImportSelectionCache(t *testing.T) {
 	}
 }
 
-// TestSnapshotCarriesMemoDelta pins the migration-warming layer: a session
-// snapshot taken under shared selection carries the memo entries along its
-// own path, and restoring it on a cold twin warms the twin's memo — first
-// question identical, served from the imported entries.
-func TestSnapshotCarriesMemoDelta(t *testing.T) {
-	src, err := NewCollection(paperSets())
+// recordedV2Envelope reads testdata/snapshot-v2-seed-b.bin: the version-2
+// envelope an earlier release wrote for a paper-collection session from seed
+// {b}, suspended at its first question. Its memo section holds one entry,
+// the seed state's selection, and ends with that entry's entity ID (c).
+func recordedV2Envelope(tb testing.TB) []byte {
+	tb.Helper()
+	env, err := os.ReadFile(filepath.Join("testdata", "snapshot-v2-seed-b.bin"))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	name := src.Names()[0]
-	oracle, err := src.TargetOracle(name)
-	if err != nil {
-		t.Fatal(err)
+	if env[4] != snapshotVersionDelta {
+		tb.Fatalf("recorded envelope is version %d, want %d", env[4], snapshotVersionDelta)
 	}
-	s, err := src.NewSession(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Answer two questions so the trail has entries, then snapshot.
-	for i := 0; i < 2 && !s.Done(); i++ {
+	return env
+}
+
+// askedWithin drives s with o and returns its questions, failing the test if
+// the session does not finish within limit of them.
+func askedWithin(t *testing.T, s *Session, o Oracle, limit int) []string {
+	t.Helper()
+	var asked []string
+	for len(asked) < limit {
 		q, done := s.Next()
 		if done {
-			break
+			return asked
 		}
-		if err := s.Answer(oracle.Answer(q.Entity)); err != nil {
+		asked = append(asked, q.Entity)
+		if err := s.Answer(o.Answer(q.Entity)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap, err := s.Snapshot()
+	t.Fatalf("session did not finish within %d questions: asked %v", limit, asked)
+	return nil
+}
+
+// TestRestoreIgnoresMemoDelta: a snapshot never changes what the restoring
+// collection's selection memo holds. The recorded version-2 envelope resumes
+// with its never-suspended twin's questions, and its memo section is never
+// read; the same envelope with its memo entry rewritten to name b, which
+// every candidate from seed {b} contains, leaves a fresh session from {b}
+// asking the honest questions; and a shared-selection session snapshots to
+// the bytes its unshared twin writes.
+func TestRestoreIgnoresMemoDelta(t *testing.T) {
+	env := recordedV2Envelope(t)
+	mkOracle := func(c *Collection) Oracle {
+		o, err := c.TargetOracle("S5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	twin := paperCollection(t)
+	fresh, err := twin.NewSession([]string{"b"})
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := askedWithin(t, fresh, mkOracle(twin), 16)
+	if len(want) < 2 || want[0] != "c" {
+		t.Fatalf("twin asked %v, want a multi-question discovery opening with c", want)
 	}
 
-	dst, err := NewCollection(paperSets())
+	c := paperCollection(t)
+	restored, err := c.RestoreSession(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := dst.RestoreSession(snap)
-	if err != nil {
-		t.Fatal(err)
+	if n := c.SelectionCacheStats().Entries; n != 0 {
+		t.Errorf("restore left %d memo entries, want 0", n)
 	}
-	if st := dst.SelectionCacheStats(); st.Entries == 0 {
-		t.Fatalf("restore imported no memo entries: %+v", st)
+	if got := askedWithin(t, restored, mkOracle(c), 16); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recorded envelope asked %v, twin asked %v", got, want)
 	}
-	// Both sessions finish with identical remaining questions.
-	dstOracle, err := dst.TargetOracle(name)
-	if err != nil {
-		t.Fatal(err)
+	// The memo section is not read, so cutting it short still restores;
+	// cutting into the length-prefixed state does not.
+	if _, err := c.RestoreSession(env[:len(env)-1]); err != nil {
+		t.Errorf("envelope with a cut memo section: %v", err)
 	}
-	srcRest := driveSession(t, s, oracle)
-	dstRest := driveSession(t, restored, dstOracle)
-	if !reflect.DeepEqual(srcRest, dstRest) {
-		t.Fatalf("restored session asked %v, original asked %v", dstRest, srcRest)
+	if _, err := c.RestoreSession(env[:len(env)/2]); !errors.Is(err, ErrBadSnapshot) {
+		t.Errorf("envelope cut inside its state: err %v, want ErrBadSnapshot", err)
 	}
 
-	// A snapshot taken under WithSharedSelection(false) has no delta and
-	// still restores — on either configuration.
-	plain, err := src.NewSession(nil, WithSharedSelection(false))
+	victim := paperCollection(t)
+	tampered := bytes.Clone(env)
+	tampered[len(tampered)-1] = byte(victim.Internal().Dict().MustLookup("b"))
+	if _, err := victim.RestoreSession(tampered); err != nil {
+		t.Fatal(err)
+	}
+	s, err := victim.NewSession([]string{"b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	psnap, err := plain.Snapshot()
+	if got := askedWithin(t, s, mkOracle(victim), 16); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the tampered import a fresh session asked %v, twin asked %v", got, want)
+	}
+
+	// The state carries the session's wall-clock selection time, so the
+	// unshared twin is restored from the shared session's own bytes: it must
+	// write them back unchanged, as version 1, at every round.
+	shared, err := c.NewSession([]string{"b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.RestoreSession(psnap); err != nil {
-		t.Fatal(err)
+	o := mkOracle(c)
+	for round := 0; ; round++ {
+		snap, err := shared.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := c.RestoreSession(snap, WithSharedSelection(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := plain.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap[4] != snapshotVersion || !bytes.Equal(snap, again) {
+			t.Fatalf("round %d: shared-selection snapshot\n%x\nis not the version-1 envelope its unshared twin writes\n%x", round, snap, again)
+		}
+		q, done := shared.Next()
+		if done {
+			break
+		}
+		if err := shared.Answer(o.Answer(q.Entity)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

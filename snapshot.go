@@ -31,29 +31,24 @@ import (
 //	"SDSS" | version (1) | kind | collection content fingerprint (16 bytes)
 //	      | configuration (loop and batch kinds) | state payload
 //
-// Version 2 adds an optional memo-delta section — the selection-memo entries
-// the session visited along its own discovery path, so a migrated session
-// warms its destination's selection cache (see WithSharedSelection). The
-// state payload becomes length-prefixed to delimit it from the delta:
-//
-//	"SDSS" | version (2) | kind | fingerprint | configuration
-//	      | state length | state payload | memo delta
-//
 // Version 3 marks a group-testing session or batch (WithGroupStrategy): the
 // configuration section is followed by a group section — strategy name plus
 // the WithGroupConstraint entity-name pairs — and the state payload carries
-// the suspended set-valued question. Group sessions bypass the selection
-// memo, so a version-3 envelope never carries a memo delta:
+// the suspended set-valued question:
 //
 //	"SDSS" | version (3) | kind | fingerprint | configuration
 //	      | group configuration | state payload
 //
-// Writers emit the lowest sufficient version — 1 whenever there is no delta
-// and no group configuration to carry — so snapshots of entity sessions stay
-// byte-identical to earlier releases; decoders accept all three versions.
-// The delta is advisory performance state: a restoring side validates and
-// imports it into the collection's memo, but the restored session's
-// behaviour never depends on it.
+// Writers emit version 1 for every entity session, tree session and batch,
+// and version 3 for group ones. Earlier releases wrote version 2 for entity
+// sessions under shared selection: the state payload length-prefixed and
+// followed by the selection-memo entries the session had visited. Decoders
+// still accept it, restore the length-prefixed state and skip the memo
+// section unread, so a snapshot never changes what the restoring
+// collection's selection memo holds:
+//
+//	"SDSS" | version (2) | kind | fingerprint | configuration
+//	      | state length | state payload | memo section (ignored)
 //
 // The collection fingerprint guards against restoring over a different
 // collection, where set indexes and entity IDs would silently mean something
@@ -66,11 +61,12 @@ import (
 // envelope version.
 const snapshotMagic = "SDSS"
 
-// snapshotVersion is the base envelope version; snapshotVersionDelta marks an
-// envelope whose state payload is length-prefixed and followed by a
-// selection-memo delta; snapshotVersionGroup marks a group-testing envelope
-// whose configuration is followed by a group section. Decoders reject
-// versions they do not know rather than guessing at layouts.
+// snapshotVersion is the base envelope version; snapshotVersionDelta marks
+// the read-only envelope of earlier releases whose state payload is
+// length-prefixed and followed by a selection-memo section;
+// snapshotVersionGroup marks a group-testing envelope whose configuration is
+// followed by a group section. Decoders reject versions they do not know
+// rather than guessing at layouts.
 const (
 	snapshotVersion      = 1
 	snapshotVersionDelta = 2
@@ -115,32 +111,9 @@ var ErrBadSnapshot = errors.New("setdiscovery: invalid snapshot")
 func (s *Session) Snapshot() ([]byte, error) {
 	switch core := s.s.(type) {
 	case *discovery.Session:
-		// Group sessions need the version-3 envelope: restoring one requires
-		// the group section to mint the right strategy. They bypass the
-		// selection memo, so there is never a delta to carry alongside.
-		if s.cfg.groupStrategy != "" {
-			w := newEnvelopeVersion(snapshotVersionGroup, SnapshotSession, s.c.c.ContentFingerprint())
-			w.config(s.cfg)
-			w.groupConfig(s.cfg)
-			return append(w.buf, core.EncodeState()...), nil
-		}
-		// Sessions that visited shared-selection states carry those memo
-		// entries along as a version-2 delta section; others emit the
-		// byte-identical version-1 envelope of earlier releases.
-		delta, n := core.AppendMemoDelta(nil)
-		if n == 0 {
-			w := newEnvelope(SnapshotSession, s.c.c.ContentFingerprint())
-			w.config(s.cfg)
-			return append(w.buf, core.EncodeState()...), nil
-		}
-		w := newEnvelopeVersion(snapshotVersionDelta, SnapshotSession, s.c.c.ContentFingerprint())
-		w.config(s.cfg)
-		state := core.EncodeState()
-		w.buf = binary.AppendUvarint(w.buf, uint64(len(state)))
-		w.buf = append(w.buf, state...)
-		return append(w.buf, delta...), nil
+		return append(newConfigEnvelope(SnapshotSession, s.c, s.cfg).buf, core.EncodeState()...), nil
 	case *discovery.TreeSession:
-		w := newEnvelope(SnapshotTreeSession, s.c.c.ContentFingerprint())
+		w := newEnvelope(snapshotVersion, SnapshotTreeSession, s.c.c.ContentFingerprint())
 		return append(w.buf, core.EncodeState()...), nil
 	default:
 		return nil, fmt.Errorf("setdiscovery: unsupported session core %T", s.s)
@@ -150,16 +123,7 @@ func (s *Session) Snapshot() ([]byte, error) {
 // Snapshot serializes the whole batch — every member's suspended state plus
 // its selection counters. Restore with Collection.RestoreBatch.
 func (b *Batch) Snapshot() ([]byte, error) {
-	version := byte(snapshotVersion)
-	if b.cfg.groupStrategy != "" {
-		version = snapshotVersionGroup
-	}
-	w := newEnvelopeVersion(version, SnapshotBatch, b.c.c.ContentFingerprint())
-	w.config(b.cfg)
-	if b.cfg.groupStrategy != "" {
-		w.groupConfig(b.cfg)
-	}
-	return append(w.buf, b.b.EncodeState()...), nil
+	return append(newConfigEnvelope(SnapshotBatch, b.c, b.cfg).buf, b.b.EncodeState()...), nil
 }
 
 // RestoreSession reconstructs a session from Snapshot output, bound to this
@@ -169,7 +133,7 @@ func (b *Batch) Snapshot() ([]byte, error) {
 // WithCacheBound. Tree-session snapshots must be restored with
 // Tree.RestoreSession instead, batches with RestoreBatch.
 func (c *Collection) RestoreSession(data []byte, opts ...Option) (*Session, error) {
-	cfg, payload, delta, err := c.openEnvelope(data, SnapshotSession, opts)
+	cfg, payload, err := c.openEnvelope(data, SnapshotSession, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -181,11 +145,6 @@ func (c *Collection) RestoreSession(data []byte, opts ...Option) (*Session, erro
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
-	// The delta is applied after the state decoded: a snapshot that fails to
-	// restore must not leave half its cache entries behind.
-	if err := c.applyMemoDelta(cfg, delta); err != nil {
-		return nil, err
-	}
 	return &Session{c: c, s: s, cfg: cfg}, nil
 }
 
@@ -195,16 +154,13 @@ func (c *Collection) RestoreSession(data []byte, opts ...Option) (*Session, erro
 // different collection) is rejected rather than silently walking to a wrong
 // leaf.
 func (t *Tree) RestoreSession(data []byte) (*Session, error) {
-	cfg, payload, delta, err := t.c.openEnvelope(data, SnapshotTreeSession, nil)
+	_, payload, err := t.c.openEnvelope(data, SnapshotTreeSession, nil)
 	if err != nil {
 		return nil, err
 	}
 	s, err := discovery.DecodeTreeSession(t.c.c, t.t, payload)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
-	}
-	if err := t.c.applyMemoDelta(cfg, delta); err != nil {
-		return nil, err
 	}
 	return &Session{c: t.c, s: s, tree: t}, nil
 }
@@ -214,7 +170,7 @@ func (t *Tree) RestoreSession(data []byte) (*Session, error) {
 // selection memo NewBatch would give them, and keep amortising exactly as
 // before the suspension.
 func (c *Collection) RestoreBatch(data []byte, opts ...Option) (*Batch, error) {
-	cfg, payload, delta, err := c.openEnvelope(data, SnapshotBatch, opts)
+	cfg, payload, err := c.openEnvelope(data, SnapshotBatch, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -235,9 +191,6 @@ func (c *Collection) RestoreBatch(data []byte, opts ...Option) (*Batch, error) {
 	b, err := discovery.DecodeBatch(c.c, f, o, payload)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
-	}
-	if err := c.applyMemoDelta(cfg, delta); err != nil {
-		return nil, err
 	}
 	return &Batch{c: c, b: b, cfg: cfg}, nil
 }
@@ -277,16 +230,28 @@ type envelopeWriter struct {
 	buf []byte
 }
 
-func newEnvelope(kind SnapshotKind, fp dataset.Fingerprint) *envelopeWriter {
-	return newEnvelopeVersion(snapshotVersion, kind, fp)
-}
-
-func newEnvelopeVersion(version byte, kind SnapshotKind, fp dataset.Fingerprint) *envelopeWriter {
+func newEnvelope(version byte, kind SnapshotKind, fp dataset.Fingerprint) *envelopeWriter {
 	w := &envelopeWriter{buf: make([]byte, 0, 64)}
 	w.buf = append(w.buf, snapshotMagic...)
 	w.buf = append(w.buf, version, byte(kind))
 	w.buf = binary.BigEndian.AppendUint64(w.buf, fp.Hi)
 	w.buf = binary.BigEndian.AppendUint64(w.buf, fp.Lo)
+	return w
+}
+
+// newConfigEnvelope starts a session or batch envelope over c with cfg's
+// configuration section: version 3 with a group section for group-testing
+// configurations, whose restore must mint the right group strategy, and
+// version 1 otherwise.
+func newConfigEnvelope(kind SnapshotKind, c *Collection, cfg config) *envelopeWriter {
+	if cfg.groupStrategy == "" {
+		w := newEnvelope(snapshotVersion, kind, c.c.ContentFingerprint())
+		w.config(cfg)
+		return w
+	}
+	w := newEnvelope(snapshotVersionGroup, kind, c.c.ContentFingerprint())
+	w.config(cfg)
+	w.groupConfig(cfg)
 	return w
 }
 
@@ -362,13 +327,13 @@ func parseHeader(data []byte) (byte, SnapshotKind, dataset.Fingerprint, []byte, 
 // openEnvelope parses and validates the header against this collection and
 // the expected kind, decodes the embedded configuration (loop and batch
 // kinds) and applies the caller's restore-side options on top. It returns the
-// final configuration, the state payload and — for version-2 envelopes — the
-// memo-delta section (nil for version 1).
-func (c *Collection) openEnvelope(data []byte, want SnapshotKind, opts []Option) (config, []byte, []byte, error) {
+// final configuration and the state payload; a version-2 envelope's memo
+// section is skipped unread.
+func (c *Collection) openEnvelope(data []byte, want SnapshotKind, opts []Option) (config, []byte, error) {
 	cfg := defaultConfig()
 	version, kind, fp, rest, err := parseHeader(data)
 	if err != nil {
-		return cfg, nil, nil, err
+		return cfg, nil, err
 	}
 	if kind != want {
 		hint := ""
@@ -380,53 +345,34 @@ func (c *Collection) openEnvelope(data []byte, want SnapshotKind, opts []Option)
 		case SnapshotBatch:
 			hint = " (restore it with Collection.RestoreBatch)"
 		}
-		return cfg, nil, nil, badSnapshot("snapshot holds a %s, not a %s%s", kind, want, hint)
+		return cfg, nil, badSnapshot("snapshot holds a %s, not a %s%s", kind, want, hint)
 	}
 	if got := c.c.ContentFingerprint(); got != fp {
-		return cfg, nil, nil, badSnapshot("snapshot was exported from a different collection")
+		return cfg, nil, badSnapshot("snapshot was exported from a different collection")
 	}
 	if kind != SnapshotTreeSession {
 		if rest, err = readConfig(&cfg, rest); err != nil {
-			return cfg, nil, nil, err
+			return cfg, nil, err
 		}
 		if version == snapshotVersionGroup {
 			if rest, err = readGroupConfig(&cfg, rest); err != nil {
-				return cfg, nil, nil, err
+				return cfg, nil, err
 			}
 		}
 	} else if version == snapshotVersionGroup {
-		return cfg, nil, nil, badSnapshot("tree sessions have no group mode")
+		return cfg, nil, badSnapshot("tree sessions have no group mode")
 	}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var delta []byte
 	if version == snapshotVersionDelta {
 		stateLen, n := binary.Uvarint(rest)
 		if n <= 0 || stateLen > uint64(len(rest)-n) {
-			return cfg, nil, nil, badSnapshot("truncated state length")
+			return cfg, nil, badSnapshot("truncated state length")
 		}
-		rest, delta = rest[n:n+int(stateLen)], rest[n+int(stateLen):]
+		rest = rest[n : n+int(stateLen)]
 	}
-	return cfg, rest, delta, nil
-}
-
-// applyMemoDelta validates a snapshot's memo-delta section and imports it
-// into the collection's selection memo. With shared selection disabled on the
-// restoring side the entries are still fully validated — a corrupt delta must
-// fail the restore either way — but land in a throwaway memo instead.
-func (c *Collection) applyMemoDelta(cfg config, delta []byte) error {
-	if delta == nil {
-		return nil
-	}
-	m := discovery.NewSelectionMemo(1)
-	if cfg.sharedSelection {
-		m = c.selectionMemo(cfg.cacheBound)
-	}
-	if _, err := discovery.DecodeMemoDelta(c.c, m, delta); err != nil {
-		return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
-	}
-	return nil
+	return cfg, rest, nil
 }
 
 // readConfig decodes the configuration section into cfg, returning the
