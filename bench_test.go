@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (one Benchmark per artifact — see DESIGN.md §3 for the mapping), plus the
-// ablation benchmarks for the design choices called out in DESIGN.md §4.
+// (one Benchmark per artifact, named after it), plus ablation and
+// micro-benchmarks of the pruning, caching and selection-path choices.
 //
 // Run everything:      go test -bench=. -benchmem
 // One artifact:        go test -bench=BenchmarkFig8a -benchmem
@@ -11,6 +11,7 @@ package setdiscovery
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"setdiscovery/internal/cost"
@@ -54,7 +55,7 @@ func (s *stringsBuilder) Write(p []byte) (int, error) {
 }
 func (s *stringsBuilder) String() string { return string(s.buf) }
 
-// --- one benchmark per paper artifact (DESIGN.md §3) ---
+// --- one benchmark per paper artifact, by its cmd/experiments ID ---
 
 func BenchmarkTable1a(b *testing.B) { benchExperiment(b, "table1a") }
 func BenchmarkTable1b(b *testing.B) { benchExperiment(b, "table1b") }
@@ -87,7 +88,7 @@ func benchCollection(b *testing.B) *dataset.Collection {
 	return c
 }
 
-// --- ablations (DESIGN.md §4) ---
+// --- ablations ---
 
 // BenchmarkPruningAblation measures the contribution of each pruning site
 // of Algorithm 1 to root entity selection.
@@ -215,16 +216,22 @@ func BenchmarkSelectSteadyState(b *testing.B) {
 }
 
 // BenchmarkSelectSubCollection is BenchmarkSelectSteadyState over seed
-// sub-collections of web-tables corpora: one k-LP (k=2) root selection per
-// iteration, with a cold lookahead cache and a warm scratch.
+// sub-collections of web-tables corpora. Every selection runs on a compact
+// view of its root, whose bitsets are ⌈n/64⌉ words (14 for 850 sets)
+// whatever the corpus, so the cases differ in the size and number of the
+// lookahead nodes, not in the corpus size.
 //
-//   - corpus-2k: 60 member sets of a 2,000-set corpus, touching 947
-//     entities spread over IDs up to about 64k. Its global bitsets are 32
-//     words, so it shows what counting and the candidate order cost.
-//   - corpus-40k: the largest of the first 64 seed sub-collections of the
-//     default 40k-set corpus that holds at most 850 sets, the largest tree
-//     the tree-build workload builds. Its global bitsets are 625 words, so
-//     it also shows what a node's partitions and cache keys cost.
+//   - corpus-2k: one k-LP (k=2) root selection per iteration, with a cold
+//     lookahead cache and a warm scratch, over 60 member sets of a
+//     2,000-set corpus that touch 947 entities spread over IDs up to
+//     about 64k.
+//   - corpus-40k: the same over the largest of the first 64 seed
+//     sub-collections of the default 40k-set corpus that holds at most 850
+//     sets, the largest tree the tree-build workload builds.
+//   - corpus-40k-tree: a sequential tree.Build of that sub-collection per
+//     iteration with a fresh k-LP factory, as the tree-build workload
+//     builds it: the selections of every node, whose lookahead reaches
+//     nodes the root's does not.
 func BenchmarkSelectSubCollection(b *testing.B) {
 	b.Run("corpus-2k", func(b *testing.B) {
 		p := webtables.DefaultParams()
@@ -240,23 +247,47 @@ func BenchmarkSelectSubCollection(b *testing.B) {
 		benchSelectRoot(b, c.SupersetsOf([]dataset.Entity{qs[0].A, qs[0].B}))
 	})
 	b.Run("corpus-40k", func(b *testing.B) {
-		c, err := webtables.Generate(webtables.DefaultParams())
+		sub, err := corpus40kSeed()
 		if err != nil {
 			b.Fatal(err)
 		}
-		var best *webtables.SeedQuery
-		qs := webtables.SeedQueries(c, 100, 64, 1)
-		for i := range qs {
-			if q := &qs[i]; q.Size <= 850 && (best == nil || q.Size > best.Size) {
-				best = q
+		benchSelectRoot(b, sub)
+	})
+	b.Run("corpus-40k-tree", func(b *testing.B) {
+		sub, err := corpus40kSeed()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := tree.Build(sub, strategy.NewKLP(cost.AD, 2), tree.WithParallelism(1)); err != nil {
+				b.Fatal(err)
 			}
 		}
-		if best == nil {
-			b.Fatal("no seed query selects 100..850 sets")
-		}
-		benchSelectRoot(b, c.SupersetsOf([]dataset.Entity{best.A, best.B}))
 	})
 }
+
+// corpus40kSeed returns the corpus-40k sub-collection of
+// BenchmarkSelectSubCollection, generating the corpus (about 1 s) on first
+// use.
+var corpus40kSeed = sync.OnceValues(func() (*dataset.Subset, error) {
+	c, err := webtables.Generate(webtables.DefaultParams())
+	if err != nil {
+		return nil, err
+	}
+	var best *webtables.SeedQuery
+	qs := webtables.SeedQueries(c, 100, 64, 1)
+	for i := range qs {
+		if q := &qs[i]; q.Size <= 850 && (best == nil || q.Size > best.Size) {
+			best = q
+		}
+	}
+	if best == nil {
+		return nil, fmt.Errorf("no seed query selects 100..850 sets")
+	}
+	return c.SupersetsOf([]dataset.Entity{best.A, best.B}), nil
+})
 
 // benchSelectRoot times one cold-cache k-LP (k=2) root selection over sub
 // per iteration, through a scratch sized by an untimed first selection.

@@ -6,8 +6,8 @@
 //
 // The real Lahman dump is not redistributable, so GeneratePeople draws a
 // synthetic table whose marginals track the original closely enough that
-// the target-query output sizes land in the paper's ranges (see
-// EXPERIMENTS.md for ours vs theirs). Only the predicate/selectivity
+// the target-query output sizes land in the paper's ranges (Table 2 prints
+// the paper's sizes beside ours). Only the predicate/selectivity
 // structure matters to the experiments, which operate on candidate-query
 // output sets.
 package baseball

@@ -8,12 +8,15 @@ import (
 )
 
 // Scratch is the reusable working memory of one selection worker. At every
-// node of every lookahead, selection counts the node's informative entities
-// (InformativeEntitiesInto), ranks them, and splits the node by each
-// candidate (PartitionScratch) before recursing. A Scratch owns the count
-// state, the EntityCount buffer and the bitsets those steps need, and the
-// compact view a selection root is projected onto (Project), so
-// steady-state selection allocates nothing.
+// node of every lookahead, selection takes the node's informative entities
+// (InformativeEntitiesInto, SplitInformativeInto), ranks them, and splits
+// the node by each candidate (PartitionScratch) before recursing. A
+// Scratch owns the count state, the EntityCount buffer and the bitsets
+// those steps need, and the compact view a selection root is projected
+// onto (Project), so steady-state selection allocates nothing. Each node
+// of a lookahead on a view is counted at most once: the view's root reads
+// its counts from its posting lists, and the halves of a split derive
+// theirs from their parent's list by counting the smaller half only.
 //
 // Ownership rules (see also the README "Memory discipline" section):
 //
@@ -100,19 +103,56 @@ func (sc *Scratch) release(s *Subset) {
 // InformativeEntitiesInto counts the informative entities of the
 // sub-collection (see InformativeEntities) in the scratch's reusable state,
 // ascending by entity ID. The returned slice aliases the scratch and is
-// valid until the next InformativeEntitiesInto call on sc.
+// valid until the next InformativeEntitiesInto call on sc. On the root of a
+// view (Project) nothing is counted: an entity's count is the length of its
+// posting list.
 func (s *Subset) InformativeEntitiesInto(sc *Scratch) []EntityCount {
-	return s.countInto(sc, int32(s.size))
+	sc.ecBuf = s.AppendInformative(sc, sc.ecBuf[:0])
+	return sc.ecBuf
 }
 
-// countInto counts the entities of the members like
-// InformativeEntitiesInto, keeping those in fewer than limit member sets:
-// limit = Size() keeps the informative ones, Size()+1 every touched one.
-func (s *Subset) countInto(sc *Scratch, limit int32) []EntityCount {
-	if s.c.numEntities <= denseThreshold {
-		return s.countDenseInto(sc, limit)
+// AppendInformative appends the informative entities of the sub-collection
+// to dst, as InformativeEntitiesInto returns them, and returns the extended
+// slice. It uses sc's count state but not its result buffer, so the list
+// lives as long as dst does.
+func (s *Subset) AppendInformative(sc *Scratch, dst []EntityCount) []EntityCount {
+	return s.countInto(sc, int32(s.size), dst)
+}
+
+// countInto appends the entities of the members like AppendInformative,
+// keeping those in fewer than limit member sets: limit = Size() keeps the
+// informative ones, Size()+1 every touched one.
+func (s *Subset) countInto(sc *Scratch, limit int32, dst []EntityCount) []EntityCount {
+	switch {
+	case s.c.view != nil && s.size == len(s.c.sets):
+		return s.countRoot(limit, dst)
+	case s.c.numEntities <= denseThreshold:
+		return s.countDenseInto(sc, limit, dst)
 	}
-	return s.countSparseInto(sc, limit)
+	return s.countSparseInto(sc, limit, dst)
+}
+
+// countRoot collects the counts of a view's root, which holds every set of
+// the view: an entity's count is the length of its posting list, and every
+// entity of the view is in some set, so there is nothing to count.
+func (s *Subset) countRoot(limit int32, dst []EntityCount) []EntityCount {
+	dst = slices.Grow(dst, len(s.c.postings))
+	for e, p := range s.c.postings {
+		if n := len(p); int32(n) < limit {
+			dst = append(dst, EntityCount{Entity(e), n})
+		}
+	}
+	return dst
+}
+
+// denseState returns the dense count cells and seen bitmap, grown to a
+// universe of n entities.
+func (sc *Scratch) denseState(n int) (counts []int32, seen []uint64) {
+	if len(sc.counts) < n {
+		sc.counts = make([]int32, n)
+		sc.seen = make([]uint64, (n+63)/64)
+	}
+	return sc.counts, sc.seen
 }
 
 // countDenseInto counts into sc.counts, one cell per entity, marking
@@ -122,12 +162,8 @@ func (s *Subset) countInto(sc *Scratch, limit int32) []EntityCount {
 // over tens of thousands of IDs, and the bitmap walk costs one word per 64
 // IDs of the window plus one step per touched entity. Walking the bits in
 // ascending order keeps the result in entity-ID order without sorting.
-func (s *Subset) countDenseInto(sc *Scratch, limit int32) []EntityCount {
-	if len(sc.counts) < s.c.numEntities {
-		sc.counts = make([]int32, s.c.numEntities)
-		sc.seen = make([]uint64, (s.c.numEntities+63)/64)
-	}
-	counts, seen := sc.counts, sc.seen
+func (s *Subset) countDenseInto(sc *Scratch, limit int32, dst []EntityCount) []EntityCount {
+	counts, seen := sc.denseState(s.c.numEntities)
 	lo, hi := s.c.numEntities, -1
 	s.members.ForEach(func(i int) bool {
 		elems := s.c.sets[i].Elems
@@ -145,7 +181,7 @@ func (s *Subset) countDenseInto(sc *Scratch, limit int32) []EntityCount {
 		}
 		return true
 	})
-	out := sc.ecBuf[:0]
+	out := dst
 	if hi >= lo {
 		first := lo / 64
 		words := seen[first : hi/64+1]
@@ -161,13 +197,12 @@ func (s *Subset) countDenseInto(sc *Scratch, limit int32) []EntityCount {
 		}
 		clear(words)
 	}
-	sc.ecBuf = out
 	return out
 }
 
 // countSparseInto counts into a reusable map and sorts the collected
-// result in place by entity ID.
-func (s *Subset) countSparseInto(sc *Scratch, limit int32) []EntityCount {
+// entities in place by entity ID.
+func (s *Subset) countSparseInto(sc *Scratch, limit int32, dst []EntityCount) []EntityCount {
 	if sc.sparse == nil {
 		sc.sparse = make(map[Entity]int32)
 	}
@@ -178,14 +213,14 @@ func (s *Subset) countSparseInto(sc *Scratch, limit int32) []EntityCount {
 		}
 		return true
 	})
-	out := sc.ecBuf[:0]
+	out := dst
 	for e, n := range counts {
 		if n > 0 && n < limit {
 			out = append(out, EntityCount{e, int(n)})
 		}
 	}
 	clear(counts)
-	slices.SortFunc(out, func(a, b EntityCount) int {
+	slices.SortFunc(out[len(dst):], func(a, b EntityCount) int {
 		if a.Entity < b.Entity {
 			return -1
 		}
@@ -194,8 +229,82 @@ func (s *Subset) countSparseInto(sc *Scratch, limit int32) []EntityCount {
 		}
 		return 0
 	})
-	sc.ecBuf = out
 	return out
+}
+
+// SplitInformativeInto derives the informative entities of both halves a
+// and b of a split of a node from parent, the node's informative entities
+// exactly as InformativeEntitiesInto returns them: every one, in entity
+// order. It counts the elements of the smaller half only, and takes the
+// larger half's count of each parent entity as the parent's count minus
+// the smaller half's. An entity in none or all of the node's sets is in
+// none or all of each half's, so neither half has an informative entity
+// outside parent. The lists are appended to aDst and bDst and equal what
+// InformativeEntitiesInto returns for a and b; the count state is zero
+// again afterwards.
+func SplitInformativeInto(sc *Scratch, parent []EntityCount, a, b *Subset, aDst, bDst []EntityCount) (aList, bList []EntityCount) {
+	aDst, bDst = slices.Grow(aDst, len(parent)), slices.Grow(bDst, len(parent))
+	if b.size < a.size {
+		bList, aList = b.subtractInto(sc, parent, a.size, bDst, aDst)
+		return aList, bList
+	}
+	return a.subtractInto(sc, parent, b.size, aDst, bDst)
+}
+
+// subtractInto counts the members of s, the smaller half of a split of the
+// node whose informative entities are parent and whose other half has
+// other sets, and appends the informative entities of s to dst and those
+// of the other half to otherDst (see SplitInformativeInto).
+func (s *Subset) subtractInto(sc *Scratch, parent []EntityCount, other int, dst, otherDst []EntityCount) ([]EntityCount, []EntityCount) {
+	c, n := s.c, s.size
+	if c.numEntities > denseThreshold {
+		if sc.sparse == nil {
+			sc.sparse = make(map[Entity]int32)
+		}
+		counts := sc.sparse
+		s.members.ForEach(func(i int) bool {
+			for _, e := range c.sets[i].Elems {
+				counts[e]++
+			}
+			return true
+		})
+		for _, ec := range parent {
+			k := int(counts[ec.Entity])
+			if k > 0 && k < n {
+				dst = append(dst, EntityCount{ec.Entity, k})
+			}
+			if l := ec.Count - k; l > 0 && l < other {
+				otherDst = append(otherDst, EntityCount{ec.Entity, l})
+			}
+		}
+		clear(counts)
+		return dst, otherDst
+	}
+	counts, _ := sc.denseState(c.numEntities)
+	s.members.ForEach(func(i int) bool {
+		for _, e := range c.sets[i].Elems {
+			counts[e]++
+		}
+		return true
+	})
+	for _, ec := range parent {
+		k := int(counts[ec.Entity])
+		counts[ec.Entity] = 0
+		if k > 0 && k < n {
+			dst = append(dst, EntityCount{ec.Entity, k})
+		}
+		if l := ec.Count - k; l > 0 && l < other {
+			otherDst = append(otherDst, EntityCount{ec.Entity, l})
+		}
+	}
+	// The only entities s touches outside parent are in every set of the
+	// node, so in the first set of s: clearing its cells clears the rest.
+	if first := s.members.Next(0); first >= 0 {
+		for _, e := range c.sets[first].Elems {
+			counts[e] = 0
+		}
+	}
+	return dst, otherDst
 }
 
 // PartitionScratch is the pooled Partition: it splits the sub-collection by

@@ -50,7 +50,8 @@ func (s *Subset) Project(sc *Scratch) *Subset {
 	// Local entity IDs, with each entity's posting list cut from one
 	// backing array. The global→local map borrows the counting state: the
 	// dense count cells (zero after counting) or the sparse map.
-	touched := s.countInto(sc, int32(s.size)+1)
+	touched := s.countInto(sc, int32(s.size)+1, sc.ecBuf[:0])
+	sc.ecBuf = touched
 	m, total := len(touched), 0
 	for _, ec := range touched {
 		total += ec.Count

@@ -154,6 +154,84 @@ func TestProjectPartitionMatchesGlobal(t *testing.T) {
 	}
 }
 
+// TestSplitCountsMatchNaive walks random paths down views, on both counting
+// paths, deriving each split's lists from its node's with
+// SplitInformativeInto: both must equal what InformativeEntitiesInto counts
+// for each half and, mapped back, what the naive counter gives for the
+// global halves, and the count state must be all zero after every
+// derivation. The halves are passed in either order, and the walks must
+// meet splits whose smaller half is with, whose smaller half is without,
+// and whose smaller half is a single set.
+func TestSplitCountsMatchNaive(t *testing.T) {
+	for name, base := range viewFixtures(t) {
+		for _, threshold := range []int{1 << 21, 0} {
+			func() {
+				defer dataset.SetDenseThresholdForTest(threshold)()
+				r := rng.New(13)
+				sc := dataset.NewScratch()
+				var smallerWith, smallerWithout, single int
+				for trial := range 20 {
+					global := randomSubset(r, base)
+					view := global.Project(sc)
+					node := view
+					list := slices.Clone(view.InformativeEntitiesInto(sc))
+					var held []*dataset.Subset
+					for node.Size() >= 2 {
+						l := list[r.Intn(len(list))].Entity
+						with, without := node.PartitionScratch(l, sc)
+						held = append(held, with, without)
+						gWith, gWithout := global.Partition(node.GlobalEntity(l))
+						var withList, withoutList []dataset.EntityCount
+						if r.Intn(2) == 0 {
+							withList, withoutList = dataset.SplitInformativeInto(sc, list, with, without, nil, nil)
+						} else {
+							withoutList, withList = dataset.SplitInformativeInto(sc, list, without, with, nil, nil)
+						}
+						if counts, seen, sparse := sc.DirtyCountStateForTest(); counts+seen+sparse != 0 {
+							t.Fatalf("%s threshold %d trial %d: count state dirty after a derivation: %d counts, %d seen words, %d sparse entries",
+								name, threshold, trial, counts, seen, sparse)
+						}
+						for _, h := range []struct {
+							half    *dataset.Subset
+							global  *dataset.Subset
+							derived []dataset.EntityCount
+						}{{with, gWith, withList}, {without, gWithout, withoutList}} {
+							if want := h.half.InformativeEntitiesInto(sc); !slices.Equal(h.derived, want) {
+								t.Fatalf("%s threshold %d trial %d: derived list of a %d-set half of a %d-set node differs from its count\ngot  %v\nwant %v",
+									name, threshold, trial, h.half.Size(), node.Size(), h.derived, want)
+							}
+							if got, want := globalCounts(view, h.derived), dataset.NaiveInformative(h.global); !slices.Equal(got, want) {
+								t.Fatalf("%s threshold %d trial %d: derived list differs from the global half's\ngot  %v\nwant %v",
+									name, threshold, trial, got, want)
+							}
+						}
+						if min(with.Size(), without.Size()) == 1 {
+							single++
+						}
+						if with.Size() < without.Size() {
+							smallerWith++
+						} else if without.Size() < with.Size() {
+							smallerWithout++
+						}
+						node, global, list = with, gWith, withList
+						if r.Intn(2) == 0 {
+							node, global, list = without, gWithout, withoutList
+						}
+					}
+					for _, s := range held {
+						s.Release()
+					}
+					view.Release()
+				}
+				if smallerWith == 0 || smallerWithout == 0 || single == 0 {
+					t.Fatalf("%s threshold %d: splits met: %d with smaller, %d without smaller, %d with a single-set half; want each",
+						name, threshold, smallerWith, smallerWithout, single)
+				}
+			}()
+		}
+	}
+}
+
 // TestProjectKeysSharedAcrossRoots: two different roots that contain the
 // same global subset give it the same key — a view of the whole collection
 // reaches it by two partitions, a view of one half by one — though its

@@ -231,7 +231,9 @@ func DecodeMemoShard(c *dataset.Collection, m *SelectionMemo, data []byte) (int,
 	if err != nil {
 		return 0, err
 	}
-	distinct := c.DistinctEntities()
+	// Entity IDs run up to NumEntities and need not be dense: a collection
+	// built from raw IDs may leave some unused.
+	numEntities := c.NumEntities()
 	for i := 0; i < n; i++ {
 		var key cache.Key
 		if key.Hi, err = r.u64(); err != nil {
@@ -252,8 +254,8 @@ func DecodeMemoShard(c *dataset.Collection, m *SelectionMemo, data []byte) (int,
 			return 0, err
 		}
 		for _, e := range entities {
-			if int(e) >= distinct {
-				return 0, corrupt("shard entity %d of %d", e, distinct)
+			if int(e) >= numEntities {
+				return 0, corrupt("shard entity %d of %d", e, numEntities)
 			}
 		}
 		if ok == (len(entities) == 0) {

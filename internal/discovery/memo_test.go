@@ -5,11 +5,13 @@ import (
 	"sync"
 	"testing"
 
+	"setdiscovery/internal/cache"
 	"setdiscovery/internal/cost"
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/strategy"
 	"setdiscovery/internal/synth"
 	"setdiscovery/internal/testutil"
+	"setdiscovery/internal/webtables"
 )
 
 // memoTestCollection is big enough that its sessions touch well over the
@@ -173,6 +175,48 @@ func TestMemoShardRoundTrip(t *testing.T) {
 	coldOne := NewSelectionMemo(0)
 	if n, err := DecodeMemoShard(c, coldOne, one); err != nil || n != 1 {
 		t.Fatalf("max=1 export: imported %d, err %v", n, err)
+	}
+}
+
+// TestMemoShardSparseEntityIDs: entity IDs are range-checked against
+// NumEntities, not against the number of distinct entities, so a shard of a
+// web-tables collection, whose entity IDs are sparse, imports every entry
+// it exported, and an entity beyond the collection is still rejected.
+func TestMemoShardSparseEntityIDs(t *testing.T) {
+	p := webtables.DefaultParams()
+	p.NumSets = 500
+	c, err := webtables.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.DistinctEntities() >= c.NumEntities() {
+		t.Fatalf("collection has %d distinct entities of %d IDs: its IDs are dense", c.DistinctEntities(), c.NumEntities())
+	}
+	f := strategy.NewKLP(cost.AD, 2)
+	memo := NewSelectionMemo(0)
+	for i := 0; i < 20; i++ {
+		if _, err := Run(c, nil, TargetOracle{Target: c.Set(i * c.Len() / 20)},
+			Options{Strategy: f.New(), Memo: memo, MemoAux: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shard := EncodeMemoShard(c, memo, 0)
+	cold := NewSelectionMemo(0)
+	n, err := DecodeMemoShard(c, cold, shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != memo.Len() || cold.Len() != memo.Len() {
+		t.Fatalf("imported %d entries into %d, want %d", n, cold.Len(), memo.Len())
+	}
+
+	for _, e := range []dataset.Entity{dataset.Entity(c.NumEntities() - 1), dataset.Entity(c.NumEntities())} {
+		one := NewSelectionMemo(0)
+		one.cache.Put(cache.Key{Hi: 1}, selMemoEntry{entities: []dataset.Entity{e}, ok: true})
+		_, err := DecodeMemoShard(c, NewSelectionMemo(0), EncodeMemoShard(c, one, 0))
+		if inRange := int(e) < c.NumEntities(); (err == nil) != inRange {
+			t.Fatalf("entity %d of %d: import error %v", e, c.NumEntities(), err)
+		}
 	}
 }
 

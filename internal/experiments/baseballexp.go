@@ -61,7 +61,7 @@ func Table2(cfg Config) (*Result, error) {
 		Title:   "Table 2: target queries for the baseball database",
 		Columns: []string{"target", "query", "output tuples", "paper (Lahman)"},
 	}}
-	res.Notes = append(res.Notes, "People table regenerated synthetically; see DESIGN.md §2")
+	res.Notes = append(res.Notes, "People table regenerated synthetically, since the Lahman dump is not redistributable: output sizes track the paper's ranges, not its exact counts")
 	for _, q := range baseball.TargetQueries() {
 		res.Table.AddRow(q.Name, q.String(), len(q.Eval(table)), paper[q.Name])
 	}

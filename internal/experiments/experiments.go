@@ -5,8 +5,7 @@
 //
 // Absolute numbers differ from the paper — the datasets are synthetic
 // equivalents and the implementation is Go rather than Python — but each
-// runner reproduces the paper's comparisons and growth shapes (see
-// EXPERIMENTS.md for the side-by-side record).
+// runner reproduces the paper's comparisons and growth shapes.
 package experiments
 
 import (
@@ -33,7 +32,7 @@ type Config struct {
 	// BaseballRows sizes the People table (paper: 20185).
 	BaseballRows int
 	// SpeedupCapSets bounds sub-collection size in the gain-k comparisons
-	// (the unpruned baseline is exponential in k; see DESIGN.md §2).
+	// (the unpruned baseline is exponential in k).
 	SpeedupCapSets int
 	// Out, when non-nil, receives progress lines.
 	Out io.Writer

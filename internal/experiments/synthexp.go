@@ -147,8 +147,9 @@ func Fig7(cfg Config) (*Result, error) {
 
 // Fig4b regenerates Figure 4(b): speedup of k-LP over unpruned gain-k on
 // synthetic data as the number of sets grows. Both run root entity
-// selection on the same collection (see DESIGN.md on why the unpruned
-// baseline cannot be run to full tree construction at paper scale).
+// selection on the same collection: the unpruned baseline evaluates every
+// entity at every lookahead step, so it cannot build full trees at paper
+// scale.
 func Fig4b(cfg Config) (*Result, error) {
 	res := &Result{Table: Table{
 		Title:   "Figure 4(b): k-LP vs gain-k root-selection speedup on synthetic data (k=2)",

@@ -105,8 +105,8 @@ func Fig3(cfg Config) (*Result, error) {
 
 // Fig4a regenerates Figure 4(a): speedup of k-LP over the unpruned gain-k
 // on web-tables sub-collections, k ∈ {2, 3}. Root entity selection is
-// compared (see DESIGN.md §2 on the infeasibility of unpruned full-tree
-// construction).
+// compared, because the unpruned baseline cannot build full trees at these
+// sizes.
 func Fig4a(cfg Config) (*Result, error) {
 	_, subs, notes, err := webEnv(cfg)
 	if err != nil {

@@ -32,19 +32,6 @@ func (s *KLP) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]b
 	return e, found
 }
 
-// dropExcluded removes from cands, in place and keeping their order, the
-// candidates whose entity is in excluded. cands are entities of view,
-// checked by their global IDs.
-func dropExcluded(cands []candidate, view *dataset.Subset, excluded map[dataset.Entity]bool) []candidate {
-	kept := cands[:0]
-	for _, c := range cands {
-		if !excluded[view.GlobalEntity(c.entity)] {
-			kept = append(kept, c)
-		}
-	}
-	return kept
-}
-
 // SelectExcluding implements Excluder for GainK.
 func (g *GainK) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]bool) (dataset.Entity, bool) {
 	if sub.Size() <= 1 {

@@ -33,9 +33,10 @@ type GainK struct {
 	Evaluations int64
 	excluded    map[dataset.Entity]bool // active only during SelectExcluding
 
-	// scratch holds the count arrays, candidate buffers and partition
-	// bitsets reused across the whole lookahead, allocation-free in steady
-	// state. NewGainK attaches one and New mints a fresh one per sibling.
+	// scratch holds the count arrays, per-depth lists, candidate buffers
+	// and partition bitsets reused across the whole lookahead,
+	// allocation-free in steady state. NewGainK attaches one and New mints
+	// a fresh one per sibling.
 	scratch workerScratch
 }
 
@@ -84,27 +85,27 @@ func (g *GainK) Name() string {
 }
 
 // Select implements Strategy. Like k-LP it runs on the compact view of
-// sub, in the same candidate order, so that Figs 4a/4b compare the two
-// algorithms rather than two implementations; exclusions are checked by
-// global entity ID.
+// sub, in the same candidate order and counting each node at most once,
+// so that Figs 4a/4b compare the two algorithms rather than two
+// implementations; exclusions are checked by global entity ID.
 func (g *GainK) Select(sub *dataset.Subset) (dataset.Entity, bool) {
 	if sub.Size() <= 1 {
 		return 0, false
 	}
 	root := g.scratch.project(sub)
-	cands := g.scratch.candidatesAt(0, root)
+	list := g.scratch.listAt(0, root, nil)
 	if len(g.excluded) > 0 {
-		cands = dropExcluded(cands, root, g.excluded)
+		list = g.scratch.dropExcluded(list, root, g.excluded)
 	}
-	g.scratch.orderByLB1(cands, root.Size()) // deterministic tie order: even splits first
+	cands := g.scratch.orderByLB1(0, list, root.Size()) // deterministic tie order: even splits first
 	n := float64(root.Size())
 	var best dataset.Entity
 	bestVal := math.Inf(1)
 	for _, cand := range cands {
 		g.Evaluations++
-		with, without := root.PartitionScratch(cand.entity, g.scratch.sc)
-		v := (float64(with.Size())*g.entropy(with, g.k-1) +
-			float64(without.Size())*g.entropy(without, g.k-1)) / n
+		with, without := g.scratch.split(0, root, cand.entity)
+		v := (float64(with.Size())*g.entropy(with, without, g.k-1) +
+			float64(without.Size())*g.entropy(without, with, g.k-1)) / n
 		with.Release()
 		without.Release()
 		if v < bestVal {
@@ -115,8 +116,9 @@ func (g *GainK) Select(sub *dataset.Subset) (dataset.Entity, bool) {
 	return best, !math.IsInf(bestVal, 1)
 }
 
-// entropy computes ent_j as defined above.
-func (g *GainK) entropy(sub *dataset.Subset, j int) float64 {
+// entropy computes ent_j as defined above for sub, one half of a split
+// whose other half is sibling.
+func (g *GainK) entropy(sub, sibling *dataset.Subset, j int) float64 {
 	n := sub.Size()
 	if n <= 1 {
 		return 0
@@ -132,27 +134,28 @@ func (g *GainK) entropy(sub *dataset.Subset, j int) float64 {
 			return v
 		}
 	}
-	// Depth-indexed candidate buffer: the top-level Select owns depth 0,
-	// the ent_j recursion level owns depth k−j.
-	cands := g.scratch.candidatesAt(g.k-j, sub)
+	// Depth-indexed lists: the top-level Select owns depth 0, the ent_j
+	// recursion level owns depth k−j.
+	depth := g.k - j
+	list := g.scratch.listAt(depth, sub, sibling)
 	best := math.Inf(1)
 	if j == 1 {
-		// ent_1 needs only the split sizes, which the candidate counts
+		// ent_1 needs only the split sizes, which the entity counts
 		// already carry — no partitioning.
-		for _, cand := range cands {
+		for _, ec := range list {
 			g.Evaluations++
-			n1 := cand.with
+			n1 := ec.Count
 			v := (xlog2(n1) + xlog2(n-n1)) / float64(n)
 			if v < best {
 				best = v
 			}
 		}
 	} else {
-		for _, cand := range cands {
+		for _, ec := range list {
 			g.Evaluations++
-			with, without := sub.PartitionScratch(cand.entity, g.scratch.sc)
-			v := (float64(with.Size())*g.entropy(with, j-1) +
-				float64(without.Size())*g.entropy(without, j-1)) / float64(n)
+			with, without := g.scratch.split(depth, sub, ec.Entity)
+			v := (float64(with.Size())*g.entropy(with, without, j-1) +
+				float64(without.Size())*g.entropy(without, with, j-1)) / float64(n)
 			with.Release()
 			without.Release()
 			if v < best {

@@ -25,9 +25,13 @@ import (
 // the workers of a parallel tree build, and across concurrent discovery
 // sessions over the same collection. Each Select runs on a compact view of
 // its root (dataset.Subset.Project), so a lookahead node costs what its own
-// sets do, not what the collection does. The KLP instance itself carries
-// per-call scratch state (exclusions, instrumentation, the view) and is a
-// single-worker object: share the factory, not the instance.
+// sets do, not what the collection does, and counts each node at most
+// once: the root reads its informative entities from the view's posting
+// lists, and the halves of a candidate split derive theirs from the node's
+// list by counting the smaller half only (see workerScratch). The KLP
+// instance itself carries per-call scratch state (exclusions,
+// instrumentation, the view, the per-depth lists) and is a single-worker
+// object: share the factory, not the instance.
 type KLP struct {
 	metric   cost.Metric
 	k        int
@@ -42,9 +46,9 @@ type KLP struct {
 	excluded map[dataset.Entity]bool // active only during SelectExcluding
 
 	// scratch is the per-instance reusable working memory (count arrays,
-	// candidate buffers, bitset pool) making steady-state Select
-	// allocation-free. NewKLP attaches one and New mints a fresh one per
-	// sibling.
+	// per-depth lists and candidate buffers, bitset pool) making
+	// steady-state Select allocation-free. NewKLP attaches one and New
+	// mints a fresh one per sibling.
 	scratch workerScratch
 }
 
@@ -172,7 +176,7 @@ func (s *KLP) LowerBound(sub *dataset.Subset) (dataset.Entity, cost.Value, bool)
 // entity ID.
 func (s *KLP) searchRoot(sub *dataset.Subset) (dataset.Entity, cost.Value, bool) {
 	root := s.scratch.project(sub)
-	e, val, found := s.search(root, s.k, cost.Inf, 0)
+	e, val, found := s.search(root, nil, s.k, cost.Inf, 0)
 	if found {
 		e = root.GlobalEntity(e)
 	}
@@ -210,8 +214,10 @@ func (s *KLP) cacheKey(sub *dataset.Subset, k, qEff int) cache.Key {
 // k-step scaled lower bound, provided that bound is strictly below ul;
 // otherwise found is false and val is a certified lower bound on every
 // entity's k-step bound (≥ ul when pruned, the exact minimum otherwise).
-// sub must have ≥ 2 member sets.
-func (s *KLP) search(sub *dataset.Subset, k int, ul cost.Value, depth int) (ent dataset.Entity, val cost.Value, found bool) {
+// sub must have ≥ 2 member sets. Below the root, sub and sibling are the
+// halves of the split being bounded at the depth above, and sub's
+// informative entities are derived from that node's (workerScratch.listAt).
+func (s *KLP) search(sub, sibling *dataset.Subset, k int, ul cost.Value, depth int) (ent dataset.Entity, val cost.Value, found bool) {
 	// Exclusions (SelectExcluding) constrain only the entity proposed at the
 	// node itself, so they bypass the node-level cache.
 	excluding := depth == 0 && len(s.excluded) > 0
@@ -232,21 +238,21 @@ func (s *KLP) search(sub *dataset.Subset, k int, ul cost.Value, depth int) (ent 
 	}
 
 	n := sub.Size()
-	cands := s.scratch.candidatesAt(depth, sub)
+	list := s.scratch.listAt(depth, sub, sibling)
 	if excluding {
-		cands = dropExcluded(cands, sub, s.excluded)
-		if len(cands) == 0 {
+		list = s.scratch.dropExcluded(list, sub, s.excluded)
+		if len(list) == 0 {
 			return 0, ul, false
 		}
 	}
 
 	// Lines 7–10: at one step of lookahead the answer is the minimum LB1,
 	// the first candidate in sorted order — found by one scan, since the
-	// beam cut below always keeps the first candidate. (See DESIGN.md: we
-	// take the true minimum-LB1 entity rather than the most-even one so the
-	// cached value remains a genuine lower bound under AD's ceilings.)
+	// beam cut below always keeps the first candidate. It is the true
+	// minimum-LB1 entity, not the most even one, so that the cached value
+	// stays a lower bound under AD's ceilings.
 	if k <= 1 {
-		best, ok := minByLB1(cands)
+		best, ok := s.scratch.minByLB1(list, n)
 		if !ok {
 			return 0, ul, false
 		}
@@ -259,7 +265,7 @@ func (s *KLP) search(sub *dataset.Subset, k int, ul cost.Value, depth int) (ent 
 		return best.entity, best.lb1, true
 	}
 
-	s.scratch.orderByLB1(cands, n)
+	cands := s.scratch.orderByLB1(depth, list, n)
 	if qEff := s.effectiveQ(depth); qEff > 0 && len(cands) > qEff {
 		cands = cands[:qEff]
 	}
@@ -274,7 +280,7 @@ func (s *KLP) search(sub *dataset.Subset, k int, ul cost.Value, depth int) (ent 
 			ns.PrunedSort += len(cands) - i
 			break
 		}
-		with, without := sub.PartitionScratch(cand.entity, s.scratch.sc)
+		with, without := s.scratch.split(depth, sub, cand.entity)
 		l, aborted := s.childBounds(with, without, k, ul, depth, n)
 		// The children are pure lookahead state: hand their pooled
 		// bitsets back before moving to the next candidate.
@@ -318,7 +324,7 @@ func (s *KLP) childBounds(with, without *dataset.Subset, k int, ul cost.Value, d
 		if !s.noULPrune {
 			ul1 = cost.ULFirst(s.metric, ul, n, s.scratch.lb0[n2])
 		}
-		_, v, ok := s.search(with, k-1, ul1, depth+1)
+		_, v, ok := s.search(with, without, k-1, ul1, depth+1)
 		if !ok {
 			return 0, true
 		}
@@ -333,7 +339,7 @@ func (s *KLP) childBounds(with, without *dataset.Subset, k int, ul cost.Value, d
 		if !s.noULPrune {
 			ul2 = cost.ULSecond(s.metric, ul, n, l1)
 		}
-		_, v, ok := s.search(without, k-1, ul2, depth+1)
+		_, v, ok := s.search(without, with, k-1, ul2, depth+1)
 		if !ok {
 			return 0, true
 		}

@@ -54,14 +54,15 @@ type Factory interface {
 // candidate is an informative entity with its split statistics.
 type candidate struct {
 	entity dataset.Entity
-	with   int        // member sets containing the entity (|C1|)
 	lb1    cost.Value // 1-step scaled lower bound (eqs 3–4)
 	uneven int        // |‖C1|−|C2‖ = |2·with − n|; 0 is perfectly even
 }
 
 // cmpLB1 is the candidate order of Algorithm 1 line 11: 1-step bound, then
-// evenness, then entity ID (see DESIGN.md on why LB1 is the primary key
-// rather than evenness). Entity IDs are unique, so the order is total.
+// evenness, then entity ID. LB1 is the primary key, not evenness, so that
+// the value a one-step search caches is the true minimum LB1, which stays
+// a lower bound under AD's ceilings where the most even split's may not.
+// Entity IDs are unique, so the order is total.
 func cmpLB1(a, b candidate) int {
 	if a.lb1 != b.lb1 {
 		if a.lb1 < b.lb1 {
@@ -79,17 +80,6 @@ func cmpLB1(a, b candidate) int {
 		return 1
 	}
 	return 0
-}
-
-// minByLB1 returns the first candidate of cmpLB1's order in one pass and
-// without reordering cands. ok is false when cands is empty.
-func minByLB1(cands []candidate) (best candidate, ok bool) {
-	for _, c := range cands {
-		if !ok || cmpLB1(c, best) < 0 {
-			best, ok = c, true
-		}
-	}
-	return best, ok
 }
 
 func abs(x int) int {

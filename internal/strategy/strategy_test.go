@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"cmp"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -432,10 +431,11 @@ func greedyScaledCost(sub *dataset.Subset, m cost.Metric) cost.Value {
 }
 
 // TestMinByLB1MatchesSortedFirst pins k-LP's one-step pick: exclusions are
-// dropped first, in candidate order, and the single-pass minimum over the
-// rest must be the first candidate sortByLB1 leaves after exclusions, over
-// random candidate lists in random order whose 1-step bounds and evenness
-// tie often, so every key of the order decides some cases.
+// dropped first, into a buffer of their own, and the single-pass minimum
+// over the rest must be the first candidate sortByLB1 leaves after
+// exclusions, over random informative lists in entity order whose splits
+// share their smaller side and tie on LB1 often, so every key of the order
+// decides some cases, under both metrics.
 func TestMinByLB1MatchesSortedFirst(t *testing.T) {
 	// Exclusions are checked through a view's GlobalEntity; on a subset
 	// that is not a view it maps every entity to itself.
@@ -444,42 +444,44 @@ func TestMinByLB1MatchesSortedFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(41)
-	for trial := 0; trial < 2000; trial++ {
-		cands := randomCandidates(r, 1+r.Intn(40), func() candidate {
-			return candidate{lb1: cost.Value(r.Intn(4)), uneven: r.Intn(3)}
-		})
-		var excluded map[dataset.Entity]bool
-		if trial%2 == 1 {
-			excluded = make(map[dataset.Entity]bool)
-			share := r.Intn(4) // 0 excludes nothing, 3 can exclude everything
-			for _, c := range cands {
-				if r.Intn(3) < share {
-					excluded[c.entity] = true
+	for _, m := range []cost.Metric{cost.AD, cost.H} {
+		w := newWorkerScratch(m)
+		for trial := 0; trial < 2000; trial++ {
+			n := 2 + r.Intn(12)
+			w.growLB0(n)
+			list := randomList(r, n, 1+r.Intn(40))
+			var excluded map[dataset.Entity]bool
+			if trial%2 == 1 {
+				excluded = make(map[dataset.Entity]bool)
+				share := r.Intn(4) // 0 excludes nothing, 3 can exclude everything
+				for _, ec := range list {
+					if r.Intn(3) < share {
+						excluded[ec.Entity] = true
+					}
 				}
 			}
-		}
-		sorted := append([]candidate(nil), cands...)
-		allowed := dropExcluded(cands, ident.All(), excluded)
-		before := append([]candidate(nil), allowed...)
-		got, ok := minByLB1(allowed)
-		for i := range allowed {
-			if allowed[i] != before[i] {
-				t.Fatalf("trial %d: minByLB1 reordered its input", trial)
+			whole := slices.Clone(list)
+			allowed := w.dropExcluded(list, ident.All(), excluded)
+			before := slices.Clone(allowed)
+			got, ok := w.minByLB1(allowed, n)
+			if !slices.Equal(list, whole) || !slices.Equal(allowed, before) {
+				t.Fatalf("metric %v trial %d: dropExcluded or minByLB1 changed its input", m, trial)
 			}
-		}
 
-		sortByLB1(sorted)
-		var kept []candidate
-		for _, c := range sorted {
-			if !excluded[c.entity] {
-				kept = append(kept, c)
+			sorted := candidates(m, list, n)
+			sortByLB1(sorted)
+			var kept []candidate
+			for _, c := range sorted {
+				if !excluded[c.entity] {
+					kept = append(kept, c)
+				}
 			}
-		}
-		if ok != (len(kept) > 0) {
-			t.Fatalf("trial %d: ok = %v with %d candidates left after exclusions", trial, ok, len(kept))
-		}
-		if ok && got != kept[0] {
-			t.Fatalf("trial %d: minByLB1 = %+v, sortByLB1 first = %+v", trial, got, kept[0])
+			if ok != (len(kept) > 0) {
+				t.Fatalf("metric %v trial %d: ok = %v with %d candidates left after exclusions", m, trial, ok, len(kept))
+			}
+			if ok && got != kept[0] {
+				t.Fatalf("metric %v trial %d (n=%d): minByLB1 = %+v, sortByLB1 first = %+v", m, trial, n, got, kept[0])
+			}
 		}
 	}
 }
@@ -490,15 +492,30 @@ func sortByLB1(cands []candidate) {
 	slices.SortFunc(cands, cmpLB1)
 }
 
-// randomCandidates returns count candidates with distinct entity IDs drawn
-// from 0..3·count−1, in random order, and the split statistics stats
-// returns for each.
-func randomCandidates(r *rng.RNG, count int, stats func() candidate) []candidate {
+// randomList returns count informative entities of a node of n sets, with
+// distinct entity IDs drawn from 0..3·count−1, in entity order. Each
+// count is drawn as a smaller side h and then put on either side of the
+// split, so h-groups hold several entities on both sides.
+func randomList(r *rng.RNG, n, count int) []dataset.EntityCount {
 	ids := r.Perm(3 * count)[:count]
-	cands := make([]candidate, count)
-	for i := range cands {
-		cands[i] = stats()
-		cands[i].entity = dataset.Entity(ids[i])
+	slices.Sort(ids)
+	list := make([]dataset.EntityCount, count)
+	for i, id := range ids {
+		c := 1 + r.Intn(n/2)
+		if r.Intn(2) == 0 {
+			c = n - c
+		}
+		list[i] = dataset.EntityCount{Entity: dataset.Entity(id), Count: c}
+	}
+	return list
+}
+
+// candidates returns the candidates of list, a list of a node of n sets,
+// with their split statistics computed from cost.LB1, in list's order.
+func candidates(m cost.Metric, list []dataset.EntityCount, n int) []candidate {
+	cands := make([]candidate, len(list))
+	for i, ec := range list {
+		cands[i] = candidate{entity: ec.Entity, lb1: cost.LB1(m, ec.Count, n-ec.Count), uneven: abs(2*ec.Count - n)}
 	}
 	return cands
 }
@@ -526,9 +543,10 @@ func TestLB0TableMatchesCost(t *testing.T) {
 }
 
 // TestCountingOrderMatchesSortByLB1: orderByLB1's counting sort reproduces
-// sortByLB1 on random candidate lists in entity order, under both metrics,
-// for odd and even node sizes, with both sides c and n−c of a split drawn so
-// that h-groups hold several candidates and distinct groups tie on LB1.
+// sortByLB1 on random informative lists in entity order, under both
+// metrics, for odd and even node sizes, with both sides c and n−c of a
+// split drawn so that h-groups hold several candidates and distinct groups
+// tie on LB1, and it leaves the list itself in entity order.
 func TestCountingOrderMatchesSortByLB1(t *testing.T) {
 	r := rng.New(41)
 	for _, m := range []cost.Metric{cost.AD, cost.H} {
@@ -536,19 +554,16 @@ func TestCountingOrderMatchesSortByLB1(t *testing.T) {
 		for trial := 0; trial < 2000; trial++ {
 			n := 2 + r.Intn(80)
 			w.growLB0(n)
-			cands := randomCandidates(r, 1+r.Intn(40), func() candidate {
-				c := 1 + r.Intn(n/2)
-				if r.Intn(2) == 0 {
-					c = n - c
-				}
-				return candidate{with: c, lb1: cost.LB1(m, c, n-c), uneven: abs(2*c - n)}
-			})
-			slices.SortFunc(cands, func(a, b candidate) int { return cmp.Compare(a.entity, b.entity) })
-			want := slices.Clone(cands)
+			list := randomList(r, n, 1+r.Intn(40))
+			whole := slices.Clone(list)
+			want := candidates(m, list, n)
 			sortByLB1(want)
-			w.orderByLB1(cands, n)
-			if !slices.Equal(cands, want) {
-				t.Fatalf("metric %v trial %d (n=%d): counting order differs\ngot  %+v\nwant %+v", m, trial, n, cands, want)
+			got := w.orderByLB1(trial%3, list, n)
+			if !slices.Equal(got, want) {
+				t.Fatalf("metric %v trial %d (n=%d): counting order differs\ngot  %+v\nwant %+v", m, trial, n, got, want)
+			}
+			if !slices.Equal(list, whole) {
+				t.Fatalf("metric %v trial %d: orderByLB1 reordered its input", m, trial)
 			}
 		}
 	}
