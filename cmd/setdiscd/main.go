@@ -54,7 +54,7 @@
 // fan stream sessions out over pooled backend connections; backends
 // without a -stream-route are reachable over the JSON plane only.
 //
-// With -cache-persist the engine writes each collection's hottest
+// With -cache-persist the engine writes each collection's
 // selection-cache shard to the named directory on graceful shutdown and
 // reloads it at startup, so a restarted daemon serves warm from its first
 // session instead of re-paying the cold-start selection cost.
@@ -124,7 +124,7 @@ func main() {
 		q            = flag.Int("q", 10, "candidate entities per step (klple/klplve)")
 		metricName   = flag.String("metric", "ad", "cost metric for -prebuild trees: ad or h")
 		parallel     = flag.Int("parallel", 0, "tree construction workers (0 = GOMAXPROCS)")
-		cacheBound   = flag.Int("cache-bound", 1<<20, "max entries per lookahead cache (clock eviction; 0 = unbounded)")
+		cacheBound   = flag.Int("cache-bound", 1<<20, "max entries per lookahead cache and per selection memo; a full cache shard evicts an arbitrary entry (0 = unbounded lookahead caches, 1048576-entry memo)")
 		cachePersist = flag.String("cache-persist", "", "directory for persisted selection-cache shards (written on shutdown, loaded at startup)")
 
 		routerPersist  = flag.String("router-persist", "", "router mode: append-only log persisting the backend set and affinity table across restarts")
@@ -176,9 +176,10 @@ func main() {
 		server.WithLogf(logger.Printf),
 	}
 	if *cacheBound > 0 {
-		// Bound every session's shared lookahead cache so a long-running
-		// daemon's memory stays flat no matter how many distinct
-		// sub-collections its users explore; evictions only recompute.
+		// Bound every session's shared lookahead cache and the selection
+		// memo so a long-running daemon's memory stays flat no matter how
+		// many distinct sub-collections its users explore; evictions only
+		// recompute.
 		srvOpts = append(srvOpts, server.WithSessionOptions(setdiscovery.WithCacheBound(*cacheBound)))
 	}
 	if *cachePersist != "" {
@@ -236,7 +237,7 @@ func main() {
 	}
 	logger.Printf("serving on %s (session ttl %v, max %d sessions)", *addr, *ttl, *maxSessions)
 	serve(logger, *addr, srv.Handler())
-	// Graceful shutdown: flush the hot selection-cache shards so the next
+	// Graceful shutdown: flush the selection-cache shards so the next
 	// start serves warm (no-op without -cache-persist).
 	if err := srv.PersistCaches(); err != nil {
 		logger.Printf("persisting caches: %v", err)

@@ -137,9 +137,11 @@ func FuzzRestoreSnapshot(f *testing.F) {
 
 // FuzzSelectionCacheShard fuzzes the warm-shard decoder behind
 // ImportSelectionCache (shards travel through /v1/cache/shard and the
-// -cache-persist files): no panics, malformed input and foreign fingerprints
-// are rejected with ErrBadSnapshot, and anything accepted survives an
-// export/import round trip — the decoder and encoder stay a closed pair.
+// -cache-persist files): no panics, malformed input, repeated keys and
+// foreign fingerprints are rejected with ErrBadSnapshot and leave the memo
+// empty, an accepted shard's reported count is what the memo holds, and
+// anything accepted survives an export/import round trip — the decoder and
+// encoder stay a closed pair.
 func FuzzSelectionCacheShard(f *testing.F) {
 	seedC := fuzzCollection(f)
 	for _, name := range seedC.Names() {
@@ -159,12 +161,24 @@ func FuzzSelectionCacheShard(f *testing.F) {
 	f.Add(warm.Bytes()[:len(warm.Bytes())/2])
 	f.Add([]byte("SDCS"))
 	f.Add([]byte{})
+	// One entry twice under an entry count of 2: a repeated key, which the
+	// encoder never writes. The header is magic, version and fingerprint.
+	var one bytes.Buffer
+	if err := seedC.ExportSelectionCache(&one, 1); err != nil {
+		f.Fatal(err)
+	}
+	const header = 4 + 1 + 16
+	entry := one.Bytes()[header+1:]
+	f.Add(append(append(append(bytes.Clone(one.Bytes()[:header]), 2), entry...), entry...))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		c := fuzzShardCollection(t)
 		n, err := c.ImportSelectionCache(bytes.NewReader(input))
 		if err != nil {
 			if !errors.Is(err, ErrBadSnapshot) {
 				t.Fatalf("rejection not wrapped in ErrBadSnapshot: %v", err)
+			}
+			if got := c.SelectionCacheStats().Entries; got != 0 {
+				t.Fatalf("rejected shard left %d entries in the memo", got)
 			}
 			return
 		}

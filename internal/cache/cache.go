@@ -17,11 +17,11 @@
 // atomics and aggregated by Stats, giving builds and benchmarks a hit-rate
 // signal without extra locking.
 //
-// A cache from New grows without bound — right for one build or
-// experiment, wrong for a server. NewBounded caps each shard with a clock
-// (second-chance) eviction ring so long-running processes can keep their
-// factory caches forever: evicted entries are recomputed on the next miss,
-// never wrong.
+// Every shard is one map with an entry limit. Without a bound the limit is
+// never reached — right for one build or experiment. With one (servers keep
+// their factory caches forever), a Put of a new key into a full shard first
+// deletes an arbitrary entry of that shard: evicted entries are recomputed
+// on the next miss, never wrong.
 package cache
 
 import (
@@ -47,29 +47,13 @@ const (
 // platform this project targets.
 const cacheLine = 64
 
-// clockSlot is one entry of a bounded shard's second-chance ring. ref is
-// the "recently used" bit: set atomically by Get under the shard read lock,
-// examined and cleared by the eviction sweep under the write lock.
-type clockSlot[V any] struct {
-	key Key
-	val V
-	ref uint32
-}
-
 // shardFields holds the live state of one mutex-striped segment of the
 // table. It is split from shard so the padding below can be derived from
 // its size instead of being hand-computed.
-//
-// A shard runs in exactly one of two modes, fixed at construction:
-// unbounded (m non-nil, the original map) or bounded (slots/idx non-nil, a
-// fixed-capacity clock ring with second-chance eviction).
 type shardFields[V any] struct {
 	mu        sync.RWMutex
-	m         map[Key]V      // unbounded mode
-	slots     []clockSlot[V] // bounded mode: ring storage, grows on demand to bcap
-	idx       map[Key]int32  // bounded mode: key -> slot index
-	bcap      int32          // bounded mode: max slots (fixed at construction)
-	hand      int32          // bounded mode: clock hand
+	m         map[Key]V
+	limit     int // max entries; math.MaxInt for an unbounded cache
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
@@ -105,48 +89,24 @@ type Cache[V any] struct {
 	shards [shardCount]shard[V]
 }
 
-// New returns an empty cache that grows without bound.
-func New[V any]() *Cache[V] {
+// New returns an empty cache holding at most (approximately) bound entries;
+// bound ≤ 0 means no limit. The bound is distributed over the shards and
+// rounded up, so the true maximum is ceil(bound/shardCount)·shardCount.
+//
+// The bound is a ceiling, not a reservation: shards grow on demand, so a
+// generously bounded cache (setdiscd defaults to 1M entries) costs memory
+// proportional to what the workload actually caches.
+func New[V any](bound int) *Cache[V] {
+	limit := math.MaxInt
+	if bound > 0 {
+		limit = (bound-1)/shardCount + 1
+	}
 	c := &Cache[V]{}
 	for i := range c.shards {
 		c.shards[i].m = make(map[Key]V)
+		c.shards[i].limit = limit
 	}
 	return c
-}
-
-// NewBounded returns an empty cache holding at most (approximately) n
-// entries, evicting with a per-shard clock (second-chance) sweep once full:
-// a Get sets an entry's reference bit, the sweep clears bits until it finds
-// an unreferenced victim, so recently used entries survive. The bound is
-// distributed over the shards and rounded up, so the true maximum is
-// ceil(n/shardCount)·shardCount.
-//
-// Eviction is safe for the selection caches by construction: every entry is
-// a memoised exact result or certified bound, so an evicted entry is merely
-// recomputed — never wrong. Bounded caches let long-running serving
-// processes keep per-collection factories forever without unbounded growth.
-//
-// The cap is a ceiling, not a reservation: shards grow their rings on
-// demand, so a generously bounded cache (setdiscd defaults to 1M entries)
-// costs memory proportional to what the workload actually caches. A shard's
-// ring is indexed by int32, so the per-shard cap is clamped to
-// math.MaxInt32.
-func NewBounded[V any](n int) *Cache[V] {
-	perShard := max(1, min((n-1)/shardCount+1, math.MaxInt32))
-	c := &Cache[V]{}
-	for i := range c.shards {
-		c.shards[i].bcap = int32(perShard)
-		c.shards[i].idx = make(map[Key]int32)
-	}
-	return c
-}
-
-// Bound returns the per-shard entry cap, or 0 for an unbounded cache.
-func (c *Cache[V]) Bound() int {
-	if c.shards[0].m != nil {
-		return 0
-	}
-	return int(c.shards[0].bcap)
 }
 
 // shardFor picks the segment for a key. Fingerprints are uniform hashes, so
@@ -158,20 +118,11 @@ func (c *Cache[V]) shardFor(k Key) *shard[V] {
 	return &c.shards[h&(shardCount-1)]
 }
 
-// Get returns the entry for k, if present, and records the hit or miss. On
-// a bounded cache a hit also sets the entry's second-chance bit (an atomic
-// store, so concurrent readers under the shared read lock never race).
+// Get returns the entry for k, if present, and records the hit or miss.
 func (c *Cache[V]) Get(k Key) (V, bool) {
 	s := c.shardFor(k)
-	var v V
-	var ok bool
 	s.mu.RLock()
-	if s.m != nil {
-		v, ok = s.m[k]
-	} else if i, found := s.idx[k]; found {
-		v, ok = s.slots[i].val, true
-		atomic.StoreUint32(&s.slots[i].ref, 1)
-	}
+	v, ok := s.m[k]
 	s.mu.RUnlock()
 	if ok {
 		s.hits.Add(1)
@@ -181,79 +132,32 @@ func (c *Cache[V]) Get(k Key) (V, bool) {
 	return v, ok
 }
 
-// Put stores the entry for k, overwriting any previous value. On a full
-// bounded shard it first evicts the first entry the clock hand reaches
-// whose second-chance bit is clear (clearing set bits as it sweeps).
+// Put stores the entry for k, overwriting any previous value. A new key
+// arriving at a full shard first evicts the first entry a range over the
+// shard's map yields (Go randomises where that starts); overwriting a key
+// already present evicts nothing.
 func (c *Cache[V]) Put(k Key, v V) {
 	s := c.shardFor(k)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m != nil {
-		s.m[k] = v
-		return
-	}
-	if i, ok := s.idx[k]; ok {
-		s.slots[i].val = v
-		atomic.StoreUint32(&s.slots[i].ref, 1)
-		return
-	}
-	var i int32
-	if len(s.slots) < int(s.bcap) {
-		// Below the cap: grow the ring. The append may move the backing
-		// array, which is safe because Get's reference-bit stores happen
-		// under the read lock this writer excludes.
-		i = int32(len(s.slots))
-		s.slots = append(s.slots, clockSlot[V]{key: k, val: v, ref: 1})
-		s.idx[k] = i
-		return
-	}
-	// Second-chance sweep. Terminates within 2·len(slots) steps: the
-	// first lap clears every reference bit it passes, so the second
-	// lap's first slot is unreferenced at the latest.
-	for atomic.LoadUint32(&s.slots[s.hand].ref) != 0 {
-		atomic.StoreUint32(&s.slots[s.hand].ref, 0)
-		s.hand = (s.hand + 1) % int32(len(s.slots))
-	}
-	i = s.hand
-	s.evictions.Add(1)
-	delete(s.idx, s.slots[i].key)
-	s.hand = (s.hand + 1) % int32(len(s.slots))
-	s.slots[i].key = k
-	s.slots[i].val = v
-	atomic.StoreUint32(&s.slots[i].ref, 1)
-	s.idx[k] = i
-}
-
-// Len returns the number of entries across all shards.
-func (c *Cache[V]) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		if s.m != nil {
-			n += len(s.m)
-		} else {
-			n += len(s.slots)
+	if len(s.m) >= s.limit {
+		if _, ok := s.m[k]; !ok {
+			for old := range s.m {
+				delete(s.m, old)
+				break
+			}
+			s.evictions.Add(1)
 		}
-		s.mu.RUnlock()
 	}
-	return n
+	s.m[k] = v
+	s.mu.Unlock()
 }
 
-// Reset discards all entries and zeroes the hit/miss counters. A bounded
-// cache keeps its mode and capacity.
+// Reset discards all entries and zeroes the counters. The bound is kept.
 func (c *Cache[V]) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		if s.m != nil {
-			s.m = make(map[Key]V)
-		} else {
-			clear(s.slots) // zero values so the GC drops what they held
-			s.slots = s.slots[:0]
-			clear(s.idx)
-			s.hand = 0
-		}
+		s.m = make(map[Key]V)
 		s.mu.Unlock()
 		s.hits.Store(0)
 		s.misses.Store(0)
@@ -268,58 +172,33 @@ type Entry[V any] struct {
 }
 
 // Export returns up to max entries, for warming another cache (a freshly
-// added engine, a restarted process). On a bounded cache entries whose
-// second-chance bit is set — the recently used, "hot" part of the ring — are
-// returned first, so a truncated export keeps the entries most worth
-// shipping; an unbounded cache exports in map order. Export does not perturb
-// the counters or the reference bits. Under concurrent mutation the export is
-// a consistent-per-shard sample, which is all warming needs.
+// added engine, a restarted process): the shards in order, each in map
+// order. Export does not perturb the counters. Under concurrent mutation
+// the export is a consistent-per-shard sample, which is all warming needs.
 func (c *Cache[V]) Export(max int) []Entry[V] {
-	if max <= 0 {
-		return nil
-	}
-	var hot, cold []Entry[V]
+	var out []Entry[V]
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
-		if s.m != nil {
-			for k, v := range s.m {
-				if len(hot) >= max {
-					break
-				}
-				hot = append(hot, Entry[V]{k, v})
+		for k, v := range s.m {
+			if len(out) >= max {
+				break
 			}
-		} else {
-			for j := range s.slots {
-				sl := &s.slots[j]
-				if atomic.LoadUint32(&sl.ref) != 0 {
-					if len(hot) < max {
-						hot = append(hot, Entry[V]{sl.key, sl.val})
-					}
-				} else if len(cold) < max {
-					cold = append(cold, Entry[V]{sl.key, sl.val})
-				}
-			}
+			out = append(out, Entry[V]{k, v})
 		}
 		s.mu.RUnlock()
-		if len(hot) >= max {
+		if len(out) >= max {
 			break
 		}
 	}
-	if n := max - len(hot); n > 0 {
-		if n > len(cold) {
-			n = len(cold)
-		}
-		hot = append(hot, cold[:n]...)
-	}
-	return hot
+	return out
 }
 
 // Stats is a point-in-time aggregate of cache effectiveness.
 type Stats struct {
 	Hits      int64
 	Misses    int64
-	Evictions int64 // entries displaced by the clock sweep (bounded mode)
+	Evictions int64 // entries displaced from full shards of a bounded cache
 	Entries   int
 }
 
@@ -343,11 +222,7 @@ func (c *Cache[V]) Stats() Stats {
 		st.Misses += s.misses.Load()
 		st.Evictions += s.evictions.Load()
 		s.mu.RLock()
-		if s.m != nil {
-			st.Entries += len(s.m)
-		} else {
-			st.Entries += len(s.slots)
-		}
+		st.Entries += len(s.m)
 		s.mu.RUnlock()
 	}
 	return st

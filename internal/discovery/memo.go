@@ -30,9 +30,10 @@ import (
 //   - the memo stores only entity slices, never pooled subsets or partitions,
 //     so it cannot interact with any session's subset recycling.
 //
-// The store is a bounded clock-eviction cache (cache.NewBounded), so memory
-// stays flat no matter how many distinct states a fleet's traffic touches; an
-// evicted entry is recomputed on the next miss, never wrong. Concurrent
+// The store is always bounded (cache.New with DefaultMemoBound unless the
+// caller gives a bound), so memory stays flat no matter how many distinct
+// states a fleet's traffic touches: a full shard evicts an arbitrary entry,
+// which is recomputed on the next miss, never wrong. Concurrent
 // misses on one key coalesce through a single-flight guard: the first session
 // computes, later arrivals park on a channel and receive the same slice,
 // instead of a thundering herd recomputing one hot lookahead.
@@ -72,13 +73,13 @@ type SelectionMemo struct {
 }
 
 // NewSelectionMemo returns an empty memo bounded at (approximately) bound
-// entries with clock eviction; bound ≤ 0 selects DefaultMemoBound.
+// entries; bound ≤ 0 selects DefaultMemoBound, so a memo is never unbounded.
 func NewSelectionMemo(bound int) *SelectionMemo {
 	if bound <= 0 {
 		bound = DefaultMemoBound
 	}
 	return &SelectionMemo{
-		cache:    cache.NewBounded[selMemoEntry](bound),
+		cache:    cache.New[selMemoEntry](bound),
 		inflight: make(map[cache.Key]*memoFlight),
 	}
 }
@@ -87,7 +88,7 @@ func NewSelectionMemo(bound int) *SelectionMemo {
 type MemoStats struct {
 	Hits      int64 // selections served from the memo
 	Misses    int64 // lookups that found nothing (including coalesced waits)
-	Evictions int64 // entries displaced by the clock sweep
+	Evictions int64 // entries displaced from full cache shards
 	Coalesced int64 // misses that waited on a concurrent computation
 	Computed  int64 // strategy computations actually run through the memo
 	Entries   int
@@ -106,9 +107,6 @@ func (m *SelectionMemo) Stats() MemoStats {
 		Entries:   cs.Entries,
 	}
 }
-
-// Len returns the number of memoised selections.
-func (m *SelectionMemo) Len() int { return m.cache.Len() }
 
 // selectShared is the memo-backed selection path of a session: serve a hit,
 // coalesce onto an in-progress computation, or compute and publish; computed
@@ -144,7 +142,7 @@ func (m *SelectionMemo) selectShared(s *Session) (entities []dataset.Entity, ok,
 }
 
 // Persisted/exported memo shards: a versioned, fingerprint-guarded binary
-// encoding of a memo's hottest entries, reusing the session-state primitive
+// encoding of a memo's entries, reusing the session-state primitive
 // codecs. Shards are the one way memo state travels between engines: the
 // /v1/cache/shard export/import surface that warms a freshly added engine
 // from a healthy peer, and the -cache-persist file a restarted setdiscd
@@ -162,10 +160,13 @@ func (m *SelectionMemo) selectShared(s *Session) (entities []dataset.Entity, ok,
 // The decoder bounds its work like the session-state decoders: counts are
 // bounded by the remaining input, entities are range-checked against the
 // collection, a foreign collection fingerprint is rejected, and malformed
-// input yields an error, never a panic (fuzz-enforced). It cannot check that
-// an entry is the selection its key's state would compute — a key is a hash
-// of a state the decoder never sees — so imported entries are trusted as
-// given, and every session whose state hashes to a key is served its entry.
+// input yields an error, never a panic (fuzz-enforced). It parses and checks
+// the whole shard before storing any entry, so a rejected shard leaves the
+// memo as it was, and it rejects a repeated key, which the encoder never
+// writes. It cannot check that an entry is the selection its key's state
+// would compute — a key is a hash of a state the decoder never sees — so
+// imported entries are trusted as given, and every session whose state
+// hashes to a key is served its entry.
 // Import shards only from engines of the same fleet.
 
 // memoShardMagic identifies a persisted selection-cache shard.
@@ -186,8 +187,8 @@ func (r *stateReader) u64() (uint64, error) {
 	return v, nil
 }
 
-// EncodeMemoShard serializes up to max of the memo's entries — recently used
-// ones first — guarded by c's content fingerprint. max ≤ 0 exports
+// EncodeMemoShard serializes up to max of the memo's entries, in no
+// particular order, guarded by c's content fingerprint. max ≤ 0 exports
 // everything.
 func EncodeMemoShard(c *dataset.Collection, m *SelectionMemo, max int) []byte {
 	if max <= 0 {
@@ -210,8 +211,9 @@ func EncodeMemoShard(c *dataset.Collection, m *SelectionMemo, max int) []byte {
 }
 
 // DecodeMemoShard imports a shard encoded by EncodeMemoShard into m,
-// rejecting shards from a different collection. It returns the number of
-// entries imported.
+// rejecting shards from a different collection, malformed shards and
+// repeated keys. It returns the number of entries imported; a rejected
+// shard imports none.
 func DecodeMemoShard(c *dataset.Collection, m *SelectionMemo, data []byte) (int, error) {
 	if len(data) < len(memoShardMagic)+1 || string(data[:4]) != memoShardMagic {
 		return 0, corrupt("bad shard magic")
@@ -234,6 +236,7 @@ func DecodeMemoShard(c *dataset.Collection, m *SelectionMemo, data []byte) (int,
 	// Entity IDs run up to NumEntities and need not be dense: a collection
 	// built from raw IDs may leave some unused.
 	numEntities := c.NumEntities()
+	staged := make(map[cache.Key]selMemoEntry)
 	for i := 0; i < n; i++ {
 		var key cache.Key
 		if key.Hi, err = r.u64(); err != nil {
@@ -261,10 +264,16 @@ func DecodeMemoShard(c *dataset.Collection, m *SelectionMemo, data []byte) (int,
 		if ok == (len(entities) == 0) {
 			return 0, corrupt("shard entry verdict inconsistent with its entity list")
 		}
-		m.cache.Put(key, selMemoEntry{entities: entities, ok: ok})
+		if _, dup := staged[key]; dup {
+			return 0, corrupt("shard repeats a key")
+		}
+		staged[key] = selMemoEntry{entities: entities, ok: ok}
 	}
 	if len(r.data) != 0 {
 		return 0, corrupt("%d trailing bytes", len(r.data))
+	}
+	for key, e := range staged {
+		m.cache.Put(key, e)
 	}
 	return n, nil
 }

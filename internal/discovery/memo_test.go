@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -14,11 +15,13 @@ import (
 	"setdiscovery/internal/webtables"
 )
 
-// memoTestCollection is big enough that its sessions touch well over the
-// small memo bound used below, so the clock sweep actually evicts.
-func memoTestCollection(t *testing.T) *dataset.Collection {
+// memoTestCollection returns a synthetic collection of n sets. Sessions
+// towards every one of its sets visit every internal node of the strategy's
+// decision tree, n−1 distinct candidate sets, so a memo bounded below n−1
+// entries must evict, wherever the keys hash.
+func memoTestCollection(t *testing.T, n int) *dataset.Collection {
 	t.Helper()
-	c, err := synth.Generate(synth.Params{N: 60, SizeMin: 8, SizeMax: 14, Alpha: 0.8, Seed: 11})
+	c, err := synth.Generate(synth.Params{N: n, SizeMin: 8, SizeMax: 14, Alpha: 0.8, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +32,24 @@ func memoTestCollection(t *testing.T) *dataset.Collection {
 // concurrent solo sessions (plus a batch for mixed load) well past its entry
 // cap: every session must still ask exactly the questions an unshared
 // reference asks — an evicted entry is recomputed, never wrong — the store
-// must stay at its bound, and no session may leak pooled subsets. Run with
-// -race, this is also the memo's data-race proof.
+// must stay at its bound, and no session may leak pooled subsets. A bound of
+// 64 gives each shard one entry and 256 gives it four, so the second bound
+// evicts from shards that hold several. The 256 bound runs over 320 sets,
+// more keys than the memo holds, so it evicts whichever way the keys hash;
+// at 64, the 60-set collection's 59 keys share a shard with near certainty.
+// Run with -race, this is also the memo's data-race proof.
 func TestSharedSelectionConcurrentEviction(t *testing.T) {
-	c := memoTestCollection(t)
+	for _, tc := range []struct{ sets, bound int }{{60, 64}, {320, 256}} {
+		t.Run(fmt.Sprintf("bound%d", tc.bound), func(t *testing.T) {
+			hammerSharedSelection(t, memoTestCollection(t, tc.sets), tc.bound)
+		})
+	}
+}
+
+// hammerSharedSelection runs the concurrent sessions of
+// TestSharedSelectionConcurrentEviction over c against a memo of the given
+// bound.
+func hammerSharedSelection(t *testing.T, c *dataset.Collection, bound int) {
 	f := strategy.NewKLP(cost.AD, 2)
 
 	// Unshared reference sequences, one per target.
@@ -45,7 +62,6 @@ func TestSharedSelectionConcurrentEviction(t *testing.T) {
 		want[i] = res.Asked
 	}
 
-	const bound = 64
 	const workers = 6
 	memo := NewSelectionMemo(bound)
 	var wg sync.WaitGroup
@@ -114,16 +130,17 @@ func TestSharedSelectionConcurrentEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if n := memo.Len(); n > bound {
-		t.Fatalf("memo holds %d entries, bound is %d", n, bound)
-	}
 	st := memo.Stats()
+	if st.Entries > bound {
+		t.Fatalf("memo holds %d entries, bound is %d", st.Entries, bound)
+	}
 	if st.Evictions == 0 {
 		t.Fatalf("no evictions — the hammer never exceeded the bound (stats %+v)", st)
 	}
 	if st.Hits == 0 || st.Computed == 0 {
 		t.Fatalf("degenerate hammer: stats %+v", st)
 	}
+	t.Logf("memo: %d entries, %d evictions", st.Entries, st.Evictions)
 }
 
 // TestMemoShardRoundTrip pins the shard codec: export a warmed memo, import
@@ -138,8 +155,9 @@ func TestMemoShardRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if memo.Len() == 0 {
-		t.Fatal("warm-up produced no memo entries")
+	entries := memo.Stats().Entries
+	if entries < 2 {
+		t.Fatalf("warm-up produced %d memo entries, want at least 2", entries)
 	}
 
 	shard := EncodeMemoShard(c, memo, 0)
@@ -148,8 +166,8 @@ func TestMemoShardRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != memo.Len() || cold.Len() != memo.Len() {
-		t.Fatalf("imported %d entries into %d, want %d", n, cold.Len(), memo.Len())
+	if got := cold.Stats().Entries; n != entries || got != entries {
+		t.Fatalf("imported %d entries into %d, want %d", n, got, entries)
 	}
 	// A session over the warmed importer asks the reference questions and
 	// computes nothing new on the popular path.
@@ -175,6 +193,29 @@ func TestMemoShardRoundTrip(t *testing.T) {
 	coldOne := NewSelectionMemo(0)
 	if n, err := DecodeMemoShard(c, coldOne, one); err != nil || n != 1 {
 		t.Fatalf("max=1 export: imported %d, err %v", n, err)
+	}
+
+	// A rejected shard imports nothing: neither the entries parsed before
+	// the fault of a shard cut by one byte, nor a shard repeating one key
+	// (header, count 2, the same entry twice), which the encoder never
+	// writes.
+	const header = len(memoShardMagic) + 1 + 16
+	if one[header] != 1 {
+		t.Fatalf("max=1 export counts %d entries", one[header])
+	}
+	entry := one[header+1:]
+	repeated := append(append(append(bytes.Clone(one[:header]), 2), entry...), entry...)
+	for name, bad := range map[string][]byte{
+		"one byte short": shard[:len(shard)-1],
+		"repeated key":   repeated,
+	} {
+		fresh := NewSelectionMemo(0)
+		if n, err := DecodeMemoShard(c, fresh, bad); err == nil {
+			t.Fatalf("%s: shard accepted with %d entries", name, n)
+		}
+		if got := fresh.Stats().Entries; got != 0 {
+			t.Fatalf("%s: rejected shard left %d entries in the memo", name, got)
+		}
 	}
 }
 
@@ -206,8 +247,8 @@ func TestMemoShardSparseEntityIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != memo.Len() || cold.Len() != memo.Len() {
-		t.Fatalf("imported %d entries into %d, want %d", n, cold.Len(), memo.Len())
+	if want, got := memo.Stats().Entries, cold.Stats().Entries; n != want || got != want {
+		t.Fatalf("imported %d entries into %d, want %d", n, got, want)
 	}
 
 	for _, e := range []dataset.Entity{dataset.Entity(c.NumEntities() - 1), dataset.Entity(c.NumEntities())} {

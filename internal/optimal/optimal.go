@@ -27,7 +27,7 @@ type Strategy struct {
 
 // New returns an optimal-tree strategy for metric m.
 func New(m cost.Metric) *Strategy {
-	return &Strategy{metric: m, memo: cache.New[cost.Value]()}
+	return &Strategy{metric: m, memo: cache.New[cost.Value](0)}
 }
 
 // Name implements strategy.Strategy.

@@ -296,7 +296,7 @@ func (rt *Router) sweepOwnersLocked(now time.Time) {
 // never correctness.
 //
 // The new engine is also warmed: for every collection an established peer
-// serves, the peer's hot selection-cache shard is copied over (GET → PUT
+// serves, the peer's selection-cache shard is copied over (GET → PUT
 // /v1/cache/shard), so the first sessions the newcomer serves hit a
 // populated memo instead of paying the cold-start selection cost. Only
 // eligible peers are asked, so warming never waits on an engine the health
@@ -381,7 +381,7 @@ func (rt *Router) listCollections(b *backend) ([]server.CollectionInfo, error) {
 	return cols, nil
 }
 
-// copyCacheShard exports one collection's hot selection-cache shard from
+// copyCacheShard exports one collection's selection-cache shard from
 // src and imports it on dst, returning how many entries dst merged.
 func (rt *Router) copyCacheShard(src, dst *backend, collection string) (int, error) {
 	q := url.Values{"collection": {collection}}.Encode()

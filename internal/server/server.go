@@ -104,20 +104,22 @@ func WithLogf(f func(format string, args ...any)) Option {
 // WithSessionOptions prepends base options to every session the server
 // creates; request-supplied options are applied after them and win on
 // conflict. The primary use is setdiscovery.WithCacheBound, so a server
-// meant to run indefinitely caps the per-collection lookahead caches its
-// sessions share (setdiscd wires -cache-bound through here). The same base
-// options are applied when a session is restored from imported state.
+// meant to run indefinitely caps the per-collection lookahead caches and the
+// selection memo its sessions share (setdiscd wires -cache-bound through
+// here). The same base options are applied when a session is restored from
+// imported state.
 func WithSessionOptions(opts ...setdiscovery.Option) Option {
 	return func(s *Server) { s.sessionOpts = append(s.sessionOpts, opts...) }
 }
 
 // WithCachePersist stores selection-cache shards under dir: Register loads
 // each collection's persisted shard (when one exists and matches the
-// collection's content fingerprint), and PersistCaches writes the current
-// hottest entries back — so a restarted server resumes with a warm selection
-// memo instead of recomputing the popular prefix states from scratch
-// (setdiscd wires -cache-persist through here). Load failures are logged and
-// ignored: a stale or foreign shard costs a cold start, never correctness.
+// collection's content fingerprint), and PersistCaches writes up to
+// persistShardEntries of its entries back — so a restarted server resumes
+// with a warm selection memo instead of recomputing the popular prefix
+// states from scratch (setdiscd wires -cache-persist through here). Load
+// failures are logged and ignored: a stale or foreign shard costs a cold
+// start, never correctness.
 func WithCachePersist(dir string) Option {
 	return func(s *Server) { s.persistDir = dir }
 }
@@ -216,9 +218,8 @@ func (s *Server) loadPersistedShard(name string, c *setdiscovery.Collection) {
 	s.logf("server: collection %q: loaded %d selection-cache entries from %s", name, n, path)
 }
 
-// persistShardEntries caps how many entries one persisted or exported shard
-// carries; the export is hottest-first, so the cap keeps files and transfers
-// small while preserving the entries most worth keeping.
+// persistShardEntries caps how many entries one persisted shard carries, so
+// files stay small. The export takes entries in no particular order.
 const persistShardEntries = 1 << 16
 
 // PersistCaches writes every registered collection's selection-cache shard
@@ -394,9 +395,10 @@ func (s *Server) stats() StatsResponse {
 
 // handleExportCacheShard serves GET /v1/cache/shard?collection=NAME[&max=N]:
 // a warm selection-cache shard as a binary body (application/octet-stream),
-// hottest entries first. The binary body makes the warm-shard flow a curl
-// pipe: GET from a warm engine, PUT to a cold one. The router uses the same
-// pair to warm a freshly added backend from a healthy peer.
+// up to max entries in no particular order. The binary body makes the
+// warm-shard flow a curl pipe: GET from a warm engine, PUT to a cold one.
+// The router uses the same pair to warm a freshly added backend from a
+// healthy peer.
 func (s *Server) handleExportCacheShard(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("collection")
 	if name == "" {

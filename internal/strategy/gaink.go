@@ -52,7 +52,7 @@ func NewGainK(k int) *GainK {
 func NewGainKMemo(k int) *GainK {
 	g := NewGainK(k)
 	g.memo = true
-	g.cache = cache.New[float64]()
+	g.cache = cache.New[float64](0)
 	return g
 }
 
@@ -67,12 +67,13 @@ func (g *GainK) New() Strategy {
 	return &sibling
 }
 
-// SetCacheBound replaces the memo cache (when memoised) with a bounded one
-// holding at most (approximately) n entries under clock eviction. Call on
-// the factory before minting siblings. A no-op for the unmemoised variant.
+// SetCacheBound replaces the memo cache (when memoised) with an empty one
+// holding at most (approximately) n entries (cache.New; n ≤ 0 means no
+// limit). Call on the factory before minting siblings. A no-op for the
+// unmemoised variant.
 func (g *GainK) SetCacheBound(n int) {
 	if g.cache != nil {
-		g.cache = cache.NewBounded[float64](n)
+		g.cache = cache.New[float64](n)
 	}
 }
 

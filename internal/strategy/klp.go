@@ -64,7 +64,7 @@ func NewKLP(m cost.Metric, k int) *KLP {
 	if k < 1 {
 		panic("strategy: k-LP requires k >= 1")
 	}
-	return &KLP{metric: m, k: k, cache: cache.New[cacheEntry](), scratch: newWorkerScratch(m)}
+	return &KLP{metric: m, k: k, cache: cache.New[cacheEntry](0), scratch: newWorkerScratch(m)}
 }
 
 // New implements Factory: it returns a sibling strategy for the exclusive
@@ -125,14 +125,14 @@ func (s *KLP) DisableSortPrune() *KLP { s.noSortPrune = true; return s }
 // DisableULPrune turns off the recursive upper-limit pruning (ablation).
 func (s *KLP) DisableULPrune() *KLP { s.noULPrune = true; return s }
 
-// SetCacheBound replaces the shared lookahead cache with a bounded one
-// holding at most (approximately) n entries under clock eviction, so
-// long-running processes can serve this factory's lineage indefinitely.
-// Call it on the factory before minting siblings: instances minted earlier
-// keep the previous cache. Evicted bounds are recomputed, never wrong, so
-// selections are unchanged.
+// SetCacheBound replaces the shared lookahead cache with an empty one
+// holding at most (approximately) n entries (cache.New; n ≤ 0 means no
+// limit), so long-running processes can serve this factory's lineage
+// indefinitely. Call it on the factory before minting siblings: instances
+// minted earlier keep the previous cache. Evicted bounds are recomputed,
+// never wrong, so selections are unchanged.
 func (s *KLP) SetCacheBound(n int) {
-	s.cache = cache.NewBounded[cacheEntry](n)
+	s.cache = cache.New[cacheEntry](n)
 }
 
 // Instrument attaches a Recorder that collects per-node pruning statistics

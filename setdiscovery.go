@@ -249,7 +249,7 @@ func (c *Collection) SelectionCacheStats() SelectionCacheStats {
 }
 
 // ExportSelectionCache writes a warm shard — up to max of the selection
-// memo's entries, recently used first (max ≤ 0 exports everything) — in a
+// memo's entries, in no particular order (max ≤ 0 exports everything) — in a
 // versioned binary format guarded by the collection's content fingerprint.
 // Import it with ImportSelectionCache on another instance serving the same
 // collection (the router does this to warm a freshly added engine from a
@@ -425,14 +425,17 @@ func WithBacktracking() Option {
 func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n } }
 
 // WithCacheBound caps the strategy's shared lookahead cache at
-// (approximately) n entries with clock eviction, instead of the default
-// unbounded growth. Sessions and builds over one collection with equal
-// options — including the bound — share one factory, so the cap is
-// per-configuration, not per-session. Evicted entries are recomputed, never
-// wrong: selections are identical with or without a bound. Set it in
-// long-running serving processes (setdiscd exposes it as -cache-bound) so
-// memory stays flat no matter how many sub-collections the workload
-// touches; n ≤ 0 means unbounded.
+// (approximately) n entries, instead of the default unbounded growth: a new
+// entry arriving at a full cache shard evicts an arbitrary entry of that
+// shard. Sessions and builds over one collection with equal options —
+// including the bound — share one factory, so the cap is per-configuration,
+// not per-session. The bound also caps the collection's selection memo when
+// its first user creates it (WithSharedSelection). Evicted entries are
+// recomputed, never wrong: selections are identical with or without a
+// bound. Set it in long-running serving processes (setdiscd exposes it as
+// -cache-bound) so memory stays flat no matter how many sub-collections the
+// workload touches; n ≤ 0 means an unbounded lookahead cache and the
+// memo's default bound of 1,048,576 entries.
 func WithCacheBound(n int) Option {
 	return func(c *config) {
 		// Normalised so every "unbounded" spelling shares one factory key.
@@ -477,9 +480,10 @@ func WithGroupConstraint(ifEntity, thenEntity string) Option {
 // are pure functions of the candidate set and the selection-relevant options,
 // so shared results are byte-identical to unshared ones (test-pinned);
 // sessions with "don't know" answers bypass the memo automatically. The memo
-// is bounded (WithCacheBound, same default as the strategy caches) with clock
-// eviction, so memory stays flat. Turn it off for one-shot workloads that
-// would only pollute the memo, or to A/B the fabric itself.
+// is always bounded, so memory stays flat: at the WithCacheBound of the
+// session that creates it, or at 1,048,576 entries without one (the
+// strategy caches have no default bound). Turn it off for one-shot
+// workloads that would only pollute the memo, or to A/B the fabric itself.
 func WithSharedSelection(on bool) Option {
 	return func(c *config) { c.sharedSelection = on }
 }
