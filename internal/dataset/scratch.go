@@ -200,13 +200,18 @@ func (s *Subset) countDenseInto(sc *Scratch, limit int32, dst []EntityCount) []E
 	return out
 }
 
-// countSparseInto counts into a reusable map and sorts the collected
-// entities in place by entity ID.
-func (s *Subset) countSparseInto(sc *Scratch, limit int32, dst []EntityCount) []EntityCount {
+// sparseState returns the sparse count map, made on first use.
+func (sc *Scratch) sparseState() map[Entity]int32 {
 	if sc.sparse == nil {
 		sc.sparse = make(map[Entity]int32)
 	}
-	counts := sc.sparse
+	return sc.sparse
+}
+
+// countSparseInto counts into a reusable map and sorts the collected
+// entities in place by entity ID.
+func (s *Subset) countSparseInto(sc *Scratch, limit int32, dst []EntityCount) []EntityCount {
+	counts := sc.sparseState()
 	s.members.ForEach(func(i int) bool {
 		for _, e := range s.c.sets[i].Elems {
 			counts[e]++
@@ -258,10 +263,7 @@ func SplitInformativeInto(sc *Scratch, parent []EntityCount, a, b *Subset, aDst,
 func (s *Subset) subtractInto(sc *Scratch, parent []EntityCount, other int, dst, otherDst []EntityCount) ([]EntityCount, []EntityCount) {
 	c, n := s.c, s.size
 	if c.numEntities > denseThreshold {
-		if sc.sparse == nil {
-			sc.sparse = make(map[Entity]int32)
-		}
-		counts := sc.sparse
+		counts := sc.sparseState()
 		s.members.ForEach(func(i int) bool {
 			for _, e := range c.sets[i].Elems {
 				counts[e]++

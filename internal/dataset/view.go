@@ -10,8 +10,9 @@ import (
 // the collection it was projected from. A Collection with a non-nil view
 // belongs to one Scratch and is rebuilt in place by its next Project.
 type view struct {
-	sets     []uint32      // local set index → global set index
-	entities []Entity      // local entity ID → global entity ID, ascending
+	from     *Collection   // the collection the view was projected from
+	sets     []uint32      // local set index → set index in from
+	entities []Entity      // local entity ID → entity ID in from, ascending
 	keys     []Fingerprint // local set index → setKey of its global set
 
 	// next[l] is where Project writes local entity l's next posting.
@@ -27,29 +28,35 @@ type view struct {
 // Project returns the compact view of the sub-collection: a pooled subset
 // holding every set of a collection kept in sc, in which local set i is the
 // i-th member of s and the entities are those the members touch, numbered
-// 0..m−1 in ascending global ID order. Numbering in global order keeps
-// every set's elements sorted and leaves entity order, and so every tie
-// broken by entity ID, unchanged. A node's bitset on the view is ⌈n/64⌉
-// words however large the collection, and the view's subsets carry the
-// XOR keys of their global members (see XORFingerprint), so lookahead
-// caches keyed by them stay shared across views.
+// 0..m−1 in ascending order of their IDs in s's collection. Numbering in
+// that order keeps every set's elements sorted and leaves entity order, and
+// so every tie broken by entity ID, unchanged. A node's bitset on the view
+// is ⌈n/64⌉ words however large the collection, and the view's subsets
+// carry the XOR keys of their global members (see XORFingerprint), so
+// lookahead caches keyed by them stay shared across views.
 //
-// Map a view's entities back with GlobalEntity. The view's buffers belong
-// to sc and are rebuilt by its next Project, so Release the returned subset
-// and every subset split from it before projecting again on sc. Warm
-// buffers make Project allocation-free. s must not itself be a view.
+// s may itself be a subset of a view: the nested view then stands for s's
+// view one level up and takes each set's key from it, so its keys are
+// still those of the global sets. Map a view's sets and entities one level
+// up with GlobalSet and GlobalEntity. The view's buffers belong to sc and
+// are rebuilt by its next Project, so Release the returned subset and
+// every subset split from it before projecting again on sc; projecting a
+// subset of the view sc holds onto sc panics. Warm buffers make Project
+// allocation-free.
 func (s *Subset) Project(sc *Scratch) *Subset {
-	if s.c.view != nil {
-		panic("dataset: Project of a projected subset")
+	if s.c == sc.proj {
+		panic("dataset: Project onto the scratch that holds the subset's view")
 	}
 	if sc.proj == nil {
 		sc.proj = &Collection{view: &view{}}
 	}
 	v, p := sc.proj, sc.proj.view
+	p.from = s.c
 
 	// Local entity IDs, with each entity's posting list cut from one
 	// backing array. The global→local map borrows the counting state: the
-	// dense count cells (zero after counting) or the sparse map.
+	// dense count cells (zero after counting) or the sparse map, made here
+	// since the root of a view counts nothing.
 	touched := s.countInto(sc, int32(s.size)+1, sc.ecBuf[:0])
 	sc.ecBuf = touched
 	m, total := len(touched), 0
@@ -57,6 +64,11 @@ func (s *Subset) Project(sc *Scratch) *Subset {
 		total += ec.Count
 	}
 	dense := s.c.numEntities <= denseThreshold
+	if dense {
+		sc.denseState(s.c.numEntities)
+	} else {
+		sc.sparseState()
+	}
 	p.entities = slices.Grow(p.entities[:0], m)
 	p.postBuf = slices.Grow(p.postBuf[:0], total)[:total]
 	p.next = slices.Grow(p.next[:0], m)[:m]
@@ -77,7 +89,7 @@ func (s *Subset) Project(sc *Scratch) *Subset {
 	// Local sets in member order: elements mapped to local IDs (still
 	// ascending), postings appended in local set order (so sorted), and the
 	// members' keys XORed into the root's.
-	n, numSets := s.size, len(s.c.sets)
+	n := s.size
 	p.sets, p.keys = p.sets[:0], p.keys[:0]
 	p.setBuf = slices.Grow(p.setBuf[:0], n)[:n]
 	p.elemBuf = slices.Grow(p.elemBuf[:0], total)[:total]
@@ -101,7 +113,7 @@ func (s *Subset) Project(sc *Scratch) *Subset {
 		}
 		p.setBuf[local] = Set{Index: local, Name: gs.Name, Elems: elems}
 		v.sets[local] = &p.setBuf[local]
-		k := setKey(i, numSets)
+		k := s.c.key(i)
 		p.sets = append(p.sets, uint32(i))
 		p.keys = append(p.keys, k)
 		key = key.xor(k)
@@ -127,13 +139,25 @@ func (s *Subset) Project(sc *Scratch) *Subset {
 }
 
 // GlobalEntity maps entity e of the subset's collection to its ID in the
-// collection the subset was projected from. On a subset that is not a view
-// it returns e.
+// collection the subset was projected from: one level up, so on a subset
+// of a nested view, to the ID in the view it was projected from. On a
+// subset that is not a view it returns e.
 func (s *Subset) GlobalEntity(e Entity) Entity {
 	if p := s.c.view; p != nil {
 		return p.entities[e]
 	}
 	return e
+}
+
+// GlobalSet maps set index i of the subset's collection to the set it
+// stands for in the collection the subset was projected from, one level up
+// as GlobalEntity maps entities. On a subset that is not a view it returns
+// set i.
+func (s *Subset) GlobalSet(i int) *Set {
+	if p := s.c.view; p != nil {
+		return p.from.sets[p.sets[i]]
+	}
+	return s.c.sets[i]
 }
 
 // XORFingerprint returns the XOR of the fixed 128-bit keys of the
@@ -156,6 +180,15 @@ func (s *Subset) XORFingerprint() Fingerprint {
 		return true
 	})
 	return key
+}
+
+// key returns the fixed key of set i of c: its setKey, or on a view the
+// key of the global set it stands for.
+func (c *Collection) key(i int) Fingerprint {
+	if p := c.view; p != nil {
+		return p.keys[i]
+	}
+	return setKey(i, len(c.sets))
 }
 
 // viewKey returns the XOR key of members, a bitset over the sets of c: the

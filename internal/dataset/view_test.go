@@ -1,6 +1,8 @@
 package dataset_test
 
 import (
+	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -65,17 +67,69 @@ func globalCounts(view *dataset.Subset, ecs []dataset.EntityCount) []dataset.Ent
 	return out
 }
 
+// nestedInput returns the input of a nested projection: a random subset
+// of base projected onto outerSc (outer; Release it when done), and in, a
+// subset of that view — its root at trial 0, whose counts are read from
+// its posting lists, a random subset of it otherwise — together with
+// global, the subset of base's collection that in stands for.
+func nestedInput(r *rng.RNG, base *dataset.Subset, outerSc *dataset.Scratch, trial int) (in, outer, global *dataset.Subset) {
+	outer = randomSubset(r, base).Project(outerSc)
+	in = outer
+	if trial > 0 {
+		in = randomSubset(r, outer)
+	}
+	globalOf := dataset.GlobalMembers(outer)
+	var members []uint32
+	for _, i := range in.Members() {
+		members = append(members, globalOf[i])
+	}
+	return in, outer, base.Collection().SubsetOf(members)
+}
+
+// sameNestedView requires nested, the projection of a subset of view
+// outer, to equal direct, the projection of the global subset it stands
+// for: the same sets, mapped through GlobalSet at both levels, and the
+// same local elements; the same entities, mapped through GlobalEntity at
+// both levels; and the same key.
+func sameNestedView(t *testing.T, what string, nested, outer, direct *dataset.Subset) {
+	t.Helper()
+	nc, dc := nested.Collection(), direct.Collection()
+	if nc.Len() != dc.Len() || nc.NumEntities() != dc.NumEntities() {
+		t.Fatalf("%s: nested view has %d sets and %d entities, direct %d and %d",
+			what, nc.Len(), nc.NumEntities(), dc.Len(), dc.NumEntities())
+	}
+	for i, set := range nc.Sets() {
+		if got, want := outer.GlobalSet(nested.GlobalSet(i).Index), direct.GlobalSet(i); got != want {
+			t.Fatalf("%s: nested set %d maps to %q, direct to %q", what, i, got.Name, want.Name)
+		}
+		if !slices.Equal(set.Elems, dc.Set(i).Elems) {
+			t.Fatalf("%s: nested set %d = %v, direct %v", what, i, set.Elems, dc.Set(i).Elems)
+		}
+	}
+	for l := range dataset.Entity(nc.NumEntities()) {
+		if got, want := outer.GlobalEntity(nested.GlobalEntity(l)), direct.GlobalEntity(l); got != want {
+			t.Fatalf("%s: nested entity %d maps to %d, direct to %d", what, l, got, want)
+		}
+	}
+	if nested.XORFingerprint() != direct.XORFingerprint() {
+		t.Fatalf("%s: nested view's key differs from the direct one's", what)
+	}
+}
+
 // TestProjectInformativeMatchesNaive: a view's sets are its root's members
 // in order, with their elements renumbered but still sorted, and its
 // informative entities, mapped back, are the naive counter's over the
-// global subset, in the same order — on both counting paths.
+// global subset, in the same order — on both counting paths. A subset of a
+// view, projected again, must equal the direct projection of the global
+// subset it stands for, informative entities included; its first trial
+// projects a view's root onto a scratch that has counted nothing yet.
 func TestProjectInformativeMatchesNaive(t *testing.T) {
 	for name, base := range viewFixtures(t) {
 		for _, threshold := range []int{1 << 21, 0} {
 			func() {
 				defer dataset.SetDenseThresholdForTest(threshold)()
-				r := rng.New(7)
-				sc := dataset.NewScratch()
+				r, nr := rng.New(7), rng.New(8)
+				sc, outerSc, nestedSc := dataset.NewScratch(), dataset.NewScratch(), dataset.NewScratch()
 				for trial := range 20 {
 					sub := randomSubset(r, base)
 					view := sub.Project(sc)
@@ -89,7 +143,8 @@ func TestProjectInformativeMatchesNaive(t *testing.T) {
 						for j, e := range set.Elems {
 							got[j] = view.GlobalEntity(e)
 						}
-						if set.Index != i || !slices.IsSorted(set.Elems) || !slices.Equal(got, want) {
+						if set.Index != i || !slices.IsSorted(set.Elems) || !slices.Equal(got, want) ||
+							view.GlobalSet(i) != sub.Collection().Set(int(global[i])) {
 							t.Fatalf("%s trial %d: local set %d (index %d) = %v, maps to %v, want %v",
 								name, trial, i, set.Index, set.Elems, got, want)
 						}
@@ -100,6 +155,22 @@ func TestProjectInformativeMatchesNaive(t *testing.T) {
 							name, threshold, trial, got, want)
 					}
 					view.Release()
+
+					in, outer, gsub := nestedInput(nr, base, outerSc, trial)
+					nested, direct := in.Project(nestedSc), gsub.Project(sc)
+					what := fmt.Sprintf("%s threshold %d trial %d", name, threshold, trial)
+					sameNestedView(t, what, nested, outer, direct)
+					nestedList := nested.InformativeEntitiesInto(nestedSc)
+					if want := direct.InformativeEntitiesInto(sc); !slices.Equal(nestedList, want) {
+						t.Fatalf("%s: nested view's informative entities differ from the direct view's\ngot  %v\nwant %v",
+							what, nestedList, want)
+					}
+					if got, want := globalCounts(outer, globalCounts(nested, nestedList)), dataset.NaiveInformative(gsub); !slices.Equal(got, want) {
+						t.Fatalf("%s: nested view's informative entities differ from the global subset's", what)
+					}
+					for _, s := range []*dataset.Subset{nested, direct, outer} {
+						s.Release()
+					}
 				}
 			}()
 		}
@@ -109,11 +180,13 @@ func TestProjectInformativeMatchesNaive(t *testing.T) {
 // TestProjectPartitionMatchesGlobal walks random paths down views:
 // PartitionScratch on a view, mapped back, must hold the members Partition
 // gives on the global subset, and the halves' keys must XOR to their
-// parent's and equal the XOR fingerprint of the global halves.
+// parent's and equal the XOR fingerprint of the global halves. A nested
+// view, walked beside the direct view of the same global subset, must
+// split into the same local members under the same keys.
 func TestProjectPartitionMatchesGlobal(t *testing.T) {
 	for name, base := range viewFixtures(t) {
 		r := rng.New(11)
-		sc := dataset.NewScratch()
+		sc, outerSc, nestedSc := dataset.NewScratch(), dataset.NewScratch(), dataset.NewScratch()
 		for trial := range 20 {
 			global := randomSubset(r, base)
 			view := global.Project(sc)
@@ -148,8 +221,37 @@ func TestProjectPartitionMatchesGlobal(t *testing.T) {
 			}
 			view.Release()
 		}
-		if out := sc.Pool().Stats().Outstanding(); out != 0 {
-			t.Fatalf("%s: %d pooled bitsets outstanding after releasing every view subset", name, out)
+		for trial := range 20 {
+			in, outer, gsub := nestedInput(r, base, outerSc, trial)
+			nested, direct := in.Project(nestedSc), gsub.Project(sc)
+			what := fmt.Sprintf("%s trial %d", name, trial)
+			sameNestedView(t, what, nested, outer, direct)
+			held := []*dataset.Subset{nested, direct, outer}
+			for n, d := nested, direct; n.Size() >= 2; {
+				infos := n.InformativeEntitiesInto(nestedSc)
+				l := infos[r.Intn(len(infos))].Entity
+				nWith, nWithout := n.PartitionScratch(l, nestedSc)
+				dWith, dWithout := d.PartitionScratch(l, sc)
+				held = append(held, nWith, nWithout, dWith, dWithout)
+				if !slices.Equal(nWith.Members(), dWith.Members()) || !slices.Equal(nWithout.Members(), dWithout.Members()) {
+					t.Fatalf("%s: nested view's partition by %d differs from the direct view's", what, l)
+				}
+				if nWith.XORFingerprint() != dWith.XORFingerprint() || nWithout.XORFingerprint() != dWithout.XORFingerprint() {
+					t.Fatalf("%s: a nested half's key differs from the direct half's", what)
+				}
+				n, d = nWith, dWith
+				if r.Intn(2) == 0 {
+					n, d = nWithout, dWithout
+				}
+			}
+			for _, s := range held {
+				s.Release()
+			}
+		}
+		for _, sc := range []*dataset.Scratch{sc, outerSc, nestedSc} {
+			if out := sc.Pool().Stats().Outstanding(); out != 0 {
+				t.Fatalf("%s: %d pooled bitsets outstanding after releasing every view subset", name, out)
+			}
 		}
 	}
 }
@@ -282,19 +384,25 @@ func local(t *testing.T, view *dataset.Subset, sc *dataset.Scratch, e dataset.En
 
 // TestProjectFingerprintPanics: a view's bitset is local, so Fingerprint
 // must refuse it rather than return a key two views could share for
-// different sets; Project refuses a view too.
+// different sets. Projecting a subset of a view onto the scratch that holds
+// the view must be refused too: it would rebuild the view while reading it.
+// A refusal is a deliberate panic, not a runtime error such as the index
+// out of range the rebuild runs into.
 func TestProjectFingerprintPanics(t *testing.T) {
 	sc := dataset.NewScratch()
 	view := testutil.PaperCollection().All().Project(sc)
 	defer view.Release()
 	for name, f := range map[string]func(){
-		"Fingerprint": func() { view.Fingerprint() },
-		"Project":     func() { view.Project(dataset.NewScratch()) },
+		"Fingerprint of a view":                         func() { view.Fingerprint() },
+		"Project of a view onto the scratch holding it": func() { view.Project(sc) },
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s of a projected subset did not panic", name)
+				switch r := recover(); r.(type) {
+				case nil:
+					t.Errorf("%s did not panic", name)
+				case runtime.Error:
+					t.Errorf("%s failed with %v instead of refusing", name, r)
 				}
 			}()
 			f()
@@ -303,24 +411,35 @@ func TestProjectFingerprintPanics(t *testing.T) {
 }
 
 // TestProjectWarmAllocs: with warm buffers, projecting a root, counting
-// and splitting its view, and releasing everything allocate nothing.
+// and splitting its view, and releasing everything allocate nothing — for
+// a root of the collection, and for a view's root and a random subset of a
+// view projected again.
 func TestProjectWarmAllocs(t *testing.T) {
 	for name, base := range viewFixtures(t) {
-		sc := dataset.NewScratch()
-		run := func() {
-			view := base.Project(sc)
-			e := view.InformativeEntitiesInto(sc)[0].Entity
-			with, without := view.PartitionScratch(e, sc)
-			with.Release()
-			without.Release()
-			view.Release()
+		r := rng.New(17)
+		outerSc := dataset.NewScratch()
+		outer := base.Project(outerSc)
+		for _, in := range []struct {
+			what string
+			sub  *dataset.Subset
+		}{{"collection", base}, {"view root", outer}, {"view subset", randomSubset(r, outer)}} {
+			sc := dataset.NewScratch()
+			run := func() {
+				view := in.sub.Project(sc)
+				e := view.InformativeEntitiesInto(sc)[0].Entity
+				with, without := view.PartitionScratch(e, sc)
+				with.Release()
+				without.Release()
+				view.Release()
+			}
+			run()
+			if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+				t.Fatalf("%s %s: warm Project: %.1f allocs/op, want 0", name, in.what, allocs)
+			}
+			if out := sc.Pool().Stats().Outstanding(); out != 0 {
+				t.Fatalf("%s %s: %d pooled bitsets outstanding", name, in.what, out)
+			}
 		}
-		run()
-		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
-			t.Fatalf("%s: warm Project: %.1f allocs/op, want 0", name, allocs)
-		}
-		if out := sc.Pool().Stats().Outstanding(); out != 0 {
-			t.Fatalf("%s: %d pooled bitsets outstanding", name, out)
-		}
+		outer.Release()
 	}
 }

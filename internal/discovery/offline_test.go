@@ -1,12 +1,15 @@
 package discovery
 
 import (
+	"reflect"
 	"testing"
 
 	"setdiscovery/internal/cost"
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/strategy"
 	"setdiscovery/internal/testutil"
+	"setdiscovery/internal/tree"
+	"setdiscovery/internal/webtables"
 )
 
 func TestFollowTreeFindsEveryTarget(t *testing.T) {
@@ -71,5 +74,64 @@ func TestFollowTreeUnknownStopsWithSubtree(t *testing.T) {
 	// All 7 sets remain candidates: the root subtree covers everything.
 	if res.Candidates.Size() != 7 {
 		t.Errorf("candidates = %d, want 7", res.Candidates.Size())
+	}
+}
+
+// TestKLPSharedBuildAndSession: tree.Build selects every node on a view of
+// its sub-collection, and a session selects on subsets of the collection,
+// but both key the lookahead cache by the global member sets, so one
+// factory serves both. After a build over a web-tables seed
+// sub-collection, a sibling's Select of the same root is answered by the
+// entry the build's root selection left, without a miss, and picks what a
+// fresh factory picks. Sessions from the same seed, whose every candidate
+// set is a node of the tree, ask a fresh factory's questions, and every one
+// of their selections is a cache hit.
+func TestKLPSharedBuildAndSession(t *testing.T) {
+	p := webtables.DefaultParams()
+	p.NumSets = 2000
+	c, err := webtables.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := webtables.SeedQueries(c, 60, 8, 1)
+	if len(qs) == 0 {
+		t.Fatal("no seed query")
+	}
+	seed := []dataset.Entity{qs[0].A, qs[0].B}
+	sub := c.SupersetsOf(seed)
+	for _, m := range []cost.Metric{cost.AD, cost.H} {
+		f := strategy.NewKLP(m, 2)
+		if _, err := tree.Build(sub, f, tree.WithParallelism(2)); err != nil {
+			t.Fatal(err)
+		}
+		before := f.CacheStats()
+		got, gotOK := f.New().Select(sub)
+		want, wantOK := strategy.NewKLP(m, 2).New().Select(sub)
+		after := f.CacheStats()
+		if got != want || gotOK != wantOK {
+			t.Fatalf("metric %v: after the build the factory picks (%d,%v), a fresh one (%d,%v)", m, got, gotOK, want, wantOK)
+		}
+		if after.Hits <= before.Hits || after.Misses != before.Misses {
+			t.Fatalf("metric %v: selecting the built root took %d hits and %d misses; want a hit and no miss",
+				m, after.Hits-before.Hits, after.Misses-before.Misses)
+		}
+		members := sub.Members()
+		for i := 0; i < len(members); i += len(members)/8 + 1 {
+			target := c.Set(int(members[i]))
+			shared, err := Run(c, seed, TargetOracle{Target: target}, Options{Strategy: f.New()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Run(c, seed, TargetOracle{Target: target}, Options{Strategy: strategy.NewKLP(m, 2).New()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shared.Target != target || !reflect.DeepEqual(shared.Asked, fresh.Asked) {
+				t.Fatalf("metric %v target %s: the build's factory asks %v, a fresh one %v", m, target.Name, shared.Asked, fresh.Asked)
+			}
+		}
+		if misses := f.CacheStats().Misses - after.Misses; misses != 0 {
+			t.Fatalf("metric %v: sessions over the built tree's nodes missed the cache %d times", m, misses)
+		}
 	}
 }

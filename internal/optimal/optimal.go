@@ -17,9 +17,12 @@ import (
 // an optimal decision tree for the sub-collection under the configured
 // metric. Building a tree with it (tree.Build) yields an optimal tree.
 //
-// The DP memo is a concurrency-safe fingerprint cache and the value carries
-// no other mutable state, so a Strategy doubles as its own strategy.Factory:
-// the workers of a parallel build share the instance and its memo.
+// The DP memo is a concurrency-safe cache keyed by XORFingerprint, which
+// names the global member sets whether sub is a global subset or a subset
+// of a view (tree.Build selects on its view), so one memo serves both. The
+// value carries no other mutable state, so a Strategy doubles as its own
+// strategy.Factory: the workers of a parallel build share the instance and
+// its memo.
 type Strategy struct {
 	metric cost.Metric
 	memo   *cache.Cache[cost.Value]
@@ -54,7 +57,7 @@ func (s *Strategy) Cost(sub *dataset.Subset) cost.Value {
 	if n <= 1 {
 		return 0
 	}
-	fp := sub.Fingerprint()
+	fp := sub.XORFingerprint()
 	key := cache.Key{Hi: fp.Hi, Lo: fp.Lo}
 	if v, ok := s.memo.Get(key); ok {
 		return v
@@ -65,9 +68,9 @@ func (s *Strategy) Cost(sub *dataset.Subset) cost.Value {
 }
 
 // best evaluates every distinct partition of sub and returns an argmin
-// entity with the optimal scaled cost. Entities inducing the same partition
-// are deduplicated by the with-branch membership key, which is sound: the
-// cost depends only on the induced partition.
+// entity, numbered in sub's collection, with the optimal scaled cost.
+// Entities inducing the same partition are deduplicated by the with-branch
+// XOR key, which is sound: the cost depends only on the induced partition.
 func (s *Strategy) best(sub *dataset.Subset) (dataset.Entity, cost.Value) {
 	infos := sub.InformativeEntities()
 	var (
@@ -77,7 +80,7 @@ func (s *Strategy) best(sub *dataset.Subset) (dataset.Entity, cost.Value) {
 	)
 	for _, ec := range infos {
 		with, without := sub.Partition(ec.Entity)
-		pk := with.Fingerprint()
+		pk := with.XORFingerprint()
 		if seen[pk] {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"setdiscovery/internal/cost"
+	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/rng"
 	"setdiscovery/internal/strategy"
 	"setdiscovery/internal/testutil"
@@ -20,19 +21,25 @@ func TestOptimalCostPaperCollection(t *testing.T) {
 	}
 }
 
+// TestOptimalTreeBuild builds optimal trees over the paper's collection and
+// over every other set of it. tree.Build selects on a view of each, whose
+// local numbering differs from the collection's for the second, and the
+// optimum is then computed on the global subset through the same memo.
 func TestOptimalTreeBuild(t *testing.T) {
 	c := testutil.PaperCollection()
-	for _, m := range []cost.Metric{cost.AD, cost.H} {
-		s := New(m)
-		tr, err := tree.Build(c.All(), s)
-		if err != nil {
-			t.Fatalf("metric %v: %v", m, err)
-		}
-		if err := tr.Validate(c.All()); err != nil {
-			t.Fatalf("metric %v: %v", m, err)
-		}
-		if got, want := tr.ScaledCost(m), s.Cost(c.All()); got != want {
-			t.Errorf("metric %v: built tree cost %d, DP optimum %d", m, got, want)
+	for _, sub := range []*dataset.Subset{c.All(), c.SubsetOf([]uint32{0, 2, 4, 6})} {
+		for _, m := range []cost.Metric{cost.AD, cost.H} {
+			s := New(m)
+			tr, err := tree.Build(sub, s)
+			if err != nil {
+				t.Fatalf("%d sets metric %v: %v", sub.Size(), m, err)
+			}
+			if err := tr.Validate(sub); err != nil {
+				t.Fatalf("%d sets metric %v: %v", sub.Size(), m, err)
+			}
+			if got, want := tr.ScaledCost(m), s.Cost(sub); got != want {
+				t.Errorf("%d sets metric %v: built tree cost %d, DP optimum %d", sub.Size(), m, got, want)
+			}
 		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 // Excluder is implemented by strategies that can avoid proposing specific
 // entities. Interactive discovery uses it for §6's "don't know" answers:
 // the same sub-collection is re-queried with the unsure entities excluded.
+// As with Select, sub may be a subset of a view: the excluded entities and
+// the entity returned are numbered in sub.Collection().
 type Excluder interface {
 	Strategy
 	// SelectExcluding behaves like Select but never returns an entity in

@@ -88,7 +88,8 @@ func (g *GainK) Name() string {
 // Select implements Strategy. Like k-LP it runs on the compact view of
 // sub, in the same candidate order and counting each node at most once,
 // so that Figs 4a/4b compare the two algorithms rather than two
-// implementations; exclusions are checked by global entity ID.
+// implementations; exclusions are checked by entity ID in sub's
+// collection.
 func (g *GainK) Select(sub *dataset.Subset) (dataset.Entity, bool) {
 	if sub.Size() <= 1 {
 		return 0, false

@@ -172,8 +172,8 @@ func (s *KLP) LowerBound(sub *dataset.Subset) (dataset.Entity, cost.Value, bool)
 
 // searchRoot runs Algorithm 1 from the root sub (≥ 2 member sets) on its
 // compact view, so that every node of the lookahead costs what its own sets
-// do, whatever the collection's size, and maps the pick back to its global
-// entity ID.
+// do, whatever the collection's size, and maps the pick back to its entity
+// ID in sub's collection (one level up, when sub is itself a view's).
 func (s *KLP) searchRoot(sub *dataset.Subset) (dataset.Entity, cost.Value, bool) {
 	root := s.scratch.project(sub)
 	e, val, found := s.search(root, nil, s.k, cost.Inf, 0)

@@ -113,9 +113,10 @@ func (w *workerScratch) listAt(depth int, sub, sibling *dataset.Subset) []datase
 	return l.list
 }
 
-// dropExcluded returns the entities of list, a list of view, whose global
-// IDs are not in excluded, in list's order. It writes them to a buffer of
-// its own, so list stays whole.
+// dropExcluded returns the entities of list, a list of view, whose IDs one
+// level up, in the collection view was projected from, are not in excluded,
+// in list's order. It writes them to a buffer of its own, so list stays
+// whole.
 func (w *workerScratch) dropExcluded(list []dataset.EntityCount, view *dataset.Subset, excluded map[dataset.Entity]bool) []dataset.EntityCount {
 	kept := w.kept[:0]
 	for _, ec := range list {

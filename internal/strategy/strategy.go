@@ -23,6 +23,11 @@ import (
 // or every entity is present in all or none of the member sets — impossible
 // for >1 unique sets).
 //
+// sub may be a subset of a compact view (dataset.Subset.Project): tree.Build
+// selects every node on the view it projects its sub-collection onto. The
+// entity returned is numbered in sub.Collection(), which for a view is the
+// view's local numbering; the caller maps it back (Subset.GlobalEntity).
+//
 // A Strategy instance is a single-worker object: it may carry per-call
 // scratch state (exclusion sets, instrumentation) and must not be shared by
 // concurrent goroutines. Concurrent workers each obtain their own instance

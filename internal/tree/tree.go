@@ -67,6 +67,16 @@ func withSharedPool(p *bitset.Pool) BuildOption {
 // (which cannot happen for collections of unique sets) or if a proposed
 // entity does not split the sub-collection.
 //
+// Build projects sub once onto a compact view (dataset.Subset.Project),
+// builds the whole tree on it and releases it when it returns: every
+// split walks the view's posting lists over ⌈n/64⌉-word bitsets, and
+// every Select receives a subset of the view, so a strategy that projects
+// its root projects it from the view's few local IDs rather than from the
+// collection. The view costs O(elements of sub) for the length of the
+// build, a whole-collection build included. The tree itself holds global
+// entities and sets: each node's pick and each leaf are mapped back to sub's
+// collection.
+//
 // By default the Yes/No recursion fans out over a pool of GOMAXPROCS
 // workers (bound it with WithParallelism). The output is deterministic —
 // byte-identical to the sequential build — because each node's selection
@@ -100,7 +110,12 @@ func Build(sub *dataset.Subset, f strategy.Factory, opts ...BuildOption) (*Tree,
 	if b.pool == nil {
 		b.pool = bitset.NewPool()
 	}
-	root, err := b.build(sub, f.New(), dataset.NewScratchWithPool(b.pool))
+	// The calling goroutine's scratch holds the view; its partitions do not
+	// touch it, and the workers only read it.
+	sc := dataset.NewScratchWithPool(b.pool)
+	view := sub.Project(sc)
+	root, err := b.build(view, f.New(), sc)
+	view.Release()
 	if err != nil {
 		return nil, err
 	}
@@ -153,16 +168,17 @@ func (b *builder) putCtx(ctx *workerCtx) {
 	b.ctxMu.Unlock()
 }
 
-// build constructs the subtree for sub. sel and sc are owned by the calling
-// goroutine; when a branch is forked off, the new goroutine mints its own
-// sibling strategy from the factory and its own scratch over the shared
-// pool. sub is owned by the caller; the two partition subsets created here
-// are released once both children are materialised, so steady-state
-// construction reuses a depth-bounded set of bitsets.
+// build constructs the subtree for sub, a subset of the build's view. sel
+// and sc are owned by the calling goroutine; when a branch is forked off,
+// the new goroutine mints its own sibling strategy from the factory and its
+// own scratch over the shared pool. sub is owned by the caller; the two
+// partition subsets created here are released once both children are
+// materialised, so steady-state construction reuses a depth-bounded set of
+// bitsets. Nodes store the global entity and leaves the global set.
 func (b *builder) build(sub *dataset.Subset, sel strategy.Strategy, sc *dataset.Scratch) (*Node, error) {
 	// Lines 1–3: a singleton collection is a leaf.
 	if sub.Size() == 1 {
-		return &Node{Set: sub.Single()}, nil
+		return &Node{Set: sub.GlobalSet(sub.Single().Index)}, nil
 	}
 	// Line 5: pick the question.
 	e, ok := sel.Select(sub)
@@ -176,8 +192,9 @@ func (b *builder) build(sub *dataset.Subset, sel strategy.Strategy, sc *dataset.
 		with.Release()
 		without.Release()
 		return nil, fmt.Errorf("tree: strategy %s proposed non-splitting entity %d",
-			sel.Name(), e)
+			sel.Name(), sub.GlobalEntity(e))
 	}
+	e = sub.GlobalEntity(e)
 	// Lines 8–10: recurse. If a worker token is free, the Yes branch runs on
 	// its own goroutine while this one continues with the No branch;
 	// otherwise both run inline. The fork-join is structured — the parent
