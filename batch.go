@@ -113,20 +113,7 @@ func (b *Batch) member(i int) *discovery.Session {
 // Question returns member i's pending question; done is true once that
 // member has finished. Like Session.Next it is idempotent. It panics when
 // i is out of range, as do the other read accessors.
-func (b *Batch) Question(i int) (Question, bool) {
-	m := b.member(i)
-	if set, ok := m.PendingConfirm(); ok {
-		return Question{Confirm: set.Name}, false
-	}
-	if members, sem, ok := m.PendingSubset(); ok {
-		return subsetQuestion(b.c.c, members, sem), false
-	}
-	e, done := m.Next()
-	if done {
-		return Question{}, true
-	}
-	return Question{Entity: b.c.c.EntityName(e)}, false
-}
+func (b *Batch) Question(i int) (Question, bool) { return b.c.question(b.member(i)) }
 
 // MemberDone reports whether member i has finished.
 func (b *Batch) MemberDone(i int) bool { return b.member(i).Done() }

@@ -139,24 +139,8 @@ func BenchmarkGainKMemo(b *testing.B) {
 	})
 }
 
-// BenchmarkMemoKey measures the legacy canonical subset-key encoding the
-// Algorithm 1 cache used before fingerprints (kept as the baseline the
-// fingerprint win is measured against; see BenchmarkFingerprint).
-func BenchmarkMemoKey(b *testing.B) {
-	c := benchCollection(b)
-	sub := c.All()
-	var buf []byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = sub.Key(buf[:0])
-	}
-	_ = buf
-}
-
 // BenchmarkFingerprint measures the 128-bit subset fingerprint that keys the
-// concurrency-safe selection caches — compare ns/op and allocs/op against
-// BenchmarkMemoKey (string keys additionally pay a map-key string copy per
-// store, which this micro pair does not even charge).
+// concurrency-safe selection caches.
 func BenchmarkFingerprint(b *testing.B) {
 	c := benchCollection(b)
 	sub := c.All()
@@ -488,7 +472,7 @@ func BenchmarkSharedSelection(b *testing.B) {
 			var selcomp float64
 			for i := 0; i < b.N; i++ {
 				if v.shared {
-					memo := discovery.NewSelectionMemo(discovery.DefaultMemoBound)
+					memo := discovery.NewSelectionMemo(0)
 					run(b, memo, v.targets)
 					selcomp = float64(memo.Stats().Computed)
 				} else {

@@ -3,6 +3,7 @@ package setdiscovery
 import (
 	"testing"
 
+	"setdiscovery/internal/cache"
 	"setdiscovery/internal/strategy"
 )
 
@@ -37,8 +38,9 @@ func TestWithCacheBoundSameResults(t *testing.T) {
 }
 
 // TestWithCacheBoundFactoryKeying: the bound is part of the factory cache
-// key — bounded and unbounded configurations must not share a factory, and
-// equal bounds must.
+// key — configurations with different bounds must not share a factory, and
+// equal bounds must. Every spelling of the default bound (none, n ≤ 0, and
+// cache.DefaultBound itself) is one bound.
 func TestWithCacheBoundFactoryKeying(t *testing.T) {
 	c := paperCollection(t)
 	get := func(opts ...Option) strategy.Factory {
@@ -52,16 +54,18 @@ func TestWithCacheBoundFactoryKeying(t *testing.T) {
 		}
 		return f
 	}
-	unbounded := get()
+	def := get()
 	bounded := get(WithCacheBound(128))
-	if unbounded == bounded {
-		t.Fatal("bounded and unbounded configs share one factory")
+	if def == bounded {
+		t.Fatal("configs with different bounds share one factory")
 	}
 	if again := get(WithCacheBound(128)); again != bounded {
 		t.Fatal("equal bounded configs do not share a factory")
 	}
-	if again := get(); again != unbounded {
-		t.Fatal("equal unbounded configs do not share a factory")
+	for _, n := range []int{0, -1, cache.DefaultBound} {
+		if again := get(WithCacheBound(n)); again != def {
+			t.Fatalf("WithCacheBound(%d) does not share the default factory", n)
+		}
 	}
 	klp, ok := bounded.(*strategy.KLP)
 	if !ok {

@@ -124,7 +124,7 @@ func main() {
 		q            = flag.Int("q", 10, "candidate entities per step (klple/klplve)")
 		metricName   = flag.String("metric", "ad", "cost metric for -prebuild trees: ad or h")
 		parallel     = flag.Int("parallel", 0, "tree construction workers (0 = GOMAXPROCS)")
-		cacheBound   = flag.Int("cache-bound", 1<<20, "max entries per lookahead cache and per selection memo; a full cache shard evicts an arbitrary entry (0 = unbounded lookahead caches, 1048576-entry memo)")
+		cacheBound   = flag.Int("cache-bound", 1<<20, "max entries per lookahead cache and per selection memo; a full cache shard evicts an arbitrary entry (0 or less = the default, 1048576)")
 		cachePersist = flag.String("cache-persist", "", "directory for persisted selection-cache shards (written on shutdown, loaded at startup)")
 
 		routerPersist  = flag.String("router-persist", "", "router mode: append-only log persisting the backend set and affinity table across restarts")
@@ -174,13 +174,11 @@ func main() {
 		server.WithMaxSessions(*maxSessions),
 		server.WithMaxBatchMembers(*maxBatch),
 		server.WithLogf(logger.Printf),
-	}
-	if *cacheBound > 0 {
 		// Bound every session's shared lookahead cache and the selection
 		// memo so a long-running daemon's memory stays flat no matter how
 		// many distinct sub-collections its users explore; evictions only
 		// recompute.
-		srvOpts = append(srvOpts, server.WithSessionOptions(setdiscovery.WithCacheBound(*cacheBound)))
+		server.WithSessionOptions(setdiscovery.WithCacheBound(*cacheBound)),
 	}
 	if *cachePersist != "" {
 		srvOpts = append(srvOpts, server.WithCachePersist(*cachePersist))
@@ -197,9 +195,7 @@ func main() {
 		setdiscovery.WithQ(*q),
 		setdiscovery.WithMetric(metric),
 		setdiscovery.WithParallelism(*parallel),
-	}
-	if *cacheBound > 0 {
-		buildOpts = append(buildOpts, setdiscovery.WithCacheBound(*cacheBound))
+		setdiscovery.WithCacheBound(*cacheBound),
 	}
 
 	for _, spec := range collections {

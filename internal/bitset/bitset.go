@@ -261,27 +261,3 @@ func (b *Bits) String() string {
 	sb.WriteByte('}')
 	return sb.String()
 }
-
-// AppendKey appends a canonical binary encoding of the set bits (delta
-// varint) to dst and returns the extended slice. Two bitsets of the same
-// capacity receive equal keys iff they are Equal; the encoding is also
-// prefix-free against other keys produced by this function because it starts
-// with the varint count.
-func (b *Bits) AppendKey(dst []byte) []byte {
-	dst = appendUvarint(dst, uint64(b.Count()))
-	prev := uint64(0)
-	b.ForEach(func(i int) bool {
-		dst = appendUvarint(dst, uint64(i)-prev)
-		prev = uint64(i)
-		return true
-	})
-	return dst
-}
-
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}

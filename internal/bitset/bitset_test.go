@@ -185,21 +185,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestAppendKeyUniqueness(t *testing.T) {
-	a := FromSlice(128, []uint32{0, 5, 127})
-	b := FromSlice(128, []uint32{0, 5, 126})
-	c := FromSlice(128, []uint32{0, 5, 127})
-	ka := string(a.AppendKey(nil))
-	kb := string(b.AppendKey(nil))
-	kc := string(c.AppendKey(nil))
-	if ka == kb {
-		t.Error("different bitsets produced identical keys")
-	}
-	if ka != kc {
-		t.Error("equal bitsets produced different keys")
-	}
-}
-
 func TestTrimKeepsFullWithinCapacity(t *testing.T) {
 	b := NewFull(65)
 	if b.Count() != 65 {
@@ -271,19 +256,6 @@ func TestQuickSliceRoundTrip(t *testing.T) {
 		ps := positionsFrom(raw, n)
 		b := FromSlice(n, ps)
 		return FromSlice(n, b.Slice()).Equal(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickKeyInjective(t *testing.T) {
-	const n = 200
-	f := func(rawA, rawB []uint16) bool {
-		a := FromSlice(n, positionsFrom(rawA, n))
-		b := FromSlice(n, positionsFrom(rawB, n))
-		ka, kb := string(a.AppendKey(nil)), string(b.AppendKey(nil))
-		return (ka == kb) == a.Equal(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

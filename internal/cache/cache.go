@@ -17,15 +17,14 @@
 // atomics and aggregated by Stats, giving builds and benchmarks a hit-rate
 // signal without extra locking.
 //
-// Every shard is one map with an entry limit. Without a bound the limit is
-// never reached — right for one build or experiment. With one (servers keep
-// their factory caches forever), a Put of a new key into a full shard first
-// deletes an arbitrary entry of that shard: evicted entries are recomputed
-// on the next miss, never wrong.
+// Every cache is bounded, by the bound given to New or else by
+// DefaultBound, and every shard is one map with its share of that bound as
+// an entry limit. A Put of a new key into a full shard first deletes an
+// arbitrary entry of that shard: evicted entries are recomputed on the next
+// miss, never wrong.
 package cache
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -43,6 +42,12 @@ const (
 	shardCount = 1 << shardBits // 64 shards
 )
 
+// DefaultBound is the entry bound of a cache constructed with bound ≤ 0,
+// 16,384 entries per shard. No measured workload comes near it: the largest
+// cache measured, cmd/experiments' at its default scale, held 131,138
+// entries.
+const DefaultBound = 1 << 20
+
 // cacheLine is the assumed coherence-granule size; 64 bytes on every
 // platform this project targets.
 const cacheLine = 64
@@ -53,7 +58,7 @@ const cacheLine = 64
 type shardFields[V any] struct {
 	mu        sync.RWMutex
 	m         map[Key]V
-	limit     int // max entries; math.MaxInt for an unbounded cache
+	limit     int // max entries
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
@@ -90,17 +95,17 @@ type Cache[V any] struct {
 }
 
 // New returns an empty cache holding at most (approximately) bound entries;
-// bound ≤ 0 means no limit. The bound is distributed over the shards and
+// bound ≤ 0 means DefaultBound. The bound is distributed over the shards and
 // rounded up, so the true maximum is ceil(bound/shardCount)·shardCount.
 //
 // The bound is a ceiling, not a reservation: shards grow on demand, so a
-// generously bounded cache (setdiscd defaults to 1M entries) costs memory
-// proportional to what the workload actually caches.
+// generously bounded cache costs memory proportional to what the workload
+// actually caches.
 func New[V any](bound int) *Cache[V] {
-	limit := math.MaxInt
-	if bound > 0 {
-		limit = (bound-1)/shardCount + 1
+	if bound <= 0 {
+		bound = DefaultBound
 	}
+	limit := (bound-1)/shardCount + 1
 	c := &Cache[V]{}
 	for i := range c.shards {
 		c.shards[i].m = make(map[Key]V)

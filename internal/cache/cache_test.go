@@ -2,20 +2,19 @@ package cache
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 )
 
-// limits are the two shapes a cache takes: no limit (any bound ≤ 0), and a
-// small limit that four keys per shard fill. limit is every shard's
-// expected entry limit.
+// limits are the two shapes a cache takes: the default limit (any bound
+// ≤ 0 means DefaultBound), which no test fills, and a small limit that four
+// keys per shard fill. limit is every shard's expected entry limit.
 var limits = []struct {
 	name         string
 	bound, limit int
 }{
-	{"no-limit", 0, math.MaxInt},
-	{"negative-bound", -1, math.MaxInt},
+	{"no-limit", 0, DefaultBound / shardCount},
+	{"negative-bound", -1, DefaultBound / shardCount},
 	{"small-limit", 4 * shardCount, 4},
 }
 
@@ -105,8 +104,8 @@ func TestStatsAndReset(t *testing.T) {
 }
 
 // TestBoundedReset: Reset empties every shard and zeroes every counter,
-// evictions included, and every shard keeps its limit. Without a limit all
-// 1000 keys stay.
+// evictions included, and every shard keeps its limit. Under the default
+// limit all 1000 keys stay.
 func TestBoundedReset(t *testing.T) {
 	for _, l := range limits {
 		t.Run(l.name, func(t *testing.T) {
@@ -141,11 +140,12 @@ func checkLimits(t *testing.T, c *Cache[int], limit int) {
 }
 
 // checkHeld fails unless c accounts for all of the puts distinct keys it
-// was given: each one held or evicted, and without a limit each one held.
+// was given: each one held or evicted, and each one held when the limit
+// leaves room for all of them in one shard.
 func checkHeld(t *testing.T, c *Cache[int], limit, puts int) {
 	t.Helper()
 	st := c.Stats()
-	if limit == math.MaxInt && (st.Entries != puts || st.Evictions != 0) {
+	if limit >= puts && (st.Entries != puts || st.Evictions != 0) {
 		t.Fatalf("Stats = %+v, want %d entries and no evictions", st, puts)
 	}
 	if st.Entries+int(st.Evictions) != puts {
@@ -272,15 +272,16 @@ func TestBoundedConcurrent(t *testing.T) {
 }
 
 // TestBoundedAllocatesLazily: the bound is a ceiling, not a reservation — a
-// generously bounded empty cache costs no more than an unbounded one
-// (setdiscd defaults to a 1M-entry bound per factory).
+// cache under the default bound or a larger one costs no more empty than a
+// one-entry-per-shard cache.
 func TestBoundedAllocatesLazily(t *testing.T) {
-	bounded := testing.AllocsPerRun(20, func() { New[[64]byte](1 << 20) })
-	unbounded := testing.AllocsPerRun(20, func() { New[[64]byte](0) })
-	if bounded > unbounded {
-		t.Fatalf("New(1<<20) makes %.0f allocations, New(0) %.0f", bounded, unbounded)
+	small := testing.AllocsPerRun(20, func() { New[[64]byte](shardCount) })
+	for _, bound := range []int{0, 1 << 24} {
+		if n := testing.AllocsPerRun(20, func() { New[[64]byte](bound) }); n > small {
+			t.Fatalf("New(%d) makes %.0f allocations, New(%d) %.0f", bound, n, shardCount, small)
+		}
 	}
-	c := New[[64]byte](1 << 20)
+	c := New[[64]byte](0)
 	c.Put(Key{Lo: 1}, [64]byte{})
 	if n := c.Stats().Entries; n != 1 {
 		t.Fatalf("Entries = %d after one Put", n)

@@ -63,12 +63,6 @@ func (s *Subset) Single() *Set {
 	return s.c.sets[s.members.Next(0)]
 }
 
-// Key appends a canonical exact encoding of the member indexes to dst;
-// equal subsets of the same collection get equal keys, with no collisions
-// ever. The selection caches key on the cheaper Fingerprint instead; Key
-// remains for callers that need an exact canonical identity.
-func (s *Subset) Key(dst []byte) []byte { return s.members.AppendKey(dst) }
-
 // EntityCount pairs an entity with the number of member sets containing it.
 type EntityCount struct {
 	Entity Entity

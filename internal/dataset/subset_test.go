@@ -142,19 +142,6 @@ func TestWithout(t *testing.T) {
 	}
 }
 
-func TestSubsetKeyInjective(t *testing.T) {
-	c := paperCollection(t)
-	a := c.SubsetOf([]uint32{0, 2, 5})
-	b := c.SubsetOf([]uint32{0, 2, 6})
-	a2 := c.SubsetOf([]uint32{5, 0, 2})
-	if string(a.Key(nil)) == string(b.Key(nil)) {
-		t.Error("different subsets share a key")
-	}
-	if string(a.Key(nil)) != string(a2.Key(nil)) {
-		t.Error("same subset produced different keys")
-	}
-}
-
 func TestForEachMemberOrder(t *testing.T) {
 	c := paperCollection(t)
 	var names []string

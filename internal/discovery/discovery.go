@@ -200,7 +200,9 @@ func (o UnsureOracle) Confirm(s *dataset.Set) bool {
 
 // Question records one asked question and its answer. A set-valued
 // (group-testing) question carries its subset and semantics and leaves
-// Entity zero; Subset == nil marks the ordinary entity kind.
+// Entity zero; Subset == nil marks the ordinary entity kind. It is the one
+// question value of a Session: the pending question, each backtracking
+// trail entry and each asked-log entry.
 type Question struct {
 	Entity    dataset.Entity
 	Subset    []dataset.Entity
@@ -208,13 +210,32 @@ type Question struct {
 	Answer    Answer
 }
 
-// sameQuestion reports whether q asks about the same entity or subset as
-// the trail entry (kind-sensitive; answers are not compared).
-func (q Question) sameQuestion(te trailEntry) bool {
-	if te.subset == nil {
-		return q.Subset == nil && q.Entity == te.entity
+// sameQuestion reports whether q and o ask about the same entity or subset
+// (kind-sensitive; answers are not compared).
+func (q Question) sameQuestion(o Question) bool {
+	if o.Subset == nil {
+		return q.Subset == nil && q.Entity == o.Entity
 	}
-	return q.Semantics == te.sem && slices.Equal(q.Subset, te.subset)
+	return q.Semantics == o.Semantics && slices.Equal(q.Subset, o.Subset)
+}
+
+// apply narrows the candidates cs by the answered question (lines 8–12)
+// through the session scratch: it partitions by the entity, or by the
+// subset under its semantics, and keeps the half q.Answer picks. The half
+// ruled out, which nothing can ever reference, is recycled on the spot.
+func (q Question) apply(cs *dataset.Subset, sc *dataset.Scratch) *dataset.Subset {
+	var yes, no *dataset.Subset
+	if q.Subset == nil {
+		yes, no = cs.PartitionScratch(q.Entity, sc)
+	} else {
+		yes, no = cs.PartitionGroupScratch(q.Subset, q.Semantics == grouptest.SubsetOfTarget, sc)
+	}
+	if q.Answer == Yes {
+		no.Release()
+		return yes
+	}
+	yes.Release()
+	return no
 }
 
 // Options configures a discovery run.
@@ -302,25 +323,13 @@ var ErrNoCandidates = errors.New("discovery: no candidate set contains the initi
 // and backtracking is disabled or exhausted.
 var ErrContradiction = errors.New("discovery: answers are inconsistent with every candidate set")
 
-// trailEntry records state needed to revisit an answer. A group-question
-// entry carries the asked subset (non-nil) and its semantics instead of an
-// entity.
+// trailEntry records state needed to revisit an answer: the candidates
+// before the question was applied, the question with the answer as applied
+// (after any flip), and whether recovery already flipped it.
 type trailEntry struct {
-	before  *dataset.Subset // candidates before the question was applied
-	entity  dataset.Entity
-	subset  []dataset.Entity // non-nil for group questions
-	sem     grouptest.Semantics
-	answer  Answer // answer as applied (after any flip)
-	flipped bool   // whether recovery already flipped this answer
-}
-
-// reapply narrows the entry's pre-partition candidates by answer a through
-// sc, dispatching on the entry's question kind.
-func (te trailEntry) reapply(a Answer, sc *dataset.Scratch) *dataset.Subset {
-	if te.subset != nil {
-		return applyGroup(te.before, te.subset, te.sem, a, sc)
-	}
-	return apply(te.before, te.entity, a, sc)
+	before *dataset.Subset
+	Question
+	flipped bool
 }
 
 // Run executes Algorithm 2: filter the collection to supersets of initial,
@@ -373,33 +382,6 @@ func Run(c *dataset.Collection, initial []dataset.Entity, o Oracle, opts Options
 		}
 	}
 	return s.Result()
-}
-
-// apply narrows the candidates by one answered question (lines 8–12)
-// through the session scratch: the partition draws pooled bitsets and the
-// half ruled out by the answer — which nothing can ever reference — is
-// recycled on the spot.
-func apply(cs *dataset.Subset, e dataset.Entity, a Answer, sc *dataset.Scratch) *dataset.Subset {
-	with, without := cs.PartitionScratch(e, sc)
-	if a == Yes {
-		without.Release()
-		return with
-	}
-	with.Release()
-	return without
-}
-
-// applyGroup narrows the candidates by one answered group question through
-// the session scratch: the yes half under the subset's semantics, or its
-// complement. Like apply, it recycles the half ruled out on the spot.
-func applyGroup(cs *dataset.Subset, members []dataset.Entity, sem grouptest.Semantics, a Answer, sc *dataset.Scratch) *dataset.Subset {
-	yes, no := cs.PartitionGroupScratch(members, sem == grouptest.SubsetOfTarget, sc)
-	if a == Yes {
-		no.Release()
-		return yes
-	}
-	yes.Release()
-	return no
 }
 
 // selectBatch picks the entities for the next interaction: the strategy's
@@ -489,17 +471,20 @@ func (s *Session) backtrack() error {
 				ErrContradiction, s.opts.MaxBacktracks)
 		}
 		res.Backtracks++
+		// Flip a copy of the entry; it replaces entry i below.
 		e := s.trail[i]
-		flippedAnswer := Yes
-		if e.answer == Yes {
-			flippedAnswer = No
+		if e.Answer == Yes {
+			e.Answer = No
+		} else {
+			e.Answer = Yes
 		}
-		cs := e.reapply(flippedAnswer, s.scratch)
+		e.flipped = true
+		cs := e.apply(e.before, s.scratch)
 		// Record the flip in the asked log so Asked reflects answers as
 		// finally used.
 		for j := len(res.Asked) - 1; j >= 0; j-- {
-			if res.Asked[j].sameQuestion(e) {
-				res.Asked[j].Answer = flippedAnswer
+			if res.Asked[j].sameQuestion(e.Question) {
+				res.Asked[j].Answer = e.Answer
 				break
 			}
 		}
@@ -510,8 +495,7 @@ func (s *Session) backtrack() error {
 		for j := i + 1; j < len(s.trail); j++ {
 			s.trail[j].before.Release()
 		}
-		s.trail = append(s.trail[:i], trailEntry{before: e.before, entity: e.entity,
-			subset: e.subset, sem: e.sem, answer: flippedAnswer, flipped: true})
+		s.trail = append(s.trail[:i], e)
 		if cs.Size() > 0 {
 			// The superseded candidate set (the rejected single candidate,
 			// or the emptied set of a contradiction) is referenced by

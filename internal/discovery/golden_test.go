@@ -41,17 +41,33 @@ func noisyOpts(o Options) Options {
 	return o
 }
 
-// unsureFirst answers "don't know" to the first question and truthfully
-// for target afterwards.
-func unsureFirst(target *dataset.Set) Oracle {
-	first := true
-	return OracleFunc(func(e dataset.Entity) Answer {
-		if first {
-			first = false
-			return Unknown
-		}
-		return TargetOracle{target}.Answer(e)
-	})
+// unsureFirst answers "don't know" to the first question, about an entity
+// or a subset, and truthfully for target afterwards.
+type unsureFirst struct {
+	target *dataset.Set
+	asked  bool
+}
+
+func (o *unsureFirst) unsure() bool {
+	first := !o.asked
+	o.asked = true
+	return first
+}
+
+// Answer implements Oracle.
+func (o *unsureFirst) Answer(e dataset.Entity) Answer {
+	if o.unsure() {
+		return Unknown
+	}
+	return TargetOracle{o.target}.Answer(e)
+}
+
+// AnswerSubset implements GroupOracle.
+func (o *unsureFirst) AnswerSubset(members []dataset.Entity, sem grouptest.Semantics) Answer {
+	if o.unsure() {
+		return Unknown
+	}
+	return TargetOracle{o.target}.AnswerSubset(members, sem)
 }
 
 // goldenScenarios lists the sessions the golden file pins, in file order,
@@ -70,7 +86,14 @@ func unsureFirst(target *dataset.Set) Oracle {
 //     narrowed, so only here can a backtracking restore come out empty
 //     (TestGoldenSessions);
 //   - the halving and additive group strategies over every paper target,
-//     plain and in 5 seeded noisy backtracking trials (TestGoldenSessions).
+//     plain and in 5 seeded noisy backtracking trials (TestGoldenSessions);
+//   - the halving and additive group strategies with the first subset
+//     question answered "don't know", which excludes every member of the
+//     subset, over every paper target (TestGoldenSessions);
+//   - the MaxQuestions halt over every paper target: k-LP with batches of
+//     three at MaxQuestions 2, where the limit is checked per interaction,
+//     so the whole first batch is asked, and halving at MaxQuestions 2
+//     (TestGoldenSessions).
 func goldenScenarios(t *testing.T) []goldenScenario {
 	t.Helper()
 	paper := testutil.PaperCollection()
@@ -99,7 +122,7 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 	klp := strategy.NewKLP(cost.AD, 2)
 	test = "TestPooledSessionsWithUnknownsAndBatches"
 	for _, target := range paper.Sets() {
-		add("klp-k2-unsure-first", "paper", paper, target, unsureFirst(target), Options{Strategy: klp.New()})
+		add("klp-k2-unsure-first", "paper", paper, target, &unsureFirst{target: target}, Options{Strategy: klp.New()})
 		add("klp-k2-batch3", "paper", paper, target, TargetOracle{target},
 			Options{Strategy: klp.New(), BatchSize: 3})
 	}
@@ -131,6 +154,19 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 					noisyOpts(Options{Group: g.New()}))
 			}
 		}
+	}
+	for _, g := range []grouptest.Factory{grouptest.Halving{}, grouptest.Additive{}} {
+		for _, target := range paper.Sets() {
+			add(g.Name()+"-unsure-first", "paper", paper, target, &unsureFirst{target: target},
+				Options{Group: g.New()})
+		}
+	}
+	for _, target := range paper.Sets() {
+		o := TargetOracle{target}
+		add("klp-k2-batch3-max2", "paper", paper, target, o,
+			Options{Strategy: klp.New(), BatchSize: 3, MaxQuestions: 2})
+		add("halving-max2", "paper", paper, target, o,
+			Options{Group: grouptest.Halving{}.New(), MaxQuestions: 2})
 	}
 	return out
 }

@@ -30,17 +30,13 @@ import (
 //   - the memo stores only entity slices, never pooled subsets or partitions,
 //     so it cannot interact with any session's subset recycling.
 //
-// The store is always bounded (cache.New with DefaultMemoBound unless the
-// caller gives a bound), so memory stays flat no matter how many distinct
+// The store is bounded like every cache (cache.New; cache.DefaultBound unless
+// the caller gives a bound), so memory stays flat no matter how many distinct
 // states a fleet's traffic touches: a full shard evicts an arbitrary entry,
 // which is recomputed on the next miss, never wrong. Concurrent
 // misses on one key coalesce through a single-flight guard: the first session
 // computes, later arrivals park on a channel and receive the same slice,
 // instead of a thundering herd recomputing one hot lookahead.
-
-// DefaultMemoBound is the entry cap a SelectionMemo gets when the caller does
-// not specify one — matching setdiscd's default -cache-bound.
-const DefaultMemoBound = 1 << 20
 
 // selMemoEntry is one memoised selection: the ranked interaction entities and
 // the strategy's "informative entity exists" verdict.
@@ -73,11 +69,8 @@ type SelectionMemo struct {
 }
 
 // NewSelectionMemo returns an empty memo bounded at (approximately) bound
-// entries; bound ≤ 0 selects DefaultMemoBound, so a memo is never unbounded.
+// entries; bound ≤ 0 means cache.DefaultBound.
 func NewSelectionMemo(bound int) *SelectionMemo {
-	if bound <= 0 {
-		bound = DefaultMemoBound
-	}
 	return &SelectionMemo{
 		cache:    cache.New[selMemoEntry](bound),
 		inflight: make(map[cache.Key]*memoFlight),

@@ -35,6 +35,7 @@ const (
 //
 //	for {
 //	    if set, ok := s.PendingConfirm(); ok { s.Answer(yesOrNo) ; continue }
+//	    if sub, sem, ok := s.PendingSubset(); ok { s.Answer(answerForSubset(sub, sem)) ; continue }
 //	    e, done := s.Next()
 //	    if done { break }
 //	    s.Answer(answerFor(e))
@@ -45,7 +46,9 @@ const (
 // initial examples and options, in the same order — Run is implemented on
 // top of Session, and the equivalence is test-enforced. Confirmation
 // questions (Options.ConfirmTarget) surface through PendingConfirm; sessions
-// without that option never enter the confirming state.
+// without that option never enter the confirming state. Subset questions
+// surface through PendingSubset, and only in group sessions (Options.Group);
+// Next reports entity 0 for them.
 //
 // A Session is a single-user object: calls on one Session must be
 // externally serialised. Many Sessions may run concurrently over one shared
@@ -72,23 +75,20 @@ type Session struct {
 	// batch holds the not-yet-asked entities of the in-flight interaction;
 	// inBatch distinguishes "between interactions" from "mid-interaction"
 	// so that the per-interaction bookkeeping of Run (MaxQuestions is
-	// checked per batch, not per question) is preserved exactly.
+	// checked per batch, not per question) is preserved exactly. Group
+	// sessions ask one subset question per interaction and never fill it.
 	batch         []dataset.Entity
 	inBatch       bool
 	contradiction bool
 
-	state   sessionState
-	pending dataset.Entity
+	state sessionState
+	// pending is the question of stateAsk: an entity from the batch, or a
+	// group session's subset. A subset is cleared once answered, while an
+	// entity session keeps its last entity; the state encoding relies on
+	// both.
+	pending Question
 	confirm *dataset.Set
 	err     error
-
-	// pendingSub/pendingSem hold the suspended set-valued question of a
-	// group session (Options.Group); pending is unused in that mode. Group
-	// sessions run one subset question per interaction — the batch slice
-	// above stays empty — and bypass the entity-keyed selection memo:
-	// selection and partition run direct.
-	pendingSub []dataset.Entity
-	pendingSem grouptest.Semantics
 }
 
 // NewSession starts a discovery session: filter the collection to supersets
@@ -135,7 +135,7 @@ func (s *Session) Next() (dataset.Entity, bool) {
 	if s.state == stateConfirm {
 		return 0, false
 	}
-	return s.pending, false
+	return s.pending.Entity, false
 }
 
 // PendingSubset reports the suspended set-valued question of a group
@@ -144,10 +144,10 @@ func (s *Session) Next() (dataset.Entity, bool) {
 // confirming state, and once done. The returned slice is the session's own
 // — callers must not mutate it.
 func (s *Session) PendingSubset() ([]dataset.Entity, grouptest.Semantics, bool) {
-	if s.state != stateAsk || s.pendingSub == nil {
+	if s.state != stateAsk || s.pending.Subset == nil {
 		return nil, 0, false
 	}
-	return s.pendingSub, s.pendingSem, true
+	return s.pending.Subset, s.pending.Semantics, true
 }
 
 // PendingConfirm reports whether the session is waiting for the user to
@@ -193,25 +193,31 @@ func (s *Session) Answer(a Answer) error {
 		if a != Yes && a != No && a != Unknown {
 			return ErrInvalidAnswer
 		}
-		if s.pendingSub != nil {
-			return s.answerGroup(a)
-		}
-		e := s.pending
+		q := s.pending
+		q.Answer = a
+		s.pending.Subset = nil
 		s.res.Questions++
-		s.res.Asked = append(s.res.Asked, Question{Entity: e, Answer: a})
+		s.res.Asked = append(s.res.Asked, q)
 		switch a {
 		case Unknown:
+			// The whole question was unanswerable: exclude the entity, or
+			// every member of the subset.
 			s.res.Unknowns++
-			s.excluded[e] = true
+			if q.Subset == nil {
+				s.excluded[q.Entity] = true
+			}
+			for _, e := range q.Subset {
+				s.excluded[e] = true
+			}
 		case Yes, No:
 			old := s.cs
 			// lint:owns — the session owns cs; finish/releaseTrail recycle it.
-			s.cs = apply(old, e, a, s.scratch)
+			s.cs = q.apply(old, s.scratch)
 			if s.opts.Backtrack {
 				// The trail must be able to restore any earlier candidate
 				// set, so superseded subsets stay live until the session
 				// ends.
-				s.trail = append(s.trail, trailEntry{before: old, entity: e, answer: a})
+				s.trail = append(s.trail, trailEntry{before: old, Question: q})
 			} else {
 				// Without backtracking nothing can reference the superseded
 				// subset again; recycle it (a no-op if it escaped through a
@@ -219,9 +225,10 @@ func (s *Session) Answer(a Answer) error {
 				old.Release()
 			}
 			if s.cs.Size() == 0 {
-				// Only reachable in batch mode: a later question of the
-				// batch may contradict the already narrowed candidates.
-				// Abandon the rest of the batch, recover in advance().
+				// A later question of a batch may contradict the candidates
+				// the earlier ones narrowed (a group question never should:
+				// its strategy splits properly). Abandon the rest of the
+				// batch, recover in advance().
 				s.contradiction = true
 				s.batch = nil
 			}
@@ -231,70 +238,6 @@ func (s *Session) Answer(a Answer) error {
 	default:
 		return ErrSessionDone
 	}
-}
-
-// answerGroup applies the user's reply to the pending set-valued question.
-// It mirrors the entity path of Answer: an Unknown excludes every member of
-// the subset (the whole question was unanswerable), a Yes/No partitions by
-// the subset's semantics through the session scratch.
-func (s *Session) answerGroup(a Answer) error {
-	members, sem := s.pendingSub, s.pendingSem
-	s.pendingSub = nil
-	s.res.Questions++
-	s.res.Asked = append(s.res.Asked, Question{Subset: members, Semantics: sem, Answer: a})
-	switch a {
-	case Unknown:
-		s.res.Unknowns++
-		for _, e := range members {
-			s.excluded[e] = true
-		}
-	case Yes, No:
-		old := s.cs
-		// lint:owns — the session owns cs; finish/releaseTrail recycle it.
-		s.cs = applyGroup(old, members, sem, a, s.scratch)
-		if s.opts.Backtrack {
-			s.trail = append(s.trail, trailEntry{before: old, subset: members, sem: sem, answer: a})
-		} else {
-			old.Release()
-		}
-		if s.cs.Size() == 0 {
-			// Unreachable for strategies honouring the proper-split contract;
-			// recover like the batch path if one ever slips.
-			s.contradiction = true
-		}
-	}
-	s.advance()
-	return nil
-}
-
-// advanceGroup is the group session's advance: no multiple-choice batches,
-// one strategy-selected subset question per interaction.
-func (s *Session) advanceGroup() {
-	if s.contradiction {
-		s.contradiction = false
-		if err := s.backtrack(); err != nil {
-			s.finish(err)
-			return
-		}
-	}
-	if s.cs.Size() > 1 && !(s.opts.MaxQuestions > 0 && s.res.Questions >= s.opts.MaxQuestions) {
-		if q, ok := s.selectGroup(); ok {
-			s.res.Interactions++
-			s.pendingSub = q.Members
-			s.pendingSem = q.Semantics
-			s.state = stateAsk
-			return
-		}
-		// Every informative entity was excluded by "don't know" replies: halt.
-	}
-	if s.cs.Size() == 1 && s.opts.ConfirmTarget {
-		s.res.Questions++
-		s.res.Interactions++
-		s.confirm = s.cs.Single()
-		s.state = stateConfirm
-		return
-	}
-	s.finish(nil)
 }
 
 // selectGroup asks the group strategy for the next subset, on the
@@ -309,35 +252,37 @@ func (s *Session) selectGroup() (grouptest.QuestionSubset, bool) {
 // where a user answer is needed (stateAsk or stateConfirm) or the session
 // finishes. It mirrors Run's control flow: continue the in-flight batch,
 // recover from contradictions, select the next interaction, ask for final
-// confirmation.
+// confirmation. A group session's interaction is its one subset question.
 func (s *Session) advance() {
-	if s.opts.Group != nil {
-		s.advanceGroup()
-		return
-	}
 	for {
 		if s.inBatch {
 			// Mid-interaction: ask the next batch entity while several
 			// candidates remain (Run checks cs.Size() before each batch
 			// question but MaxQuestions only per interaction).
 			if s.cs.Size() > 1 && len(s.batch) > 0 {
-				s.pending = s.batch[0]
+				s.pending = Question{Entity: s.batch[0]}
 				s.batch = s.batch[1:]
 				s.state = stateAsk
 				return
 			}
 			s.inBatch = false
-			if s.contradiction {
-				s.contradiction = false
-				if err := s.backtrack(); err != nil {
-					s.finish(err)
-					return
-				}
+		}
+		if s.contradiction {
+			s.contradiction = false
+			if err := s.backtrack(); err != nil {
+				s.finish(err)
+				return
 			}
 		}
 		if s.cs.Size() > 1 && !(s.opts.MaxQuestions > 0 && s.res.Questions >= s.opts.MaxQuestions) {
-			entities, ok := s.selectInteraction()
-			if ok {
+			if s.opts.Group != nil {
+				if q, ok := s.selectGroup(); ok {
+					s.res.Interactions++
+					s.pending = Question{Subset: q.Members, Semantics: q.Semantics}
+					s.state = stateAsk
+					return
+				}
+			} else if entities, ok := s.selectInteraction(); ok {
 				s.res.Interactions++
 				s.batch = entities
 				s.inBatch = true

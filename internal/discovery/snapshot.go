@@ -114,6 +114,23 @@ func (w *stateWriter) fingerprint(fp dataset.Fingerprint) {
 	w.buf = binary.BigEndian.AppendUint64(w.buf, fp.Lo)
 }
 
+// question writes one asked-question key, the layout stateReader.question
+// reads: in a version-1 state a bare entity, in a version-2 (group) state a
+// kind byte followed by an entity (kind 0) or semantics plus the subset
+// (kind 1).
+func (w *stateWriter) question(group bool, q Question) {
+	if group {
+		if q.Subset != nil {
+			w.u8(1)
+			w.u8(byte(q.Semantics))
+			w.entities(q.Subset)
+			return
+		}
+		w.u8(0)
+	}
+	w.uvarint(uint64(q.Entity))
+}
+
 // stateReader consumes the primitive encodings, validating as it goes.
 type stateReader struct {
 	data []byte
@@ -248,40 +265,38 @@ func (r *stateReader) answer() (Answer, error) {
 	return Answer(b), nil
 }
 
-// question reads one asked-question key: in a version-1 state a bare
-// entity, in a version-2 (group) state a kind byte followed by an entity
-// (kind 0) or semantics plus a non-empty subset (kind 1).
-func (r *stateReader) question(group bool) (dataset.Entity, []dataset.Entity, grouptest.Semantics, error) {
-	if !group {
-		e, err := r.entity()
-		return e, nil, 0, err
-	}
-	kind, err := r.u8()
-	if err != nil {
-		return 0, nil, 0, err
+// question reads one asked-question key as stateWriter.question writes it;
+// a subset must be non-empty.
+func (r *stateReader) question(group bool) (Question, error) {
+	var kind byte // a version-1 state holds entity questions only
+	if group {
+		var err error
+		if kind, err = r.u8(); err != nil {
+			return Question{}, err
+		}
 	}
 	switch kind {
 	case 0:
 		e, err := r.entity()
-		return e, nil, 0, err
+		return Question{Entity: e}, err
 	case 1:
 		sem, err := r.u8()
 		if err != nil {
-			return 0, nil, 0, err
+			return Question{}, err
 		}
 		if sem > byte(grouptest.SubsetOfTarget) {
-			return 0, nil, 0, corrupt("bad subset semantics %d", sem)
+			return Question{}, corrupt("bad subset semantics %d", sem)
 		}
 		members, err := r.entities()
 		if err != nil {
-			return 0, nil, 0, err
+			return Question{}, err
 		}
 		if len(members) == 0 {
-			return 0, nil, 0, corrupt("empty question subset")
+			return Question{}, corrupt("empty question subset")
 		}
-		return 0, members, grouptest.Semantics(sem), nil
+		return Question{Subset: members, Semantics: grouptest.Semantics(sem)}, nil
 	default:
-		return 0, nil, 0, corrupt("bad question kind %d", kind)
+		return Question{}, corrupt("bad question kind %d", kind)
 	}
 }
 
@@ -313,14 +328,14 @@ func (s *Session) encodeInto(w *stateWriter) {
 	if s.cs != nil {
 		flags |= 4
 	}
-	if group && s.pendingSub != nil {
+	if s.pending.Subset != nil {
 		flags |= 8
 	}
 	w.u8(flags)
-	w.uvarint(uint64(s.pending))
+	w.uvarint(uint64(s.pending.Entity))
 	if flags&8 != 0 {
-		w.u8(byte(s.pendingSem))
-		w.entities(s.pendingSub)
+		w.u8(byte(s.pending.Semantics))
+		w.entities(s.pending.Subset)
 	}
 	if s.confirm != nil {
 		w.uvarint(uint64(s.confirm.Index) + 1)
@@ -336,19 +351,8 @@ func (s *Session) encodeInto(w *stateWriter) {
 	w.uvarint(uint64(len(s.trail)))
 	for _, te := range s.trail {
 		w.subset(te.before)
-		if group {
-			if te.subset != nil {
-				w.u8(1)
-				w.u8(byte(te.sem))
-				w.entities(te.subset)
-			} else {
-				w.u8(0)
-				w.uvarint(uint64(te.entity))
-			}
-		} else {
-			w.uvarint(uint64(te.entity))
-		}
-		w.u8(byte(te.answer))
+		w.question(group, te.Question)
+		w.u8(byte(te.Answer))
 		w.bool(te.flipped)
 	}
 	w.uvarint(uint64(s.res.Questions))
@@ -358,18 +362,7 @@ func (s *Session) encodeInto(w *stateWriter) {
 	w.uvarint(uint64(s.res.SelectionTime))
 	w.uvarint(uint64(len(s.res.Asked)))
 	for _, q := range s.res.Asked {
-		if group {
-			if q.Subset != nil {
-				w.u8(1)
-				w.u8(byte(q.Semantics))
-				w.entities(q.Subset)
-			} else {
-				w.u8(0)
-				w.uvarint(uint64(q.Entity))
-			}
-		} else {
-			w.uvarint(uint64(q.Entity))
-		}
+		w.question(group, q)
 		w.u8(byte(q.Answer))
 	}
 	if s.state == stateDone {
@@ -465,19 +458,28 @@ func decodeSessionInto(c *dataset.Collection, opts Options, r *stateReader, vers
 	if err != nil {
 		return nil, err
 	}
-	validFlags := byte(7)
+	// Flag 1 is the in-flight batch, 2 a contradiction, 4 the candidate
+	// set, 8 a pending subset. No session is saved with a contradiction:
+	// every Answer that raises one resolves it before returning. Entity
+	// questions are only asked from a batch, and group sessions never
+	// have one.
+	validFlags := byte(1 | 4)
 	if group {
-		validFlags = 15
+		validFlags = 4 | 8
 	}
 	if flags&^validFlags != 0 {
 		return nil, corrupt("bad flags %#x", flags)
 	}
-	pending, err := r.entity()
-	if err != nil {
+	if !group && stateByte == byte(stateAsk) && flags&1 == 0 {
+		return nil, corrupt("entity question pending outside a batch")
+	}
+	var pending Question
+	if pending.Entity, err = r.entity(); err != nil {
 		return nil, err
 	}
-	var pendingSub []dataset.Entity
-	var pendingSem grouptest.Semantics
+	if group && pending.Entity != 0 {
+		return nil, corrupt("group session with a pending entity")
+	}
 	if flags&8 != 0 {
 		if stateByte != byte(stateAsk) {
 			return nil, corrupt("pending subset outside the asking state")
@@ -489,11 +491,11 @@ func decodeSessionInto(c *dataset.Collection, opts Options, r *stateReader, vers
 		if sem > byte(grouptest.SubsetOfTarget) {
 			return nil, corrupt("bad subset semantics %d", sem)
 		}
-		pendingSem = grouptest.Semantics(sem)
-		if pendingSub, err = r.entities(); err != nil {
+		pending.Semantics = grouptest.Semantics(sem)
+		if pending.Subset, err = r.entities(); err != nil {
 			return nil, err
 		}
-		if len(pendingSub) == 0 {
+		if len(pending.Subset) == 0 {
 			return nil, corrupt("empty pending subset")
 		}
 	} else if group && stateByte == byte(stateAsk) {
@@ -509,6 +511,9 @@ func decodeSessionInto(c *dataset.Collection, opts Options, r *stateReader, vers
 	batch, err := r.entities()
 	if err != nil {
 		return nil, err
+	}
+	if group && len(batch) > 0 {
+		return nil, corrupt("group session with batch entities")
 	}
 	excludedList, err := r.entities()
 	if err != nil {
@@ -538,10 +543,10 @@ func decodeSessionInto(c *dataset.Collection, opts Options, r *stateReader, vers
 			return nil, err
 		}
 		te := trailEntry{before: before}
-		if te.entity, te.subset, te.sem, err = r.question(group); err != nil {
+		if te.Question, err = r.question(group); err != nil {
 			return nil, err
 		}
-		if te.answer, err = r.answer(); err != nil {
+		if te.Answer, err = r.answer(); err != nil {
 			return nil, err
 		}
 		if te.flipped, err = r.bool(); err != nil {
@@ -575,8 +580,8 @@ func decodeSessionInto(c *dataset.Collection, opts Options, r *stateReader, vers
 	}
 	res.Asked = make([]Question, 0, nAsked)
 	for i := 0; i < nAsked; i++ {
-		var q Question
-		if q.Entity, q.Subset, q.Semantics, err = r.question(group); err != nil {
+		q, err := r.question(group)
+		if err != nil {
 			return nil, err
 		}
 		if q.Answer, err = r.answer(); err != nil {
@@ -590,20 +595,17 @@ func decodeSessionInto(c *dataset.Collection, opts Options, r *stateReader, vers
 		excluded[e] = true
 	}
 	s := &Session{
-		c:             c,
-		opts:          opts,
-		res:           res,
-		cs:            cs,
-		excluded:      excluded,
-		trail:         trail,
-		batch:         batch,
-		inBatch:       flags&1 != 0,
-		contradiction: flags&2 != 0,
-		state:         sessionState(stateByte),
-		pending:       pending,
-		pendingSub:    pendingSub,
-		pendingSem:    pendingSem,
-		scratch:       dataset.NewScratch(),
+		c:        c,
+		opts:     opts,
+		res:      res,
+		cs:       cs,
+		excluded: excluded,
+		trail:    trail,
+		batch:    batch,
+		inBatch:  flags&1 != 0,
+		state:    sessionState(stateByte),
+		pending:  pending,
+		scratch:  dataset.NewScratch(),
 	}
 	if confirmIdx > 0 {
 		s.confirm = c.Set(int(confirmIdx - 1))

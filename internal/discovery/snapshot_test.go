@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"setdiscovery/internal/cost"
 	"setdiscovery/internal/dataset"
+	"setdiscovery/internal/grouptest"
 	"setdiscovery/internal/strategy"
 	"setdiscovery/internal/testutil"
 )
@@ -392,5 +394,90 @@ func TestSnapshotDecodeRejectsGarbage(t *testing.T) {
 		t.Fatal("state restored over a foreign collection")
 	} else if !errors.Is(err, errCorruptState) {
 		t.Fatalf("foreign collection error not a corrupt-state error: %v", err)
+	}
+}
+
+// TestSnapshotDecodeRejectsUnwrittenFlags crafts, from real states, the
+// flag combinations no session writes, and requires the decoder to reject
+// each: a pending contradiction (every Answer that raises one resolves it
+// before returning), an entity question pending outside an interaction's
+// batch (entity questions are only asked from one), and a group session in
+// a batch, holding batch entities (group sessions ask one subset per
+// interaction and never fill the batch) or with a pending entity.
+func TestSnapshotDecodeRejectsUnwrittenFlags(t *testing.T) {
+	c := testutil.PaperCollection()
+	entityOpts := func() Options { return Options{Strategy: strategy.NewKLP(cost.AD, 2).New()} }
+	groupOpts := func() Options { return Options{Group: grouptest.Halving{}.New()} }
+	encode := func(opts Options) []byte {
+		s, err := NewSession(c, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := s.EncodeState()
+		if _, err := DecodeSession(c, opts, state); err != nil {
+			t.Fatalf("valid state rejected: %v", err)
+		}
+		return state
+	}
+	entity, group := encode(entityOpts()), encode(groupOpts())
+
+	// The flags byte follows the version and state bytes.
+	const flagsAt = 2
+	withFlags := func(state []byte, set, clear byte) []byte {
+		out := bytes.Clone(state)
+		out[flagsAt] = out[flagsAt]&^clear | set
+		return out
+	}
+	// withBatch gives the group state's empty batch one entity. The batch
+	// count follows the pending entity, the pending subset and the confirm
+	// slot.
+	withBatch := func(state []byte) []byte {
+		r := &stateReader{data: state[flagsAt+1:]}
+		if _, err := r.entity(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.u8(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.entities(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.uvarint(); err != nil {
+			t.Fatal(err)
+		}
+		at := len(state) - len(r.data)
+		if state[at] != 0 {
+			t.Fatalf("group state has a batch of %d entities", state[at])
+		}
+		out := append(bytes.Clone(state[:at]), 1, 0)
+		return append(out, state[at+1:]...)
+	}
+
+	// withPendingEntity sets the group state's pending entity, which
+	// follows the flags byte, to 1.
+	withPendingEntity := func(state []byte) []byte {
+		if state[flagsAt+1] != 0 {
+			t.Fatalf("group state has pending entity %d", state[flagsAt+1])
+		}
+		out := bytes.Clone(state)
+		out[flagsAt+1] = 1
+		return out
+	}
+
+	for _, tc := range []struct {
+		name  string
+		opts  func() Options
+		state []byte
+	}{
+		{"entity-contradiction", entityOpts, withFlags(entity, 2, 0)},
+		{"group-contradiction", groupOpts, withFlags(group, 2, 0)},
+		{"entity-asking-outside-batch", entityOpts, withFlags(entity, 0, 1)},
+		{"group-in-batch", groupOpts, withFlags(group, 1, 0)},
+		{"group-batch-entities", groupOpts, withBatch(group)},
+		{"group-pending-entity", groupOpts, withPendingEntity(group)},
+	} {
+		if _, err := DecodeSession(c, tc.opts(), tc.state); !errors.Is(err, errCorruptState) {
+			t.Errorf("%s: DecodeSession error %v, want %v", tc.name, err, errCorruptState)
+		}
 	}
 }

@@ -68,8 +68,8 @@ func (g *GainK) New() Strategy {
 }
 
 // SetCacheBound replaces the memo cache (when memoised) with an empty one
-// holding at most (approximately) n entries (cache.New; n ≤ 0 means no
-// limit). Call on the factory before minting siblings. A no-op for the
+// holding at most (approximately) n entries (cache.New; n ≤ 0 means the
+// default, cache.DefaultBound, which NewGainKMemo's cache has too). Call on the factory before minting siblings. A no-op for the
 // unmemoised variant.
 func (g *GainK) SetCacheBound(n int) {
 	if g.cache != nil {

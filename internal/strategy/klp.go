@@ -126,9 +126,9 @@ func (s *KLP) DisableSortPrune() *KLP { s.noSortPrune = true; return s }
 func (s *KLP) DisableULPrune() *KLP { s.noULPrune = true; return s }
 
 // SetCacheBound replaces the shared lookahead cache with an empty one
-// holding at most (approximately) n entries (cache.New; n ≤ 0 means no
-// limit), so long-running processes can serve this factory's lineage
-// indefinitely. Call it on the factory before minting siblings: instances
+// holding at most (approximately) n entries (cache.New; n ≤ 0 means the
+// default, cache.DefaultBound, which NewKLP's cache has too), so
+// long-running processes can serve this factory's lineage indefinitely. Call it on the factory before minting siblings: instances
 // minted earlier keep the previous cache. Evicted bounds are recomputed,
 // never wrong, so selections are unchanged.
 func (s *KLP) SetCacheBound(n int) {

@@ -3,7 +3,6 @@ package setdiscovery
 import (
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/discovery"
-	"setdiscovery/internal/grouptest"
 )
 
 // Question is the pending interaction of a Session: a membership question
@@ -120,29 +119,28 @@ func (t *Tree) NewSession() *Session {
 // Next returns the pending question; done is true once the session has
 // finished. Next is idempotent — it keeps returning the same question until
 // Answer is called, so a client may safely re-fetch it.
-func (s *Session) Next() (Question, bool) {
-	if set, ok := s.s.PendingConfirm(); ok {
+func (s *Session) Next() (Question, bool) { return s.c.question(s.s) }
+
+// question renders the pending question of a session core with entity and
+// set names; done is true once the core has finished.
+func (c *Collection) question(s sessionCore) (Question, bool) {
+	if set, ok := s.PendingConfirm(); ok {
 		return Question{Confirm: set.Name}, false
 	}
-	if core, ok := s.s.(*discovery.Session); ok {
+	if core, ok := s.(*discovery.Session); ok {
 		if members, sem, ok := core.PendingSubset(); ok {
-			return subsetQuestion(s.c.c, members, sem), false
+			names := make([]string, len(members))
+			for i, e := range members {
+				names[i] = c.c.EntityName(e)
+			}
+			return Question{Subset: names, Semantics: sem.String()}, false
 		}
 	}
-	e, done := s.s.Next()
+	e, done := s.Next()
 	if done {
 		return Question{}, true
 	}
-	return Question{Entity: s.c.c.EntityName(e)}, false
-}
-
-// subsetQuestion renders a pending set-valued question with entity names.
-func subsetQuestion(c *dataset.Collection, members []dataset.Entity, sem grouptest.Semantics) Question {
-	names := make([]string, len(members))
-	for i, e := range members {
-		names[i] = c.EntityName(e)
-	}
-	return Question{Subset: names, Semantics: sem.String()}
+	return Question{Entity: c.c.EntityName(e)}, false
 }
 
 // Answer applies the reply to the pending question and advances the session

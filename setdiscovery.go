@@ -48,6 +48,7 @@ import (
 	"sync"
 	"time"
 
+	"setdiscovery/internal/cache"
 	"setdiscovery/internal/cost"
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/discovery"
@@ -92,8 +93,8 @@ type Collection struct {
 
 // strategyKey identifies a strategy configuration; options that do not
 // affect entity selection (batching, halting, backtracking) are excluded.
-// The cache bound is part of the key: a bounded and an unbounded factory
-// must not share one cache.
+// The cache bound is part of the key: factories with different bounds must
+// not share one cache.
 type strategyKey struct {
 	name   string
 	metric Metric
@@ -117,13 +118,11 @@ func (c *Collection) factory(cfg config) (strategy.Factory, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.cacheBound > 0 {
-		// Applied before the factory is shared or mints any sibling, so
-		// the whole lineage runs against the bounded cache. Strategies
-		// without a cache (the greedy baselines) simply ignore the option.
-		if b, ok := f.(interface{ SetCacheBound(int) }); ok {
-			b.SetCacheBound(cfg.cacheBound)
-		}
+	// Applied before the factory is shared or mints any sibling, so the
+	// whole lineage runs against the bounded cache. Strategies without a
+	// cache (the greedy baselines) simply ignore the option.
+	if b, ok := f.(interface{ SetCacheBound(int) }); ok {
+		b.SetCacheBound(cfg.cacheBound)
 	}
 	if c.factories == nil {
 		c.factories = make(map[strategyKey]strategy.Factory)
@@ -176,7 +175,7 @@ func (c *Collection) engineOptions(cfg config) (discovery.Options, error) {
 }
 
 // selectionMemo returns the collection-wide selection memo, creating it on
-// first use with the given entry bound (≤ 0 selects the default, 1M). The
+// first use with the given entry bound (≤ 0 selects cache.DefaultBound). The
 // bound is fixed at creation: later callers share the memo whatever bound
 // they ask for, mirroring how a strategy factory's cache bound is fixed by
 // its first configuration.
@@ -425,21 +424,19 @@ func WithBacktracking() Option {
 func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n } }
 
 // WithCacheBound caps the strategy's shared lookahead cache at
-// (approximately) n entries, instead of the default unbounded growth: a new
-// entry arriving at a full cache shard evicts an arbitrary entry of that
-// shard. Sessions and builds over one collection with equal options —
-// including the bound — share one factory, so the cap is per-configuration,
-// not per-session. The bound also caps the collection's selection memo when
-// its first user creates it (WithSharedSelection). Evicted entries are
-// recomputed, never wrong: selections are identical with or without a
-// bound. Set it in long-running serving processes (setdiscd exposes it as
-// -cache-bound) so memory stays flat no matter how many sub-collections the
-// workload touches; n ≤ 0 means an unbounded lookahead cache and the
-// memo's default bound of 1,048,576 entries.
+// (approximately) n entries: a new entry arriving at a full cache shard
+// evicts an arbitrary entry of that shard. Every cache is bounded: n ≤ 0,
+// like leaving the option out, means the default of 1,048,576 entries.
+// Sessions and builds over one collection with equal options — including
+// the bound — share one factory, so the cap is per-configuration, not
+// per-session. The bound also caps the collection's selection memo when its
+// first user creates it (WithSharedSelection). Evicted entries are
+// recomputed, never wrong: selections are identical under every bound.
+// setdiscd exposes it as -cache-bound.
 func WithCacheBound(n int) Option {
 	return func(c *config) {
-		// Normalised so every "unbounded" spelling shares one factory key.
-		if n < 0 {
+		// Normalised so every spelling of the default shares one factory key.
+		if n <= 0 || n == cache.DefaultBound {
 			n = 0
 		}
 		c.cacheBound = n
@@ -479,10 +476,10 @@ func WithGroupConstraint(ifEntity, thenEntity string) Option {
 // total, with concurrent misses coalescing into a single flight. Selections
 // are pure functions of the candidate set and the selection-relevant options,
 // so shared results are byte-identical to unshared ones (test-pinned);
-// sessions with "don't know" answers bypass the memo automatically. The memo
-// is always bounded, so memory stays flat: at the WithCacheBound of the
-// session that creates it, or at 1,048,576 entries without one (the
-// strategy caches have no default bound). Turn it off for one-shot
+// sessions with "don't know" answers bypass the memo automatically. Like
+// every cache the memo is bounded, so memory stays flat: at the
+// WithCacheBound of the session that creates it, 1,048,576 entries by
+// default. Turn it off for one-shot
 // workloads that would only pollute the memo, or to A/B the fabric itself.
 func WithSharedSelection(on bool) Option {
 	return func(c *config) { c.sharedSelection = on }
