@@ -178,8 +178,8 @@ func BenchmarkBuildParallel(b *testing.B) {
 }
 
 // BenchmarkSelectSteadyState measures one full k-LP root selection with a
-// cold lookahead cache but warm per-instance scratch — the steady state of
-// a long-lived worker whose every node allocation is served by its arena.
+// cold lookahead cache but a warm scratch — the steady state of a lineage
+// whose every node allocation is served by the arena a Select borrows.
 // (Without the cache reset every iteration after the first would be a pure
 // cache hit.)
 func BenchmarkSelectSteadyState(b *testing.B) {
@@ -231,34 +231,40 @@ func BenchmarkSelectSubCollection(b *testing.B) {
 		benchSelectRoot(b, c.SupersetsOf([]dataset.Entity{qs[0].A, qs[0].B}))
 	})
 	b.Run("corpus-40k", func(b *testing.B) {
-		sub, err := corpus40kSeed()
+		seed, err := corpus40kSeed()
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchSelectRoot(b, sub)
+		benchSelectRoot(b, seed.sub)
 	})
 	b.Run("corpus-40k-tree", func(b *testing.B) {
-		sub, err := corpus40kSeed()
+		seed, err := corpus40kSeed()
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := tree.Build(sub, strategy.NewKLP(cost.AD, 2), tree.WithParallelism(1)); err != nil {
+			if _, err := tree.Build(seed.sub, strategy.NewKLP(cost.AD, 2), tree.WithParallelism(1)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
+// seedQuery is a seed sub-collection and the two examples that select it.
+type seedQuery struct {
+	sub      *dataset.Subset
+	examples []dataset.Entity
+}
+
 // corpus40kSeed returns the corpus-40k sub-collection of
-// BenchmarkSelectSubCollection, generating the corpus (about 1 s) on first
-// use.
-var corpus40kSeed = sync.OnceValues(func() (*dataset.Subset, error) {
+// BenchmarkSelectSubCollection and its two examples, generating the corpus
+// (about 1 s) on first use.
+var corpus40kSeed = sync.OnceValues(func() (seedQuery, error) {
 	c, err := webtables.Generate(webtables.DefaultParams())
 	if err != nil {
-		return nil, err
+		return seedQuery{}, err
 	}
 	var best *webtables.SeedQuery
 	qs := webtables.SeedQueries(c, 100, 64, 1)
@@ -268,9 +274,10 @@ var corpus40kSeed = sync.OnceValues(func() (*dataset.Subset, error) {
 		}
 	}
 	if best == nil {
-		return nil, fmt.Errorf("no seed query selects 100..850 sets")
+		return seedQuery{}, fmt.Errorf("no seed query selects 100..850 sets")
 	}
-	return c.SupersetsOf([]dataset.Entity{best.A, best.B}), nil
+	examples := []dataset.Entity{best.A, best.B}
+	return seedQuery{c.SupersetsOf(examples), examples}, nil
 })
 
 // benchSelectRoot times one cold-cache k-LP (k=2) root selection over sub
@@ -291,18 +298,43 @@ func benchSelectRoot(b *testing.B, sub *dataset.Subset) {
 }
 
 // BenchmarkSessionSteadyState measures a whole discovery session per
-// iteration over a shared factory — the serving-layer steady state where
-// scratch arenas, the session subset recycling and the warm lookahead
-// cache all apply.
+// iteration over one shared k-LP factory, each session on a sibling minted
+// fresh from it, as the engine mints one per session: the serving-layer
+// steady state where borrowed scratches, the session subset recycling and
+// the warm lookahead cache all apply.
+//
+//   - synth-200: sessions from no example towards a random set of the
+//     200-set synthetic benchmark collection.
+//   - corpus-40k: sessions from the two examples of the corpus-40k seed
+//     (BenchmarkSelectSubCollection) towards a random set of the
+//     sub-collection they select, over the 40k-set corpus, as web-sessions
+//     serves its seed queries.
 func BenchmarkSessionSteadyState(b *testing.B) {
-	c := benchCollection(b)
+	b.Run("synth-200", func(b *testing.B) {
+		c := benchCollection(b)
+		benchSessions(b, c.All(), nil)
+	})
+	b.Run("corpus-40k", func(b *testing.B) {
+		seed, err := corpus40kSeed()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSessions(b, seed.sub, seed.examples)
+	})
+}
+
+// benchSessions times one session per iteration from the examples towards
+// a random member of seed, the sub-collection the examples select.
+func benchSessions(b *testing.B, seed *dataset.Subset, examples []dataset.Entity) {
+	c := seed.Collection()
+	members := seed.Members()
 	f := strategy.NewKLP(cost.AD, 2)
 	r := rng.New(17)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		target := c.Set(r.Intn(c.Len()))
-		res, err := discovery.Run(c, nil, discovery.TargetOracle{Target: target},
+		target := c.Set(int(members[r.Intn(len(members))]))
+		res, err := discovery.Run(c, examples, discovery.TargetOracle{Target: target},
 			discovery.Options{Strategy: f.New()})
 		if err != nil {
 			b.Fatal(err)

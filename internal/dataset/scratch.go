@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"setdiscovery/internal/bitset"
+	"setdiscovery/internal/freelist"
 )
 
 // Scratch is the reusable working memory of one selection worker. At every
@@ -20,15 +21,16 @@ import (
 //
 // Ownership rules (see also the README "Memory discipline" section):
 //
-//   - A Scratch is a single-worker object, like the strategy instance that
-//     carries it: it must not be used by two goroutines at once. That
-//     includes Release, which recycles the Subset header onto the creating
-//     scratch's free list — call it only from the scratch's owning worker
-//     (or strictly after synchronizing with it, as the tree builder's
-//     fork–join does before the parent releases what it partitioned).
+//   - A Scratch is a single-worker object, lent to one selection or one
+//     build worker at a time: it must not be used by two goroutines at
+//     once. That includes Release, which recycles the Subset header onto
+//     the creating scratch's free list — call it only from the scratch's
+//     owning worker (or strictly after synchronizing with it, as the tree
+//     builder's fork–join does before the parent releases what it
+//     partitioned).
 //   - The bitset Pool behind it IS concurrency-safe, so one pool may be
 //     shared by many Scratches: the parallel tree builder gives every
-//     worker context its own scratch over one build-wide pool, and bitsets
+//     forked branch its own scratch over one build-wide pool, and bitsets
 //     migrate freely between workers through it.
 //   - Slices returned by InformativeEntitiesInto alias the scratch and are
 //     valid only until its next use; callers must copy what they keep.
@@ -75,6 +77,26 @@ func NewScratch() *Scratch {
 func NewScratchWithPool(p *bitset.Pool) *Scratch {
 	return &Scratch{pool: p}
 }
+
+// scratches is the process-wide free list behind BorrowScratch.
+var scratches = freelist.New(NewScratch)
+
+// BorrowScratch lends a scratch from a process-wide free list for the
+// duration of one call, for a caller that counts and partitions but never
+// projects a view: the strategies with no state of their own borrow one
+// per selection, so a zero value or a freshly minted instance selects in
+// warm memory. Such a scratch holds no pointer to a collection, which is
+// what makes one list safe for every collection in the process. Hand it
+// back with ReturnScratch.
+func BorrowScratch() *Scratch {
+	sc, _ := scratches.Get(0)
+	return sc
+}
+
+// ReturnScratch hands back a scratch from BorrowScratch. Call it only once
+// every slice and pooled subset drawn from sc is done with, and only when
+// the call that borrowed it returns normally.
+func ReturnScratch(sc *Scratch) { scratches.Put(sc, 0) }
 
 // Pool returns the bitset pool backing the scratch.
 func (sc *Scratch) Pool() *bitset.Pool { return sc.pool }

@@ -243,7 +243,9 @@ type Options struct {
 	// Strategy selects the next question; required. The instance is owned
 	// by this run: when several sessions run concurrently, mint one
 	// instance per session from a shared strategy.Factory (the sessions
-	// then share the factory's concurrency-safe lookahead cache).
+	// then share the factory's concurrency-safe lookahead cache, and the
+	// free list each selection borrows its scratch from, so an instance
+	// costs its own small allocation and no arena).
 	Strategy strategy.Strategy
 	// MaxQuestions is the halt condition Γ: stop after this many questions
 	// (0 = unlimited).

@@ -107,10 +107,15 @@ func (m *SelectionMemo) Stats() MemoStats {
 // instance and scratch and is the one whose SelectionTime grows; hits and
 // coalesced waits cost their session no selection time, which only affects
 // the wall-clock accounting — never the question sequence.
+//
+// A hit whose first entity does not split the candidates is served as a
+// miss, and the computed entry replaces it. The memo computes no such
+// entry, but an imported shard can carry one (see DecodeMemoShard), and a
+// session served it would ask the same question until MaxQuestions.
 func (m *SelectionMemo) selectShared(s *Session) (entities []dataset.Entity, ok, computed bool) {
 	fp := s.cs.Fingerprint()
 	key := cache.Key{Hi: fp.Hi, Lo: fp.Lo, Aux: s.opts.MemoAux}
-	if e, ok := m.cache.Get(key); ok {
+	if e, ok := m.cache.Get(key); ok && (!e.ok || splits(s.cs, e.entities[0])) {
 		return e.entities, e.ok, false
 	}
 	m.mu.Lock()
@@ -132,6 +137,23 @@ func (m *SelectionMemo) selectShared(s *Session) (entities []dataset.Entity, ok,
 	m.mu.Unlock()
 	close(fl.done)
 	return fl.entities, fl.ok, true
+}
+
+// splits reports whether e is in some but not all of sub's member sets,
+// that is whether asking it narrows sub. It walks the members only until it
+// has seen one of each, so a valid entry, which splits the candidates,
+// costs a few Set.Contains calls.
+func splits(sub *dataset.Subset, e dataset.Entity) bool {
+	in, out := false, false
+	sub.ForEachMember(func(set *dataset.Set) bool {
+		if set.Contains(e) {
+			in = true
+		} else {
+			out = true
+		}
+		return !in || !out
+	})
+	return in && out
 }
 
 // Persisted/exported memo shards: a versioned, fingerprint-guarded binary
@@ -159,7 +181,8 @@ func (m *SelectionMemo) selectShared(s *Session) (entities []dataset.Entity, ok,
 // writes. It cannot check that an entry is the selection its key's state
 // would compute — a key is a hash of a state the decoder never sees — so
 // imported entries are trusted as given, and every session whose state
-// hashes to a key is served its entry.
+// hashes to a key is served its entry, provided its first entity splits
+// the session's candidates (selectShared recomputes one that does not).
 // Import shards only from engines of the same fleet.
 
 // memoShardMagic identifies a persisted selection-cache shard.

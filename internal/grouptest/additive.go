@@ -26,7 +26,6 @@ import (
 // confirming a single pool entity with SubsetOfTarget semantics, which
 // always splits properly because the entity is informative.
 type Additive struct {
-	baseScratch
 	constraints []Constraint
 }
 
@@ -34,15 +33,14 @@ type Additive struct {
 func (Additive) Name() string { return "additive" }
 
 // New implements Factory.
-func (s Additive) New() Strategy {
-	return Additive{baseScratch{dataset.NewScratch()}, s.constraints}
-}
+func (s Additive) New() Strategy { return s }
 
 // SelectSubset implements Strategy.
 func (s Additive) SelectSubset(sub *dataset.Subset, excluded map[dataset.Entity]bool) (QuestionSubset, bool) {
-	sc := s.scratch()
+	sc := dataset.BorrowScratch()
 	pool := poolOf(sub, excluded, sc)
 	if len(pool) == 0 {
+		dataset.ReturnScratch(sc)
 		return QuestionSubset{}, false
 	}
 	n := sub.Size()
@@ -70,8 +68,10 @@ func (s Additive) SelectSubset(sub *dataset.Subset, excluded map[dataset.Entity]
 		}
 	}
 
+	var members []dataset.Entity
+	yes := 0
 	if len(inC) > 0 {
-		members := make([]dataset.Entity, 0, len(inC))
+		members = make([]dataset.Entity, 0, len(inC))
 		for e := range inC {
 			members = append(members, e)
 		}
@@ -82,11 +82,12 @@ func (s Additive) SelectSubset(sub *dataset.Subset, excluded map[dataset.Entity]
 		for _, e := range members {
 			cv.Add(e)
 		}
-		yes := cv.Covered()
+		yes = cv.Covered()
 		cv.Release()
-		if yes > 0 && yes < n {
-			return QuestionSubset{Members: members, Semantics: Intersects}, true
-		}
+	}
+	dataset.ReturnScratch(sc)
+	if yes > 0 && yes < n {
+		return QuestionSubset{Members: members, Semantics: Intersects}, true
 	}
 
 	// Confirm one culprit directly. pool[0] is informative, so the split is

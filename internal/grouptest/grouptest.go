@@ -11,10 +11,13 @@
 //   - SubsetOfTarget — "is S contained in your set?"
 //
 // Strategies mirror the entity-selection discipline of internal/strategy:
-// every concrete strategy is a Factory minting single-worker instances, and selection is a pure function of the
-// candidate sub-collection and the excluded entities — group sessions
-// snapshot no strategy state, so restored sessions re-derive the same
-// question from the same candidates.
+// every concrete strategy is a Factory minting single-worker instances, and
+// selection is a pure function of the candidate sub-collection and the
+// excluded entities — group sessions snapshot no strategy state, so
+// restored sessions re-derive the same question from the same candidates.
+// An instance owns no working memory: each SelectSubset counts and covers
+// in a scratch it borrows for the call (dataset.BorrowScratch), so minting
+// one per session costs the instance only.
 package grouptest
 
 import (
@@ -116,21 +119,6 @@ func New(name string, constraints []Constraint) (Factory, error) {
 	default:
 		return nil, fmt.Errorf("grouptest: unknown group strategy %q", name)
 	}
-}
-
-// baseScratch mirrors strategy's: the scratch behind allocation-free entity
-// counting and coverage bitsets. Factory.New attaches a fresh one; a zero
-// value used without New works through a throwaway scratch per call.
-type baseScratch struct {
-	sc *dataset.Scratch
-}
-
-// scratch returns the attached scratch, or a throwaway one for a zero value.
-func (b baseScratch) scratch() *dataset.Scratch {
-	if b.sc == nil {
-		return dataset.NewScratch()
-	}
-	return b.sc
 }
 
 // poolOf copies the non-excluded informative entities of sub, counted

@@ -17,22 +17,23 @@ import (
 // result is compared against the single most-even entity and the more even
 // of the two is asked — so halving is never worse than the best entity
 // question on the same candidates.
-type Halving struct{ baseScratch }
+type Halving struct{}
 
 // Name implements Strategy.
 func (Halving) Name() string { return "halving" }
 
 // New implements Factory.
-func (s Halving) New() Strategy { return Halving{baseScratch{dataset.NewScratch()}} }
+func (Halving) New() Strategy { return Halving{} }
 
 // SelectSubset implements Strategy. The emitted subset always splits the
 // sub-collection properly: the greedy coverage is capped at ⌊n/2⌋ < n and
 // only returned when non-empty, and the single-entity fallback is
 // informative by construction.
-func (s Halving) SelectSubset(sub *dataset.Subset, excluded map[dataset.Entity]bool) (QuestionSubset, bool) {
-	sc := s.scratch()
+func (Halving) SelectSubset(sub *dataset.Subset, excluded map[dataset.Entity]bool) (QuestionSubset, bool) {
+	sc := dataset.BorrowScratch()
 	pool := poolOf(sub, excluded, sc)
 	if len(pool) == 0 {
+		dataset.ReturnScratch(sc)
 		return QuestionSubset{}, false
 	}
 	n := sub.Size()
@@ -69,6 +70,7 @@ func (s Halving) SelectSubset(sub *dataset.Subset, excluded map[dataset.Entity]b
 	}
 	covered := cv.Covered()
 	cv.Release()
+	dataset.ReturnScratch(sc)
 
 	if len(picked) > 0 && abs(2*covered-n) < bestU {
 		slices.Sort(picked)

@@ -7,6 +7,7 @@ import (
 	"setdiscovery/internal/cache"
 	"setdiscovery/internal/cost"
 	"setdiscovery/internal/dataset"
+	"setdiscovery/internal/freelist"
 )
 
 // GainK is the k-step lookahead information-gain strategy of Esmeir &
@@ -33,11 +34,13 @@ type GainK struct {
 	Evaluations int64
 	excluded    map[dataset.Entity]bool // active only during SelectExcluding
 
-	// scratch holds the count arrays, per-depth lists, candidate buffers
-	// and partition bitsets reused across the whole lookahead,
-	// allocation-free in steady state. NewGainK attaches one and New mints
-	// a fresh one per sibling.
-	scratch workerScratch
+	// scratches lends each Select the count arrays, per-depth lists,
+	// candidate buffers and partition bitsets its whole lookahead reuses,
+	// allocation-free in steady state. NewGainK makes the list and New
+	// siblings share it. last is the ID of the scratch the previous Select
+	// borrowed, which the next one asks for first (see freelist).
+	scratches *freelist.List[*workerScratch]
+	last      int
 }
 
 // NewGainK returns an unmemoised gain-k strategy. k must be ≥ 1.
@@ -45,7 +48,7 @@ func NewGainK(k int) *GainK {
 	if k < 1 {
 		panic("strategy: gain-k requires k >= 1")
 	}
-	return &GainK{k: k, scratch: newWorkerScratch(cost.AD)}
+	return &GainK{k: k, scratches: newScratchList(cost.AD)}
 }
 
 // NewGainKMemo returns a memoised gain-k (ablation).
@@ -57,13 +60,13 @@ func NewGainKMemo(k int) *GainK {
 }
 
 // New implements Factory: the sibling shares the entropy memo cache (when
-// memoised) but counts its own evaluations and owns a private scratch
-// arena. Cached entropies are exact, so sharing cannot change selections.
+// memoised) and the scratch free list its selections borrow from, but
+// counts its own evaluations; it copies configuration only. Cached
+// entropies are exact, so sharing cannot change selections.
 func (g *GainK) New() Strategy {
 	sibling := *g
 	sibling.Evaluations = 0
 	sibling.excluded = nil
-	sibling.scratch = newWorkerScratch(cost.AD)
 	return &sibling
 }
 
@@ -89,25 +92,27 @@ func (g *GainK) Name() string {
 // sub, in the same candidate order and counting each node at most once,
 // so that Figs 4a/4b compare the two algorithms rather than two
 // implementations; exclusions are checked by entity ID in sub's
-// collection.
+// collection. The lookahead runs in a scratch borrowed for the call.
 func (g *GainK) Select(sub *dataset.Subset) (dataset.Entity, bool) {
 	if sub.Size() <= 1 {
 		return 0, false
 	}
-	root := g.scratch.project(sub)
-	list := g.scratch.listAt(0, root, nil)
+	w, id := g.scratches.Get(g.last)
+	g.last = id
+	root := w.project(sub)
+	list := w.listAt(0, root, nil)
 	if len(g.excluded) > 0 {
-		list = g.scratch.dropExcluded(list, root, g.excluded)
+		list = w.dropExcluded(list, root, g.excluded)
 	}
-	cands := g.scratch.orderByLB1(0, list, root.Size()) // deterministic tie order: even splits first
+	cands := w.orderByLB1(0, list, root.Size()) // deterministic tie order: even splits first
 	n := float64(root.Size())
 	var best dataset.Entity
 	bestVal := math.Inf(1)
 	for _, cand := range cands {
 		g.Evaluations++
-		with, without := g.scratch.split(0, root, cand.entity)
-		v := (float64(with.Size())*g.entropy(with, without, g.k-1) +
-			float64(without.Size())*g.entropy(without, with, g.k-1)) / n
+		with, without := w.split(0, root, cand.entity)
+		v := (float64(with.Size())*g.entropy(w, with, without, g.k-1) +
+			float64(without.Size())*g.entropy(w, without, with, g.k-1)) / n
 		with.Release()
 		without.Release()
 		if v < bestVal {
@@ -115,12 +120,13 @@ func (g *GainK) Select(sub *dataset.Subset) (dataset.Entity, bool) {
 		}
 	}
 	root.Release()
+	g.scratches.Put(w, id)
 	return best, !math.IsInf(bestVal, 1)
 }
 
 // entropy computes ent_j as defined above for sub, one half of a split
-// whose other half is sibling.
-func (g *GainK) entropy(sub, sibling *dataset.Subset, j int) float64 {
+// whose other half is sibling, in w, the selection's scratch.
+func (g *GainK) entropy(w *workerScratch, sub, sibling *dataset.Subset, j int) float64 {
 	n := sub.Size()
 	if n <= 1 {
 		return 0
@@ -139,7 +145,7 @@ func (g *GainK) entropy(sub, sibling *dataset.Subset, j int) float64 {
 	// Depth-indexed lists: the top-level Select owns depth 0, the ent_j
 	// recursion level owns depth k−j.
 	depth := g.k - j
-	list := g.scratch.listAt(depth, sub, sibling)
+	list := w.listAt(depth, sub, sibling)
 	best := math.Inf(1)
 	if j == 1 {
 		// ent_1 needs only the split sizes, which the entity counts
@@ -155,9 +161,9 @@ func (g *GainK) entropy(sub, sibling *dataset.Subset, j int) float64 {
 	} else {
 		for _, ec := range list {
 			g.Evaluations++
-			with, without := g.scratch.split(depth, sub, ec.Entity)
-			v := (float64(with.Size())*g.entropy(with, without, j-1) +
-				float64(without.Size())*g.entropy(without, with, j-1)) / float64(n)
+			with, without := w.split(depth, sub, ec.Entity)
+			v := (float64(with.Size())*g.entropy(w, with, without, j-1) +
+				float64(without.Size())*g.entropy(w, without, with, j-1)) / float64(n)
 			with.Release()
 			without.Release()
 			if v < best {

@@ -6,36 +6,18 @@ import (
 	"setdiscovery/internal/dataset"
 )
 
-// baseScratch gives the stateless baselines their scratch for
-// allocation-free entity counting. Factory.New attaches a fresh scratch so
-// each worker counts into private reusable memory; a zero value used
-// without New counts through a throwaway scratch per call.
-type baseScratch struct {
-	sc *dataset.Scratch
-}
-
-// infos returns sub's informative entities. The slice aliases the scratch
-// and is consumed before the next call, matching how every baseline uses
-// it.
-func (b baseScratch) infos(sub *dataset.Subset) []dataset.EntityCount {
-	sc := b.sc
-	if sc == nil {
-		sc = dataset.NewScratch()
-	}
-	return sub.InformativeEntitiesInto(sc)
-}
-
 // MostEven is the greedy (ln n + 1)-approximation of Adler & Heeringa
 // (§4.2.1): pick the entity that splits the sub-collection most evenly.
 // Ties break by smallest entity ID for determinism.
-type MostEven struct{ baseScratch }
+type MostEven struct{}
 
 // Name implements Strategy.
 func (MostEven) Name() string { return "most-even" }
 
-// New implements Factory: selection is stateless, but each worker instance
-// carries its own counting scratch.
-func (s MostEven) New() Strategy { return MostEven{baseScratch{dataset.NewScratch()}} }
+// New implements Factory. Selection is stateless: every call, on a zero
+// value as on a minted one, counts in a scratch it borrows for the call
+// (dataset.BorrowScratch).
+func (MostEven) New() Strategy { return MostEven{} }
 
 // Select implements Strategy.
 func (s MostEven) Select(sub *dataset.Subset) (dataset.Entity, bool) {
@@ -43,13 +25,13 @@ func (s MostEven) Select(sub *dataset.Subset) (dataset.Entity, bool) {
 }
 
 // SelectExcluding implements Excluder for MostEven.
-func (s MostEven) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]bool) (dataset.Entity, bool) {
-	infos := s.infos(sub)
+func (MostEven) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]bool) (dataset.Entity, bool) {
+	sc := dataset.BorrowScratch()
 	n := sub.Size()
 	found := false
 	var best dataset.Entity
 	bestUneven := 0
-	for _, ec := range infos {
+	for _, ec := range sub.InformativeEntitiesInto(sc) {
 		if excluded[ec.Entity] {
 			continue
 		}
@@ -57,6 +39,7 @@ func (s MostEven) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Enti
 			best, bestUneven, found = ec.Entity, u, true
 		}
 	}
+	dataset.ReturnScratch(sc)
 	return best, found
 }
 
@@ -64,14 +47,15 @@ func (s MostEven) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Enti
 // class, so the gain of entity e splitting n sets into n1/n2 is
 // log2 n − (n1·log2 n1 + n2·log2 n2)/n, maximised when the split is most
 // even. Ties break by evenness then entity ID.
-type InfoGain struct{ baseScratch }
+type InfoGain struct{}
 
 // Name implements Strategy.
 func (InfoGain) Name() string { return "infogain" }
 
-// New implements Factory: selection is stateless, but each worker instance
-// carries its own counting scratch.
-func (s InfoGain) New() Strategy { return InfoGain{baseScratch{dataset.NewScratch()}} }
+// New implements Factory. Selection is stateless: every call, on a zero
+// value as on a minted one, counts in a scratch it borrows for the call
+// (dataset.BorrowScratch).
+func (InfoGain) New() Strategy { return InfoGain{} }
 
 // Select implements Strategy.
 func (s InfoGain) Select(sub *dataset.Subset) (dataset.Entity, bool) {
@@ -80,13 +64,13 @@ func (s InfoGain) Select(sub *dataset.Subset) (dataset.Entity, bool) {
 
 // SelectExcluding implements Excluder for InfoGain. Exclusion filters the
 // candidates before the usual gain comparison.
-func (s InfoGain) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]bool) (dataset.Entity, bool) {
-	infos := s.infos(sub)
+func (InfoGain) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]bool) (dataset.Entity, bool) {
+	sc := dataset.BorrowScratch()
 	n := sub.Size()
 	found := false
 	var best dataset.Entity
 	bestEnt, bestUneven := 0.0, 0
-	for _, ec := range infos {
+	for _, ec := range sub.InformativeEntitiesInto(sc) {
 		if excluded[ec.Entity] {
 			continue
 		}
@@ -96,6 +80,7 @@ func (s InfoGain) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Enti
 			best, bestEnt, bestUneven, found = ec.Entity, e, u, true
 		}
 	}
+	dataset.ReturnScratch(sc)
 	return best, found
 }
 
@@ -116,14 +101,15 @@ func xlog2(n int) float64 {
 // eq 10): minimise n1(n1−1)/2 + n2(n2−1)/2, the number of set pairs a
 // question fails to separate. Ties break by smallest entity ID (evenness
 // ties are impossible: the pair count is strictly monotone in unevenness).
-type Indg struct{ baseScratch }
+type Indg struct{}
 
 // Name implements Strategy.
 func (Indg) Name() string { return "indg" }
 
-// New implements Factory: selection is stateless, but each worker instance
-// carries its own counting scratch.
-func (s Indg) New() Strategy { return Indg{baseScratch{dataset.NewScratch()}} }
+// New implements Factory. Selection is stateless: every call, on a zero
+// value as on a minted one, counts in a scratch it borrows for the call
+// (dataset.BorrowScratch).
+func (Indg) New() Strategy { return Indg{} }
 
 // Select implements Strategy.
 func (s Indg) Select(sub *dataset.Subset) (dataset.Entity, bool) {
@@ -131,13 +117,13 @@ func (s Indg) Select(sub *dataset.Subset) (dataset.Entity, bool) {
 }
 
 // SelectExcluding implements Excluder for Indg.
-func (s Indg) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]bool) (dataset.Entity, bool) {
-	infos := s.infos(sub)
+func (Indg) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]bool) (dataset.Entity, bool) {
+	sc := dataset.BorrowScratch()
 	n := sub.Size()
 	found := false
 	var best dataset.Entity
 	var bestPairs int64
-	for _, ec := range infos {
+	for _, ec := range sub.InformativeEntitiesInto(sc) {
 		if excluded[ec.Entity] {
 			continue
 		}
@@ -147,5 +133,6 @@ func (s Indg) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]b
 			best, bestPairs, found = ec.Entity, pairs, true
 		}
 	}
+	dataset.ReturnScratch(sc)
 	return best, found
 }

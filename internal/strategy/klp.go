@@ -7,6 +7,7 @@ import (
 	"setdiscovery/internal/cache"
 	"setdiscovery/internal/cost"
 	"setdiscovery/internal/dataset"
+	"setdiscovery/internal/freelist"
 )
 
 // KLP implements Algorithm 1, K-Lookahead with Pruning, and its two
@@ -28,10 +29,12 @@ import (
 // sets do, not what the collection does, and counts each node at most
 // once: the root reads its informative entities from the view's posting
 // lists, and the halves of a candidate split derive theirs from the node's
-// list by counting the smaller half only (see workerScratch). The KLP
-// instance itself carries per-call scratch state (exclusions,
-// instrumentation, the view, the per-depth lists) and is a single-worker
-// object: share the factory, not the instance.
+// list by counting the smaller half only (see workerScratch). The working
+// memory of a Select (the view, the per-depth lists, the count arrays) is
+// borrowed from the lineage's free list for the call and handed back, so
+// an instance owns none between calls and New copies configuration only.
+// An instance still carries per-call state (exclusions) and is a
+// single-worker object: share the factory, not the instance.
 type KLP struct {
 	metric   cost.Metric
 	k        int
@@ -45,11 +48,14 @@ type KLP struct {
 	recorder *Recorder
 	excluded map[dataset.Entity]bool // active only during SelectExcluding
 
-	// scratch is the per-instance reusable working memory (count arrays,
-	// per-depth lists and candidate buffers, bitset pool) making
-	// steady-state Select allocation-free. NewKLP attaches one and New
-	// mints a fresh one per sibling.
-	scratch workerScratch
+	// scratches lends each Select its working memory (count arrays,
+	// per-depth lists and candidate buffers, bitset pool, the view),
+	// making steady-state selection allocation-free for every sibling,
+	// a freshly minted one included. NewKLP makes the list and New
+	// siblings share it. last is the ID of the scratch the previous Select
+	// borrowed, which the next one asks for first (see freelist).
+	scratches *freelist.List[*workerScratch]
+	last      int
 }
 
 type cacheEntry struct {
@@ -64,20 +70,20 @@ func NewKLP(m cost.Metric, k int) *KLP {
 	if k < 1 {
 		panic("strategy: k-LP requires k >= 1")
 	}
-	return &KLP{metric: m, k: k, cache: cache.New[cacheEntry](0), scratch: newWorkerScratch(m)}
+	return &KLP{metric: m, k: k, cache: cache.New[cacheEntry](0), scratches: newScratchList(m)}
 }
 
 // New implements Factory: it returns a sibling strategy for the exclusive
-// use of one goroutine, sharing the receiver's lookahead cache, recorder and
-// configuration. Cached bounds are exact or certified regardless of which
-// sibling computed them, so sharing never changes selections — it only
-// skips work (see the determinism argument on tree.Build). Each sibling
-// carries its own scratch arena, so steady-state selection is
-// allocation-free without any synchronisation between siblings.
+// use of one goroutine, sharing the receiver's lookahead cache, recorder,
+// scratch free list and configuration. Cached bounds are exact or certified
+// regardless of which sibling computed them, so sharing never changes
+// selections — it only skips work (see the determinism argument on
+// tree.Build). The sibling is a copy of the configuration and nothing
+// more: each Select borrows a warm scratch from the shared list, so
+// minting a sibling per session or per fork allocates the sibling only.
 func (s *KLP) New() Strategy {
 	sibling := *s
 	sibling.excluded = nil
-	sibling.scratch = newWorkerScratch(s.metric)
 	return &sibling
 }
 
@@ -173,14 +179,18 @@ func (s *KLP) LowerBound(sub *dataset.Subset) (dataset.Entity, cost.Value, bool)
 // searchRoot runs Algorithm 1 from the root sub (≥ 2 member sets) on its
 // compact view, so that every node of the lookahead costs what its own sets
 // do, whatever the collection's size, and maps the pick back to its entity
-// ID in sub's collection (one level up, when sub is itself a view's).
+// ID in sub's collection (one level up, when sub is itself a view's). The
+// view and the search run in a scratch borrowed for the call.
 func (s *KLP) searchRoot(sub *dataset.Subset) (dataset.Entity, cost.Value, bool) {
-	root := s.scratch.project(sub)
-	e, val, found := s.search(root, nil, s.k, cost.Inf, 0)
+	w, id := s.scratches.Get(s.last)
+	s.last = id
+	root := w.project(sub)
+	e, val, found := s.search(w, root, nil, s.k, cost.Inf, 0)
 	if found {
 		e = root.GlobalEntity(e)
 	}
 	root.Release()
+	s.scratches.Put(w, id)
 	return e, val, found
 }
 
@@ -216,8 +226,9 @@ func (s *KLP) cacheKey(sub *dataset.Subset, k, qEff int) cache.Key {
 // entity's k-step bound (≥ ul when pruned, the exact minimum otherwise).
 // sub must have ≥ 2 member sets. Below the root, sub and sibling are the
 // halves of the split being bounded at the depth above, and sub's
-// informative entities are derived from that node's (workerScratch.listAt).
-func (s *KLP) search(sub, sibling *dataset.Subset, k int, ul cost.Value, depth int) (ent dataset.Entity, val cost.Value, found bool) {
+// informative entities are derived from that node's (workerScratch.listAt)
+// in w, the selection's scratch.
+func (s *KLP) search(w *workerScratch, sub, sibling *dataset.Subset, k int, ul cost.Value, depth int) (ent dataset.Entity, val cost.Value, found bool) {
 	// Exclusions (SelectExcluding) constrain only the entity proposed at the
 	// node itself, so they bypass the node-level cache.
 	excluding := depth == 0 && len(s.excluded) > 0
@@ -238,9 +249,9 @@ func (s *KLP) search(sub, sibling *dataset.Subset, k int, ul cost.Value, depth i
 	}
 
 	n := sub.Size()
-	list := s.scratch.listAt(depth, sub, sibling)
+	list := w.listAt(depth, sub, sibling)
 	if excluding {
-		list = s.scratch.dropExcluded(list, sub, s.excluded)
+		list = w.dropExcluded(list, sub, s.excluded)
 		if len(list) == 0 {
 			return 0, ul, false
 		}
@@ -252,7 +263,7 @@ func (s *KLP) search(sub, sibling *dataset.Subset, k int, ul cost.Value, depth i
 	// minimum-LB1 entity, not the most even one, so that the cached value
 	// stays a lower bound under AD's ceilings.
 	if k <= 1 {
-		best, ok := s.scratch.minByLB1(list, n)
+		best, ok := w.minByLB1(list, n)
 		if !ok {
 			return 0, ul, false
 		}
@@ -265,7 +276,7 @@ func (s *KLP) search(sub, sibling *dataset.Subset, k int, ul cost.Value, depth i
 		return best.entity, best.lb1, true
 	}
 
-	cands := s.scratch.orderByLB1(depth, list, n)
+	cands := w.orderByLB1(depth, list, n)
 	if qEff := s.effectiveQ(depth); qEff > 0 && len(cands) > qEff {
 		cands = cands[:qEff]
 	}
@@ -280,8 +291,8 @@ func (s *KLP) search(sub, sibling *dataset.Subset, k int, ul cost.Value, depth i
 			ns.PrunedSort += len(cands) - i
 			break
 		}
-		with, without := s.scratch.split(depth, sub, cand.entity)
-		l, aborted := s.childBounds(with, without, k, ul, depth, n)
+		with, without := w.split(depth, sub, cand.entity)
+		l, aborted := s.childBounds(w, with, without, k, ul, depth, n)
 		// The children are pure lookahead state: hand their pooled
 		// bitsets back before moving to the next candidate.
 		with.Release()
@@ -313,7 +324,7 @@ func (s *KLP) search(sub, sibling *dataset.Subset, k int, ul cost.Value, depth i
 // (k−1)-step bounds of both children under the derived upper limits, lifted
 // by cost.Combine. aborted reports that a child's recursive search was cut
 // by its upper limit (the candidate cannot beat the incumbent).
-func (s *KLP) childBounds(with, without *dataset.Subset, k int, ul cost.Value, depth, n int) (l cost.Value, aborted bool) {
+func (s *KLP) childBounds(w *workerScratch, with, without *dataset.Subset, k int, ul cost.Value, depth, n int) (l cost.Value, aborted bool) {
 	n1, n2 := with.Size(), without.Size()
 
 	var l1 cost.Value
@@ -322,9 +333,9 @@ func (s *KLP) childBounds(with, without *dataset.Subset, k int, ul cost.Value, d
 	} else {
 		ul1 := cost.Inf
 		if !s.noULPrune {
-			ul1 = cost.ULFirst(s.metric, ul, n, s.scratch.lb0[n2])
+			ul1 = cost.ULFirst(s.metric, ul, n, w.lb0[n2])
 		}
-		_, v, ok := s.search(with, without, k-1, ul1, depth+1)
+		_, v, ok := s.search(w, with, without, k-1, ul1, depth+1)
 		if !ok {
 			return 0, true
 		}
@@ -339,7 +350,7 @@ func (s *KLP) childBounds(with, without *dataset.Subset, k int, ul cost.Value, d
 		if !s.noULPrune {
 			ul2 = cost.ULSecond(s.metric, ul, n, l1)
 		}
-		_, v, ok := s.search(without, with, k-1, ul2, depth+1)
+		_, v, ok := s.search(w, without, with, k-1, ul2, depth+1)
 		if !ok {
 			return 0, true
 		}

@@ -5,14 +5,17 @@ import (
 
 	"setdiscovery/internal/cost"
 	"setdiscovery/internal/dataset"
+	"setdiscovery/internal/freelist"
 )
 
-// workerScratch bundles the reusable per-instance state of the lookahead
-// strategies: the dataset scratch (count arrays, bitset pool, the view), a
-// depth-indexed stack of per-node lists so the lookahead recursion levels
-// never stomp each other's, and the ⌈n·log2 n⌉ table of the instance's
-// metric. Every KLP and GainK value carries one, and New mints a fresh one
-// per sibling.
+// workerScratch bundles the working memory of one selection of the
+// lookahead strategies: the dataset scratch (count arrays, bitset pool, the
+// view), a depth-indexed stack of per-node lists so the lookahead recursion
+// levels never stomp each other's, and the ⌈n·log2 n⌉ table of the
+// lineage's metric. No KLP or GainK instance owns one: each Select borrows
+// one from its factory lineage's free list (newScratchList) and hands it
+// back when it returns, so a sibling minted per session or per fork starts
+// on warm memory and carries none between calls.
 //
 // Each lookahead node is counted at most once. The root of a selection is
 // a view's root, whose counts are its posting lengths, and the halves of a
@@ -55,8 +58,20 @@ type level struct {
 	order []candidate
 }
 
-func newWorkerScratch(m cost.Metric) workerScratch {
-	return workerScratch{sc: dataset.NewScratch(), metric: m}
+func newWorkerScratch(m cost.Metric) *workerScratch {
+	return &workerScratch{sc: dataset.NewScratch(), metric: m}
+}
+
+// newScratchList returns the free list one factory lineage's instances
+// borrow their workerScratch from, one per selection: the constructor makes
+// it and New siblings share it, as they share the lookahead cache. It is
+// per lineage, not process-wide, because a scratch's view keeps the
+// collection it was projected from and its sets' names: a process-wide
+// list would pin a replaced collection. A Select hands its scratch back
+// only when it returns normally, with every subset it drew released, so a
+// panic never returns nonzero count cells or a live view to the list.
+func newScratchList(m cost.Metric) *freelist.List[*workerScratch] {
+	return freelist.New(func() *workerScratch { return newWorkerScratch(m) })
 }
 
 // project returns the compact view of sub (see dataset.Subset.Project),

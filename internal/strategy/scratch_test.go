@@ -2,11 +2,13 @@ package strategy
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"setdiscovery/internal/cache"
 	"setdiscovery/internal/cost"
 	"setdiscovery/internal/dataset"
+	"setdiscovery/internal/grouptest"
 	"setdiscovery/internal/synth"
 	"setdiscovery/internal/webtables"
 )
@@ -151,50 +153,115 @@ func TestKLPWarmCacheSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestFactoriesMintIndependentScratches: siblings must not share scratch
-// state (they may share caches only).
-func TestFactoriesMintIndependentScratches(t *testing.T) {
-	f := NewKLP(cost.AD, 2)
-	a := f.New().(*KLP)
-	b := f.New().(*KLP)
-	if a.scratch.sc == nil || b.scratch.sc == nil {
-		t.Fatal("minted siblings lack scratch state")
-	}
-	if a.scratch.sc == b.scratch.sc {
-		t.Fatal("siblings share one scratch — unsafe for concurrent workers")
-	}
-	if a.cache != b.cache {
-		t.Fatal("siblings do not share the lookahead cache")
-	}
-	for i, fac := range []Factory{MostEven{}, InfoGain{}, Indg{}, NewGainK(2)} {
-		x := fac.New()
-		y := fac.New()
-		sx, sy := scratchOf(x), scratchOf(y)
-		if sx == nil || sy == nil {
-			t.Fatalf("factory %d: minted instance lacks scratch", i)
+// TestScratchBorrowedPerSelect: no strategy instance owns working memory.
+// Every selection borrows its scratch for the call, from its factory
+// lineage's free list (k-LP, gain-k) or the process-wide one (the
+// baselines and the group strategies), so
+//
+//   - every built-in factory's New allocates at most the instance itself;
+//   - on a warm lineage, a fresh sibling per Select, as the engine mints
+//     one per session, allocates no more than a warm instance's Select
+//     plus the sibling;
+//   - siblings minted by four goroutines at once from one lineage pick
+//     what a sequential fresh factory picks over overlapping roots (run
+//     it with -race: they share the lookahead cache and the free list).
+func TestScratchBorrowedPerSelect(t *testing.T) {
+	subs := scratchSubs(t)
+	for _, s := range goldenSelectionStrategies {
+		f := s.f()
+		if allocs := testing.AllocsPerRun(20, func() { f.New() }); allocs > 1 {
+			t.Errorf("%s: New allocates %.1f objects, want at most the instance", s.name, allocs)
 		}
-		if sx == sy {
-			t.Fatalf("factory %d: siblings share one scratch", i)
+		if k, ok := f.(*KLP); ok {
+			a, b := k.New().(*KLP), k.New().(*KLP)
+			if a.cache != b.cache || a.scratches != b.scratches {
+				t.Fatalf("%s: siblings do not share the lineage's cache and free list", s.name)
+			}
 		}
+		warm := f.New()
+		checkFreshSiblingAllocs(t, s.name, subs,
+			func(sub *dataset.Subset) { f.New().Select(sub) },
+			func(sub *dataset.Subset) { warm.Select(sub) })
+
+		want := make([]string, len(subs))
+		for i, sub := range subs {
+			want[i] = pick(s.f().New().Select(sub))
+		}
+		lineage := s.f()
+		concurrentPicks(t, s.name, want, func(i int) string { return pick(lineage.New().Select(subs[i])) })
+	}
+	for _, name := range []string{"halving", "additive"} {
+		mk := func() grouptest.Factory {
+			f, err := grouptest.New(name, []grouptest.Constraint{{If: 1, Then: 2}, {If: 3, Then: 5}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+		f := mk()
+		if allocs := testing.AllocsPerRun(20, func() { f.New() }); allocs > 1 {
+			t.Errorf("%s: New allocates %.1f objects, want at most the instance", name, allocs)
+		}
+		warm := f.New()
+		checkFreshSiblingAllocs(t, name, subs,
+			func(sub *dataset.Subset) { f.New().SelectSubset(sub, nil) },
+			func(sub *dataset.Subset) { warm.SelectSubset(sub, nil) })
+
+		want := make([]string, len(subs))
+		for i, sub := range subs {
+			want[i] = fmt.Sprint(mk().New().SelectSubset(sub, nil))
+		}
+		lineage := mk()
+		concurrentPicks(t, name, want, func(i int) string { return fmt.Sprint(lineage.New().SelectSubset(subs[i], nil)) })
 	}
 }
 
-// scratchOf digs the dataset scratch out of any built-in strategy instance.
-func scratchOf(s Strategy) *dataset.Scratch {
-	switch v := s.(type) {
-	case *KLP:
-		return v.scratch.sc
-	case *GainK:
-		return v.scratch.sc
-	case MostEven:
-		return v.sc
-	case InfoGain:
-		return v.sc
-	case Indg:
-		return v.sc
-	default:
-		panic(fmt.Sprintf("unknown strategy %T", s))
+// checkFreshSiblingAllocs fails unless a pass of fresh (a selection through
+// a freshly minted sibling) over subs allocates no more than a pass of warm
+// (the same selection through one warm instance) plus the fresh siblings
+// themselves. Both run on a lineage warmed by two passes of each first.
+func checkFreshSiblingAllocs(t *testing.T, name string, subs []*dataset.Subset, fresh, warm func(*dataset.Subset)) {
+	t.Helper()
+	pass := func(sel func(*dataset.Subset)) func() {
+		return func() {
+			for _, sub := range subs {
+				sel(sub)
+			}
+		}
 	}
+	for range 2 {
+		pass(fresh)()
+		pass(warm)()
+	}
+	warmAllocs := testing.AllocsPerRun(20, pass(warm))
+	freshAllocs := testing.AllocsPerRun(20, pass(fresh))
+	if limit := warmAllocs + float64(len(subs)); freshAllocs > limit {
+		t.Errorf("%s: a fresh sibling per Select allocates %.1f objects per pass, a warm instance %.1f: want at most %.1f",
+			name, freshAllocs, warmAllocs, limit)
+	}
+}
+
+// concurrentPicks runs four goroutines that each make pickAt(i) for every
+// root i twice, starting at different roots, and fails unless every pick
+// equals want[i].
+func concurrentPicks(t *testing.T, name string, want []string, pickAt func(i int) string) {
+	t.Helper()
+	n := len(want)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range 2 * n {
+				i := (j + g*n/4) % n
+				if got := pickAt(i); got != want[i] {
+					t.Errorf("%s: goroutine %d picks %s on root %d, a sequential fresh factory %s", name, g, got, i, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestKLPSharedFactoryOverlappingRoots: one k-LP instance, whose lookahead

@@ -29,7 +29,7 @@ import (
 // view's local numbering; the caller maps it back (Subset.GlobalEntity).
 //
 // A Strategy instance is a single-worker object: it may carry per-call
-// scratch state (exclusion sets, instrumentation) and must not be shared by
+// state (exclusion sets, instrumentation) and must not be shared by
 // concurrent goroutines. Concurrent workers each obtain their own instance
 // from a Factory; instances minted by one factory share the concurrency-safe
 // memoisation caches, so lookahead work done by one worker or session is
@@ -40,16 +40,19 @@ type Strategy interface {
 }
 
 // Factory mints per-worker Strategy instances. Factories are safe for
-// concurrent use: tree construction calls New once per worker goroutine, and
+// concurrent use: tree construction calls New once per forked branch, and
 // every concurrent discovery session over a shared collection draws its own
 // instance. All instances from one factory share the factory's fingerprint
 // caches (Algorithm 1's Cache), which are concurrency-safe.
 //
 // Every concrete strategy in this package implements both Strategy and
-// Factory: New returns a fresh instance with its own counting scratch — for
-// the lookahead strategies a sibling sharing the receiver's cache. A
-// concrete value can therefore be used directly where a Factory is
-// expected.
+// Factory: New returns a fresh instance that copies the receiver's
+// configuration — for the lookahead strategies a sibling sharing the
+// receiver's cache — and owns no working memory. Each selection borrows its
+// scratch for the call, from the factory lineage's free list (the
+// lookahead strategies) or a process-wide one (the baselines), so New
+// allocates at most the instance. A concrete value can therefore be used
+// directly where a Factory is expected.
 type Factory interface {
 	Name() string
 	// New returns a Strategy for the exclusive use of one goroutine.

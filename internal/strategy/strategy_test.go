@@ -445,7 +445,7 @@ func TestMinByLB1MatchesSortedFirst(t *testing.T) {
 	}
 	r := rng.New(41)
 	for _, m := range []cost.Metric{cost.AD, cost.H} {
-		w := newWorkerScratch(m)
+		w, _ := newScratchList(m).Get(0)
 		for trial := 0; trial < 2000; trial++ {
 			n := 2 + r.Intn(12)
 			w.growLB0(n)
@@ -525,7 +525,7 @@ func candidates(m cost.Metric, list []dataset.EntityCount, n int) []candidate {
 // a 1,500-set one and on to the largest.
 func TestLB0TableMatchesCost(t *testing.T) {
 	for _, m := range []cost.Metric{cost.AD, cost.H} {
-		w := newWorkerScratch(m)
+		w, _ := newScratchList(m).Get(0)
 		largest := 0
 		for _, n := range []int{64, 1500, 10, 1<<16 - 1} {
 			w.growLB0(n)
@@ -550,7 +550,7 @@ func TestLB0TableMatchesCost(t *testing.T) {
 func TestCountingOrderMatchesSortByLB1(t *testing.T) {
 	r := rng.New(41)
 	for _, m := range []cost.Metric{cost.AD, cost.H} {
-		w := newWorkerScratch(m)
+		w, _ := newScratchList(m).Get(0)
 		for trial := 0; trial < 2000; trial++ {
 			n := 2 + r.Intn(80)
 			w.growLB0(n)

@@ -13,7 +13,6 @@ import (
 	"io"
 	"runtime"
 	"strings"
-	"sync"
 
 	"setdiscovery/internal/bitset"
 	"setdiscovery/internal/cost"
@@ -78,7 +77,12 @@ func withSharedPool(p *bitset.Pool) BuildOption {
 // collection.
 //
 // By default the Yes/No recursion fans out over a pool of GOMAXPROCS
-// workers (bound it with WithParallelism). The output is deterministic —
+// workers (bound it with WithParallelism). Each forked branch mints its
+// own strategy sibling from f and its own partition scratch over the
+// build's bitset pool. Neither is an arena: a sibling copies f's
+// configuration and borrows its selection scratch from f's lineage for
+// each Select, so a fork allocates a few small headers however many nodes
+// fork. The output is deterministic —
 // byte-identical to the sequential build — because each node's selection
 // depends only on its own sub-collection: strategies from one factory share
 // a memo cache, but every cached value is exact or a certified bound, so a
@@ -124,54 +128,21 @@ func Build(sub *dataset.Subset, f strategy.Factory, opts ...BuildOption) (*Tree,
 
 // builder carries the shared state of one Build call: the strategy factory,
 // the token semaphore bounding extra worker goroutines (nil when the build
-// is sequential), and the shared bitset pool behind the per-worker
+// is sequential), and the shared bitset pool behind the forks' partition
 // scratches.
 type builder struct {
 	factory strategy.Factory
 	sem     chan struct{}
 	pool    *bitset.Pool
-
-	// ctxFree recycles worker contexts across forks. A fork happens every
-	// time a semaphore token is free — potentially once per node — while
-	// the number of simultaneously live contexts is bounded by the worker
-	// count, so minting a fresh strategy sibling (which now carries a whole
-	// scratch arena) per fork would allocate O(nodes) arenas where
-	// O(workers) suffice.
-	ctxMu   sync.Mutex
-	ctxFree []*workerCtx
-}
-
-// workerCtx is the per-goroutine working state of one build worker: its
-// strategy sibling and its partition scratch.
-type workerCtx struct {
-	sel strategy.Strategy
-	sc  *dataset.Scratch
-}
-
-// getCtx pops a recycled worker context or mints a new one.
-func (b *builder) getCtx() *workerCtx {
-	b.ctxMu.Lock()
-	if n := len(b.ctxFree); n > 0 {
-		ctx := b.ctxFree[n-1]
-		b.ctxFree = b.ctxFree[:n-1]
-		b.ctxMu.Unlock()
-		return ctx
-	}
-	b.ctxMu.Unlock()
-	return &workerCtx{sel: b.factory.New(), sc: dataset.NewScratchWithPool(b.pool)}
-}
-
-// putCtx hands a worker context back for the next fork.
-func (b *builder) putCtx(ctx *workerCtx) {
-	b.ctxMu.Lock()
-	b.ctxFree = append(b.ctxFree, ctx)
-	b.ctxMu.Unlock()
 }
 
 // build constructs the subtree for sub, a subset of the build's view. sel
 // and sc are owned by the calling goroutine; when a branch is forked off,
 // the new goroutine mints its own sibling strategy from the factory and its
-// own scratch over the shared pool. sub is owned by the caller; the two
+// own partition scratch over the shared pool. Both are small: a sibling
+// copies its factory's configuration and borrows its selection scratch
+// per Select, and the partition scratch draws its bitsets from the shared
+// pool. sub is owned by the caller; the two
 // partition subsets created here are released once both children are
 // materialised, so steady-state construction reuses a depth-bounded set of
 // bitsets. Nodes store the global entity and leaves the global set.
@@ -209,9 +180,7 @@ func (b *builder) build(sub *dataset.Subset, sel strategy.Strategy, sc *dataset.
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				ctx := b.getCtx()
-				yes, yerr = b.build(with, ctx.sel, ctx.sc)
-				b.putCtx(ctx)
+				yes, yerr = b.build(with, b.factory.New(), dataset.NewScratchWithPool(b.pool))
 				<-b.sem
 			}()
 			no, nerr := b.build(without, sel, sc)

@@ -79,7 +79,10 @@ type Collection struct {
 
 	// factories caches one strategy factory per distinct strategy
 	// configuration, so every session and build over this collection with
-	// the same options shares that factory's fingerprint caches.
+	// the same options shares that factory's fingerprint caches. A
+	// factory's lineage also owns the scratches its selections borrow,
+	// whose views point into this collection; keeping factories per
+	// collection lets them die with it.
 	mu        sync.Mutex
 	factories map[strategyKey]strategy.Factory
 
