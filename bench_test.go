@@ -9,6 +9,7 @@
 package setdiscovery
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -258,11 +259,16 @@ type seedQuery struct {
 	examples []dataset.Entity
 }
 
+// corpus40k generates the default 40k-set web-tables corpus (about 1 s) on
+// first use.
+var corpus40k = sync.OnceValues(func() (*dataset.Collection, error) {
+	return webtables.Generate(webtables.DefaultParams())
+})
+
 // corpus40kSeed returns the corpus-40k sub-collection of
-// BenchmarkSelectSubCollection and its two examples, generating the corpus
-// (about 1 s) on first use.
+// BenchmarkSelectSubCollection and its two examples.
 var corpus40kSeed = sync.OnceValues(func() (seedQuery, error) {
-	c, err := webtables.Generate(webtables.DefaultParams())
+	c, err := corpus40k()
 	if err != nil {
 		return seedQuery{}, err
 	}
@@ -279,6 +285,43 @@ var corpus40kSeed = sync.OnceValues(func() (seedQuery, error) {
 	examples := []dataset.Entity{best.A, best.B}
 	return seedQuery{c.SupersetsOf(examples), examples}, nil
 })
+
+// BenchmarkReadCollection loads the corpus-40k collection from its text
+// format (12.1 MB, as perfbench's web workloads load it) through
+// ReadCollection once per iteration, and reports the heap one loaded
+// collection retains after garbage collection (retained-MB, in 10^6 bytes):
+// what an engine keeps resident for each collection it serves.
+func BenchmarkReadCollection(b *testing.B) {
+	c, err := corpus40k()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := c.WriteText(&buf); err != nil {
+		b.Fatal(err)
+	}
+	text := buf.Bytes()
+	load := func() *Collection {
+		c, err := ReadCollection(bytes.NewReader(text))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return c
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kept := load()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(kept)
+	retained := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / 1e6
+	b.ReportAllocs()
+	for b.Loop() {
+		load()
+	}
+	b.ReportMetric(retained, "retained-MB")
+}
 
 // benchSelectRoot times one cold-cache k-LP (k=2) root selection over sub
 // per iteration, through a scratch sized by an untimed first selection.

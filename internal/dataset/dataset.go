@@ -10,9 +10,11 @@
 package dataset
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"hash/maphash"
+	"slices"
 	"sync"
 
 	"setdiscovery/internal/intern"
@@ -36,9 +38,10 @@ func (s *Set) Contains(e Entity) bool { return setops.Contains(s.Elems, e) }
 func (s *Set) Len() int { return len(s.Elems) }
 
 // Collection is an immutable collection of unique sets (§3). Build one with
-// a Builder or FromIDSets.
+// a Builder or FromIDSets. It is laid out in a few flat arrays (see build)
+// and keeps no slice or buffer of its input.
 type Collection struct {
-	sets        []*Set
+	sets        []*Set       // pointers into one []Set
 	dict        *intern.Dict // nil when built from raw IDs
 	numEntities int
 	postings    [][]uint32 // entity -> sorted set indexes containing it
@@ -62,8 +65,7 @@ var ErrDuplicateSet = errors.New("dataset: duplicate set in collection")
 // Builder accumulates named string sets and produces a Collection.
 type Builder struct {
 	dict           *intern.Dict
-	names          []string
-	elems          [][]Entity
+	list           setList
 	dropDuplicates bool
 }
 
@@ -82,104 +84,169 @@ func (b *Builder) DropDuplicates() *Builder {
 // Add appends a named set given by its element strings. Duplicate elements
 // within one set are merged.
 func (b *Builder) Add(name string, elements []string) *Builder {
-	ids := b.dict.InternAll(elements)
-	b.names = append(b.names, name)
-	b.elems = append(b.elems, setops.Normalize(ids))
+	b.list.elems = append(b.list.elems, b.dict.InternAll(elements)...)
+	b.list.end(name)
 	return b
 }
 
 // Len reports how many sets have been added so far.
-func (b *Builder) Len() int { return len(b.names) }
+func (b *Builder) Len() int { return len(b.list.names) }
 
 // Build validates and freezes the collection. Empty sets are rejected; the
 // membership question "is e in the target?" can never distinguish an empty
 // set, and the paper's model has no use for them.
 func (b *Builder) Build() (*Collection, error) {
-	return build(b.names, b.elems, b.dict, b.dict.Len(), b.dropDuplicates)
+	return build(&b.list, b.dict, b.dict.Len(), b.dropDuplicates)
 }
 
 // FromIDSets builds a collection directly from entity-ID element slices
 // (used when the entities already are dense integers, e.g. tuple row
-// numbers). Element slices may be unsorted and contain duplicates; they are
-// normalized in place. numEntities must exceed every referenced ID.
+// numbers). Element slices may be unsorted and contain duplicates. The
+// collection normalizes copies of them: it neither changes nor keeps the
+// caller's slices. numEntities must exceed every referenced ID.
 func FromIDSets(names []string, elems [][]Entity, numEntities int, dropDuplicates bool) (*Collection, error) {
-	norm := make([][]Entity, len(elems))
-	for i, e := range elems {
-		norm[i] = setops.Normalize(e)
-	}
-	return build(names, norm, nil, numEntities, dropDuplicates)
-}
-
-func build(names []string, elems [][]Entity, dict *intern.Dict, numEntities int, dropDuplicates bool) (*Collection, error) {
 	if len(names) != len(elems) {
 		return nil, fmt.Errorf("dataset: %d names but %d element lists", len(names), len(elems))
 	}
-	type rec struct {
-		name  string
-		elems []Entity
+	total := 0
+	for _, e := range elems {
+		total += len(e)
 	}
-	var recs []rec
-	seen := make(map[string]string, len(elems)) // canonical key -> first name
+	l := setList{elems: make([]Entity, 0, total)}
 	for i, e := range elems {
+		l.elems = append(l.elems, e...)
+		l.end(names[i])
+	}
+	return build(&l, nil, numEntities, dropDuplicates)
+}
+
+// setList holds sets on their way into build: set i is named names[i], and
+// its normalized elements lie in elems up to ends[i], right after those of
+// set i−1, so the list grows by append without a slice per set.
+type setList struct {
+	names []string
+	elems []Entity
+	ends  []int
+}
+
+// end closes a set: it normalizes, in place, the elements appended to
+// l.elems since the previous set ended, and names the set.
+func (l *setList) end(name string) {
+	start := l.start(len(l.names))
+	l.elems = l.elems[:start+len(setops.Normalize(l.elems[start:]))]
+	l.names = append(l.names, name)
+	l.ends = append(l.ends, len(l.elems))
+}
+
+func (l *setList) start(i int) int {
+	if i == 0 {
+		return 0
+	}
+	return l.ends[i-1]
+}
+
+// set returns the elements of set i.
+func (l *setList) set(i int) []Entity { return l.elems[l.start(i):l.ends[i]] }
+
+// build validates the sets of l, drops or rejects duplicates, and lays the
+// rest out in three flat arrays, copying everything it keeps so that no
+// buffer of l stays referenced:
+//
+//   - one []Set, which c.sets points into;
+//   - one arena of every set's elements, in set order;
+//   - one arena of every posting list, in entity order.
+//
+// Each Set.Elems and each posting list is a sub-slice of its arena with
+// cap == len, so an append to one copies it instead of overwriting its
+// neighbour. Neither arena holds pointers, so the garbage collector never
+// scans them. A counting pass sizes the posting lists before any is
+// filled.
+func build(l *setList, dict *intern.Dict, numEntities int, dropDuplicates bool) (*Collection, error) {
+	// Duplicates are found by a hash of the elements: first maps a hash to
+	// the first kept set with it, and a set whose hash is taken by a
+	// different set probes the next hash value.
+	kept := make([]int, 0, len(l.names))
+	first := make(map[uint64]int, len(l.names))
+	seed := maphash.MakeSeed()
+	var key []byte
+	total, maxUsed := 0, -1
+	for i, name := range l.names {
+		e := l.set(i)
 		if len(e) == 0 {
-			return nil, fmt.Errorf("dataset: set %q is empty", names[i])
+			return nil, fmt.Errorf("dataset: set %q is empty", name)
 		}
+		if last := int(e[len(e)-1]); last >= numEntities {
+			j, _ := slices.BinarySearch(e, Entity(max(numEntities, 0)))
+			return nil, fmt.Errorf("dataset: set %q references entity %d beyond universe size %d",
+				name, e[j], numEntities)
+		}
+		key = key[:0]
 		for _, id := range e {
-			if int(id) >= numEntities {
-				return nil, fmt.Errorf("dataset: set %q references entity %d beyond universe size %d",
-					names[i], id, numEntities)
+			key = binary.LittleEndian.AppendUint32(key, id)
+		}
+		dup := -1
+		for h := maphash.Bytes(seed, key); ; h++ {
+			j, taken := first[h]
+			if !taken {
+				first[h] = i
+				break
+			}
+			if slices.Equal(l.set(j), e) {
+				dup = j
+				break
 			}
 		}
-		key := string(elemKey(e))
-		if first, dup := seen[key]; dup {
+		if dup >= 0 {
 			if dropDuplicates {
 				continue
 			}
-			return nil, fmt.Errorf("%w: %q duplicates %q", ErrDuplicateSet, names[i], first)
+			return nil, fmt.Errorf("%w: %q duplicates %q", ErrDuplicateSet, name, l.names[dup])
 		}
-		seen[key] = names[i]
-		recs = append(recs, rec{names[i], e})
+		kept = append(kept, i)
+		total += len(e)
+		// The postings array is sized by the largest entity actually
+		// used, not by the declared universe: numEntities is untrusted
+		// metadata when a collection is deserialized, and sparse
+		// universes are legal.
+		maxUsed = max(maxUsed, int(e[len(e)-1]))
 	}
-	if len(recs) == 0 {
+	if len(kept) == 0 {
 		return nil, errors.New("dataset: collection has no sets")
 	}
-	// The postings array is sized by the largest entity actually used, not
-	// by the declared universe: numEntities is untrusted metadata when a
-	// collection is deserialized, and sparse universes are legal.
-	maxUsed := -1
-	for _, r := range recs {
-		if last := int(r.elems[len(r.elems)-1]); last > maxUsed {
-			maxUsed = last
-		}
-	}
+
 	c := &Collection{
-		sets:        make([]*Set, len(recs)),
+		sets:        make([]*Set, len(kept)),
 		dict:        dict,
 		numEntities: numEntities,
 		postings:    make([][]uint32, maxUsed+1),
 	}
-	for i, r := range recs {
-		c.sets[i] = &Set{Index: i, Name: r.name, Elems: r.elems}
-		for _, e := range r.elems {
+	sets := make([]Set, len(kept))
+	elems := make([]Entity, 0, total)
+	counts := make([]int32, maxUsed+1)
+	for i, j := range kept {
+		start := len(elems)
+		elems = append(elems, l.set(j)...)
+		sets[i] = Set{Index: i, Name: l.names[j], Elems: elems[start:len(elems):len(elems)]}
+		c.sets[i] = &sets[i]
+		for _, e := range sets[i].Elems {
+			counts[e]++
+		}
+	}
+	postings, off := make([]uint32, total), 0
+	for e, n := range counts {
+		if n > 0 {
+			c.postings[e] = postings[off : off : off+int(n)]
+			off += int(n)
+		}
+	}
+	// Filling in set order keeps every list sorted; each append stays
+	// within the capacity its count reserved.
+	for i := range sets {
+		for _, e := range sets[i].Elems {
 			c.postings[e] = append(c.postings[e], uint32(i))
 		}
 	}
 	return c, nil
-}
-
-func elemKey(e []Entity) []byte {
-	buf := make([]byte, 0, 2*len(e))
-	prev := uint32(0)
-	for _, v := range e {
-		d := v - prev
-		for d >= 0x80 {
-			buf = append(buf, byte(d)|0x80)
-			d >>= 7
-		}
-		buf = append(buf, byte(d))
-		prev = v
-	}
-	return buf
 }
 
 // Len returns the number of sets in the collection.
@@ -299,17 +366,4 @@ func (c *Collection) FindByElements(elems []Entity) *Set {
 		}
 	}
 	return nil
-}
-
-// SortKey returns a canonical ordering of set indexes by element lists;
-// useful for deterministic output independent of insertion order.
-func (c *Collection) SortKey() []int {
-	idx := make([]int, len(c.sets))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return setops.Compare(c.sets[idx[a]].Elems, c.sets[idx[b]].Elems) < 0
-	})
-	return idx
 }

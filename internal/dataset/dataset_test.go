@@ -211,36 +211,6 @@ func TestFindByElements(t *testing.T) {
 	}
 }
 
-func TestSortKeyIsCanonical(t *testing.T) {
-	c := paperCollection(t)
-	idx := c.SortKey()
-	if len(idx) != 7 {
-		t.Fatalf("SortKey length %d", len(idx))
-	}
-	for i := 1; i < len(idx); i++ {
-		a, b := c.Set(idx[i-1]).Elems, c.Set(idx[i]).Elems
-		if cmp := compareElems(a, b); cmp >= 0 {
-			t.Errorf("SortKey not strictly increasing at %d", i)
-		}
-	}
-}
-
-func compareElems(a, b []Entity) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return len(a) - len(b)
-}
-
 func TestEntityNameWithDict(t *testing.T) {
 	c := paperCollection(t)
 	a := entity(t, c, "a")

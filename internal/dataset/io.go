@@ -2,9 +2,11 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -12,12 +14,23 @@ import (
 // field the set name, remaining fields the entity strings. Lines starting
 // with '#' and blank lines are ignored. This is the on-disk format of
 // cmd/datagen and the input format of cmd/setdisc.
+//
+// A backslash escapes the byte after it: \t, \n and \r stand for tab,
+// newline and carriage return, and any other escaped byte for itself.
+// WriteText escapes those three, the backslash, and a '#' that starts a
+// set name, so every line it writes reads back as the set it wrote.
 
 // WriteText writes the collection in the text format. Collections built
 // from raw IDs render entities as "#<id>".
 func (c *Collection) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, s := range c.sets {
+		if strings.HasPrefix(s.Name, "#") {
+			// Unescaped, the line would read as a comment.
+			if err := bw.WriteByte('\\'); err != nil {
+				return err
+			}
+		}
 		if _, err := bw.WriteString(escapeField(s.Name)); err != nil {
 			return err
 		}
@@ -36,59 +49,69 @@ func (c *Collection) WriteText(w io.Writer) error {
 	return bw.Flush()
 }
 
+// fieldEscaper escapes what a field cannot hold as is: the backslash, the
+// tab that separates fields, the newline that ends a line, and the
+// carriage return that the reader strips from a line's end.
+var fieldEscaper = strings.NewReplacer("\\", "\\\\", "\t", "\\t", "\n", "\\n", "\r", "\\r")
+
 func escapeField(s string) string {
-	if !strings.ContainsAny(s, "\t\n\\") {
+	if !strings.ContainsAny(s, "\t\n\r\\") {
 		return s
 	}
-	r := strings.NewReplacer("\\", "\\\\", "\t", "\\t", "\n", "\\n")
-	return r.Replace(s)
+	return fieldEscaper.Replace(s)
 }
 
-func unescapeField(s string) string {
-	if !strings.Contains(s, "\\") {
-		return s
-	}
-	var sb strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' && i+1 < len(s) {
-			i++
-			switch s[i] {
-			case 't':
-				sb.WriteByte('\t')
-			case 'n':
-				sb.WriteByte('\n')
-			default:
-				sb.WriteByte(s[i])
-			}
-		} else {
-			sb.WriteByte(s[i])
+// appendUnescaped appends field f, its escapes resolved, to dst. A trailing
+// lone backslash stands for itself.
+func appendUnescaped(dst, f []byte) []byte {
+	for {
+		i := bytes.IndexByte(f, '\\')
+		if i < 0 || i+1 == len(f) {
+			return append(dst, f...)
 		}
+		dst = append(dst, f[:i]...)
+		switch b := f[i+1]; b {
+		case 't':
+			dst = append(dst, '\t')
+		case 'n':
+			dst = append(dst, '\n')
+		case 'r':
+			dst = append(dst, '\r')
+		default:
+			dst = append(dst, b)
+		}
+		f = f[i+2:]
 	}
-	return sb.String()
 }
 
 // ReadText parses the text format and builds a collection. Duplicate sets
-// are dropped (matching the paper's preprocessing).
+// are dropped (matching the paper's preprocessing). It parses each line in
+// the scanner's buffer and copies only what the collection keeps: each set
+// name, and each entity string the first time it occurs.
 func ReadText(r io.Reader) (*Collection, error) {
 	b := NewBuilder().DropDuplicates()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	var field []byte // one field, its escapes resolved
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := sc.Bytes()
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		fields := strings.Split(line, "\t")
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("dataset: line %d: set %q has no elements", lineNo, fields[0])
+		name, rest, more := bytes.Cut(line, []byte{'\t'})
+		if !more {
+			return nil, fmt.Errorf("dataset: line %d: set %q has no elements", lineNo, name)
 		}
-		elems := make([]string, len(fields)-1)
-		for i, f := range fields[1:] {
-			elems[i] = unescapeField(f)
+		for more {
+			var f []byte
+			f, rest, more = bytes.Cut(rest, []byte{'\t'})
+			field = appendUnescaped(field[:0], f)
+			b.list.elems = append(b.list.elems, b.dict.InternBytes(field))
 		}
-		b.Add(unescapeField(fields[0]), elems)
+		field = appendUnescaped(field[:0], name)
+		b.list.end(string(field))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -155,18 +178,11 @@ func ReadBinary(r io.Reader) (*Collection, error) {
 		return nil, err
 	}
 	// Counts are untrusted: never allocate proportionally to a declared
-	// length before the corresponding bytes have actually been read.
-	const (
-		maxNameLen  = 1 << 20
-		initialCap  = 1 << 12
-		maxElemsCap = 1 << 16
-	)
-	capSets := numSets
-	if capSets > initialCap {
-		capSets = initialCap
-	}
-	names := make([]string, 0, capSets)
-	elems := make([][]Entity, 0, capSets)
+	// length before the corresponding bytes have actually been read. The
+	// sets grow by append as their bytes arrive.
+	const maxNameLen = 1 << 20
+	var l setList
+	var name []byte
 	for i := uint64(0); i < numSets; i++ {
 		nameLen, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -175,8 +191,8 @@ func ReadBinary(r io.Reader) (*Collection, error) {
 		if nameLen > maxNameLen {
 			return nil, fmt.Errorf("dataset: set %d name length %d exceeds %d", i, nameLen, maxNameLen)
 		}
-		nameBuf := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, nameBuf); err != nil {
+		name = slices.Grow(name[:0], int(nameLen))[:nameLen]
+		if _, err := io.ReadFull(br, name); err != nil {
 			return nil, err
 		}
 		elemCount, err := binary.ReadUvarint(br)
@@ -187,11 +203,6 @@ func ReadBinary(r io.Reader) (*Collection, error) {
 			return nil, fmt.Errorf("dataset: set %d claims %d elements in a universe of %d",
 				i, elemCount, numEntities)
 		}
-		capElems := elemCount
-		if capElems > maxElemsCap {
-			capElems = maxElemsCap
-		}
-		es := make([]Entity, 0, capElems)
 		prev := uint64(0)
 		for j := uint64(0); j < elemCount; j++ {
 			d, err := binary.ReadUvarint(br)
@@ -202,10 +213,9 @@ func ReadBinary(r io.Reader) (*Collection, error) {
 			if prev >= numEntities {
 				return nil, fmt.Errorf("dataset: set %d element %d beyond universe %d", i, prev, numEntities)
 			}
-			es = append(es, uint32(prev))
+			l.elems = append(l.elems, uint32(prev))
 		}
-		names = append(names, string(nameBuf))
-		elems = append(elems, es)
+		l.end(string(name))
 	}
-	return FromIDSets(names, elems, int(numEntities), true)
+	return build(&l, nil, int(numEntities), true)
 }

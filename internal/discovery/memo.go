@@ -108,15 +108,19 @@ func (m *SelectionMemo) Stats() MemoStats {
 // coalesced waits cost their session no selection time, which only affects
 // the wall-clock accounting — never the question sequence.
 //
-// A hit whose first entity does not split the candidates is served as a
-// miss, and the computed entry replaces it. The memo computes no such
-// entry, but an imported shard can carry one (see DecodeMemoShard), and a
-// session served it would ask the same question until MaxQuestions.
+// A hit is served only when its first entity splits the candidates; any
+// other hit, a "no informative entity" one included, is served as a miss,
+// and the computed entry replaces it. The memo computes no other entry (a
+// session selects among two or more distinct sets, without exclusions, so
+// some entity splits them), but an imported shard can carry one (see
+// DecodeMemoShard). Served an entity every candidate answers alike, a
+// session would ask it until MaxQuestions; served "no informative entity",
+// it would end at once with every candidate left.
 func (m *SelectionMemo) selectShared(s *Session) (entities []dataset.Entity, ok, computed bool) {
 	fp := s.cs.Fingerprint()
 	key := cache.Key{Hi: fp.Hi, Lo: fp.Lo, Aux: s.opts.MemoAux}
-	if e, ok := m.cache.Get(key); ok && (!e.ok || splits(s.cs, e.entities[0])) {
-		return e.entities, e.ok, false
+	if e, ok := m.cache.Get(key); ok && e.ok && splits(s.cs, e.entities[0]) {
+		return e.entities, true, false
 	}
 	m.mu.Lock()
 	if fl, ok := m.inflight[key]; ok {
@@ -181,9 +185,10 @@ func splits(sub *dataset.Subset, e dataset.Entity) bool {
 // writes. It cannot check that an entry is the selection its key's state
 // would compute — a key is a hash of a state the decoder never sees — so
 // imported entries are trusted as given, and every session whose state
-// hashes to a key is served its entry, provided its first entity splits
-// the session's candidates (selectShared recomputes one that does not).
-// Import shards only from engines of the same fleet.
+// hashes to a key is served its entry, provided the entry names an entity
+// and its first entity splits the session's candidates (selectShared
+// recomputes one that does not, a "no informative entity" entry
+// included). Import shards only from engines of the same fleet.
 
 // memoShardMagic identifies a persisted selection-cache shard.
 const memoShardMagic = "SDCS"

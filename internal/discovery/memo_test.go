@@ -219,54 +219,60 @@ func TestMemoShardRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMemoHitMustSplitCandidates: a memo entry whose first entity does not
-// split the session's candidates is served as a miss. The test puts an
-// entry naming the paper seed's own example b, which every candidate
-// contains, under the seed's key, and imports it through a shard, the way
-// a tampered PUT /v1/cache/shard or -cache-persist file would. Every
-// session from the seed must still ask what a session on a fresh memo asks
-// (served the entry, it would ask b until MaxQuestions), and the entry the
-// first one computes must replace the imported one.
+// TestMemoHitMustSplitCandidates: a memo entry that names no entity, or
+// whose first entity does not split the session's candidates, is served as
+// a miss. The test puts such an entry under the paper seed {b}'s key and
+// imports it through a shard, the way a tampered PUT /v1/cache/shard or
+// -cache-persist file would: one entry naming the seed's own example b,
+// which every candidate contains, and one with the verdict "no informative
+// entity". Every session from the seed must still ask what a session on a
+// fresh memo asks (served the first entry, it would ask b until
+// MaxQuestions; served the second, it would end at once with every
+// candidate left), and the entry the first one computes must replace the
+// imported one.
 func TestMemoHitMustSplitCandidates(t *testing.T) {
 	c := testutil.PaperCollection()
 	b := testutil.Entity(c, "b")
 	seed := []dataset.Entity{b}
 	fp := c.SupersetsOf(seed).Fingerprint()
 	key := cache.Key{Hi: fp.Hi, Lo: fp.Lo, Aux: 1}
-	tampered := NewSelectionMemo(0)
-	tampered.cache.Put(key, selMemoEntry{entities: seed, ok: true})
-	memo := NewSelectionMemo(0)
-	if n, err := DecodeMemoShard(c, memo, EncodeMemoShard(c, tampered, 0)); err != nil || n != 1 {
-		t.Fatalf("imported %d entries, err %v", n, err)
-	}
-	f := strategy.NewKLP(cost.AD, 2)
-	opts := func(m *SelectionMemo) Options {
-		return Options{Strategy: f.New(), Memo: m, MemoAux: 1, MaxQuestions: 2 * c.Len()}
-	}
-	targets := 0
-	for i := 0; i < c.Len(); i++ {
-		target := c.Set(i)
-		if !target.Contains(b) {
-			continue
+	for _, entry := range []selMemoEntry{{entities: seed, ok: true}, {entities: nil, ok: false}} {
+		tampered := NewSelectionMemo(0)
+		tampered.cache.Put(key, entry)
+		memo := NewSelectionMemo(0)
+		if n, err := DecodeMemoShard(c, memo, EncodeMemoShard(c, tampered, 0)); err != nil || n != 1 {
+			t.Fatalf("entry %+v: imported %d entries, err %v", entry, n, err)
 		}
-		targets++
-		want, err := Run(c, seed, TargetOracle{Target: target}, opts(NewSelectionMemo(0)))
-		if err != nil {
-			t.Fatal(err)
+		f := strategy.NewKLP(cost.AD, 2)
+		opts := func(m *SelectionMemo) Options {
+			return Options{Strategy: f.New(), Memo: m, MemoAux: 1, MaxQuestions: 2 * c.Len()}
 		}
-		got, err := Run(c, seed, TargetOracle{Target: target}, opts(memo))
-		if err != nil {
-			t.Fatal(err)
+		targets := 0
+		for i := 0; i < c.Len(); i++ {
+			target := c.Set(i)
+			if !target.Contains(b) {
+				continue
+			}
+			targets++
+			want, err := Run(c, seed, TargetOracle{Target: target}, opts(NewSelectionMemo(0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(c, seed, TargetOracle{Target: target}, opts(memo))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameQuestions(got.Asked, want.Asked) || got.Target != target {
+				t.Fatalf("entry %+v, target %s: imported memo asks %v and ends with %d candidates, a fresh memo asks %v",
+					entry, target.Name, got.Asked, got.Candidates.Size(), want.Asked)
+			}
 		}
-		if !sameQuestions(got.Asked, want.Asked) || got.Target != target {
-			t.Fatalf("target %s: imported memo asks %v, a fresh memo %v", target.Name, got.Asked, want.Asked)
+		if targets < 2 {
+			t.Fatalf("%d targets contain b, want at least 2", targets)
 		}
-	}
-	if targets < 2 {
-		t.Fatalf("%d targets contain b, want at least 2", targets)
-	}
-	if e, ok := memo.cache.Get(key); !ok || e.entities[0] == b {
-		t.Fatalf("the seed's entry was not recomputed: %+v, present %v", e, ok)
+		if e, ok := memo.cache.Get(key); !ok || !e.ok || e.entities[0] == b {
+			t.Fatalf("entry %+v: the seed's entry was not recomputed: %+v, present %v", entry, e, ok)
+		}
 	}
 }
 

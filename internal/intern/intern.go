@@ -29,6 +29,16 @@ func (d *Dict) Intern(s string) uint32 {
 	return id
 }
 
+// InternBytes is Intern for the string held in b. A known string costs no
+// allocation, and a new one is copied, so the dictionary keeps no reference
+// to b.
+func (d *Dict) InternBytes(b []byte) uint32 {
+	if id, ok := d.ids[string(b)]; ok {
+		return id
+	}
+	return d.Intern(string(b))
+}
+
 // Lookup returns the ID for s and whether s has been interned.
 func (d *Dict) Lookup(s string) (uint32, bool) {
 	id, ok := d.ids[s]

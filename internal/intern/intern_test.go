@@ -31,6 +31,32 @@ func TestInternIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestInternBytes: a byte-slice intern agrees with Intern, allocates
+// nothing for a known string, and copies a new one, so rewriting the
+// caller's buffer changes no interned string.
+func TestInternBytes(t *testing.T) {
+	d := NewDict()
+	d.Intern("known")
+	buf := []byte("known")
+	if id := d.InternBytes(buf); id != 0 {
+		t.Fatalf("InternBytes(known) = %d, want 0", id)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.InternBytes(buf) }); n != 0 {
+		t.Fatalf("InternBytes of a known string allocated %v times", n)
+	}
+	buf = []byte("fresh")
+	if id := d.InternBytes(buf); id != 1 {
+		t.Fatalf("InternBytes(fresh) = %d, want 1", id)
+	}
+	copy(buf, "XXXXX")
+	if got := d.String(1); got != "fresh" {
+		t.Fatalf("String(1) = %q after the caller's buffer changed, want \"fresh\"", got)
+	}
+	if id, ok := d.Lookup("fresh"); !ok || id != 1 {
+		t.Fatalf("Lookup(fresh) = %d,%v want 1,true", id, ok)
+	}
+}
+
 func TestLookup(t *testing.T) {
 	d := NewDict()
 	d.Intern("present")

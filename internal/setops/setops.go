@@ -4,7 +4,10 @@
 // indexes and candidate filtering.
 package setops
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Normalize sorts s and removes duplicates in place, returning the
 // normalized slice (which aliases s's backing array).
@@ -12,7 +15,7 @@ func Normalize(s []uint32) []uint32 {
 	if len(s) < 2 {
 		return s
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	out := s[:1]
 	for _, v := range s[1:] {
 		if v != out[len(out)-1] {
