@@ -23,8 +23,10 @@
 // Each -collection flag registers one collection; "name=path" sets the
 // registered name explicitly, a bare path uses the file's base name without
 // extension. With -prebuild a decision tree is constructed per collection
-// at startup (using -strategy/-k/-q/-metric) and registered for tree-walk
-// sessions, trading startup time for constant per-question serving cost.
+// at startup (using -strategy/-k/-q/-metric) and registered for tree
+// sessions ("tree": true): live sessions under the tree's options, which
+// ask the tree's questions and find the lookahead caches the build left
+// warm.
 //
 // With -route flags the daemon runs as a router instead of an engine: it
 // speaks the same /v1/ protocol, consistent-hashes collections across the

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -53,7 +55,8 @@ func driveAccepted(t *testing.T, c *Collection, s *Session) {
 }
 
 // FuzzLoadTree fuzzes the binary tree decoder at the public entry point: it
-// must never panic, and an accepted tree must serve a full walk session.
+// must never panic, and DiscoverWithTree must walk an accepted tree to a
+// leaf for every target, to the target's own leaf when the tree holds one.
 func FuzzLoadTree(f *testing.F) {
 	c := fuzzCollection(f)
 	tr, err := c.BuildTree()
@@ -73,7 +76,21 @@ func FuzzLoadTree(f *testing.F) {
 		if err != nil {
 			return
 		}
-		driveAccepted(t, c, loaded.NewSession())
+		for _, name := range c.Names() {
+			o, err := c.TargetOracle(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.DiscoverWithTree(loaded, o)
+			if err != nil {
+				t.Fatalf("walking an accepted tree for %s: %v", name, err)
+			}
+			depth := loaded.QuestionsFor(name)
+			if res.Target == "" || depth >= 0 && (res.Target != name || res.Questions != depth) {
+				t.Fatalf("an accepted tree walked %s to %q in %d questions (its leaf depth %d)",
+					name, res.Target, res.Questions, depth)
+			}
+		}
 	})
 }
 
@@ -110,13 +127,21 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	// snap above is a version-1 envelope; seed the recorded version-2
-	// envelope of an earlier release too so the fuzzer mutates both layouts.
+	// envelope and the tree walks (kind 2) of earlier releases too, so the
+	// fuzzer mutates every layout the decoders read.
 	f.Add(snap)
 	f.Add(recordedV2Envelope(f))
 	f.Add(batchSnap)
 	f.Add(treeSnap)
 	f.Add([]byte("SDSS"))
 	f.Add([]byte{})
+	for _, name := range []string{"snapshot-tree-walk-s5.bin", "snapshot-tree-walk-unknown.bin"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if restored, err := c.RestoreSession(input); err == nil {
 			driveAccepted(t, c, restored)

@@ -133,16 +133,6 @@ func (b *Bits) AndNot(other *Bits) *Bits {
 	return out
 }
 
-// Or returns a new bitset b ∪ other.
-func (b *Bits) Or(other *Bits) *Bits {
-	b.check(other)
-	out := New(b.n)
-	for i := range b.words {
-		out.words[i] = b.words[i] | other.words[i]
-	}
-	return out
-}
-
 // AndNotInto sets dst = b \ other without allocating. dst must have the
 // same capacity as b and other (it typically comes from a Pool); dst may
 // alias b or other.
@@ -161,29 +151,11 @@ func (b *Bits) CopyInto(dst *Bits) {
 	copy(dst.words, b.words)
 }
 
-// AndCount returns |b ∩ other| without allocating.
-func (b *Bits) AndCount(other *Bits) int {
-	b.check(other)
-	n := 0
-	for i := range b.words {
-		n += bits.OnesCount64(b.words[i] & other.words[i])
-	}
-	return n
-}
-
 // InPlaceAnd sets b = b ∩ other.
 func (b *Bits) InPlaceAnd(other *Bits) {
 	b.check(other)
 	for i := range b.words {
 		b.words[i] &= other.words[i]
-	}
-}
-
-// InPlaceAndNot sets b = b \ other.
-func (b *Bits) InPlaceAndNot(other *Bits) {
-	b.check(other)
-	for i := range b.words {
-		b.words[i] &^= other.words[i]
 	}
 }
 

@@ -1,6 +1,8 @@
 package discovery
 
 import (
+	"time"
+
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/tree"
 )
@@ -13,21 +15,36 @@ import (
 //
 // "Don't know" answers cannot be rerouted in a fixed tree; the walk stops
 // and the result holds every set under the current node as candidates.
-//
-// FollowTree is the synchronous driver over TreeSession, as Run is over
-// Session.
+// Branch following is the walk's whole selection cost, so SelectionTime
+// counts it and leaves the oracle's time off the clock, as Run does.
 func FollowTree(c *dataset.Collection, t *tree.Tree, o Oracle) (*Result, error) {
-	s := NewTreeSession(c, t)
-	for {
-		e, done := s.Next()
-		if done {
-			break
+	res := &Result{}
+	n := t.Root
+	for !n.Leaf() {
+		a := o.Answer(n.Entity)
+		if a != Yes && a != No && a != Unknown {
+			return nil, ErrInvalidAnswer
 		}
-		if err := s.Answer(o.Answer(e)); err != nil {
-			return nil, err
+		start := time.Now()
+		res.Questions++
+		res.Interactions++
+		res.Asked = append(res.Asked, Question{Entity: n.Entity, Answer: a})
+		if a == Unknown {
+			res.Unknowns++
+			res.Candidates = c.SubsetOf(leavesUnder(n))
+			res.SelectionTime += time.Since(start)
+			return res, nil
 		}
+		if a == Yes {
+			n = n.Yes
+		} else {
+			n = n.No
+		}
+		res.SelectionTime += time.Since(start)
 	}
-	return s.Result()
+	res.Candidates = c.SubsetOf([]uint32{uint32(n.Set.Index)})
+	res.Target = n.Set
+	return res, nil
 }
 
 // leavesUnder returns the set indexes of all leaves below n.

@@ -1,12 +1,18 @@
 package discovery
 
 import (
+	"bytes"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"setdiscovery/internal/cost"
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/strategy"
+	"setdiscovery/internal/synth"
 	"setdiscovery/internal/testutil"
 	"setdiscovery/internal/tree"
 	"setdiscovery/internal/webtables"
@@ -134,4 +140,97 @@ func TestKLPSharedBuildAndSession(t *testing.T) {
 			t.Fatalf("metric %v: sessions over the built tree's nodes missed the cache %d times", m, misses)
 		}
 	}
+}
+
+// TestLiveSessionAsksGoldenTreePaths: a tree session is a live session
+// under the tree's options, which rests on a live session asking exactly
+// the tree's path to every leaf. The trees are the 42 golden trees under
+// internal/tree/testdata, read over the collections they were built on: the
+// first three seed queries of a 2,000-set web-tables corpus, whose sessions
+// start from the seed's two entities, and the 80-set synthetic collection,
+// whose sessions start from none. Each tree's sessions run under a fresh
+// factory of its strategy and share one selection memo, as a served tree's
+// sessions do.
+func TestLiveSessionAsksGoldenTreePaths(t *testing.T) {
+	p := webtables.DefaultParams()
+	p.NumSets = 2000
+	web, err := webtables.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := webtables.SeedQueries(web, 60, 8, 1)
+	if len(qs) < 3 {
+		t.Fatalf("corpus yields %d seed queries, want ≥ 3", len(qs))
+	}
+	synth80, err := synth.Generate(synth.Params{N: 80, SizeMin: 10, SizeMax: 16, Alpha: 0.85, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	colls := []struct {
+		name string
+		c    *dataset.Collection
+		seed []dataset.Entity
+	}{
+		{"webtables-q0", web, []dataset.Entity{qs[0].A, qs[0].B}},
+		{"webtables-q1", web, []dataset.Entity{qs[1].A, qs[1].B}},
+		{"webtables-q2", web, []dataset.Entity{qs[2].A, qs[2].B}},
+		{"synth80", synth80, nil},
+	}
+	strategies := []struct {
+		name string
+		f    func() strategy.Factory
+	}{
+		{"klp-k2-ad", func() strategy.Factory { return strategy.NewKLP(cost.AD, 2) }},
+		{"klp-k2-h", func() strategy.Factory { return strategy.NewKLP(cost.H, 2) }},
+		{"lb1", func() strategy.Factory { return strategy.NewKLP(cost.AD, 1) }},
+		{"klple-k3-q8", func() strategy.Factory { return strategy.NewKLPLE(cost.AD, 3, 8) }},
+		{"most-even", func() strategy.Factory { return strategy.MostEven{} }},
+		{"infogain", func() strategy.Factory { return strategy.InfoGain{} }},
+		{"indg", func() strategy.Factory { return strategy.Indg{} }},
+		{"gaink-2", func() strategy.Factory { return strategy.NewGainK(2) }},
+		{"gaink-memo-2", func() strategy.Factory { return strategy.NewGainKMemo(2) }},
+		{"klplve-k3-q5", func() strategy.Factory { return strategy.NewKLPLVE(cost.AD, 3, 5) }},
+		{"klp-k3-h", func() strategy.Factory { return strategy.NewKLP(cost.H, 3) }},
+	}
+	trees, sequences := 0, 0
+	for _, g := range colls {
+		for _, st := range strategies {
+			name := g.name + "-" + st.name
+			data, err := os.ReadFile(filepath.Join("..", "tree", "testdata", name+".tree"))
+			if errors.Is(err, fs.ErrNotExist) {
+				continue // a combination the golden trees leave out
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := tree.ReadBinary(bytes.NewReader(data), g.c)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			trees++
+			f, memo := st.f(), NewSelectionMemo(0)
+			var walk func(n *tree.Node, path []Question)
+			walk = func(n *tree.Node, path []Question) {
+				if !n.Leaf() {
+					walk(n.Yes, append(path[:len(path):len(path)], Question{Entity: n.Entity, Answer: Yes}))
+					walk(n.No, append(path[:len(path):len(path)], Question{Entity: n.Entity, Answer: No}))
+					return
+				}
+				sequences++
+				res, err := Run(g.c, g.seed, TargetOracle{n.Set}, Options{Strategy: f.New(), Memo: memo, MemoAux: 1})
+				if err != nil {
+					t.Fatalf("%s, target %s: %v", name, n.Set.Name, err)
+				}
+				if res.Target != n.Set || !reflect.DeepEqual(res.Asked, path) {
+					t.Fatalf("%s, target %s: the live session found %v after %v, the tree's path is %v",
+						name, n.Set.Name, res.Target, res.Asked, path)
+				}
+			}
+			walk(tr.Root, nil)
+		}
+	}
+	if trees != 42 {
+		t.Fatalf("read %d golden trees, want 42", trees)
+	}
+	t.Logf("%d trees, %d sequences", trees, sequences)
 }

@@ -6,11 +6,10 @@ import (
 
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/grouptest"
-	"setdiscovery/internal/tree"
 )
 
-// ErrSessionDone is returned by Session.Answer and TreeSession.Answer when
-// the session has finished and no question is pending.
+// ErrSessionDone is returned by Session.Answer when the session has
+// finished and no question is pending.
 var ErrSessionDone = errors.New("discovery: session is done; no pending question")
 
 // ErrInvalidAnswer is returned by Answer for values outside Yes/No/Unknown.
@@ -376,99 +375,5 @@ func (s *Session) Result() (*Result, error) {
 	// so later Answers can no longer recycle its memory underneath them.
 	s.cs.Unpool()
 	r.Candidates = s.cs
-	return &r, nil
-}
-
-// TreeSession is the step-wise counterpart of FollowTree: a resumable walk
-// down a prebuilt decision tree. Each answer descends one branch, so the
-// per-question cost is constant — the cheapest session kind to serve.
-// "Don't know" stops the walk with the remaining subtree as candidates.
-// Like Session, a TreeSession is single-user; the shared Tree itself is
-// immutable and serves any number of concurrent sessions.
-type TreeSession struct {
-	c    *dataset.Collection
-	n    *tree.Node
-	res  *Result
-	done bool
-}
-
-// NewTreeSession starts a walk at the root of t.
-func NewTreeSession(c *dataset.Collection, t *tree.Tree) *TreeSession {
-	s := &TreeSession{c: c, n: t.Root, res: &Result{}}
-	s.settle()
-	return s
-}
-
-// Next returns the pending membership question, or done once the walk has
-// reached a leaf or was stopped by an Unknown answer. Like Session.Next it
-// is idempotent.
-func (s *TreeSession) Next() (dataset.Entity, bool) {
-	if s.done {
-		return 0, true
-	}
-	return s.n.Entity, false
-}
-
-// PendingConfirm always reports false: a fixed tree has no confirmation
-// step. It exists so Session and TreeSession satisfy one driver interface.
-func (s *TreeSession) PendingConfirm() (*dataset.Set, bool) { return nil, false }
-
-// Done reports whether the walk has finished.
-func (s *TreeSession) Done() bool { return s.done }
-
-// Answer applies the reply to the pending question and descends the tree.
-func (s *TreeSession) Answer(a Answer) error {
-	if s.done {
-		return ErrSessionDone
-	}
-	if a != Yes && a != No && a != Unknown {
-		return ErrInvalidAnswer
-	}
-	// Branch following is the entire selection cost of a prebuilt tree;
-	// unlike the original FollowTree the user's thinking time between
-	// questions is not on the clock, matching Run's accounting.
-	start := time.Now()
-	defer func() { s.res.SelectionTime += time.Since(start) }()
-	s.res.Questions++
-	s.res.Interactions++
-	s.res.Asked = append(s.res.Asked, Question{Entity: s.n.Entity, Answer: a})
-	switch a {
-	case Yes:
-		s.n = s.n.Yes
-	case No:
-		s.n = s.n.No
-	default:
-		// A fixed tree cannot reroute around an unanswerable question; the
-		// sets below the current node remain as candidates.
-		s.res.Unknowns++
-		s.res.Candidates = s.c.SubsetOf(leavesUnder(s.n))
-		s.done = true
-	}
-	s.settle()
-	return nil
-}
-
-// settle finishes the walk when the current node is a leaf.
-func (s *TreeSession) settle() {
-	if s.done || !s.n.Leaf() {
-		return
-	}
-	s.res.Candidates = s.c.SubsetOf([]uint32{uint32(s.n.Set.Index)})
-	s.res.Target = s.n.Set
-	s.done = true
-}
-
-// Questions returns the number of questions answered so far, without
-// materialising the snapshot candidate list Result builds for a live walk.
-func (s *TreeSession) Questions() int { return s.res.Questions }
-
-// Result returns the walk outcome; before Done it is a snapshot whose
-// candidates are the sets below the current node.
-func (s *TreeSession) Result() (*Result, error) {
-	if s.done {
-		return s.res, nil
-	}
-	r := *s.res
-	r.Candidates = s.c.SubsetOf(leavesUnder(s.n))
 	return &r, nil
 }

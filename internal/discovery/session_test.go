@@ -228,58 +228,46 @@ func TestSessionSnapshotResult(t *testing.T) {
 	}
 }
 
-// TestTreeSessionMatchesFollowTree mirrors the Run parity test for the
-// prebuilt-tree walk, including the unknown-stops-walk path.
+// TestTreeSessionMatchesFollowTree: a tree session is a live session from
+// no examples under the factory that built the tree. It asks FollowTree's
+// questions for every target. At a "don't know" the two part ways: the walk
+// stops with the subtree's sets as candidates, while the session excludes
+// the entity and asks on.
 func TestTreeSessionMatchesFollowTree(t *testing.T) {
 	c := testutil.PaperCollection()
-	tr := buildTree(t, c, strategy.NewKLP(cost.AD, 3))
+	f := strategy.NewKLP(cost.AD, 3)
+	tr := buildTree(t, c, f)
 	for _, target := range c.Sets() {
 		want, err := FollowTree(c, tr, TargetOracle{target})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := NewTreeSession(c, tr)
-		var asked []dataset.Entity
-		for !s.Done() {
-			e, done := s.Next()
-			if done {
-				break
-			}
-			asked = append(asked, e)
-			if err := s.Answer(TargetOracle{target}.Answer(e)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := s.Result()
+		got, err, _ := driveSession(t, c, nil, TargetOracle{target}, Options{Strategy: f.New()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Target != want.Target || got.Questions != want.Questions {
-			t.Errorf("%s: tree session found %v in %d, FollowTree %v in %d",
-				target.Name, got.Target, got.Questions, want.Target, want.Questions)
-		}
-		if len(asked) != want.Questions {
-			t.Errorf("%s: %d asked entities, %d questions", target.Name, len(asked), want.Questions)
+		if got.Target != want.Target || !reflect.DeepEqual(got.Asked, want.Asked) {
+			t.Errorf("%s: tree session found %v after %v, FollowTree %v after %v",
+				target.Name, got.Target, got.Asked, want.Target, want.Asked)
 		}
 	}
 
-	// Unknown at the root stops the walk with the whole collection.
-	s := NewTreeSession(c, tr)
-	if err := s.Answer(Unknown); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Done() {
-		t.Fatal("Unknown did not stop the tree walk")
-	}
-	res, err := s.Result()
+	target := c.FindByName("S5")
+	oracle := UnsureOracle{Inner: TargetOracle{target}, Unsure: map[dataset.Entity]bool{tr.Root.Entity: true}}
+	walk, err := FollowTree(c, tr, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Target != nil || res.Candidates.Size() != c.Len() {
-		t.Errorf("after root Unknown: target %v, %d candidates, want nil and %d",
-			res.Target, res.Candidates.Size(), c.Len())
+	if walk.Target != nil || walk.Candidates.Size() != c.Len() {
+		t.Errorf("FollowTree after a root Unknown: target %v, %d candidates, want nil and %d",
+			walk.Target, walk.Candidates.Size(), c.Len())
 	}
-	if err := s.Answer(Yes); !errors.Is(err, ErrSessionDone) {
-		t.Errorf("answering stopped walk: err = %v, want ErrSessionDone", err)
+	live, err, _ := driveSession(t, c, nil, oracle, Options{Strategy: f.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.Target != target || live.Unknowns != 1 {
+		t.Errorf("tree session after a root Unknown: target %v with %d unknowns, want %s with 1",
+			live.Target, live.Unknowns, target.Name)
 	}
 }

@@ -10,14 +10,13 @@ import (
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/grouptest"
 	"setdiscovery/internal/strategy"
-	"setdiscovery/internal/tree"
 )
 
 // Portable session state: a compact versioned binary encoding of the
-// Session/TreeSession/Batch state machines, so a suspended discovery can
-// cross process boundaries — persisted by a serving layer, exported over
-// HTTP, migrated between engines by a router — and resume byte-identically:
-// the restored session asks the same remaining questions, keeps the same
+// Session and Batch state machines, so a suspended discovery can cross
+// process boundaries — persisted by a serving layer, exported over HTTP,
+// migrated between engines by a router — and resume byte-identically: the
+// restored session asks the same remaining questions, keeps the same
 // counters and produces the same Result as the never-suspended original
 // (test-pinned).
 //
@@ -653,80 +652,69 @@ func decodeSessionInto(c *dataset.Collection, opts Options, r *stateReader, vers
 	return s, nil
 }
 
-// EncodeState serializes the tree walk's resumable state: the asked log (the
-// path taken, which the decoder replays and verifies against the tree) plus
-// the accounting the replay cannot reproduce.
-func (s *TreeSession) EncodeState() []byte {
-	w := &stateWriter{buf: make([]byte, 0, 64)}
-	w.u8(stateVersion)
-	w.bool(s.done)
-	w.uvarint(uint64(s.res.SelectionTime))
-	w.uvarint(uint64(len(s.res.Asked)))
-	for _, q := range s.res.Asked {
-		w.uvarint(uint64(q.Entity))
-		w.u8(byte(q.Answer))
-	}
-	return w.buf
-}
-
-// DecodeTreeSession reconstructs a TreeSession over t by replaying the
-// state's asked log from the root. Every replayed question is checked
-// against the node it lands on, so state captured over a different tree (or
-// corrupted) is rejected rather than silently walking to a wrong leaf.
-func DecodeTreeSession(c *dataset.Collection, t *tree.Tree, data []byte) (*TreeSession, error) {
+// ReplayTreeWalk restores the state of a prebuilt-tree walk, written by
+// releases that served a tree with a walk of its own, onto s: a session
+// fresh from the tree's options. The state holds the walk's asked log,
+// which is replayed answer by answer; a logged entity that is not the
+// question s pends at that point is rejected, so state from another tree
+// (or corrupted) never walks to a wrong leaf. The walk stopped at a "don't
+// know", so only the last logged answer may be one; s instead excludes the
+// entity and asks on, as every session does. The recorded selection time
+// replaces the replay's own.
+func ReplayTreeWalk(s *Session, data []byte) error {
 	r := &stateReader{data: data}
 	v, err := r.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if v != stateVersion {
-		return nil, corrupt("unknown state version %d", v)
+		return corrupt("unknown state version %d", v)
 	}
 	done, err := r.bool()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	selNS, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if selNS > math.MaxInt64 {
-		return nil, corrupt("selection time overflows")
+		return corrupt("selection time overflows")
 	}
 	nAsked, err := r.count()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	s := NewTreeSession(c, t)
+	stopped := false // the walk ended at a "don't know"
 	for i := 0; i < nAsked; i++ {
 		e, err := r.entity()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		a, err := r.answer()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if s.done {
-			return nil, corrupt("asked log longer than the tree path")
+		pending, finished := s.Next()
+		if finished || stopped {
+			return corrupt("asked log longer than the tree path")
 		}
-		if s.n.Entity != e {
-			return nil, corrupt("asked entity %d does not match the tree (state from a different tree?)", e)
+		if pending != e {
+			return corrupt("asked entity %d does not match the tree (state from a different tree?)", e)
 		}
 		if err := s.Answer(a); err != nil {
-			return nil, err
+			return err
 		}
+		stopped = a == Unknown
 	}
 	if len(r.data) != 0 {
-		return nil, corrupt("%d trailing bytes", len(r.data))
+		return corrupt("%d trailing bytes", len(r.data))
 	}
-	if s.done != done {
-		return nil, corrupt("done flag inconsistent with replayed walk")
+	if done != (stopped || s.Done()) {
+		return corrupt("done flag inconsistent with replayed walk")
 	}
-	// The replay reproduces every counter; only the recorded selection time
-	// (and not the replay's own branch-following cost) is authoritative.
 	s.res.SelectionTime = time.Duration(selNS)
-	return s, nil
+	return nil
 }
 
 // EncodeState serializes a batch's resumable state: its selection counters

@@ -174,109 +174,123 @@ func TestSessionSnapshotRestoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestTreeSessionSnapshotRestore pins the tree-walk counterpart: a walk
-// suspended at every depth restores onto the same tree and finishes
-// identically, and the unknown-stopped walk round-trips as done.
+// treeWalkState encodes a prebuilt-tree walk's state as earlier releases
+// wrote it: the state version, the done flag, a selection time of 1234 ns,
+// then the asked log's entities and answers.
+func treeWalkState(done bool, asked []Question) []byte {
+	w := &stateWriter{}
+	w.u8(stateVersion)
+	w.bool(done)
+	w.uvarint(1234)
+	w.uvarint(uint64(len(asked)))
+	for _, q := range asked {
+		w.uvarint(uint64(q.Entity))
+		w.u8(byte(q.Answer))
+	}
+	return w.buf
+}
+
+// TestTreeSessionSnapshotRestore: a tree walk's state, cut at every depth,
+// replays onto a fresh session under the tree's factory, keeps the walk's
+// counters and recorded selection time, and finishes on the walk's path. A
+// walk stopped by a "don't know" replays as a session that asks on, and
+// states no walk wrote are rejected.
 func TestTreeSessionSnapshotRestore(t *testing.T) {
 	c := testutil.PaperCollection()
-	tr := buildTree(t, c, strategy.NewKLP(cost.AD, 2))
+	f := strategy.NewKLP(cost.AD, 2)
+	tr := buildTree(t, c, f)
+	replay := func(state []byte) (*Session, error) {
+		s, err := NewSession(c, nil, Options{Strategy: f.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, ReplayTreeWalk(s, state)
+	}
 	for _, target := range c.Sets() {
 		o := TargetOracle{target}
-		ref := NewTreeSession(c, tr)
-		total := 0
-		for !ref.Done() {
-			e, done := ref.Next()
-			if done {
-				break
+		walk, err := FollowTree(c, tr, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut <= len(walk.Asked); cut++ {
+			done := cut == len(walk.Asked)
+			s, err := replay(treeWalkState(done, walk.Asked[:cut]))
+			if err != nil {
+				t.Fatalf("%s cut %d: ReplayTreeWalk: %v", target.Name, cut, err)
 			}
-			total++
-			if err := ref.Answer(o.Answer(e)); err != nil {
+			if got := s.res.SelectionTime; got != 1234 {
+				t.Errorf("%s cut %d: selection time %v, want the recorded 1.234µs", target.Name, cut, got)
+			}
+			if s.Questions() != cut {
+				t.Errorf("%s cut %d: %d questions after the replay", target.Name, cut, s.Questions())
+			}
+			driveToEnd(t, s, o)
+			res, err := s.Result()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for cut := 0; cut <= total; cut++ {
-			orig := NewTreeSession(c, tr)
-			for i := 0; i < cut && !orig.Done(); i++ {
-				e, _ := orig.Next()
-				if err := orig.Answer(o.Answer(e)); err != nil {
-					t.Fatal(err)
-				}
+			if res.Target != walk.Target || res.Interactions != walk.Interactions ||
+				!reflect.DeepEqual(res.Asked, walk.Asked) {
+				t.Errorf("%s cut %d: restored session found %v after %v, the walk %v after %v",
+					target.Name, cut, res.Target, res.Asked, walk.Target, walk.Asked)
 			}
-			restored, err := DecodeTreeSession(c, tr, orig.EncodeState())
-			if err != nil {
-				t.Fatalf("%s cut %d: DecodeTreeSession: %v", target.Name, cut, err)
-			}
-			for !restored.Done() {
-				eR, doneR := restored.Next()
-				eO, doneO := orig.Next()
-				if eR != eO || doneR != doneO {
-					t.Fatalf("%s cut %d: next question diverged: (%v,%v) vs (%v,%v)",
-						target.Name, cut, eR, doneR, eO, doneO)
-				}
-				if doneR {
-					break
-				}
-				if err := restored.Answer(o.Answer(eR)); err != nil {
-					t.Fatal(err)
-				}
-				if err := orig.Answer(o.Answer(eO)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			gRes, _ := restored.Result()
-			wRes, _ := orig.Result()
-			if gRes.Target != wRes.Target || gRes.Questions != wRes.Questions ||
-				!reflect.DeepEqual(gRes.Asked, wRes.Asked) {
-				t.Errorf("%s cut %d: outcomes diverged: %+v vs %+v", target.Name, cut, gRes, wRes)
+			if _, err := replay(treeWalkState(!done, walk.Asked[:cut])); err == nil {
+				t.Errorf("%s cut %d: a wrong done flag was accepted", target.Name, cut)
 			}
 		}
 	}
 
-	// Unknown stops the walk; the done state must round-trip.
-	s := NewTreeSession(c, tr)
-	if err := s.Answer(Unknown); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := DecodeTreeSession(c, tr, s.EncodeState())
+	// A "don't know" stopped the walk, so its state is done; the session
+	// excludes the entity and finds the target.
+	target := c.FindByName("S5")
+	unknown := []Question{{Entity: tr.Root.Entity, Answer: Unknown}}
+	s, err := replay(treeWalkState(true, unknown))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !restored.Done() {
-		t.Fatal("restored unknown-stopped walk is not done")
+	next, done := s.Next()
+	if done {
+		t.Fatal("the session stopped at a replayed Unknown")
 	}
-	gRes, _ := restored.Result()
-	wRes, _ := s.Result()
-	if gRes.Target != wRes.Target || gRes.Unknowns != wRes.Unknowns ||
-		!sameMemberIndexes(gRes.Candidates, wRes.Candidates) {
-		t.Errorf("unknown-stopped walk diverged after restore: %+v vs %+v", gRes, wRes)
+	driveToEnd(t, s, TargetOracle{target})
+	res, err := s.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Target != target || res.Unknowns != 1 || !reflect.DeepEqual(res.Asked[:1], unknown) {
+		t.Errorf("after a replayed root Unknown: %v found after %v with %d unknowns", res.Target, res.Asked, res.Unknowns)
+	}
+	for name, state := range map[string][]byte{
+		"not done after an Unknown":   treeWalkState(false, unknown),
+		"a question after an Unknown": treeWalkState(true, append(unknown, Question{Entity: next, Answer: No})),
+		"trailing bytes":              append(treeWalkState(true, unknown), 0),
+		"state version 2":             append([]byte{stateVersionGroup}, treeWalkState(true, unknown)[1:]...),
+	} {
+		if _, err := replay(state); !errors.Is(err, errCorruptState) {
+			t.Errorf("%s: err = %v, want a corrupt state", name, err)
+		}
 	}
 }
 
-// TestTreeSessionSnapshotWrongTree: state captured on one tree must be
-// rejected by a structurally different tree instead of walking it wrongly.
+// TestTreeSessionSnapshotWrongTree: a walk's state replayed onto a session
+// that asks another tree's questions is rejected instead of walking wrongly.
 func TestTreeSessionSnapshotWrongTree(t *testing.T) {
 	c := testutil.PaperCollection()
 	tr := buildTree(t, c, strategy.NewKLP(cost.AD, 2))
 	other := buildTree(t, c, strategy.Indg{})
-	s := NewTreeSession(c, tr)
-	o := TargetOracle{c.FindByName("S5")}
-	for i := 0; i < 2; i++ {
-		e, done := s.Next()
-		if done {
-			break
-		}
-		if err := s.Answer(o.Answer(e)); err != nil {
-			t.Fatal(err)
-		}
+	if tr.Root.Entity == other.Root.Entity && tr.Root.No.Entity == other.Root.No.Entity {
+		t.Fatal("the strategies build trees with one path prefix; nothing to distinguish")
 	}
-	if same := func() bool { // only meaningful when the trees actually differ on the path
-		a, b := tr.Root, other.Root
-		return a.Entity == b.Entity && a.Yes.Entity == b.Yes.Entity && a.No.Entity == b.No.Entity
-	}(); same {
-		t.Skip("strategies produced identical tree prefixes; nothing to distinguish")
+	walk, err := FollowTree(c, tr, TargetOracle{c.FindByName("S5")})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := DecodeTreeSession(c, other, s.EncodeState()); err == nil {
-		t.Fatal("state from a different tree was accepted")
+	s, err := NewSession(c, nil, Options{Strategy: strategy.Indg{}.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ReplayTreeWalk(s, treeWalkState(false, walk.Asked[:2])); !errors.Is(err, errCorruptState) {
+		t.Fatalf("state from a different tree: err = %v, want a corrupt state", err)
 	}
 }
 

@@ -36,8 +36,10 @@ func benchCollection(b *testing.B) (*setdiscovery.Collection, []string) {
 // BenchmarkServerSessionThroughput measures complete discovery sessions per
 // second through the full HTTP stack — create, every question/answer
 // round-trip, result — with concurrent clients sharing one server, the
-// serving layer's headline number. Variants compare the strategy loop
-// against prebuilt-tree walks.
+// serving layer's headline number. The "loop" variant creates sessions
+// under the default options; the "tree" variant creates them with
+// "tree": true, under the options of the registered tree, which were the
+// defaults too, so both serve one kind of session.
 func BenchmarkServerSessionThroughput(b *testing.B) {
 	for _, mode := range []struct {
 		name string

@@ -390,6 +390,62 @@ func TestCompatPreBumpSnapshotImport(t *testing.T) {
 	}
 }
 
+// TestCompatTreeWalkState: tree-walk states (snapshot kind 2) that earlier
+// releases exported keep importing over both surfaces onto an engine with
+// the tree registered, and finish. Both were recorded over the paper
+// collection's default tree for target S5, suspended after the root
+// question d. Answered No, the session asks the walk's g and h. Answered
+// "don't know", the walk had stopped with all 7 sets; the session excludes
+// d and asks c, b, g and h.
+func TestCompatTreeWalkState(t *testing.T) {
+	_, ts, c := newTestServer(t)
+	oracle, err := c.TargetOracle("S5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		file string
+		asks []string
+	}{
+		{"snapshot-tree-walk-s5.bin", []string{"g", "h"}},
+		{"snapshot-tree-walk-unknown.bin", []string{"c", "b", "g", "h"}},
+	} {
+		snap, err := os.ReadFile(filepath.Join("..", "..", "testdata", f.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prefix := range []string{"", "/v1"} {
+			id := fmt.Sprintf("tree-walk-%s%s", strings.TrimSuffix(f.file, ".bin"), strings.ReplaceAll(prefix, "/", "-"))
+			var q QuestionResponse
+			if code := do(t, "PUT", ts.URL+prefix+"/sessions/"+id+"/state",
+				ImportStateRequest{Collection: "paper", State: snap}, &q); code != http.StatusOK {
+				t.Fatalf("%s via %q: import status %d", f.file, prefix, code)
+			}
+			var asks []string
+			for !q.Done {
+				if len(asks) > 100 {
+					t.Fatalf("%s via %q: imported session did not converge", f.file, prefix)
+				}
+				asks = append(asks, q.Entity)
+				var next QuestionResponse
+				if code := do(t, "POST", ts.URL+prefix+"/sessions/"+id+"/answer", AnswerRequest{
+					Answer: wireAnswer(oracle, q.Entity, q.Confirm), Entity: q.Entity, Confirm: q.Confirm,
+				}, &next); code != http.StatusOK {
+					t.Fatalf("%s via %q: answer status %d", f.file, prefix, code)
+				}
+				q = next
+			}
+			var res ResultResponse
+			if code := do(t, "GET", ts.URL+prefix+"/sessions/"+id+"/result", nil, &res); code != http.StatusOK {
+				t.Fatalf("%s via %q: result status %d", f.file, prefix, code)
+			}
+			if res.Target != "S5" || !reflect.DeepEqual(asks, f.asks) {
+				t.Fatalf("%s via %q: discovered %q after %v, want S5 after %v", f.file, prefix, res.Target, asks, f.asks)
+			}
+		}
+	}
+}
+
 // TestCompatConcurrentClients: the pre-redesign concurrency acceptance over
 // the legacy surface (run with -race).
 func TestCompatConcurrentClients(t *testing.T) {

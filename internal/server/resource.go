@@ -96,7 +96,8 @@ func (s *Stored) Snapshot() ([]byte, error) {
 
 // createSpec is a create request in plane-neutral form. A batch gets one
 // member per seed; a session starts from the first seed (none = the whole
-// collection), or walks the prebuilt tree with tree set.
+// collection), or with tree set from none under the prebuilt tree's
+// options.
 type createSpec struct {
 	batch bool
 	tree  bool
@@ -166,6 +167,9 @@ func (s *Server) newStored(e *collectionEntry, name string, spec createSpec) (*S
 		}
 		if len(initial) > 0 {
 			return nil, errors.New("tree sessions start at the root and take no initial examples")
+		}
+		if !spec.cfg.isZero() {
+			return nil, errors.New("tree sessions run under the options the tree was built with and take no session config")
 		}
 		return &Stored{Session: e.tree.NewSession(), Collection: name}, nil
 	}

@@ -271,8 +271,9 @@ func (s *Server) PersistCaches() error {
 }
 
 // RegisterTree attaches a prebuilt decision tree to the named registered
-// collection, enabling tree-walk sessions (CreateSessionRequest.Tree). The
-// tree must have been built over that same collection.
+// collection, enabling tree sessions (CreateSessionRequest.Tree) and the
+// import of tree-walk states earlier releases exported. The tree must have
+// been built over that same collection.
 func (s *Server) RegisterTree(name string, t *setdiscovery.Tree) error {
 	if t == nil {
 		return errors.New("server: RegisterTree needs a tree")

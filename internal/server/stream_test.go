@@ -296,6 +296,21 @@ func TestStreamErrorStatuses(t *testing.T) {
 	samePlanes("unknown collection", err, http.StatusNotFound, http.MethodPost, base+"/v1/collections/nope/sessions", nil)
 	s.Close()
 
+	// A tree session runs under the options the tree was built with, so a
+	// tree create that sets any session config field → 400.
+	for _, cfg := range []SessionConfig{
+		{Strategy: "bogus"}, {MaxQuestions: 1}, {Backtrack: true}, {BatchSize: 3}, {Metric: "h"},
+	} {
+		s = c.OpenStream()
+		_, err = s.Create(&wireproto.Create{Collection: "paper", Tree: true, Config: wireproto.SessionConfig{
+			Strategy: cfg.Strategy, MaxQuestions: cfg.MaxQuestions, Backtrack: cfg.Backtrack,
+			BatchSize: cfg.BatchSize, Metric: cfg.Metric,
+		}}, streamTestTimeout)
+		samePlanes(fmt.Sprintf("tree session with %+v", cfg), err, http.StatusBadRequest, http.MethodPost,
+			base+"/v1/collections/paper/sessions", CreateSessionRequest{Tree: true, SessionConfig: cfg})
+		s.Close()
+	}
+
 	// Answer on an unbound channel → 404 (no JSON equivalent).
 	s = c.OpenStream()
 	_, err = s.Answer(&wireproto.Answer{Answer: "yes"}, streamTestTimeout)

@@ -39,18 +39,26 @@ type SessionConfig struct {
 	GroupConstraints [][2]string `json:"group_constraints,omitempty"`
 }
 
+// isZero reports whether the config sets no field.
+func (c SessionConfig) isZero() bool {
+	return c.Strategy == "" && c.K == 0 && c.Q == 0 && c.Metric == "" && c.MaxQuestions == 0 &&
+		c.BatchSize == 0 && !c.Backtrack && c.GroupStrategy == "" && len(c.GroupConstraints) == 0
+}
+
 // CreateSessionRequest configures a new discovery session over a registered
 // collection (POST /v1/collections/{collection}/sessions). Zero values take
-// the engine defaults; Tree selects a walk of the collection's prebuilt
-// decision tree instead of the interactive strategy loop.
+// the engine defaults; Tree runs the session under the options the
+// collection's prebuilt decision tree was built with instead.
 type CreateSessionRequest struct {
 	// Initial holds the initial example entities (Algorithm 2 line 1).
 	// Must be empty for tree sessions: a prebuilt tree always starts at
 	// its root.
 	Initial []string `json:"initial,omitempty"`
 	SessionConfig
-	// Tree walks the collection's prebuilt decision tree (constant
-	// per-question cost) instead of running the strategy loop.
+	// Tree starts the session from no examples under the options the
+	// collection's prebuilt decision tree was built with, so it asks the
+	// tree's questions on the lookahead caches the build left warm. A tree
+	// create that sets any SessionConfig field is rejected.
 	Tree bool `json:"tree,omitempty"`
 }
 
@@ -133,8 +141,8 @@ type CollectionInfo struct {
 // registered collection (POST /v1/collections/{collection}/batches): one
 // member per seed, all under the same engine options and one strategy
 // instance, so members at the same candidate-set state share one selection
-// through the selection memo. Prebuilt-tree walks are not batchable — their
-// per-question cost is already constant.
+// through the selection memo. Tree sessions are not batchable: they start
+// from no examples.
 type CreateBatchRequest struct {
 	// Seeds holds one entry per member: its initial example entities. An
 	// empty object ({}) starts that member from the whole collection.

@@ -104,48 +104,6 @@ func intersectGallopInto(dst []uint32, small, big []uint32) []uint32 {
 	return dst
 }
 
-// UnionInto appends the union of two normalized slices to dst and returns
-// the extended slice. dst must not alias a or b.
-func UnionInto(dst, a, b []uint32) []uint32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			dst = append(dst, b[j])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	return dst
-}
-
-// DiffInto appends a \ b for normalized slices to dst and returns the
-// extended slice. dst must not alias a or b.
-func DiffInto(dst, a, b []uint32) []uint32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return append(dst, a[i:]...)
-}
-
 // IntersectCount returns |a ∩ b| without allocating.
 func IntersectCount(a, b []uint32) int {
 	i, j, n := 0, 0, 0
@@ -164,67 +122,6 @@ func IntersectCount(a, b []uint32) int {
 	return n
 }
 
-// Union returns the union of two normalized slices as a new slice.
-func Union(a, b []uint32) []uint32 {
-	out := make([]uint32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// Diff returns a \ b for normalized slices as a new slice.
-func Diff(a, b []uint32) []uint32 {
-	out := make([]uint32, 0, len(a))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return out
-}
-
-// IsSubset reports whether every element of a is in b (both normalized).
-func IsSubset(a, b []uint32) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	j := 0
-	for _, v := range a {
-		for j < len(b) && b[j] < v {
-			j++
-		}
-		if j >= len(b) || b[j] != v {
-			return false
-		}
-		j++
-	}
-	return true
-}
-
 // Equal reports whether two normalized slices hold the same elements.
 func Equal(a, b []uint32) bool {
 	if len(a) != len(b) {
@@ -236,26 +133,6 @@ func Equal(a, b []uint32) bool {
 		}
 	}
 	return true
-}
-
-// Compare orders normalized slices lexicographically: -1, 0 or +1.
-func Compare(a, b []uint32) int {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
 }
 
 func min(a, b int) int {

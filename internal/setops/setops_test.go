@@ -88,65 +88,6 @@ func TestIntersectCountMatchesIntersect(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	if got := Union(norm(1, 3), norm(2, 3, 4)); !Equal(got, norm(1, 2, 3, 4)) {
-		t.Errorf("Union = %v", got)
-	}
-	if got := Union(nil, norm(7)); !Equal(got, norm(7)) {
-		t.Errorf("Union(nil, {7}) = %v", got)
-	}
-}
-
-func TestDiff(t *testing.T) {
-	if got := Diff(norm(1, 2, 3, 4), norm(2, 4)); !Equal(got, norm(1, 3)) {
-		t.Errorf("Diff = %v", got)
-	}
-	if got := Diff(norm(1, 2), nil); !Equal(got, norm(1, 2)) {
-		t.Errorf("Diff(a, nil) = %v", got)
-	}
-	if got := Diff(nil, norm(1)); len(got) != 0 {
-		t.Errorf("Diff(nil, b) = %v", got)
-	}
-}
-
-func TestIsSubset(t *testing.T) {
-	cases := []struct {
-		a, b []uint32
-		want bool
-	}{
-		{nil, norm(1, 2), true},
-		{norm(1), norm(1, 2), true},
-		{norm(1, 2), norm(1, 2), true},
-		{norm(1, 3), norm(1, 2), false},
-		{norm(1, 2, 3), norm(1, 2), false},
-	}
-	for _, c := range cases {
-		if got := IsSubset(c.a, c.b); got != c.want {
-			t.Errorf("IsSubset(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestCompare(t *testing.T) {
-	cases := []struct {
-		a, b []uint32
-		want int
-	}{
-		{nil, nil, 0},
-		{nil, norm(1), -1},
-		{norm(1), nil, 1},
-		{norm(1, 2), norm(1, 2), 0},
-		{norm(1, 2), norm(1, 3), -1},
-		{norm(2), norm(1, 9), 1},
-		{norm(1, 2), norm(1, 2, 3), -1},
-	}
-	for _, c := range cases {
-		if got := Compare(c.a, c.b); got != c.want {
-			t.Errorf("Compare(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 // --- property tests against a map-based model ---
 
 type modelSet map[uint32]bool
@@ -187,77 +128,6 @@ func TestQuickIntersectModel(t *testing.T) {
 		}
 		return sameAsModel(Intersect(a, b), want) &&
 			IntersectCount(a, b) == len(want)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickUnionModel(t *testing.T) {
-	f := func(ra, rb []uint32) bool {
-		a, b := fromRaw(ra), fromRaw(rb)
-		want := toModel(a)
-		for v := range toModel(b) {
-			want[v] = true
-		}
-		return sameAsModel(Union(a, b), want)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickDiffModel(t *testing.T) {
-	f := func(ra, rb []uint32) bool {
-		a, b := fromRaw(ra), fromRaw(rb)
-		mb := toModel(b)
-		want := make(modelSet)
-		for _, v := range a {
-			if !mb[v] {
-				want[v] = true
-			}
-		}
-		return sameAsModel(Diff(a, b), want)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickDeMorganesqueIdentity(t *testing.T) {
-	// a = (a ∩ b) ∪ (a \ b), disjointly.
-	f := func(ra, rb []uint32) bool {
-		a, b := fromRaw(ra), fromRaw(rb)
-		inter, diff := Intersect(a, b), Diff(a, b)
-		if IntersectCount(inter, diff) != 0 {
-			return false
-		}
-		return Equal(Union(inter, diff), a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickSubsetReflexiveAndIntersect(t *testing.T) {
-	f := func(ra, rb []uint32) bool {
-		a, b := fromRaw(ra), fromRaw(rb)
-		inter := Intersect(a, b)
-		return IsSubset(a, a) && IsSubset(inter, a) && IsSubset(inter, b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickCompareIsTotalOrder(t *testing.T) {
-	f := func(ra, rb []uint32) bool {
-		a, b := fromRaw(ra), fromRaw(rb)
-		cab, cba := Compare(a, b), Compare(b, a)
-		if cab != -cba {
-			return false
-		}
-		return (cab == 0) == Equal(a, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,9 +1,6 @@
 package setdiscovery
 
-import (
-	"setdiscovery/internal/dataset"
-	"setdiscovery/internal/discovery"
-)
+import "setdiscovery/internal/discovery"
 
 // Question is the pending interaction of a Session: a membership question
 // about Entity ("is Entity in your set?"), a set-valued question about
@@ -30,18 +27,6 @@ func (q Question) IsConfirm() bool { return q.Confirm != "" }
 // question about Subset) rather than about a single entity.
 func (q Question) IsSubset() bool { return len(q.Subset) > 0 }
 
-// sessionCore is the step-wise state machine behind a Session — the
-// interactive loop (discovery.Session) or a prebuilt-tree walk
-// (discovery.TreeSession).
-type sessionCore interface {
-	Next() (dataset.Entity, bool)
-	PendingConfirm() (*dataset.Set, bool)
-	Answer(discovery.Answer) error
-	Result() (*discovery.Result, error)
-	Questions() int
-	Done() bool
-}
-
 // Session is a resumable discovery: where Discover drives an Oracle
 // callback to completion in one call, a Session suspends at every question
 // so the answer can arrive later — from another goroutine, an HTTP
@@ -65,13 +50,11 @@ type sessionCore interface {
 // caches, so simultaneous users amortise each other's selection work.
 type Session struct {
 	c *Collection
-	s sessionCore
+	s *discovery.Session
 
 	// cfg is the configuration the session was created under; Snapshot
-	// embeds it so RestoreSession can rebuild identical options. Unused (and
-	// meaningless) for tree-walk sessions, which instead carry their tree.
-	cfg  config
-	tree *Tree // non-nil for sessions created by Tree.NewSession
+	// embeds it so RestoreSession can rebuild identical options.
+	cfg config
 }
 
 // NewSession starts a resumable discovery session over the collection,
@@ -107,13 +90,21 @@ func (c *Collection) NewSession(initial []string, opts ...Option) (*Session, err
 	return &Session{c: c, s: s, cfg: cfg}, nil
 }
 
-// NewSession starts a resumable walk down the prebuilt tree, suspended
-// before the root question. Tree sessions have constant per-question cost —
-// the question sequence is frozen in the tree — which makes them the
-// cheapest kind to serve at scale. A "don't know" answer ends the walk with
-// the sets below the current node as candidates.
+// NewSession starts a discovery over the tree's collection from no initial
+// examples, suspended before its first question. It is a live session under
+// the selection options the tree was built with (see Tree), so it asks the
+// tree's questions; after BuildTree, the lookahead caches the build left
+// warm answer its selections. Like every session it keeps asking after a
+// "don't know", where DiscoverWithTree stops with the subtree's sets as
+// candidates.
 func (t *Tree) NewSession() *Session {
-	return &Session{c: t.c, s: discovery.NewTreeSession(t.c.c, t.t), tree: t}
+	s, err := t.c.NewSession(nil, func(cfg *config) { *cfg = t.cfg })
+	if err != nil {
+		// Unreachable: BuildTree made t.cfg's factory, LoadTree's defaults
+		// always make one, and with no examples every set is a candidate.
+		panic(err)
+	}
+	return s
 }
 
 // Next returns the pending question; done is true once the session has
@@ -121,20 +112,18 @@ func (t *Tree) NewSession() *Session {
 // Answer is called, so a client may safely re-fetch it.
 func (s *Session) Next() (Question, bool) { return s.c.question(s.s) }
 
-// question renders the pending question of a session core with entity and
-// set names; done is true once the core has finished.
-func (c *Collection) question(s sessionCore) (Question, bool) {
+// question renders the pending question of an engine session with entity
+// and set names; done is true once the session has finished.
+func (c *Collection) question(s *discovery.Session) (Question, bool) {
 	if set, ok := s.PendingConfirm(); ok {
 		return Question{Confirm: set.Name}, false
 	}
-	if core, ok := s.(*discovery.Session); ok {
-		if members, sem, ok := core.PendingSubset(); ok {
-			names := make([]string, len(members))
-			for i, e := range members {
-				names[i] = c.c.EntityName(e)
-			}
-			return Question{Subset: names, Semantics: sem.String()}, false
+	if members, sem, ok := s.PendingSubset(); ok {
+		names := make([]string, len(members))
+		for i, e := range members {
+			names[i] = c.c.EntityName(e)
 		}
+		return Question{Subset: names, Semantics: sem.String()}, false
 	}
 	e, done := s.Next()
 	if done {

@@ -490,16 +490,22 @@ func WithSharedSelection(on bool) Option {
 
 // Tree is a constructed decision tree over a collection. It is immutable
 // and safe for concurrent use: any number of goroutines may walk one shared
-// Tree via DiscoverWithTree or the read accessors.
+// Tree via DiscoverWithTree or the read accessors, or run sessions from it.
 type Tree struct {
 	t *tree.Tree
 	c *Collection
+
+	// cfg holds the selection options the tree was built with (strategy,
+	// metric, k, q, cache bound); its sessions run under them.
+	cfg config
 }
 
 // BuildTree constructs a decision tree for the whole collection offline
 // (Algorithm 3), for static collections queried repeatedly. Construction
 // runs on a bounded worker pool (WithParallelism, default GOMAXPROCS) and
-// is deterministic: every parallelism level yields the same tree.
+// is deterministic: every parallelism level yields the same tree. The tree
+// records its selection options for Tree.NewSession; batch size, halting,
+// backtracking and group options do not carry over.
 func (c *Collection) BuildTree(opts ...Option) (*Tree, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -513,7 +519,9 @@ func (c *Collection) BuildTree(opts ...Option) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{t: t, c: c}, nil
+	sel := defaultConfig()
+	sel.strategyName, sel.metric, sel.k, sel.q, sel.cacheBound = cfg.strategyName, cfg.metric, cfg.k, cfg.q, cfg.cacheBound
+	return &Tree{t: t, c: c, cfg: sel}, nil
 }
 
 // Collection returns the collection the tree was built over.
@@ -546,13 +554,17 @@ func (t *Tree) WriteDOT(w io.Writer) error { return t.t.WriteDOT(w, t.c.c) }
 func (t *Tree) WriteBinary(w io.Writer) error { return t.t.WriteBinary(w) }
 
 // LoadTree reads a tree persisted with Tree.WriteBinary and re-validates it
-// against this collection.
+// against this collection. The binary format stores no options, so the
+// loaded tree records the defaults (k-LP, AverageDepth, k=2, q=10, the
+// default cache bound): Tree.NewSession asks the tree's questions only if
+// it was built under them. DiscoverWithTree walks any loaded tree as
+// persisted.
 func (c *Collection) LoadTree(r io.Reader) (*Tree, error) {
 	t, err := tree.ReadBinary(r, c.c)
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{t: t, c: c}, nil
+	return &Tree{t: t, c: c, cfg: defaultConfig()}, nil
 }
 
 // DiscoverWithTree runs discovery along a precomputed tree: each step only

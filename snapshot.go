@@ -39,23 +39,26 @@ import (
 //	"SDSS" | version (3) | kind | fingerprint | configuration
 //	      | group configuration | state payload
 //
-// Writers emit version 1 for every entity session, tree session and batch,
-// and version 3 for group ones. Earlier releases wrote version 2 for entity
-// sessions under shared selection: the state payload length-prefixed and
-// followed by the selection-memo entries the session had visited. Decoders
-// still accept it, restore the length-prefixed state and skip the memo
-// section unread, so a snapshot never changes what the restoring
-// collection's selection memo holds:
+// Writers emit version 1 for every entity session and batch, and version 3
+// for group ones. Earlier releases wrote version 2 for entity sessions under
+// shared selection: the state payload length-prefixed and followed by the
+// selection-memo entries the session had visited. Decoders still accept it,
+// restore the length-prefixed state and skip the memo section unread, so a
+// snapshot never changes what the restoring collection's selection memo
+// holds:
 //
 //	"SDSS" | version (2) | kind | fingerprint | configuration
 //	      | state length | state payload | memo section (ignored)
 //
+// Earlier releases also wrote kind 2, a walk down a prebuilt tree, with no
+// configuration section; Tree.RestoreSession still reads it by replaying
+// its path onto the tree, which rejects a path the tree does not ask.
+//
 // The collection fingerprint guards against restoring over a different
 // collection, where set indexes and entity IDs would silently mean something
-// else; tree-session snapshots are additionally replay-verified against the
-// tree they are restored onto. Snapshots are not authenticated: treat them
-// like any other client-supplied state and restore only over the collection
-// they were exported from.
+// else. Snapshots are not authenticated: treat them like any other
+// client-supplied state and restore only over the collection they were
+// exported from.
 
 // snapshotMagic identifies a setdiscovery snapshot; the trailing byte is the
 // envelope version.
@@ -77,9 +80,10 @@ const (
 type SnapshotKind byte
 
 const (
-	// SnapshotSession is a strategy-loop Session (Collection.NewSession).
+	// SnapshotSession is a Session (Collection.NewSession, Tree.NewSession).
 	SnapshotSession SnapshotKind = 1
-	// SnapshotTreeSession is a prebuilt-tree walk (Tree.NewSession).
+	// SnapshotTreeSession is a prebuilt-tree walk of earlier releases, which
+	// only Tree.RestoreSession reads; no session is written as one.
 	SnapshotTreeSession SnapshotKind = 2
 	// SnapshotBatch is a Batch of sessions (Collection.NewBatch).
 	SnapshotBatch SnapshotKind = 3
@@ -107,17 +111,9 @@ var ErrBadSnapshot = errors.New("setdiscovery: invalid snapshot")
 // Snapshot serializes the session's suspended state. It is non-destructive
 // — the session continues unaffected — so state can be exported at every
 // suspension point (a serving layer does it per round-trip). Restore with
-// Collection.RestoreSession, or Tree.RestoreSession for tree-walk sessions.
+// Collection.RestoreSession.
 func (s *Session) Snapshot() ([]byte, error) {
-	switch core := s.s.(type) {
-	case *discovery.Session:
-		return append(newConfigEnvelope(SnapshotSession, s.c, s.cfg).buf, core.EncodeState()...), nil
-	case *discovery.TreeSession:
-		w := newEnvelope(snapshotVersion, SnapshotTreeSession, s.c.c.ContentFingerprint())
-		return append(w.buf, core.EncodeState()...), nil
-	default:
-		return nil, fmt.Errorf("setdiscovery: unsupported session core %T", s.s)
-	}
+	return append(newConfigEnvelope(SnapshotSession, s.c, s.cfg).buf, s.s.EncodeState()...), nil
 }
 
 // Snapshot serializes the whole batch — every member's suspended state plus
@@ -130,8 +126,8 @@ func (b *Batch) Snapshot() ([]byte, error) {
 // collection — which must be the one the snapshot was exported from (guarded
 // by a content fingerprint). opts are applied on top of the snapshot's
 // embedded configuration; use them for host-local tuning such as
-// WithCacheBound. Tree-session snapshots must be restored with
-// Tree.RestoreSession instead, batches with RestoreBatch.
+// WithCacheBound. Tree-walk snapshots of earlier releases must be restored
+// with Tree.RestoreSession instead, batches with RestoreBatch.
 func (c *Collection) RestoreSession(data []byte, opts ...Option) (*Session, error) {
 	cfg, payload, err := c.openEnvelope(data, SnapshotSession, opts)
 	if err != nil {
@@ -148,21 +144,25 @@ func (c *Collection) RestoreSession(data []byte, opts ...Option) (*Session, erro
 	return &Session{c: c, s: s, cfg: cfg}, nil
 }
 
-// RestoreSession reconstructs a tree-walk session from Snapshot output over
-// this tree. The snapshot's path is replayed and verified question by
-// question, so state exported from a structurally different tree (or a
-// different collection) is rejected rather than silently walking to a wrong
-// leaf.
+// RestoreSession reconstructs a session from Snapshot output over the tree's
+// collection. A session snapshot restores as Collection.RestoreSession
+// restores it. A tree-walk snapshot (kind 2, written by earlier releases)
+// is replayed onto a fresh Tree.NewSession, question by question, so state
+// exported from a structurally different tree (or a different collection)
+// is rejected rather than silently walking to a wrong leaf.
 func (t *Tree) RestoreSession(data []byte) (*Session, error) {
+	if info, err := ReadSnapshotInfo(data); err == nil && info.Kind != SnapshotTreeSession {
+		return t.c.RestoreSession(data)
+	}
 	_, payload, err := t.c.openEnvelope(data, SnapshotTreeSession, nil)
 	if err != nil {
 		return nil, err
 	}
-	s, err := discovery.DecodeTreeSession(t.c.c, t.t, payload)
-	if err != nil {
+	s := t.NewSession()
+	if err := discovery.ReplayTreeWalk(s.s, payload); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
-	return &Session{c: t.c, s: s, tree: t}, nil
+	return s, nil
 }
 
 // RestoreBatch reconstructs a batch from Batch.Snapshot output, bound to

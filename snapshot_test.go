@@ -2,7 +2,10 @@ package setdiscovery
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -339,8 +342,12 @@ func TestSnapshotRejections(t *testing.T) {
 	if info, err := ReadSnapshotInfo(snap); err != nil || info.Kind != SnapshotSession {
 		t.Errorf("ReadSnapshotInfo(session) = %+v, %v", info, err)
 	}
-	if info, err := ReadSnapshotInfo(treeSnap); err != nil || info.Kind != SnapshotTreeSession {
-		t.Errorf("ReadSnapshotInfo(tree) = %+v, %v", info, err)
+	if info, err := ReadSnapshotInfo(treeSnap); err != nil || info.Kind != SnapshotSession {
+		t.Errorf("ReadSnapshotInfo(tree session) = %+v, %v", info, err)
+	}
+	treeWalk := readTreeWalkFixture(t, "snapshot-tree-walk-s5.bin")
+	if info, err := ReadSnapshotInfo(treeWalk); err != nil || info.Kind != SnapshotTreeSession {
+		t.Errorf("ReadSnapshotInfo(tree walk) = %+v, %v", info, err)
 	}
 	if info, err := ReadSnapshotInfo(batchSnap); err != nil || info.Kind != SnapshotBatch {
 		t.Errorf("ReadSnapshotInfo(batch) = %+v, %v", info, err)
@@ -352,10 +359,11 @@ func TestSnapshotRejections(t *testing.T) {
 	}{
 		{"session onto foreign collection", func() error { _, err := other.RestoreSession(snap); return err }},
 		{"batch onto foreign collection", func() error { _, err := other.RestoreBatch(batchSnap); return err }},
-		{"tree snapshot via RestoreSession", func() error { _, err := c.RestoreSession(treeSnap); return err }},
+		{"tree-walk snapshot via RestoreSession", func() error { _, err := c.RestoreSession(treeWalk); return err }},
+		{"tree-walk snapshot onto foreign collection", func() error { _, err := other.RestoreSession(treeWalk); return err }},
 		{"session snapshot via RestoreBatch", func() error { _, err := c.RestoreBatch(snap); return err }},
 		{"batch snapshot via RestoreSession", func() error { _, err := c.RestoreSession(batchSnap); return err }},
-		{"session snapshot via Tree.RestoreSession", func() error { _, err := tr.RestoreSession(snap); return err }},
+		{"batch snapshot via Tree.RestoreSession", func() error { _, err := tr.RestoreSession(batchSnap); return err }},
 		{"empty input", func() error { _, err := c.RestoreSession(nil); return err }},
 		{"bad magic", func() error { _, err := c.RestoreSession([]byte("XXXXxxxxxxxxxxxxxxxxxxxxxxxx")); return err }},
 		{"truncated", func() error { _, err := c.RestoreSession(snap[:len(snap)/2]); return err }},
@@ -392,4 +400,78 @@ func TestSnapshotRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, "done-session", gotRes, wantRes)
+}
+
+// readTreeWalkFixture reads a tree-walk snapshot (kind 2) under testdata/,
+// recorded over the paper collection's BuildTree() by a release that served
+// trees with a walk of its own.
+func readTreeWalkFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestRestoreTreeWalkFixtures: the recorded tree-walk snapshots (target S5,
+// suspended after the root question d) restore through Tree.RestoreSession
+// only, as live sessions under the tree's options. After the answer No the
+// session asks the walk's g and h; after a "don't know" the walk had
+// stopped with all 7 sets, and the session excludes d and asks c, b, g and
+// h instead. Every session snapshots as kind 1 and so restores on a
+// collection with no tree.
+func TestRestoreTreeWalkFixtures(t *testing.T) {
+	c := paperCollection(t)
+	tr, err := c.BuildTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := c.TargetOracle("S5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		file      string
+		asks      []string
+		questions int
+	}{
+		{"snapshot-tree-walk-s5.bin", []string{"g", "h"}, 3},
+		{"snapshot-tree-walk-unknown.bin", []string{"c", "b", "g", "h"}, 5},
+	} {
+		data := readTreeWalkFixture(t, f.file)
+		if _, err := c.RestoreSession(data); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "Tree.RestoreSession") {
+			t.Errorf("%s via Collection.RestoreSession: err = %v, want ErrBadSnapshot naming Tree.RestoreSession", f.file, err)
+		}
+		s, err := tr.RestoreSession(data)
+		if err != nil {
+			t.Fatalf("%s: %v", f.file, err)
+		}
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info, err := ReadSnapshotInfo(snap); err != nil || info.Kind != SnapshotSession {
+			t.Errorf("%s: the restored session snapshots as %+v, %v", f.file, info, err)
+		}
+		if asks := driveSession(t, s, o); !reflect.DeepEqual(asks, f.asks) {
+			t.Errorf("%s: the restored session asks %v, want %v", f.file, asks, f.asks)
+		}
+		res, err := s.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Target != "S5" || res.Questions != f.questions || res.Interactions != f.questions {
+			t.Errorf("%s: %+v, want S5 after %d questions", f.file, res, f.questions)
+		}
+
+		plain := paperCollection(t) // holds no tree
+		again, err := plain.RestoreSession(snap)
+		if err != nil {
+			t.Fatalf("%s: the kind-1 snapshot on a collection without a tree: %v", f.file, err)
+		}
+		if asks := driveSession(t, again, o); !reflect.DeepEqual(asks, f.asks) {
+			t.Errorf("%s: restored without a tree, the session asks %v, want %v", f.file, asks, f.asks)
+		}
+	}
 }
