@@ -6,7 +6,6 @@ import (
 
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/discovery"
-	"setdiscovery/internal/strategy"
 )
 
 // Seed is the starting point of one batch member: its initial example
@@ -17,18 +16,17 @@ type Seed struct {
 }
 
 // BatchStats reports how a Batch's member selections were served: computed
-// by a member (Selections) or served from the selection memo
+// by a member (Selections) or served from the collection's selection memo
 // (SelectionsShared).
 type BatchStats = discovery.BatchStats
 
 // Batch runs N resumable discovery sessions over one collection that share
-// one strategy instance and one selection memo: members whose answers have
-// narrowed them to the same candidate-set state share one strategy
-// selection, instead of each paying the full selection cost as N
-// independent Sessions would. With shared selection on (the default) the
-// memo is the collection's, so members also share with every Session on
-// the collection; with WithSharedSelection(false) the batch owns a memo of
-// its own. Every member still asks exactly the questions its own solo
+// one strategy instance and the collection's selection memo: members whose
+// answers have narrowed them to the same candidate-set state share one
+// strategy selection, instead of each paying the full selection cost as N
+// independent Sessions would. The memo is the one every Session and
+// Discover call on the collection selects through, so members also share
+// with those. Every member still asks exactly the questions its own solo
 // Session would ask — sharing is an optimisation, never a behaviour change
 // (test-pinned).
 //
@@ -49,12 +47,12 @@ type Batch struct {
 	cfg config
 }
 
-// NewBatch starts one suspended discovery session per seed, all with the
-// same options, so members at equal states share selection work (the batch
-// analogue of NewSession). A seed naming an unknown entity fails
-// construction with ErrNoCandidates; a seed whose examples no set contains
-// yields a member that is immediately done and reports ErrNoCandidates from
-// Result, mirroring Discover.
+// NewBatch starts one suspended discovery session per seed, all under the
+// options NewSession would give one, so members at equal states share
+// selection work (the batch analogue of NewSession). A seed naming an
+// unknown entity fails construction with ErrNoCandidates; a seed whose
+// examples no set contains yields a member that is immediately done and
+// reports ErrNoCandidates from Result, mirroring Discover.
 func (c *Collection) NewBatch(seeds []Seed, opts ...Option) (*Batch, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("setdiscovery: NewBatch requires at least one seed")
@@ -63,23 +61,9 @@ func (c *Collection) NewBatch(seeds []Seed, opts ...Option) (*Batch, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	o := discoveryOptions(cfg, nil)
-	var f strategy.Factory
-	if cfg.groupStrategy != "" {
-		// Group batches mint one shared group-strategy instance; members are
-		// externally serialised, so sharing its scratch is safe, and the
-		// entity-strategy factory stays nil.
-		gf, err := c.groupFactory(cfg)
-		if err != nil {
-			return nil, err
-		}
-		o.Group = gf.New()
-	} else {
-		var err error
-		if f, err = c.factory(cfg); err != nil {
-			return nil, err
-		}
-		c.attachMemo(cfg, &o)
+	o, err := c.engineOptions(cfg)
+	if err != nil {
+		return nil, err
 	}
 	inits := make([][]dataset.Entity, len(seeds))
 	for i, seed := range seeds {
@@ -89,7 +73,7 @@ func (c *Collection) NewBatch(seeds []Seed, opts ...Option) (*Batch, error) {
 		}
 		inits[i] = init
 	}
-	b, err := discovery.NewBatch(c.c, inits, f, o)
+	b, err := discovery.NewBatch(c.c, inits, o)
 	if err != nil {
 		return nil, err
 	}

@@ -211,11 +211,11 @@ func TestBatchAccessorBounds(t *testing.T) {
 
 // TestBatchSharesSelectionMemo pins the one selection-sharing mechanism at
 // the public layer. A solo Session runs to its target first; then a batch
-// whose members give the same answers runs on the same collection. With
-// shared selection on, the members select through the collection's memo
-// and compute nothing; with WithSharedSelection(false) they share a memo
-// the batch owns and compute exactly one solo session's selections. Either
-// way every member asks the solo session's questions.
+// whose members give the same answers runs. On the solo session's (warm)
+// collection the members select through the collection's memo and compute
+// nothing; on a collection the solo session never ran on (cold) they
+// compute exactly one solo session's selections between them. Either way
+// every member asks the solo session's questions.
 func TestBatchSharesSelectionMemo(t *testing.T) {
 	// 64 sets, one per 6-bit pattern over e0..e5: every target takes six
 	// questions.
@@ -232,21 +232,26 @@ func TestBatchSharesSelectionMemo(t *testing.T) {
 	const n = 4
 	for _, tc := range []struct {
 		label        string
-		opts         []Option
 		soloComputes bool // whether the batch recomputes the solo's selections
 	}{
-		{"shared", nil, false},
-		{"unshared", []Option{WithSharedSelection(false)}, true},
+		{"warm", false},
+		{"cold", true},
 	} {
 		c, err := NewCollection(sets)
 		if err != nil {
 			t.Fatal(err)
 		}
-		target, err := c.TargetOracle("S45")
+		soloC := c
+		if tc.soloComputes {
+			if soloC, err = NewCollection(sets); err != nil {
+				t.Fatal(err)
+			}
+		}
+		target, err := soloC.TargetOracle("S45")
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := c.NewSession(nil, tc.opts...)
+		s, err := soloC.NewSession(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +271,7 @@ func TestBatchSharesSelectionMemo(t *testing.T) {
 		}
 		soloSelections := int64(res.Interactions)
 
-		b, err := c.NewBatch(make([]Seed, n), tc.opts...)
+		b, err := c.NewBatch(make([]Seed, n))
 		if err != nil {
 			t.Fatal(err)
 		}

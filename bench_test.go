@@ -393,8 +393,10 @@ func benchSessions(b *testing.B, seed *dataset.Subset, examples []dataset.Entity
 // selection computation per round in a Batch ("selcomp/sess" ≈ a single
 // session's count) versus 64× as independent sessions. The mixed variant
 // gives every member its own target, so states diverge round by round and
-// sharing degrades gracefully instead of vanishing. Compare ns/op across
-// the variants for the wall-clock side of the same story.
+// sharing degrades gracefully instead of vanishing. Every batch starts on a
+// fresh selection memo, so "selcomp/sess" counts one batch's computations.
+// Compare ns/op across the variants for the wall-clock side of the same
+// story.
 func BenchmarkBatchDiscovery(b *testing.B) {
 	c := benchCollection(b)
 	const n = 64
@@ -438,7 +440,8 @@ func BenchmarkBatchDiscovery(b *testing.B) {
 		b.ReportAllocs()
 		var st discovery.BatchStats
 		for i := 0; i < b.N; i++ {
-			bt, err := discovery.NewBatch(c, make([][]dataset.Entity, n), f, discovery.Options{})
+			bt, err := discovery.NewBatch(c, make([][]dataset.Entity, n),
+				discovery.Options{Strategy: f.New(), Memo: discovery.NewSelectionMemo(0)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -458,7 +461,8 @@ func BenchmarkBatchDiscovery(b *testing.B) {
 		b.ReportAllocs()
 		var st discovery.BatchStats
 		for i := 0; i < b.N; i++ {
-			bt, err := discovery.NewBatch(c, make([][]dataset.Entity, n), f, discovery.Options{})
+			bt, err := discovery.NewBatch(c, make([][]dataset.Entity, n),
+				discovery.Options{Strategy: f.New(), Memo: discovery.NewSelectionMemo(0)})
 			if err != nil {
 				b.Fatal(err)
 			}

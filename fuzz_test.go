@@ -274,7 +274,7 @@ func FuzzGroupQuestionState(f *testing.F) {
 
 	// Pre-bump envelopes: entity sessions must keep decoding unchanged
 	// after the version-3 bump.
-	v1, err := c.NewSession(nil, WithSharedSelection(false))
+	v1, err := c.NewSession(nil)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -206,7 +206,7 @@ func TestGroupSnapshotVersioning(t *testing.T) {
 	if snap[4] != 3 {
 		t.Fatalf("group session snapshot version = %d, want 3", snap[4])
 	}
-	e, err := c.NewSession(nil, WithSharedSelection(false))
+	e, err := c.NewSession(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

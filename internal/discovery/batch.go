@@ -5,16 +5,16 @@ import (
 	"fmt"
 
 	"setdiscovery/internal/dataset"
-	"setdiscovery/internal/strategy"
 )
 
-// BatchStats counts how a Batch's selections were served. Every member
-// selection goes through the batch's SelectionMemo (the collection's, or one
-// the batch owns), which either computes it or serves it from an earlier
-// computation — by a sibling, by a solo session on the same collection, or
-// by a concurrent computation the member waited on. For N identical members
-// on a cold memo, Selections stays at a solo session's count while
-// SelectionsShared absorbs the other N−1 per round.
+// BatchStats counts how a Batch's selections were served. A member
+// selection goes through the members' SelectionMemo (Options.Memo), which
+// either computes it or serves it from an earlier computation — by a
+// sibling, by a solo session on the same memo, or by a concurrent
+// computation the member waited on; without a memo every selection is
+// computed. For N identical members on a cold memo, Selections stays at a
+// solo session's count while SelectionsShared absorbs the other N−1 per
+// round.
 type BatchStats struct {
 	// Selections counts strategy selections the members computed, including
 	// the unshareable per-member exclusion-path ones ("don't know" members
@@ -36,10 +36,10 @@ func (st *BatchStats) count(computed bool) {
 	}
 }
 
-// Batch is N discovery sessions over one collection that share one strategy
-// instance and one SelectionMemo, so members parked at the same
-// candidate-set state pay one strategy selection between them (the ROADMAP
-// "Batch discovery API"). Each member is an ordinary Session with its own
+// Batch is N discovery sessions over one collection that run under one
+// Options: they share its strategy instance and its SelectionMemo, so
+// members parked at the same candidate-set state pay one strategy
+// selection between them. Each member is an ordinary Session with its own
 // scratch; the memo is the only thing that makes a batch cheaper than its
 // members run alone.
 //
@@ -54,49 +54,18 @@ type Batch struct {
 	stats   BatchStats
 }
 
-// share fills in what the members of a batch share: the strategy instance
-// minted from f (group batches carry theirs in opts.Group), the selection
-// memo — the caller's, else one owned by the batch — and the counters.
-func (b *Batch) share(f strategy.Factory, opts *Options) {
-	opts.stats = &b.stats
-	if opts.Group != nil {
-		// Group selections are not entity-memoisable (see Options.Group).
-		return
-	}
-	opts.Strategy = f.New()
-	if opts.Memo == nil {
-		opts.Memo = NewSelectionMemo(0)
-	}
-}
-
-// checkBatchArgs is the construction contract NewBatch and DecodeBatch share.
-func checkBatchArgs(op string, f strategy.Factory, opts Options) error {
-	if f == nil && opts.Group == nil {
-		return fmt.Errorf("discovery: %s requires a strategy factory", op)
-	}
-	if opts.Strategy != nil {
-		return fmt.Errorf("discovery: Options.Strategy must be nil for %s; the batch mints one shared instance from the factory", op)
-	}
-	return nil
-}
-
 // NewBatch starts one session per seed (a seed is the member's initial
-// example set), all sharing one strategy instance and one selection memo.
-// opts.Strategy must be nil: the batch mints the single shared instance
-// from f itself. opts.Memo, when set, is the memo the members share (a
-// collection's, so a batch also shares with solo sessions); otherwise the
-// batch owns one. A seed contained in no candidate yields a member that is
+// example set), each as NewSession starts one under opts. The members share
+// the one strategy instance of opts and its Memo; without a Memo they share
+// no selection. A seed contained in no candidate yields a member that is
 // immediately done with ErrNoCandidates from its Result, mirroring
 // NewSession.
-func NewBatch(c *dataset.Collection, seeds [][]dataset.Entity, f strategy.Factory, opts Options) (*Batch, error) {
-	if err := checkBatchArgs("NewBatch", f, opts); err != nil {
-		return nil, err
-	}
+func NewBatch(c *dataset.Collection, seeds [][]dataset.Entity, opts Options) (*Batch, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("discovery: NewBatch requires at least one seed")
 	}
 	b := &Batch{members: make([]*Session, 0, len(seeds))}
-	b.share(f, &opts)
+	opts.stats = &b.stats
 	for i, initial := range seeds {
 		s, err := NewSession(c, initial, opts)
 		if err != nil {

@@ -140,11 +140,11 @@ func assertSameOutcome(t *testing.T, label string, got *Result, gotErr error, wa
 func batchVsSolo(t *testing.T, c *dataset.Collection, f strategy.Factory,
 	seeds [][]dataset.Entity, mkOracle func(i int) Oracle, mut func(*Options)) *Batch {
 	t.Helper()
-	var opts Options
+	opts := Options{Strategy: f.New(), Memo: NewSelectionMemo(0)}
 	if mut != nil {
 		mut(&opts)
 	}
-	b, err := NewBatch(c, seeds, f, opts)
+	b, err := NewBatch(c, seeds, opts)
 	if err != nil {
 		t.Fatalf("NewBatch: %v", err)
 	}
@@ -294,7 +294,7 @@ func TestBatchAmortisesSelections(t *testing.T) {
 
 	var batchCount int64
 	batchF := countingFactory{inner: strategy.NewKLP(cost.AD, 2), n: &batchCount}
-	b, err := NewBatch(c, make([][]dataset.Entity, n), batchF, Options{})
+	b, err := NewBatch(c, make([][]dataset.Entity, n), Options{Strategy: batchF.New(), Memo: NewSelectionMemo(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,8 @@ func (f ConfirmerFunc) Confirm(s *dataset.Set) bool { return f(s) }
 func TestBatchContradictionLeakFree(t *testing.T) {
 	c := contradictionCollection(t)
 	const n = 8
-	b, err := NewBatch(c, make([][]dataset.Entity, n), strategy.MostEven{}, Options{BatchSize: 2})
+	b, err := NewBatch(c, make([][]dataset.Entity, n),
+		Options{Strategy: strategy.MostEven{}.New(), BatchSize: 2, Memo: NewSelectionMemo(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,18 +441,15 @@ func TestBatchContradictionLeakFree(t *testing.T) {
 	}
 }
 
-// TestNewBatchValidation pins the construction contract.
+// TestNewBatchValidation pins the construction contract: a batch needs a
+// seed, and its members need what every session needs, a strategy.
 func TestNewBatchValidation(t *testing.T) {
 	c := testutil.PaperCollection()
-	if _, err := NewBatch(c, nil, strategy.MostEven{}, Options{}); err == nil {
+	if _, err := NewBatch(c, nil, Options{Strategy: strategy.MostEven{}.New()}); err == nil {
 		t.Fatal("empty seeds accepted")
 	}
-	if _, err := NewBatch(c, make([][]dataset.Entity, 1), nil, Options{}); err == nil {
-		t.Fatal("nil factory accepted")
-	}
-	if _, err := NewBatch(c, make([][]dataset.Entity, 1), strategy.MostEven{},
-		Options{Strategy: strategy.MostEven{}}); err == nil {
-		t.Fatal("pre-set Options.Strategy accepted")
+	if _, err := NewBatch(c, make([][]dataset.Entity, 1), Options{}); err == nil {
+		t.Fatal("options without a strategy accepted")
 	}
 }
 
@@ -464,7 +462,7 @@ func TestBatchStatsCountExclusionPath(t *testing.T) {
 	target := c.Sets()[c.Len()-1]
 	var count int64
 	f := countingFactory{inner: strategy.NewKLP(cost.AD, 2), n: &count}
-	b, err := NewBatch(c, make([][]dataset.Entity, 2), f, Options{})
+	b, err := NewBatch(c, make([][]dataset.Entity, 2), Options{Strategy: f.New(), Memo: NewSelectionMemo(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

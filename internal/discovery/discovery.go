@@ -270,7 +270,8 @@ type Options struct {
 	// BatchSize and Memo (subset selections are not entity-memoisable);
 	// questions surface through Session.PendingSubset and answers partition
 	// by the subset's semantics. An Unknown reply excludes every member of
-	// the subset. Like Strategy, the instance is owned by this run.
+	// the subset. Group strategies are immutable values, so one may serve
+	// any number of sessions at once.
 	Group grouptest.Strategy
 
 	// Memo, when non-nil, routes the session's selections through a
@@ -280,14 +281,26 @@ type Options struct {
 	// identity and parameters, batch size) — two sessions share an entry only
 	// when their keys agree on it. Runtime wiring, not behaviour: selections
 	// are byte-identical with or without a memo, and the memo is not part of
-	// the encoded session state. A Batch's members share this memo, or one
-	// the batch owns when it is nil.
+	// the encoded session state. A Batch's members share it like every other
+	// option; without one they share no selection.
 	Memo    *SelectionMemo
 	MemoAux uint64
 
 	// stats is the counter set of the Batch the session is a member of
 	// (set by NewBatch and DecodeBatch); nil for solo sessions.
 	stats *BatchStats
+}
+
+// withDefaults checks what every session needs, a Strategy or a Group, and
+// fills in the default MaxBacktracks of 64 under Backtrack.
+func (o Options) withDefaults() (Options, error) {
+	if o.Strategy == nil && o.Group == nil {
+		return o, errors.New("discovery: Options.Strategy is required")
+	}
+	if o.Backtrack && o.MaxBacktracks == 0 {
+		o.MaxBacktracks = 64
+	}
+	return o, nil
 }
 
 // Result reports the outcome of a discovery run.

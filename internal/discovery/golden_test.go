@@ -144,21 +144,21 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 			add(fmt.Sprintf("klp-k2-batch3-noisy-t%d", trial), "paper", paper, target, o, opts)
 		}
 	}
-	for _, g := range []grouptest.Factory{grouptest.Halving{}, grouptest.Additive{}} {
+	for _, g := range []grouptest.Strategy{grouptest.Halving{}, grouptest.Additive{}} {
 		for _, target := range paper.Sets() {
-			add(g.Name(), "paper", paper, target, TargetOracle{target}, Options{Group: g.New()})
+			add(g.Name(), "paper", paper, target, TargetOracle{target}, Options{Group: g})
 			for trial := range 5 {
 				seed := uint64(trial)*1000 + uint64(target.Index)
 				o := &NoisyOracle{Inner: TargetOracle{target}, P: 0.2, R: rng.New(seed)}
 				add(fmt.Sprintf("%s-noisy-t%d", g.Name(), trial), "paper", paper, target, o,
-					noisyOpts(Options{Group: g.New()}))
+					noisyOpts(Options{Group: g}))
 			}
 		}
 	}
-	for _, g := range []grouptest.Factory{grouptest.Halving{}, grouptest.Additive{}} {
+	for _, g := range []grouptest.Strategy{grouptest.Halving{}, grouptest.Additive{}} {
 		for _, target := range paper.Sets() {
 			add(g.Name()+"-unsure-first", "paper", paper, target, &unsureFirst{target: target},
-				Options{Group: g.New()})
+				Options{Group: g})
 		}
 	}
 	for _, target := range paper.Sets() {
@@ -166,7 +166,7 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 		add("klp-k2-batch3-max2", "paper", paper, target, o,
 			Options{Strategy: klp.New(), BatchSize: 3, MaxQuestions: 2})
 		add("halving-max2", "paper", paper, target, o,
-			Options{Group: grouptest.Halving{}.New(), MaxQuestions: 2})
+			Options{Group: grouptest.Halving{}, MaxQuestions: 2})
 	}
 	return out
 }

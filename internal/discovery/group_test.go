@@ -13,7 +13,7 @@ import (
 )
 
 func groupOpts(mut func(*Options)) Options {
-	opts := Options{Group: grouptest.Halving{}.New()}
+	opts := Options{Group: grouptest.Halving{}}
 	if mut != nil {
 		mut(&opts)
 	}
@@ -317,7 +317,7 @@ func TestGroupStateVersionGates(t *testing.T) {
 func TestGroupBatchRoundTrip(t *testing.T) {
 	c := testutil.PaperCollection()
 	seeds := [][]dataset.Entity{nil, nil, nil}
-	b, err := NewBatch(c, seeds, nil, groupOpts(nil))
+	b, err := NewBatch(c, seeds, groupOpts(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestGroupBatchRoundTrip(t *testing.T) {
 	if state[0] != stateVersionGroup {
 		t.Fatalf("group batch state version %d, want %d", state[0], stateVersionGroup)
 	}
-	b2, err := DecodeBatch(c, nil, groupOpts(nil), state)
+	b2, err := DecodeBatch(c, groupOpts(nil), state)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,13 +107,14 @@ func hammerSharedSelection(t *testing.T, c *dataset.Collection, bound int) {
 			}
 		}(w * 7)
 	}
-	// Mixed load: a batch (which never touches the collection memo) runs over
-	// the same collection concurrently with the memo-backed solo sessions.
+	// Mixed load: a batch on a memo of its own, which never touches the
+	// collection memo, runs over the same collection concurrently with the
+	// memo-backed solo sessions.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		const n = 8
-		b, err := NewBatch(c, make([][]dataset.Entity, n), f, Options{})
+		b, err := NewBatch(c, make([][]dataset.Entity, n), Options{Strategy: f.New(), Memo: NewSelectionMemo(0)})
 		if err != nil {
 			errc <- err
 			return

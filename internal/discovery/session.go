@@ -96,11 +96,9 @@ type Session struct {
 // in no candidate yields a session that is immediately Done with
 // ErrNoCandidates from Result, mirroring Run's result-plus-error return.
 func NewSession(c *dataset.Collection, initial []dataset.Entity, opts Options) (*Session, error) {
-	if opts.Strategy == nil && opts.Group == nil {
-		return nil, errors.New("discovery: Options.Strategy is required")
-	}
-	if opts.Backtrack && opts.MaxBacktracks == 0 {
-		opts.MaxBacktracks = 64
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 	// Lines 1–4 of Algorithm 2: candidates are supersets of the examples.
 	cs := c.SupersetsOf(initial)

@@ -9,7 +9,6 @@ import (
 
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/grouptest"
-	"setdiscovery/internal/strategy"
 )
 
 // Portable session state: a compact versioned binary encoding of the
@@ -430,8 +429,9 @@ func DecodeSession(c *dataset.Collection, opts Options, data []byte) (*Session, 
 }
 
 // decodeSessionInto decodes one session's state from r. It mirrors
-// NewSession's construction (options normalisation, scratch wiring) but
-// restores the suspended fields instead of running the opening selection.
+// NewSession's construction (options check and defaults, scratch wiring)
+// but restores the suspended fields instead of running the opening
+// selection.
 func decodeSessionInto(c *dataset.Collection, opts Options, r *stateReader, version byte) (*Session, error) {
 	group := version == stateVersionGroup
 	if group && opts.Group == nil {
@@ -440,11 +440,9 @@ func decodeSessionInto(c *dataset.Collection, opts Options, r *stateReader, vers
 	if !group && opts.Group != nil {
 		return nil, corrupt("group options with a non-group state")
 	}
-	if opts.Strategy == nil && opts.Group == nil {
-		return nil, errors.New("discovery: Options.Strategy is required")
-	}
-	if opts.Backtrack && opts.MaxBacktracks == 0 {
-		opts.MaxBacktracks = 64
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 	stateByte, err := r.u8()
 	if err != nil {
@@ -738,14 +736,9 @@ func (b *Batch) EncodeState() []byte {
 	return w.buf
 }
 
-// DecodeBatch reconstructs a Batch from EncodeState output. Like NewBatch it
-// mints the single shared strategy instance from f itself, so opts.Strategy
-// must be nil, and shares opts.Memo (or a memo of its own) among the
-// members.
-func DecodeBatch(c *dataset.Collection, f strategy.Factory, opts Options, data []byte) (*Batch, error) {
-	if err := checkBatchArgs("DecodeBatch", f, opts); err != nil {
-		return nil, err
-	}
+// DecodeBatch reconstructs a Batch from EncodeState output, every member
+// resuming under opts as NewBatch runs them.
+func DecodeBatch(c *dataset.Collection, opts Options, data []byte) (*Batch, error) {
 	r := &stateReader{data: data}
 	v, err := r.u8()
 	if err != nil {
@@ -774,7 +767,7 @@ func DecodeBatch(c *dataset.Collection, f strategy.Factory, opts Options, data [
 	if n == 0 {
 		return nil, corrupt("batch without members")
 	}
-	b.share(f, &opts)
+	opts.stats = &b.stats
 	b.members = make([]*Session, 0, n)
 	for i := 0; i < n; i++ {
 		m, err := decodeSessionInto(c, opts, r, v)

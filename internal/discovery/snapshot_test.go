@@ -303,7 +303,7 @@ func TestBatchSnapshotRestore(t *testing.T) {
 	targets := c.Sets()
 	seeds := make([][]dataset.Entity, len(targets))
 	mkBatch := func() *Batch {
-		b, err := NewBatch(c, seeds, f, Options{})
+		b, err := NewBatch(c, seeds, Options{Strategy: f.New(), Memo: NewSelectionMemo(0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func TestBatchSnapshotRestore(t *testing.T) {
 		for i := 0; i < cut; i++ {
 			runRound(orig)
 		}
-		restored, err := DecodeBatch(c, f, Options{}, orig.EncodeState())
+		restored, err := DecodeBatch(c, Options{Strategy: f.New(), Memo: NewSelectionMemo(0)}, orig.EncodeState())
 		if err != nil {
 			t.Fatalf("cut %d: DecodeBatch: %v", cut, err)
 		}
@@ -421,7 +421,7 @@ func TestSnapshotDecodeRejectsGarbage(t *testing.T) {
 func TestSnapshotDecodeRejectsUnwrittenFlags(t *testing.T) {
 	c := testutil.PaperCollection()
 	entityOpts := func() Options { return Options{Strategy: strategy.NewKLP(cost.AD, 2).New()} }
-	groupOpts := func() Options { return Options{Group: grouptest.Halving{}.New()} }
+	groupOpts := func() Options { return Options{Group: grouptest.Halving{}} }
 	encode := func(opts Options) []byte {
 		s, err := NewSession(c, nil, opts)
 		if err != nil {

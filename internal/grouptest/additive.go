@@ -32,9 +32,6 @@ type Additive struct {
 // Name implements Strategy.
 func (Additive) Name() string { return "additive" }
 
-// New implements Factory.
-func (s Additive) New() Strategy { return s }
-
 // SelectSubset implements Strategy.
 func (s Additive) SelectSubset(sub *dataset.Subset, excluded map[dataset.Entity]bool) (QuestionSubset, bool) {
 	sc := dataset.BorrowScratch()

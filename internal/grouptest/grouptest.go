@@ -10,14 +10,12 @@
 //   - Intersects — "does your set share at least one entity with S?"
 //   - SubsetOfTarget — "is S contained in your set?"
 //
-// Strategies mirror the entity-selection discipline of internal/strategy:
-// every concrete strategy is a Factory minting single-worker instances, and
-// selection is a pure function of the candidate sub-collection and the
-// excluded entities — group sessions snapshot no strategy state, so
-// restored sessions re-derive the same question from the same candidates.
-// An instance owns no working memory: each SelectSubset counts and covers
-// in a scratch it borrows for the call (dataset.BorrowScratch), so minting
-// one per session costs the instance only.
+// Strategies are immutable values: selection is a pure function of the
+// candidate sub-collection and the excluded entities, so one value serves
+// any number of sessions at once, and group sessions snapshot no strategy
+// state — restored sessions re-derive the same question from the same
+// candidates. A strategy owns no working memory: each SelectSubset counts
+// and covers in a scratch it borrows for the call (dataset.BorrowScratch).
 package grouptest
 
 import (
@@ -80,18 +78,11 @@ type QuestionSubset struct {
 // the sub-collection properly (both halves non-empty) — an answer that
 // leaves the candidates unchanged would re-ask the same question forever.
 //
-// Like strategy.Strategy, an instance is a single-worker object; concurrent
-// sessions each mint their own from a Factory.
+// Every strategy in this package is an immutable value, safe for
+// concurrent use.
 type Strategy interface {
 	Name() string
 	SelectSubset(sub *dataset.Subset, excluded map[dataset.Entity]bool) (QuestionSubset, bool)
-}
-
-// Factory mints per-worker Strategy instances and is safe for concurrent
-// use. Every concrete strategy in this package implements Factory.
-type Factory interface {
-	Name() string
-	New() Strategy
 }
 
 // Constraint is a dependency "If implies Then": any set containing If also
@@ -103,14 +94,14 @@ type Constraint struct {
 	If, Then dataset.Entity
 }
 
-// New builds a group-testing strategy factory by name. Recognised names
+// New builds a group-testing strategy by name. Recognised names
 // (case-insensitive):
 //
 //	halving     greedy even-split subsets, ~⌈log₂ n⌉ rounds to one target
 //	additive    bisect-style multi-culprit search honouring constraints
 //
 // constraints are honoured by additive and ignored by halving.
-func New(name string, constraints []Constraint) (Factory, error) {
+func New(name string, constraints []Constraint) (Strategy, error) {
 	switch strings.ToLower(name) {
 	case "halving":
 		return Halving{}, nil

@@ -108,7 +108,7 @@ func discover(t *testing.T, c *dataset.Collection, strat Strategy, target *datas
 
 func TestHalvingLogRoundsOnSingletons(t *testing.T) {
 	c := singletonCollection(t, 64)
-	strat := Halving{}.New()
+	strat := Halving{}
 	for i := 0; i < c.Len(); i++ {
 		n, _ := discover(t, c, strat, c.Set(i))
 		if n > 6 { // ⌈log₂ 64⌉
@@ -119,7 +119,7 @@ func TestHalvingLogRoundsOnSingletons(t *testing.T) {
 
 func TestHalvingPaperCollectionAllTargets(t *testing.T) {
 	c := paperCollection(t)
-	strat := Halving{}.New()
+	strat := Halving{}
 	for i := 0; i < c.Len(); i++ {
 		if n, _ := discover(t, c, strat, c.Set(i)); n > 4 {
 			t.Errorf("target %s took %d questions, want ≤ 4", c.Set(i).Name, n)
@@ -129,8 +129,8 @@ func TestHalvingPaperCollectionAllTargets(t *testing.T) {
 
 func TestHalvingDeterministic(t *testing.T) {
 	c := paperCollection(t)
-	a, _ := Halving{}.New().SelectSubset(c.All(), nil)
-	b, _ := Halving{}.New().SelectSubset(c.All(), nil)
+	a, _ := Halving{}.SelectSubset(c.All(), nil)
+	b, _ := Halving{}.SelectSubset(c.All(), nil)
 	if a.Semantics != b.Semantics || len(a.Members) != len(b.Members) {
 		t.Fatalf("selection not deterministic: %v vs %v", a, b)
 	}
@@ -143,7 +143,7 @@ func TestHalvingDeterministic(t *testing.T) {
 
 func TestHalvingHonoursExclusions(t *testing.T) {
 	c := singletonCollection(t, 8)
-	strat := Halving{}.New()
+	strat := Halving{}
 	excluded := map[dataset.Entity]bool{
 		entity(t, c, "m000"): true,
 		entity(t, c, "m001"): true,
@@ -217,7 +217,7 @@ func TestAdditiveMultiCulpritWithConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, asked := discover(t, c, f.New(), target)
+	n, asked := discover(t, c, f, target)
 	t.Logf("additive found %s in %d questions over %d candidates", target.Name, n, c.Len())
 	// Every intersects probe must keep the implied enabled set closed:
 	// disabling b (probing it) while a is undetermined must disable a too.
@@ -251,11 +251,10 @@ func TestAdditiveMultiCulpritWithConstraints(t *testing.T) {
 
 func TestAdditiveConvergesAllTargets(t *testing.T) {
 	c, _ := culpritCollection(t)
-	f, err := New("additive", nil)
+	strat, err := New("additive", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	strat := f.New()
 	for i := 0; i < c.Len(); i++ {
 		discover(t, c, strat, c.Set(i))
 	}
@@ -263,12 +262,12 @@ func TestAdditiveConvergesAllTargets(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	for _, name := range []string{"halving", "Halving", "additive", "ADDITIVE"} {
-		f, err := New(name, nil)
+		s, err := New(name, nil)
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
-		if f.New() == nil {
-			t.Fatalf("New(%q).New() = nil", name)
+		if s.Name() != strings.ToLower(name) {
+			t.Fatalf("New(%q).Name() = %q", name, s.Name())
 		}
 	}
 	if _, err := New("bogus", nil); err == nil {

@@ -22,9 +22,6 @@ type Halving struct{}
 // Name implements Strategy.
 func (Halving) Name() string { return "halving" }
 
-// New implements Factory.
-func (Halving) New() Strategy { return Halving{} }
-
 // SelectSubset implements Strategy. The emitted subset always splits the
 // sub-collection properly: the greedy coverage is capped at ⌊n/2⌋ < n and
 // only returned when non-empty, and the single-entity fallback is

@@ -83,19 +83,14 @@ func WithLogf(f func(format string, args ...any)) Option {
 // into few engines, so the pool is sized for that fan-in.
 const maxIdleConnsPerHost = 64
 
-// WithOwnerTTL sets how long an affinity entry survives without traffic
-// (default DefaultOwnerTTL). Engines reap idle sessions on their own TTL;
-// the router cannot observe that, so it ages out its ID→backend entries
-// independently — the bound that keeps the affinity table from growing
-// with every session ever created. Set it comfortably above the engines'
-// session TTL: an aged-out entry for a still-live session answers 404 at
-// the router even though the engine still holds the state.
-func WithOwnerTTL(d time.Duration) Option {
-	return func(rt *Router) { rt.ownerTTL = d }
-}
-
-// DefaultOwnerTTL is twice the engines' default session TTL, so the router
-// forgets an ID only well after the engine has.
+// DefaultOwnerTTL is how long an affinity entry survives without traffic.
+// Engines reap idle sessions on their own TTL; the router cannot observe
+// that, so it ages out its ID→backend entries independently — the bound
+// that keeps the affinity table from growing with every session ever
+// created. It is twice the engines' default session TTL, so the router
+// forgets an ID only well after the engine has: an aged-out entry for a
+// still-live session would answer 404 at the router even though the engine
+// still holds the state.
 const DefaultOwnerTTL = 2 * server.DefaultTTL
 
 // ownerSweepInterval gates how often the affinity table is scanned for
@@ -170,7 +165,6 @@ type Router struct {
 	client    *http.Client
 	logf      func(format string, args ...any)
 	started   time.Time
-	ownerTTL  time.Duration
 	lastSweep time.Time
 	now       func() time.Time // injectable clock for aging tests
 
@@ -206,7 +200,6 @@ func New(opts ...Option) *Router {
 		}},
 		logf:         func(string, ...any) {},
 		started:      time.Now(),
-		ownerTTL:     DefaultOwnerTTL,
 		now:          time.Now,
 		health:       HealthConfig{}.withDefaults(),
 		snapEvery:    DefaultSnapshotEvery,
@@ -272,7 +265,7 @@ func (rt *Router) persistOwnerLocked(id string, own *owner) {
 }
 
 // sweepOwnersLocked drops owner entries that have seen no traffic for
-// ownerTTL, at most once per ownerSweepInterval — the bound that keeps the
+// DefaultOwnerTTL, at most once per ownerSweepInterval — the bound that keeps the
 // table, checkpoints and journals included, proportional to *live*
 // sessions, not all sessions ever created.
 func (rt *Router) sweepOwnersLocked(now time.Time) {
@@ -281,7 +274,7 @@ func (rt *Router) sweepOwnersLocked(now time.Time) {
 	}
 	rt.lastSweep = now
 	for id, own := range rt.owners {
-		if now.Sub(own.lastSeen) > rt.ownerTTL {
+		if now.Sub(own.lastSeen) > DefaultOwnerTTL {
 			delete(rt.owners, id)
 			rt.log.append(record{op: opDropOwner, id: id})
 		}

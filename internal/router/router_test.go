@@ -517,7 +517,7 @@ func TestRouterImportRenamesCollection(t *testing.T) {
 // the table tracks live sessions, not every session ever created.
 func TestOwnerAging(t *testing.T) {
 	eng := newEngine(t)
-	rt := New(WithOwnerTTL(time.Hour))
+	rt := New()
 	if err := rt.AddBackend("a", eng.ts.URL); err != nil {
 		t.Fatal(err)
 	}

@@ -327,8 +327,8 @@ func TestCompatPreBumpSnapshotImport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(opts ...setdiscovery.Option) []byte {
-		s, err := c.NewSession(nil, opts...)
+	mk := func() []byte {
+		s, err := c.NewSession(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func TestCompatPreBumpSnapshotImport(t *testing.T) {
 		snap []byte
 	}{
 		{"v2-shared-selection", v2},
-		{"v1-delta-less", mk(setdiscovery.WithSharedSelection(false))},
+		{"v1-delta-less", mk()},
 	}
 	for _, env := range envelopes {
 		name, snap := env.name, env.snap

@@ -30,8 +30,7 @@ type SessionConfig struct {
 	Backtrack bool `json:"backtrack,omitempty"`
 	// GroupStrategy switches the session to set-valued (group-testing)
 	// questions, selected by strategy name ("halving", "additive"). Group
-	// sessions ignore Strategy and BatchSize; K bounds the additive
-	// strategy's simultaneous-target count.
+	// sessions ignore Strategy, Metric, K, Q and BatchSize.
 	GroupStrategy string `json:"group_strategy,omitempty"`
 	// GroupConstraints are entity-name dependencies honoured by the additive
 	// strategy: each pair [if, then] states that any target containing "if"

@@ -164,7 +164,9 @@ func TestKLPWarmCacheSteadyStateAllocs(t *testing.T) {
 //     plus the sibling;
 //   - siblings minted by four goroutines at once from one lineage pick
 //     what a sequential fresh factory picks over overlapping roots (run
-//     it with -race: they share the lookahead cache and the free list).
+//     it with -race: they share the lookahead cache and the free list);
+//   - a group strategy, an immutable value, picks from four goroutines at
+//     once what a fresh value picks sequentially.
 func TestScratchBorrowedPerSelect(t *testing.T) {
 	subs := scratchSubs(t)
 	for _, s := range goldenSelectionStrategies {
@@ -191,28 +193,19 @@ func TestScratchBorrowedPerSelect(t *testing.T) {
 		concurrentPicks(t, s.name, want, func(i int) string { return pick(lineage.New().Select(subs[i])) })
 	}
 	for _, name := range []string{"halving", "additive"} {
-		mk := func() grouptest.Factory {
-			f, err := grouptest.New(name, []grouptest.Constraint{{If: 1, Then: 2}, {If: 3, Then: 5}})
+		mk := func() grouptest.Strategy {
+			g, err := grouptest.New(name, []grouptest.Constraint{{If: 1, Then: 2}, {If: 3, Then: 5}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return f
+			return g
 		}
-		f := mk()
-		if allocs := testing.AllocsPerRun(20, func() { f.New() }); allocs > 1 {
-			t.Errorf("%s: New allocates %.1f objects, want at most the instance", name, allocs)
-		}
-		warm := f.New()
-		checkFreshSiblingAllocs(t, name, subs,
-			func(sub *dataset.Subset) { f.New().SelectSubset(sub, nil) },
-			func(sub *dataset.Subset) { warm.SelectSubset(sub, nil) })
-
 		want := make([]string, len(subs))
 		for i, sub := range subs {
-			want[i] = fmt.Sprint(mk().New().SelectSubset(sub, nil))
+			want[i] = fmt.Sprint(mk().SelectSubset(sub, nil))
 		}
-		lineage := mk()
-		concurrentPicks(t, name, want, func(i int) string { return fmt.Sprint(lineage.New().SelectSubset(subs[i], nil)) })
+		shared := mk()
+		concurrentPicks(t, name, want, func(i int) string { return fmt.Sprint(shared.SelectSubset(subs[i], nil)) })
 	}
 }
 

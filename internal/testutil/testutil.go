@@ -73,51 +73,3 @@ func RandomCollection(r *rng.RNG, n, m int) *dataset.Collection {
 	}
 	return c
 }
-
-// DistinctRandomCollection is RandomCollection but retries set draws until n
-// genuinely distinct sets exist (useful when the test needs an exact size).
-// It panics if the universe cannot host n distinct non-empty sets.
-func DistinctRandomCollection(r *rng.RNG, n, m int) *dataset.Collection {
-	if m > 62 && n > 1<<30 {
-		panic("testutil: request too large")
-	}
-	seen := make(map[string]bool, n)
-	names := make([]string, 0, n)
-	elems := make([][]dataset.Entity, 0, n)
-	for len(elems) < n {
-		size := 1 + r.Intn(m)
-		es := make([]dataset.Entity, 0, size)
-		for j := 0; j < size; j++ {
-			es = append(es, dataset.Entity(r.Intn(m)))
-		}
-		key := fmt.Sprint(normalize(es))
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		names = append(names, fmt.Sprintf("R%d", len(elems)))
-		elems = append(elems, es)
-	}
-	c, err := dataset.FromIDSets(names, elems, m, false)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-func normalize(es []dataset.Entity) []dataset.Entity {
-	m := make(map[dataset.Entity]bool, len(es))
-	for _, e := range es {
-		m[e] = true
-	}
-	out := make([]dataset.Entity, 0, len(m))
-	for e := uint32(0); int(e) < 1<<20; e++ {
-		if m[e] {
-			out = append(out, e)
-			if len(out) == len(m) {
-				break
-			}
-		}
-	}
-	return out
-}

@@ -73,7 +73,11 @@ const (
 // for concurrent use: any number of goroutines may run Discover,
 // DiscoverWithTree, BuildTree and the read accessors over one shared
 // instance. Sessions with equal strategy options share a lookahead cache,
-// so concurrent and repeated discoveries amortise each other's work.
+// so concurrent and repeated discoveries amortise each other's work. Every
+// entity session, batch member and Discover call also selects through the
+// collection's selection memo, keyed by candidate set and selection
+// options: sessions parked at one state, concurrently or over time, pay one
+// selection between them and ask identical questions (SelectionCacheStats).
 type Collection struct {
 	c *dataset.Collection
 
@@ -86,11 +90,12 @@ type Collection struct {
 	mu        sync.Mutex
 	factories map[strategyKey]strategy.Factory
 
-	// memo is the collection-wide selection memo shared by every solo
-	// session (and Discover call) over this collection, regardless of
-	// strategy configuration — an options hash in the key keeps differently
-	// configured sessions from sharing entries. Lazily created; the entry
-	// bound is fixed by whichever configuration touches it first.
+	// memo is the collection-wide selection memo shared by every entity
+	// session, batch member and Discover call over this collection,
+	// regardless of strategy configuration — an options hash in the key
+	// keeps differently configured sessions from sharing entries. Lazily
+	// created; the entry bound is fixed by whichever configuration touches
+	// it first.
 	memo *discovery.SelectionMemo
 }
 
@@ -134,11 +139,11 @@ func (c *Collection) factory(cfg config) (strategy.Factory, error) {
 	return f, nil
 }
 
-// groupFactory builds the group-testing strategy factory for cfg, resolving
-// constraint entity names against this collection. Group factories are not
+// groupStrategy builds the group-testing strategy for cfg, resolving
+// constraint entity names against this collection. Group strategies are not
 // cached: unlike the lookahead strategies they hold no shared memo state, so
-// minting one per session costs nothing worth amortising.
-func (c *Collection) groupFactory(cfg config) (grouptest.Factory, error) {
+// building one per session costs nothing worth amortising.
+func (c *Collection) groupStrategy(cfg config) (grouptest.Strategy, error) {
 	constraints := make([]grouptest.Constraint, 0, len(cfg.groupConstraints))
 	for _, pair := range cfg.groupConstraints {
 		ifID, ok := c.c.Dict().Lookup(pair[0])
@@ -154,26 +159,33 @@ func (c *Collection) groupFactory(cfg config) (grouptest.Factory, error) {
 	return grouptest.New(cfg.groupStrategy, constraints)
 }
 
-// engineOptions maps a configuration to engine options with a freshly minted
-// strategy instance: a group strategy for group configurations (which bypass
-// the entity-keyed selection memo), an entity strategy wired to the
-// collection memo otherwise.
+// engineOptions maps a configuration to the engine options of one session
+// or batch; it is the one place they are built. A group configuration gets
+// its group strategy (group selections bypass the entity-keyed selection
+// memo), an entity configuration a strategy instance freshly minted from the
+// collection's shared factory and the collection's selection memo.
 func (c *Collection) engineOptions(cfg config) (discovery.Options, error) {
+	o := discovery.Options{
+		MaxQuestions:  cfg.maxQuestions,
+		BatchSize:     cfg.batchSize,
+		Backtrack:     cfg.backtrack,
+		ConfirmTarget: cfg.confirm,
+	}
 	if cfg.groupStrategy != "" {
-		gf, err := c.groupFactory(cfg)
+		g, err := c.groupStrategy(cfg)
 		if err != nil {
 			return discovery.Options{}, err
 		}
-		o := discoveryOptions(cfg, nil)
-		o.Group = gf.New()
+		o.Group = g
 		return o, nil
 	}
 	f, err := c.factory(cfg)
 	if err != nil {
 		return discovery.Options{}, err
 	}
-	o := discoveryOptions(cfg, f.New())
-	c.attachMemo(cfg, &o)
+	o.Strategy = f.New()
+	o.Memo = c.selectionMemo(cfg.cacheBound)
+	o.MemoAux = memoAux(cfg)
 	return o, nil
 }
 
@@ -207,21 +219,14 @@ func memoAux(cfg config) uint64 {
 	return h.Sum64()
 }
 
-// attachMemo wires the collection-wide selection memo into engine options
-// when the configuration has shared selection on (the default).
-func (c *Collection) attachMemo(cfg config, o *discovery.Options) {
-	if !cfg.sharedSelection {
-		return
-	}
-	o.Memo = c.selectionMemo(cfg.cacheBound)
-	o.MemoAux = memoAux(cfg)
-}
-
 // SelectionCacheStats reports the collection-wide selection memo's
 // effectiveness: how many selections were served from the memo (Hits) or
 // coalesced onto a concurrent computation versus actually computed, and how
-// the bounded store is doing (Entries, Evictions). Zero before any session
-// ran with shared selection.
+// the bounded store is doing (Entries, Evictions). Every entity session,
+// batch member and Discover call selects through the memo; group sessions
+// do not. All zero until the memo exists: the first entity session, batch,
+// Discover call, or warm-shard export or import over the collection creates
+// it.
 type SelectionCacheStats struct {
 	Hits      int64
 	Misses    int64
@@ -231,7 +236,7 @@ type SelectionCacheStats struct {
 	Entries   int
 }
 
-// SelectionCacheStats returns the collection's shared-selection counters.
+// SelectionCacheStats returns the collection's selection-memo counters.
 func (c *Collection) SelectionCacheStats() SelectionCacheStats {
 	c.mu.Lock()
 	m := c.memo
@@ -364,16 +369,15 @@ func (c *Collection) Internal() *dataset.Collection { return c.c }
 
 // config collects option values.
 type config struct {
-	strategyName    string
-	metric          Metric
-	k, q            int
-	maxQuestions    int
-	batchSize       int
-	parallelism     int
-	cacheBound      int
-	backtrack       bool
-	confirm         bool
-	sharedSelection bool
+	strategyName string
+	metric       Metric
+	k, q         int
+	maxQuestions int
+	batchSize    int
+	parallelism  int
+	cacheBound   int
+	backtrack    bool
+	confirm      bool
 
 	// groupStrategy switches sessions to set-valued (group-testing)
 	// questions; empty selects the classic entity-question mode.
@@ -384,8 +388,7 @@ type config struct {
 }
 
 func defaultConfig() config {
-	return config{strategyName: "klp", metric: AverageDepth, k: 2, q: 10,
-		sharedSelection: true}
+	return config{strategyName: "klp", metric: AverageDepth, k: 2, q: 10}
 }
 
 // Option configures BuildTree and Discover.
@@ -433,9 +436,9 @@ func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n 
 // Sessions and builds over one collection with equal options — including
 // the bound — share one factory, so the cap is per-configuration, not
 // per-session. The bound also caps the collection's selection memo when its
-// first user creates it (WithSharedSelection). Evicted entries are
-// recomputed, never wrong: selections are identical under every bound.
-// setdiscd exposes it as -cache-bound.
+// first user creates it. Evicted entries are recomputed, never wrong:
+// selections are identical under every bound. setdiscd exposes it as
+// -cache-bound.
 func WithCacheBound(n int) Option {
 	return func(c *config) {
 		// Normalised so every spelling of the default shares one factory key.
@@ -454,9 +457,10 @@ func WithCacheBound(n int) Option {
 // and contaminated-pool screening. Recognised names: "halving" (greedy
 // even-split subsets, ~⌈log₂ n⌉ rounds to a single target) and "additive"
 // (bisect-style multi-culprit search honouring WithGroupConstraint
-// dependencies). Group sessions ignore WithStrategy, WithBatchSize and the
-// shared-selection memo; the oracle must implement GroupOracle. The empty
-// name restores the default entity-question mode.
+// dependencies). Group sessions ignore WithStrategy, WithMetric, WithK,
+// WithQ and WithBatchSize, and select without the selection memo; the
+// oracle must implement GroupOracle. The empty name restores the default
+// entity-question mode.
 func WithGroupStrategy(name string) Option {
 	return func(c *config) { c.groupStrategy = name }
 }
@@ -470,22 +474,6 @@ func WithGroupConstraint(ifEntity, thenEntity string) Option {
 	return func(c *config) {
 		c.groupConstraints = append(c.groupConstraints, [2]string{ifEntity, thenEntity})
 	}
-}
-
-// WithSharedSelection toggles the collection-wide selection memo (default
-// on): solo sessions and Discover calls over one collection memoise their
-// strategy selections by candidate-set fingerprint, so N sessions parked at
-// the same state — concurrently or over time — pay one lookahead computation
-// total, with concurrent misses coalescing into a single flight. Selections
-// are pure functions of the candidate set and the selection-relevant options,
-// so shared results are byte-identical to unshared ones (test-pinned);
-// sessions with "don't know" answers bypass the memo automatically. Like
-// every cache the memo is bounded, so memory stays flat: at the
-// WithCacheBound of the session that creates it, 1,048,576 entries by
-// default. Turn it off for one-shot
-// workloads that would only pollute the memo, or to A/B the fabric itself.
-func WithSharedSelection(on bool) Option {
-	return func(c *config) { c.sharedSelection = on }
 }
 
 // Tree is a constructed decision tree over a collection. It is immutable

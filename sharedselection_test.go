@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"setdiscovery/internal/discovery"
 )
 
 // unsureFirstOracle answers "don't know" to its first question, then defers
@@ -66,12 +68,32 @@ func discoverAsked(t *testing.T, c *Collection, mkOracle func() Oracle, opts ...
 	return rec.asked, res
 }
 
-// TestSharedSelectionMatchesUnshared is the tentpole equivalence pin at the
-// public layer: across strategies, "don't know" answers and backtracking,
-// discovery with the collection-wide selection memo (the default) asks
-// byte-identical question sequences to WithSharedSelection(false) — and a
-// second shared run over the now-warm memo (the pure hit path) stays
-// identical too.
+// discoverUnshared is discoverAsked's reference: Discover's loop under the
+// options engineOptions builds for opts, with the selection memo cleared.
+func discoverUnshared(t *testing.T, c *Collection, mkOracle func() Oracle, opts ...Option) ([]string, *Result) {
+	t.Helper()
+	cfg := defaultConfig()
+	for _, o := range opts {
+		o(&cfg)
+	}
+	o, err := c.engineOptions(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Memo = nil
+	rec := &recordingOracle{inner: mkOracle()}
+	res, err := discovery.Run(c.c, nil, c.wrapOracle(rec), o)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return rec.asked, convertResult(res)
+}
+
+// TestSharedSelectionMatchesUnshared is the equivalence pin at the public
+// layer: across strategies and batch sizes, discovery through the
+// collection-wide selection memo asks byte-identical question sequences to
+// the same options with the memo cleared — and a second shared run over
+// the now-warm memo (the pure hit path) stays identical too.
 func TestSharedSelectionMatchesUnshared(t *testing.T) {
 	optsets := [][]Option{
 		nil,
@@ -99,8 +121,7 @@ func TestSharedSelectionMatchesUnshared(t *testing.T) {
 					return o
 				}
 			}
-			off := append(append([]Option(nil), opts...), WithSharedSelection(false))
-			wantAsked, want := discoverAsked(t, unshared, mk(unshared), off...)
+			wantAsked, want := discoverUnshared(t, unshared, mk(unshared), opts...)
 			for run := 0; run < 2; run++ { // run 1 replays against a warm memo
 				gotAsked, got := discoverAsked(t, shared, mk(shared), opts...)
 				if !reflect.DeepEqual(gotAsked, wantAsked) {
@@ -117,7 +138,7 @@ func TestSharedSelectionMatchesUnshared(t *testing.T) {
 			t.Fatalf("shared collection never hit its memo: %+v", st)
 		}
 		if st := unshared.SelectionCacheStats(); st.Entries != 0 {
-			t.Fatalf("WithSharedSelection(false) populated the memo: %+v", st)
+			t.Fatalf("the memo-less reference populated the memo: %+v", st)
 		}
 	}
 }
@@ -155,8 +176,7 @@ func TestSharedSelectionWithUnknownsAndBacktracking(t *testing.T) {
 			}, []Option{WithBacktracking()}},
 		}
 		for _, tc := range cases {
-			off := append(append([]Option(nil), tc.opts...), WithSharedSelection(false))
-			wantAsked, want := discoverAsked(t, unshared, tc.mk(unshared), off...)
+			wantAsked, want := discoverUnshared(t, unshared, tc.mk(unshared), tc.opts...)
 			gotAsked, got := discoverAsked(t, shared, tc.mk(shared), tc.opts...)
 			if !reflect.DeepEqual(gotAsked, wantAsked) {
 				t.Fatalf("%s/%s: shared asked %v, unshared asked %v", name, tc.label, gotAsked, wantAsked)
@@ -165,6 +185,9 @@ func TestSharedSelectionWithUnknownsAndBacktracking(t *testing.T) {
 				t.Fatalf("%s/%s: shared result %+v, unshared %+v", name, tc.label, got, want)
 			}
 		}
+	}
+	if st := unshared.SelectionCacheStats(); st.Entries != 0 {
+		t.Fatalf("the memo-less reference populated the memo: %+v", st)
 	}
 }
 
@@ -267,8 +290,8 @@ func askedWithin(t *testing.T, s *Session, o Oracle, limit int) []string {
 // with its never-suspended twin's questions, and its memo section is never
 // read; the same envelope with its memo entry rewritten to name b, which
 // every candidate from seed {b} contains, leaves a fresh session from {b}
-// asking the honest questions; and a shared-selection session snapshots to
-// the bytes its unshared twin writes.
+// asking the honest questions; and a session's snapshot is a version-1
+// envelope that restores and snapshots back to the same bytes.
 func TestRestoreIgnoresMemoDelta(t *testing.T) {
 	env := recordedV2Envelope(t)
 	mkOracle := func(c *Collection) Oracle {
@@ -323,34 +346,34 @@ func TestRestoreIgnoresMemoDelta(t *testing.T) {
 	}
 
 	// The state carries the session's wall-clock selection time, so the
-	// unshared twin is restored from the shared session's own bytes: it must
-	// write them back unchanged, as version 1, at every round.
-	shared, err := c.NewSession([]string{"b"})
+	// round trip starts from the session's own bytes: the restored session
+	// must write them back unchanged, as version 1, at every round.
+	s, err = c.NewSession([]string{"b"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := mkOracle(c)
 	for round := 0; ; round++ {
-		snap, err := shared.Snapshot()
+		snap, err := s.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := c.RestoreSession(snap, WithSharedSelection(false))
+		twin, err := c.RestoreSession(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := plain.Snapshot()
+		again, err := twin.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if snap[4] != snapshotVersion || !bytes.Equal(snap, again) {
-			t.Fatalf("round %d: shared-selection snapshot\n%x\nis not the version-1 envelope its unshared twin writes\n%x", round, snap, again)
+			t.Fatalf("round %d: snapshot\n%x\nis not the version-1 envelope its restored twin writes\n%x", round, snap, again)
 		}
-		q, done := shared.Next()
+		q, done := s.Next()
 		if done {
 			break
 		}
-		if err := shared.Answer(o.Answer(q.Entity)); err != nil {
+		if err := s.Answer(o.Answer(q.Entity)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/discovery"
-	"setdiscovery/internal/strategy"
 )
 
 // Portable sessions: Snapshot serializes a suspended Session or Batch into a
@@ -166,29 +165,19 @@ func (t *Tree) RestoreSession(data []byte) (*Session, error) {
 }
 
 // RestoreBatch reconstructs a batch from Batch.Snapshot output, bound to
-// this collection. Members resume sharing one strategy instance and the
-// selection memo NewBatch would give them, and keep amortising exactly as
-// before the suspension.
+// this collection. Members resume under the options NewBatch would give
+// them, one strategy instance and the collection's selection memo, and
+// keep amortising exactly as before the suspension.
 func (c *Collection) RestoreBatch(data []byte, opts ...Option) (*Batch, error) {
 	cfg, payload, err := c.openEnvelope(data, SnapshotBatch, opts)
 	if err != nil {
 		return nil, err
 	}
-	o := discoveryOptions(cfg, nil)
-	var f strategy.Factory
-	if cfg.groupStrategy != "" {
-		gf, err := c.groupFactory(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
-		}
-		o.Group = gf.New()
-	} else {
-		if f, err = c.factory(cfg); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
-		}
-		c.attachMemo(cfg, &o)
+	o, err := c.engineOptions(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
-	b, err := discovery.DecodeBatch(c.c, f, o, payload)
+	b, err := discovery.DecodeBatch(c.c, o, payload)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
@@ -209,20 +198,6 @@ func ReadSnapshotInfo(data []byte) (SnapshotInfo, error) {
 		return SnapshotInfo{}, err
 	}
 	return SnapshotInfo{Kind: kind}, nil
-}
-
-// discoveryOptions maps the behaviour-relevant half of a config to engine
-// options (the other half — strategy selection — travels through the
-// factory; strat stays nil for batches, which mint their own shared
-// instance).
-func discoveryOptions(cfg config, strat strategy.Strategy) discovery.Options {
-	return discovery.Options{
-		Strategy:      strat,
-		MaxQuestions:  cfg.maxQuestions,
-		BatchSize:     cfg.batchSize,
-		Backtrack:     cfg.backtrack,
-		ConfirmTarget: cfg.confirm,
-	}
 }
 
 // envelopeWriter builds the snapshot header + configuration section.
